@@ -9,7 +9,7 @@ GO ?= go
 # pass so the assertion is meaningful).
 SWEEP_CACHE ?= .ftcache-quick
 
-.PHONY: build test vet race race-shards fuzz verify bench bench-sweep bench-check sweep-quick monitor-smoke serve-load serve-load-smoke trace-roundtrip metrics-lint
+.PHONY: build test vet race race-shards fuzz verify loc bench bench-sweep bench-check sweep-quick monitor-smoke serve-load serve-load-smoke trace-roundtrip metrics-lint
 
 build:
 	$(GO) build ./...
@@ -28,7 +28,18 @@ race:
 # under -race is the data-race gate for the parallel engine; -count=2
 # defeats test caching so the goroutine schedules re-roll.
 race-shards:
-	$(GO) test -race -count=2 -run 'TestShardEquivalence|TestGoldenShardEquivalence|TestSharded|TestConfigureShards' ./internal/hoplite/ ./internal/fasttrack/ ./internal/sim/
+	$(GO) test -race -count=2 -run 'TestShardEquivalence|TestGoldenShardEquivalence|TestSharded|TestConfigureShards' ./internal/fabric/ ./internal/hoplite/ ./internal/fasttrack/ ./internal/sim/
+
+# Non-test Go lines per package and in total (benchmark/ and examples/
+# excluded): ROADMAP aim 2 makes net-negative diffs a deliverable, and this
+# is the command that checks one — run it on the parent commit and on the
+# change.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './examples/*' \
+		| xargs wc -l \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' \
+		| sort -k2
 
 # Hot-loop benchmark: runs each scenario on the dense reference path and
 # the sparse optimized path, verifies the results are byte-identical, and

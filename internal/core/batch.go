@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"fasttrack/internal/fabric"
 	"fasttrack/internal/fasttrack"
 	"fasttrack/internal/hoplite"
 	"fasttrack/internal/sim"
@@ -37,11 +38,10 @@ func Batchable(cfg Config, opts SyntheticOptions) bool {
 // sweep pays the allocation cost once per (configuration, batch) instead of
 // once per job.
 type SyntheticBatch struct {
-	cfg  Config
-	size int
-	w, h int
-	hop  *hoplite.Batch
-	ft   *fasttrack.Batch
+	cfg   Config
+	size  int
+	w, h  int
+	insts *fabric.Batch
 }
 
 // NewSyntheticBatch builds a harness of size instances of cfg. Only
@@ -50,30 +50,24 @@ func NewSyntheticBatch(cfg Config, size int) (*SyntheticBatch, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("core: batch size %d < 1", size)
 	}
-	sb := &SyntheticBatch{cfg: cfg, size: size, w: cfg.N, h: cfg.N}
+	var insts *fabric.Batch
+	var err error
 	switch cfg.Kind {
 	case KindHoplite:
-		hop, err := hoplite.NewBatch(cfg.N, cfg.N, size)
-		if err != nil {
-			return nil, err
-		}
-		sb.hop = hop
+		insts, err = hoplite.NewBatch(cfg.N, cfg.N, size)
 	case KindFastTrack:
-		top, err := fasttrack.NewTopology(cfg.N, cfg.D, cfg.R)
-		if err != nil {
-			return nil, err
+		fc, cerr := cfg.fastTrack()
+		if cerr != nil {
+			return nil, cerr
 		}
-		ft, err := fasttrack.NewBatch(fasttrack.Config{
-			Topology: top, Variant: cfg.Variant, ExpressPipeline: cfg.ExpressPipeline,
-		}, size)
-		if err != nil {
-			return nil, err
-		}
-		sb.ft = ft
+		insts, err = fasttrack.NewBatch(fc, size)
 	default:
-		return nil, fmt.Errorf("core: %s has no batched constructor", cfg)
+		err = fmt.Errorf("core: %s has no batched constructor", cfg)
 	}
-	return sb, nil
+	if err != nil {
+		return nil, err
+	}
+	return &SyntheticBatch{cfg: cfg, size: size, w: cfg.N, h: cfg.N, insts: insts}, nil
 }
 
 // Config returns the configuration every instance runs.
@@ -82,23 +76,10 @@ func (sb *SyntheticBatch) Config() Config { return sb.cfg }
 // Size returns the instance capacity per lockstep round.
 func (sb *SyntheticBatch) Size() int { return sb.size }
 
-func (sb *SyntheticBatch) instance(i int) Network {
-	if sb.hop != nil {
-		return sb.hop.Instance(i)
-	}
-	return sb.ft.Instance(i)
-}
-
 // Reset idles every instance, keeping the slabs, so the harness can be
 // recycled across jobs (runner.NetPool). Run resets before each chunk, so
 // callers only need this when handing a used harness to other code.
-func (sb *SyntheticBatch) Reset() {
-	if sb.hop != nil {
-		sb.hop.Reset()
-	} else {
-		sb.ft.Reset()
-	}
-}
+func (sb *SyntheticBatch) Reset() { sb.insts.Reset() }
 
 // Run executes one synthetic job per options entry, in lockstep chunks of at
 // most Size, and returns the results in order. Every result is bit-identical
@@ -139,7 +120,7 @@ func (sb *SyntheticBatch) runChunk(ctx context.Context, chunk []SyntheticOptions
 	jobs := make([]sim.BatchJob, len(chunk))
 	for i, o := range chunk {
 		jobs[i] = sim.BatchJob{
-			Net: sb.instance(i),
+			Net: sb.insts.Instance(i),
 			WL:  tb.View(i),
 			Opts: sim.Options{
 				MaxCycles:         o.MaxCycles,

@@ -163,19 +163,23 @@ func (c Config) String() string {
 	return fmt.Sprintf("Config(kind=%d)", c.Kind)
 }
 
+// fastTrack is the fasttrack package's view of a KindFastTrack configuration.
+func (c Config) fastTrack() (fasttrack.Config, error) {
+	top, err := fasttrack.NewTopology(c.N, c.D, c.R)
+	return fasttrack.Config{Topology: top, Variant: c.Variant, ExpressPipeline: c.ExpressPipeline}, err
+}
+
 // Build constructs the cycle-accurate network.
 func (c Config) Build() (Network, error) {
 	switch c.Kind {
 	case KindHoplite:
 		return hoplite.New(c.N, c.N)
 	case KindFastTrack:
-		top, err := fasttrack.NewTopology(c.N, c.D, c.R)
+		fc, err := c.fastTrack()
 		if err != nil {
 			return nil, err
 		}
-		return fasttrack.New(fasttrack.Config{
-			Topology: top, Variant: c.Variant, ExpressPipeline: c.ExpressPipeline,
-		})
+		return fasttrack.New(fc)
 	case KindMultiChannel:
 		return multichannel.New(c.N, c.N, c.Channels)
 	}

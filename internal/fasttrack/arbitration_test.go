@@ -3,6 +3,7 @@ package fasttrack
 import (
 	"testing"
 
+	"fasttrack/internal/fabric"
 	"fasttrack/internal/noc"
 	"fasttrack/internal/xrand"
 )
@@ -56,7 +57,7 @@ func TestRouterArbitrationExhaustive(t *testing.T) {
 				}
 				i := c.y*8 + c.x
 				var want int
-				mk := func(id int64, express bool, dim byte) slot {
+				mk := func(id int64, express bool, dim byte) fabric.Slot {
 					// Express inputs must carry express-legal offsets: the
 					// simulator never produces a misaligned express packet
 					// except via documented pop-off paths, which arise from
@@ -81,37 +82,36 @@ func TestRouterArbitrationExhaustive(t *testing.T) {
 						dst.X = c.x // NEx with dx != 0 only via misroutes
 					}
 					want++
-					return slot{p: noc.Packet{ID: id, Src: noc.Coord{X: 0, Y: 0}, Dst: dst}, ok: true}
+					return fabric.Slot{P: noc.Packet{ID: id, Src: noc.Coord{X: 0, Y: 0}, Dst: dst}, OK: true}
 				}
 				var wExPkt noc.Packet
 				if mask&1 != 0 {
-					nw.wShIn[i] = mk(1, false, 'x')
+					nw.in[noc.PortWSh][i] = mk(1, false, 'x')
 				}
 				if useWEx {
-					nw.wExIn[i] = mk(2, true, 'x')
-					wExPkt = nw.wExIn[i].p
+					nw.in[noc.PortWEx][i] = mk(2, true, 'x')
+					wExPkt = nw.in[noc.PortWEx][i].P
 				}
 				if mask&4 != 0 {
-					nw.nShIn[i] = mk(3, false, 'y')
+					nw.in[noc.PortNSh][i] = mk(3, false, 'y')
 				}
 				if useNEx {
-					nw.nExIn[i] = mk(4, true, 'y')
+					nw.in[noc.PortNEx][i] = mk(4, true, 'y')
 				}
-				nw.sh[0].inFlight = want
-
-				nw.sh[0].delivered = nw.sh[0].delivered[:0]
-				nw.route(c.x, c.y, 0) // panics on overcommit
+				s0 := nw.BeginDense(0)
+				s0.InFlight = want
+				nw.route(s0, c.x, c.y, 0) // panics on overcommit
 
 				// Collect placements.
 				got := 0
 				seen := map[int64]int{}
 				for o := 0; o < numOuts; o++ {
 					s := nw.outs[o][i]
-					if !s.ok {
+					if !s.OK {
 						continue
 					}
 					got++
-					seen[s.p.ID]++
+					seen[s.P.ID]++
 					switch uint8(o) {
 					case oEEx:
 						if !hasX {
@@ -166,7 +166,7 @@ func TestRouterArbitrationExhaustive(t *testing.T) {
 						if !found {
 							t.Fatalf("%s mask %d: WEx exit not granted", c.name, mask)
 						}
-					} else if s := nw.outs[first.out][i]; !s.ok || s.p.ID != 2 {
+					} else if s := nw.outs[first.out][i]; !s.OK || s.P.ID != 2 {
 						t.Fatalf("%s mask %d: WEx not on its first choice output %d", c.name, mask, first.out)
 					}
 				}

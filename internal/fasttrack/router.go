@@ -3,6 +3,7 @@ package fasttrack
 import (
 	"fmt"
 
+	"fasttrack/internal/fabric"
 	"fasttrack/internal/noc"
 )
 
@@ -46,7 +47,7 @@ type arb struct {
 // express turning traffic preempts everything, X-ring traffic preempts
 // Y-ring traffic, and client injection only uses ports left idle by
 // in-flight packets (§IV-C).
-func (nw *Network) route(x, y int, now int64) {
+func (nw *Network) route(s0 *fabric.Shard, x, y int, now int64) {
 	t := nw.cfg.Topology
 	i := y*nw.n + x
 	a := arb{exists: [numOuts]bool{
@@ -59,27 +60,26 @@ func (nw *Network) route(x, y int, now int64) {
 	// Inputs are inspected through pointers: a slot is 80 bytes and most
 	// registers are empty most cycles, so value copies of the whole slot
 	// dominated the router profile.
-	if s := &nw.wExIn[i]; s.ok {
-		nw.place(&a, i, noc.PortWEx, s.p, x, y)
+	if s := &nw.in[noc.PortWEx][i]; s.OK {
+		nw.place(s0, &a, i, noc.PortWEx, s.P, x, y)
 	}
-	if s := &nw.nExIn[i]; s.ok {
-		nw.place(&a, i, noc.PortNEx, s.p, x, y)
+	if s := &nw.in[noc.PortNEx][i]; s.OK {
+		nw.place(s0, &a, i, noc.PortNEx, s.P, x, y)
 	}
-	if s := &nw.wShIn[i]; s.ok {
-		nw.place(&a, i, noc.PortWSh, s.p, x, y)
+	if s := &nw.in[noc.PortWSh][i]; s.OK {
+		nw.place(s0, &a, i, noc.PortWSh, s.P, x, y)
 	}
-	if s := &nw.nShIn[i]; s.ok {
-		nw.place(&a, i, noc.PortNSh, s.p, x, y)
+	if s := &nw.in[noc.PortNSh][i]; s.OK {
+		nw.place(s0, &a, i, noc.PortNSh, s.P, x, y)
 	}
-	nw.injectAt(&a, i, x, y, now)
+	nw.injectAt(s0, &a, i, x, y, now)
 }
 
 // place assigns one in-flight input packet to an output following its
 // preference list. Bufferless routers must never drop an in-flight packet;
 // the priority discipline plus the recoverable emergency tails make the
 // assignment total, so running out of ports is a router bug and panics.
-func (nw *Network) place(a *arb, i int, port noc.Port, p noc.Packet, x, y int) {
-	s0 := &nw.sh[0]
+func (nw *Network) place(s0 *fabric.Shard, a *arb, i int, port noc.Port, p noc.Packet, x, y int) {
 	pr := nw.prefsFor(port, p.Dst, x, y)
 	for k := 0; k < pr.n; k++ {
 		c := pr.c[k]
@@ -88,21 +88,21 @@ func (nw *Network) place(a *arb, i int, port noc.Port, p noc.Packet, x, y int) {
 		}
 		a.taken[c.out] = true
 		if c.misroute {
-			s0.counters.MisroutesByInput[port]++
+			s0.Counters.MisroutesByInput[port]++
 			p.Deflections++
-			if nw.obs != nil {
-				nw.obs.OnDeflect(s0.now, i, port, &p)
+			if s0.Obs != nil {
+				s0.Obs.OnDeflect(s0.Now, i, port, &p)
 			}
 		} else if k > 0 {
-			s0.counters.ExpressDeniedByInput[port]++
-			if nw.obs != nil {
-				nw.obs.OnExpressDenied(s0.now, i, port, &p)
+			s0.Counters.ExpressDeniedByInput[port]++
+			if s0.Obs != nil {
+				s0.Obs.OnExpressDenied(s0.Now, i, port, &p)
 			}
 		}
 		if c.deliver {
-			nw.deliver(s0, p)
+			nw.Deliver(s0, p)
 		} else {
-			nw.outs[c.out][i] = slot{p: p, ok: true}
+			nw.outs[c.out][i] = fabric.Slot{P: p, OK: true}
 		}
 		return
 	}
@@ -290,17 +290,15 @@ func (nw *Network) prefsFor(port noc.Port, dst noc.Coord, x, y int) prefs {
 // traffic has been placed. Injection never misroutes: if every acceptable
 // first-hop port is busy the client stalls and retries (§IV-C: the PE port
 // has the lowest priority because in-flight packets cannot wait).
-func (nw *Network) injectAt(a *arb, i, x, y int, now int64) {
-	s0 := &nw.sh[0]
-	nw.accepted[i] = false
-	off := &nw.offers[i]
-	if !off.ok {
+func (nw *Network) injectAt(s0 *fabric.Shard, a *arb, i, x, y int, now int64) {
+	off := &nw.Offers[i]
+	if !off.OK {
 		return
 	}
-	off.ok = false
+	off.OK = false
 
 	t := nw.cfg.Topology
-	p := off.p
+	p := off.P
 	dx := noc.RingDelta(x, p.Dst.X, nw.n)
 	dy := noc.RingDelta(y, p.Dst.Y, nw.n)
 
@@ -346,30 +344,29 @@ func (nw *Network) injectAt(a *arb, i, x, y int, now int64) {
 		}
 		a.taken[c.out] = true
 		if k > 0 {
-			s0.counters.ExpressDeniedByInput[noc.PortPE]++
-			if nw.obs != nil {
-				nw.obs.OnExpressDenied(now, i, noc.PortPE, &p)
+			s0.Counters.ExpressDeniedByInput[noc.PortPE]++
+			if s0.Obs != nil {
+				s0.Obs.OnExpressDenied(now, i, noc.PortPE, &p)
 			}
 		}
 		p.Inject = now
-		s0.inFlight++
-		nw.accepted[i] = true
-		s0.acceptedPEs = append(s0.acceptedPEs, i)
+		nw.Accept(s0, i)
 		if c.deliver {
-			nw.deliver(s0, p)
+			nw.Deliver(s0, p)
 		} else {
-			nw.outs[c.out][i] = slot{p: p, ok: true}
+			nw.outs[c.out][i] = fabric.Slot{P: p, OK: true}
 		}
 		return
 	}
-	s0.counters.InjectionStalls++
+	s0.Counters.InjectionStalls++
 }
 
-// routeSparse is the fast-path arbiter: identical decisions to route, but
-// over pool indices — staying on a ring moves an int32 instead of copying
+// Route implements fabric.Router: the arbiter the kernel calls for each
+// active router. It makes the same decisions as the dense reference route,
+// but over pool indices — staying on a ring moves an int32 instead of copying
 // an 80-byte slot — and with the latch fused in: granting an output writes
 // the downstream next-cycle register directly (emitR).
-func (nw *Network) routeSparse(sh *shardCtx, i, x, y int, now int64) {
+func (nw *Network) Route(sh *fabric.Shard, i, x, y int, now int64) {
 	var a arb
 	if tb := nw.tabs; tb != nil {
 		a.exists = tb.exists[i]
@@ -383,22 +380,23 @@ func (nw *Network) routeSparse(sh *shardCtx, i, x, y int, now int64) {
 		}
 	}
 
-	// Inputs are consumed (and cleared, so a router that goes idle does not
-	// replay stale packets when it reactivates) as they are read.
-	if r := nw.wExR[i]; r >= 0 {
-		nw.wExR[i] = -1
+	// Inputs are consumed in the static priority order, and cleared as they
+	// are read. Unrolled: one branch site per port predicts measurably
+	// better than a loop over the four.
+	if r := nw.Cur[noc.PortWEx][i]; r >= 0 {
+		nw.Cur[noc.PortWEx][i] = -1
 		nw.placeR(sh, &a, i, noc.PortWEx, r, x, y)
 	}
-	if r := nw.nExR[i]; r >= 0 {
-		nw.nExR[i] = -1
+	if r := nw.Cur[noc.PortNEx][i]; r >= 0 {
+		nw.Cur[noc.PortNEx][i] = -1
 		nw.placeR(sh, &a, i, noc.PortNEx, r, x, y)
 	}
-	if r := nw.wShR[i]; r >= 0 {
-		nw.wShR[i] = -1
+	if r := nw.Cur[noc.PortWSh][i]; r >= 0 {
+		nw.Cur[noc.PortWSh][i] = -1
 		nw.placeR(sh, &a, i, noc.PortWSh, r, x, y)
 	}
-	if r := nw.nShR[i]; r >= 0 {
-		nw.nShR[i] = -1
+	if r := nw.Cur[noc.PortNSh][i]; r >= 0 {
+		nw.Cur[noc.PortNSh][i] = -1
 		nw.placeR(sh, &a, i, noc.PortNSh, r, x, y)
 	}
 	nw.injectAtR(sh, &a, i, x, y, now)
@@ -408,8 +406,8 @@ func (nw *Network) routeSparse(sh *shardCtx, i, x, y int, now int64) {
 // preference list for (port, dx, dy) instead of rebuilding it per packet;
 // the tables are constructed by calling prefsFor itself (see tables.go), so
 // both branches walk identical lists.
-func (nw *Network) placeR(sh *shardCtx, a *arb, i int, port noc.Port, r int32, x, y int) {
-	p := &nw.pool[r]
+func (nw *Network) placeR(sh *fabric.Shard, a *arb, i int, port noc.Port, r int32, x, y int) {
+	p := &nw.Pool[r]
 	var pr *prefs
 	if tb := nw.tabs; tb != nil {
 		pr = &tb.in[port][delta(y, p.Dst.Y, nw.n)*nw.n+delta(x, p.Dst.X, nw.n)]
@@ -424,94 +422,86 @@ func (nw *Network) placeR(sh *shardCtx, a *arb, i int, port noc.Port, r int32, x
 		}
 		a.taken[c.out] = true
 		if c.misroute {
-			sh.counters.MisroutesByInput[port]++
+			sh.Counters.MisroutesByInput[port]++
 			p.Deflections++
-			if sh.obs != nil {
-				sh.obs.OnDeflect(sh.now, i, port, p)
+			if sh.Obs != nil {
+				sh.Obs.OnDeflect(sh.Now, i, port, p)
 			}
 		} else if k > 0 {
-			sh.counters.ExpressDeniedByInput[port]++
-			if sh.obs != nil {
-				sh.obs.OnExpressDenied(sh.now, i, port, p)
+			sh.Counters.ExpressDeniedByInput[port]++
+			if sh.Obs != nil {
+				sh.Obs.OnExpressDenied(sh.Now, i, port, p)
 			}
 		}
 		if c.deliver {
-			nw.deliverIdx(sh, r)
+			nw.DeliverIdx(sh, r)
 		} else {
 			nw.emitR(sh, c.out, r, i, x, y)
 		}
 		return
 	}
 	panic(fmt.Sprintf("fasttrack: router (%d,%d) overcommitted: input %v packet %v->%v has no free output",
-		x, y, port, nw.pool[r].Src, nw.pool[r].Dst))
+		x, y, port, nw.Pool[r].Src, nw.Pool[r].Dst))
 }
 
 // emitR latches pool index r onto the downstream register for output out.
 // The hop accounting the dense path does in its latch pass happens here, at
 // grant time — totals and per-packet values at delivery are identical. A
 // pipelined express grant parks in exPend/syPend for the pipe pass instead.
-func (nw *Network) emitR(sh *shardCtx, out uint8, r int32, i, x, y int) {
+func (nw *Network) emitR(sh *fabric.Shard, out uint8, r int32, i, x, y int) {
 	n, d := nw.n, nw.cfg.Topology.D
 	switch out {
 	case oESh:
-		nw.pool[r].ShortHops++
-		sh.counters.ShortTraversals++
-		if sh.obs != nil {
-			sh.obs.OnHop(sh.now, i, noc.PortESh, &nw.pool[r])
+		nw.Pool[r].ShortHops++
+		sh.Counters.ShortTraversals++
+		if sh.Obs != nil {
+			sh.Obs.OnHop(sh.Now, i, noc.PortESh, &nw.Pool[r])
 		}
-		j := y*n + (x+1)%n
-		nw.wShRN[j] = r
-		sh.mark(j)
+		nw.latchR(sh, noc.PortWSh, y*n+(x+1)%n, r)
 	case oSSh:
-		nw.pool[r].ShortHops++
-		sh.counters.ShortTraversals++
-		if sh.obs != nil {
-			sh.obs.OnHop(sh.now, i, noc.PortSSh, &nw.pool[r])
+		nw.Pool[r].ShortHops++
+		sh.Counters.ShortTraversals++
+		if sh.Obs != nil {
+			sh.Obs.OnHop(sh.Now, i, noc.PortSSh, &nw.Pool[r])
 		}
-		j := ((y+1)%n)*n + x
-		nw.nShRN[j] = r
-		sh.mark(j)
+		nw.latchR(sh, noc.PortNSh, ((y+1)%n)*n+x, r)
 	case oEEx:
-		nw.pool[r].ExpressHops++
-		sh.counters.ExpressTraversals++
-		if sh.obs != nil {
-			sh.obs.OnExpressHop(sh.now, i, noc.PortEEx, &nw.pool[r])
+		nw.Pool[r].ExpressHops++
+		sh.Counters.ExpressTraversals++
+		if sh.Obs != nil {
+			sh.Obs.OnExpressHop(sh.Now, i, noc.PortEEx, &nw.Pool[r])
 		}
-		if nw.xPipeR != nil {
+		if nw.exPend != nil {
 			nw.exPend[i] = r
 		} else {
-			j := y*n + (x+d)%n
-			nw.wExRN[j] = r
-			sh.mark(j)
+			nw.latchR(sh, noc.PortWEx, y*n+(x+d)%n, r)
 		}
 	case oSEx:
-		nw.pool[r].ExpressHops++
-		sh.counters.ExpressTraversals++
-		if sh.obs != nil {
-			sh.obs.OnExpressHop(sh.now, i, noc.PortSEx, &nw.pool[r])
+		nw.Pool[r].ExpressHops++
+		sh.Counters.ExpressTraversals++
+		if sh.Obs != nil {
+			sh.Obs.OnExpressHop(sh.Now, i, noc.PortSEx, &nw.Pool[r])
 		}
-		if nw.yPipeR != nil {
+		if nw.syPend != nil {
 			nw.syPend[i] = r
 		} else {
-			j := ((y+d)%n)*n + x
-			nw.nExRN[j] = r
-			sh.mark(j)
+			nw.latchR(sh, noc.PortNEx, ((y+d)%n)*n+x, r)
 		}
 	}
 }
 
 // injectAtR is injectAt over the pool: the offered packet is copied into
-// the pool only when an output is granted. accepted[i] is already false
-// here — Step cleared every flag set last cycle via acceptedPEs.
-func (nw *Network) injectAtR(sh *shardCtx, a *arb, i, x, y int, now int64) {
-	off := &nw.offers[i]
-	if !off.ok {
+// the pool only when an output is granted. The accepted flag is already false
+// here — the kernel cleared every flag the shard set last cycle.
+func (nw *Network) injectAtR(sh *fabric.Shard, a *arb, i, x, y int, now int64) {
+	off := &nw.Offers[i]
+	if !off.OK {
 		return
 	}
-	off.ok = false
+	off.OK = false
 
-	dx := noc.RingDelta(x, off.p.Dst.X, nw.n)
-	dy := noc.RingDelta(y, off.p.Dst.Y, nw.n)
+	dx := noc.RingDelta(x, off.P.Dst.X, nw.n)
+	dy := noc.RingDelta(y, off.P.Dst.Y, nw.n)
 
 	var pr *prefs
 	if tb := nw.tabs; tb != nil {
@@ -529,24 +519,20 @@ func (nw *Network) injectAtR(sh *shardCtx, a *arb, i, x, y int, now int64) {
 		}
 		a.taken[c.out] = true
 		if k > 0 {
-			sh.counters.ExpressDeniedByInput[noc.PortPE]++
-			if sh.obs != nil {
-				sh.obs.OnExpressDenied(now, i, noc.PortPE, &off.p)
+			sh.Counters.ExpressDeniedByInput[noc.PortPE]++
+			if sh.Obs != nil {
+				sh.Obs.OnExpressDenied(now, i, noc.PortPE, &off.P)
 			}
 		}
-		sh.inFlight++
-		nw.accepted[i] = true
-		sh.acceptedPEs = append(sh.acceptedPEs, i)
 		if c.deliver {
-			p := off.p
+			p := off.P
 			p.Inject = now
-			nw.deliver(sh, p)
+			nw.Accept(sh, i)
+			nw.Deliver(sh, p)
 		} else {
-			r := nw.alloc(sh, off.p)
-			nw.pool[r].Inject = now
-			nw.emitR(sh, c.out, r, i, x, y)
+			nw.emitR(sh, c.out, nw.Inject(sh, i, now), i, x, y)
 		}
 		return
 	}
-	sh.counters.InjectionStalls++
+	sh.Counters.InjectionStalls++
 }

@@ -3,48 +3,15 @@ package fasttrack_test
 import (
 	"testing"
 
-	"fasttrack/internal/fasttrack"
-	"fasttrack/internal/noc"
 	"fasttrack/internal/noctest"
 )
 
-// TestShardEquivalence is the FastTrack half of the network-level golden
-// gate: every variant (Full and Inject, with and without express-link
-// pipelining) must produce a bit-identical delivered stream, counter set,
-// and telemetry event log when stepped shard-parallel. With -race this
-// doubles as the shard data-race stress for the express planes.
+// TestShardEquivalence runs the FastTrack rows of the shared fabric suite
+// (noctest.Cases): every variant (Full and Inject, with and without
+// express-link pipelining) must produce a bit-identical delivered stream,
+// counter set, and telemetry event log when stepped shard-parallel or
+// sharded through Step. With -race this doubles as the shard data-race
+// stress for the express planes.
 func TestShardEquivalence(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		d, r    int
-		variant fasttrack.Variant
-		pipe    int
-		rate    float64
-		cycles  int
-		shards  []int
-	}{
-		{"full-d4r1/low", 4, 1, fasttrack.VariantFull, 0, 0.1, 200, []int{2, 4}},
-		{"full-d4r1/sat", 4, 1, fasttrack.VariantFull, 0, 0.9, 120, []int{2, 4, 8}},
-		{"inject-d4r4/sat", 4, 4, fasttrack.VariantInject, 0, 0.9, 120, []int{2, 4}},
-		{"full-d2r2-pipe2/sat", 2, 2, fasttrack.VariantFull, 2, 0.9, 120, []int{2, 4}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			mk := func() noc.ShardedNetwork {
-				top, err := fasttrack.NewTopology(8, tc.d, tc.r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				nw, err := fasttrack.New(fasttrack.Config{
-					Topology:        top,
-					Variant:         tc.variant,
-					ExpressPipeline: tc.pipe,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return nw
-			}
-			noctest.ShardEquivalence(t, mk, tc.shards, 0xBEEF, tc.cycles, tc.rate)
-		})
-	}
+	noctest.ForEach(t, "fasttrack", noctest.RunShardEquivalence)
 }

@@ -106,12 +106,12 @@ func TestTablesSharedAcrossBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := b.Instance(0).tabs
+	first := b.Instance(0).(*Network).tabs
 	if first == nil {
 		t.Fatal("batch instance has no tables")
 	}
 	for i := 1; i < b.Size(); i++ {
-		if b.Instance(i).tabs != first {
+		if b.Instance(i).(*Network).tabs != first {
 			t.Fatalf("instance %d has its own table set", i)
 		}
 	}

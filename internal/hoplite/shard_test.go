@@ -4,59 +4,25 @@ import (
 	"testing"
 
 	"fasttrack/internal/hoplite"
-	"fasttrack/internal/noc"
 	"fasttrack/internal/noctest"
 )
 
-// TestShardEquivalence is the network-level golden gate: the sharded step
-// protocol (real goroutines, one per shard) must be bit-identical to the
-// sequential sparse engine in delivered stream, counters, and telemetry
-// event order. Run with -race this is also the shard data-race stress.
+// TestShardEquivalence runs the Hoplite rows of the shared fabric suite
+// (noctest.Cases): the sharded step protocol — real goroutines, one per
+// shard, and shards stepped through Step — must be bit-identical to the
+// sequential engine in delivered stream, counters, and telemetry event
+// order. Run with -race this is also the shard data-race stress.
 func TestShardEquivalence(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		w, h   int
-		rate   float64
-		cycles int
-		shards []int
-	}{
-		{"8x8/low", 8, 8, 0.1, 200, []int{2, 4}},
-		{"8x8/sat", 8, 8, 0.9, 120, []int{2, 4, 8}},
-		{"16x4/odd-shards", 16, 4, 0.5, 150, []int{3}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			mk := func() noc.ShardedNetwork {
-				nw, err := hoplite.New(tc.w, tc.h)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return nw
-			}
-			noctest.ShardEquivalence(t, mk, tc.shards, 0xF00D, tc.cycles, tc.rate)
-		})
-	}
+	noctest.ForEach(t, "hoplite", noctest.RunShardEquivalence)
 }
 
-// TestConfigureShardsClampsAndResets pins the edge semantics: shard count
-// clamps to the row count, and ConfigureShards(1) restores the plain
-// sequential engine.
+// TestConfigureShardsClampsAndResets pins the edge semantics on a
+// non-square fabric: 16 shards clamp to the 4 rows and shard 0 owns the
+// first row of 8.
 func TestConfigureShardsClampsAndResets(t *testing.T) {
 	nw, err := hoplite.New(8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := nw.ConfigureShards(16)
-	if err != nil || got != 4 {
-		t.Fatalf("ConfigureShards(16) = %d, %v; want clamp to 4 rows", got, err)
-	}
-	lo, hi := nw.ShardRange(0)
-	if lo != 0 || hi != 8 {
-		t.Fatalf("shard 0 range [%d,%d), want [0,8)", lo, hi)
-	}
-	if got, err := nw.ConfigureShards(1); err != nil || got != 1 {
-		t.Fatalf("ConfigureShards(1) = %d, %v", got, err)
-	}
-	if _, err := nw.ConfigureShards(0); err == nil {
-		t.Fatal("ConfigureShards(0) must error")
-	}
+	noctest.ConfigureShardsEdges(t, nw)
 }

@@ -1,12 +1,13 @@
-// Package noctest holds the shard-equivalence harness shared by the
-// network packages' tests. It drives a sequential instance and a sharded
-// instance of the same network through an identical precomputed offer
-// schedule and asserts that the delivered packet stream, event counters,
-// telemetry event log, and residual in-flight population are bit-identical.
+// Package noctest holds the shard-equivalence harness and the fabric suite
+// shared by the network packages' tests. The harness drives instances of one
+// network through an identical precomputed offer schedule — sequentially,
+// shard-parallel, and sharded but stepped through the sequential entry point
+// — and asserts that the delivered packet stream, event counters, telemetry
+// event log, and residual in-flight population are bit-identical.
 //
-// The sharded run steps its shards on real goroutines behind a WaitGroup,
-// so running these tests under -race doubles as the data-race gate for the
-// shard protocol.
+// The shard-parallel run steps its shards on real goroutines behind a
+// WaitGroup, so running these tests under -race doubles as the data-race
+// gate for the shard protocol.
 package noctest
 
 import (
@@ -18,6 +19,15 @@ import (
 	"fasttrack/internal/telemetry"
 	"fasttrack/internal/xrand"
 )
+
+// Fabric is what the harness needs from a network under test: the sharded
+// stepping protocol, both observer attachment points, and Reset.
+type Fabric interface {
+	noc.ShardedNetwork
+	telemetry.Observable
+	telemetry.ShardObservable
+	Reset()
+}
 
 // Event is one recorded router-level telemetry event.
 type Event struct {
@@ -58,38 +68,25 @@ func (r *Recorder) OnExpressDenied(now int64, router int, in noc.Port, p *noc.Pa
 	r.add("denied", now, router, in, p)
 }
 
-type runResult struct {
-	delivered []noc.Packet
-	counters  noc.Counters
-	events    []Event
-	inFlight  int
+// schedule is a precomputed offer plan: per-PE destination queues plus a
+// per-(cycle,PE) offer gate. A PE re-offers the head of its queue until the
+// network accepts it.
+type schedule struct {
+	cycles int
+	queues [][]noc.Coord
+	gates  []bool
 }
 
-// ShardEquivalence builds one network per shard count via mk, replays the
-// same Bernoulli(rate) offer schedule through each, and requires every
-// sharded run to match the sequential (shards=1) run exactly. cycles is the
-// offered-traffic window; after it the fabric drains with no new offers.
-func ShardEquivalence(t *testing.T, mk func() noc.ShardedNetwork, shardCounts []int, seed uint64, cycles int, rate float64) {
-	t.Helper()
-
-	probe := mk()
-	w, h, n := probe.Width(), probe.Height(), probe.NumPEs()
-
-	// Precomputed schedule: per-PE destination queues plus a per-(cycle,PE)
-	// offer gate. Identical for every run; a PE re-offers the head of its
-	// queue until the network accepts it.
+func newSchedule(w, h int, seed uint64, cycles int, rate float64) schedule {
+	n := w * h
 	rng := xrand.New(seed)
 	const perPE = 24
 	queues := make([][]noc.Coord, n)
 	for pe := 0; pe < n; pe++ {
 		src := noc.PECoord(pe, w)
-		for q := 0; q < perPE; q++ {
-			for {
-				dst := noc.Coord{X: rng.Intn(w), Y: rng.Intn(h)}
-				if dst != src {
-					queues[pe] = append(queues[pe], dst)
-					break
-				}
+		for len(queues[pe]) < perPE {
+			if dst := (noc.Coord{X: rng.Intn(w), Y: rng.Intn(h)}); dst != src {
+				queues[pe] = append(queues[pe], dst)
 			}
 		}
 	}
@@ -97,28 +94,47 @@ func ShardEquivalence(t *testing.T, mk func() noc.ShardedNetwork, shardCounts []
 	for i := range gates {
 		gates[i] = rng.Bool(rate)
 	}
+	return schedule{cycles: cycles, queues: queues, gates: gates}
+}
 
-	run := func(shards int) runResult {
-		nw := mk()
-		rec := &Recorder{}
-		var fan *telemetry.ShardFanIn
-		if shards == 1 {
-			nw.(interface{ SetObserver(telemetry.Observer) }).SetObserver(rec)
-		} else {
-			got, err := nw.ConfigureShards(shards)
-			if err != nil {
-				t.Fatalf("ConfigureShards(%d): %v", shards, err)
-			}
-			shards = got
-			fan = telemetry.NewShardFanIn(rec, shards)
-			nw.(telemetry.ShardObservable).SetShardObservers(fan.Observers())
+// mode selects how replay steps a network.
+type mode int
+
+const (
+	sequential mode = iota // one shard, Step, network observer
+	workers                // ConfigureShards, one goroutine per shard, per-shard observers
+	stepDriven             // ConfigureShards, Step, network observer
+)
+
+type runResult struct {
+	delivered []noc.Packet
+	counters  noc.Counters
+	events    []Event
+	inFlight  int
+}
+
+// replay runs sc through nw — offered-traffic window, then a drain with no
+// new offers — and returns everything an equivalent run must reproduce.
+func replay(t *testing.T, nw Fabric, sc schedule, m mode, shards int) runResult {
+	t.Helper()
+	rec := &Recorder{}
+	var fan *telemetry.ShardFanIn
+	if m != sequential {
+		got, err := nw.ConfigureShards(shards)
+		if err != nil {
+			t.Fatalf("ConfigureShards(%d): %v", shards, err)
 		}
-
-		step := func(now int64) {
-			if shards == 1 {
-				nw.Step(now)
-				return
-			}
+		shards = got
+	}
+	if m == workers {
+		fan = telemetry.NewShardFanIn(rec, shards)
+		nw.SetShardObservers(fan.Observers())
+	} else {
+		nw.SetObserver(rec)
+	}
+	step := nw.Step
+	if m == workers {
+		step = func(now int64) {
 			nw.BeginCycle(now)
 			var wg sync.WaitGroup
 			for k := 0; k < shards; k++ {
@@ -132,69 +148,111 @@ func ShardEquivalence(t *testing.T, mk func() noc.ShardedNetwork, shardCounts []
 			nw.EndCycle(now)
 			fan.Flush()
 		}
-
-		qpos := make([]int, n)
-		var delivered []noc.Packet
-		var offered []int
-		maxCycles := cycles + 20*n // offered window + generous drain
-		for c := 0; c < maxCycles; c++ {
-			now := int64(c)
-			offered = offered[:0]
-			if c < cycles {
-				for pe := 0; pe < n; pe++ {
-					if qpos[pe] < len(queues[pe]) && gates[c*n+pe] {
-						nw.Offer(pe, noc.Packet{
-							ID:  int64(pe)<<32 | int64(qpos[pe]),
-							Src: noc.PECoord(pe, w),
-							Dst: queues[pe][qpos[pe]],
-							Gen: now,
-						})
-						offered = append(offered, pe)
-					}
-				}
-			}
-			step(now)
-			for _, pe := range offered {
-				if nw.Accepted(pe) {
-					qpos[pe]++
-				}
-			}
-			delivered = append(delivered, nw.Delivered()...)
-			if c >= cycles && nw.InFlight() == 0 {
-				break
-			}
-		}
-		return runResult{
-			delivered: delivered,
-			counters:  *nw.Counters(),
-			events:    rec.Events,
-			inFlight:  nw.InFlight(),
-		}
 	}
 
-	seq := run(1)
+	w, n := nw.Width(), nw.NumPEs()
+	qpos := make([]int, n)
+	var delivered []noc.Packet
+	var offered []int
+	maxCycles := sc.cycles + 20*n // offered window + generous drain
+	for c := 0; c < maxCycles; c++ {
+		now := int64(c)
+		offered = offered[:0]
+		if c < sc.cycles {
+			for pe := 0; pe < n; pe++ {
+				if qpos[pe] < len(sc.queues[pe]) && sc.gates[c*n+pe] {
+					nw.Offer(pe, noc.Packet{
+						ID:  int64(pe)<<32 | int64(qpos[pe]),
+						Src: noc.PECoord(pe, w),
+						Dst: sc.queues[pe][qpos[pe]],
+						Gen: now,
+					})
+					offered = append(offered, pe)
+				}
+			}
+		}
+		step(now)
+		for _, pe := range offered {
+			if nw.Accepted(pe) {
+				qpos[pe]++
+			}
+		}
+		delivered = append(delivered, nw.Delivered()...)
+		if c >= sc.cycles && nw.InFlight() == 0 {
+			break
+		}
+	}
+	return runResult{
+		delivered: delivered,
+		counters:  *nw.Counters(),
+		events:    rec.Events,
+		inFlight:  nw.InFlight(),
+	}
+}
+
+// requireEqual fails unless got reproduces want exactly.
+func requireEqual(t *testing.T, what string, want, got runResult) {
+	t.Helper()
+	if got.inFlight != 0 {
+		t.Fatalf("%s: did not drain, %d in flight", what, got.inFlight)
+	}
+	if !reflect.DeepEqual(want.delivered, got.delivered) {
+		t.Fatalf("%s: delivered stream diverged (%d vs %d packets)", what, len(want.delivered), len(got.delivered))
+	}
+	if want.counters != got.counters {
+		t.Fatalf("%s: counters diverged\nwant: %+v\ngot:  %+v", what, want.counters, got.counters)
+	}
+	if !reflect.DeepEqual(want.events, got.events) {
+		t.Fatalf("%s: telemetry event log diverged (%d vs %d events)", what, len(want.events), len(got.events))
+	}
+}
+
+// reference is the sequential run every other run is compared against.
+func reference(t *testing.T, nw Fabric, sc schedule) runResult {
+	t.Helper()
+	seq := replay(t, nw, sc, sequential, 1)
 	if seq.inFlight != 0 {
 		t.Fatalf("sequential run did not drain: %d in flight", seq.inFlight)
 	}
-	if len(seq.delivered) == 0 {
-		t.Fatal("sequential run delivered nothing; schedule too sparse")
+	if len(seq.delivered) == 0 || len(seq.events) == 0 {
+		t.Fatal("sequential run delivered or recorded nothing; schedule too sparse")
 	}
+	return seq
+}
+
+// ShardEquivalence builds one network per run via mk, replays the same
+// Bernoulli(rate) offer schedule through each, and requires every sharded run
+// — stepped shard-parallel with per-shard observers, and stepped through
+// Step with only the network observer attached — to match the sequential run
+// exactly. cycles is the offered-traffic window.
+func ShardEquivalence(t *testing.T, mk func() Fabric, shardCounts []int, seed uint64, cycles int, rate float64) {
+	t.Helper()
+	probe := mk()
+	sc := newSchedule(probe.Width(), probe.Height(), seed, cycles, rate)
+	seq := reference(t, probe, sc)
 	for _, s := range shardCounts {
 		if s == 1 {
 			continue
 		}
-		got := run(s)
-		if got.inFlight != 0 {
-			t.Fatalf("shards=%d: did not drain, %d in flight", s, got.inFlight)
-		}
-		if !reflect.DeepEqual(seq.delivered, got.delivered) {
-			t.Fatalf("shards=%d: delivered stream diverged (%d vs %d packets)", s, len(seq.delivered), len(got.delivered))
-		}
-		if seq.counters != got.counters {
-			t.Fatalf("shards=%d: counters diverged\nseq: %+v\nshd: %+v", s, seq.counters, got.counters)
-		}
-		if !reflect.DeepEqual(seq.events, got.events) {
-			t.Fatalf("shards=%d: telemetry event log diverged (%d vs %d events)", s, len(seq.events), len(got.events))
-		}
+		requireEqual(t, "shard-parallel", seq, replay(t, mk(), sc, workers, s))
+		requireEqual(t, "Step-driven shards", seq, replay(t, mk(), sc, stepDriven, s))
 	}
+}
+
+// Saturate offers a packet at every PE for the given cycles, stepping
+// through Step from cycle from on; destinations are a fixed function of
+// (PE, cycle). It returns the next cycle.
+func Saturate(nw noc.Network, from int64, cycles int) int64 {
+	w, n := nw.Width(), nw.NumPEs()
+	for now := from; now < from+int64(cycles); now++ {
+		for pe := 0; pe < n; pe++ {
+			dst := (pe*7 + int(now)*13 + 1) % n
+			if dst == pe {
+				dst = (dst + 1) % n
+			}
+			nw.Offer(pe, noc.Packet{ID: now<<20 | int64(pe), Src: noc.PECoord(pe, w), Dst: noc.PECoord(dst, w), Gen: now})
+		}
+		nw.Step(now)
+	}
+	return from + int64(cycles)
 }

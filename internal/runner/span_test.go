@@ -20,8 +20,21 @@ func TestSpanLogRecordsJobs(t *testing.T) {
 	}
 	o := &Orchestrator{Workers: 3, Cache: cache, Spans: NewSpanLog()}
 
+	// Jobs i and i+4 share a key. ForEach hands out indices in order, so the
+	// first occurrence is always claimed first, but it may still be writing
+	// its entry when a faster worker reaches the second; the second waits for
+	// it so the hit count is exact.
 	const n = 8
+	var first [4]chan struct{}
+	for k := range first {
+		first[k] = make(chan struct{})
+	}
 	job := func(ctx context.Context, i int) error {
+		if i >= 4 {
+			<-first[i-4]
+		} else {
+			defer close(first[i])
+		}
 		_, err := Do(ctx, o, fmt.Sprintf("span-test-%d", i%4), func() (int, error) {
 			return i, nil
 		})

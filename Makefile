@@ -24,11 +24,12 @@ race:
 	$(GO) test -race ./...
 
 # Shard-engine race stress: the equivalence suites step row-band shards on
-# real goroutines (noctest harness, golden sim matrix), so running them
+# real goroutines (noctest harness, golden sim matrix) and drive the
+# synthetic generator's shards from one goroutine each, so running them
 # under -race is the data-race gate for the parallel engine; -count=2
 # defeats test caching so the goroutine schedules re-roll.
 race-shards:
-	$(GO) test -race -count=2 -run 'TestShardEquivalence|TestGoldenShardEquivalence|TestSharded|TestConfigureShards' ./internal/fabric/ ./internal/hoplite/ ./internal/fasttrack/ ./internal/sim/
+	$(GO) test -race -count=2 -run 'TestShardEquivalence|TestGoldenShardEquivalence|TestSharded|TestConfigureShards|TestSyntheticShard' ./internal/fabric/ ./internal/hoplite/ ./internal/fasttrack/ ./internal/sim/ ./internal/traffic/
 
 # Non-test Go lines per package and in total (benchmark/ and examples/
 # excluded): ROADMAP aim 2 makes net-negative diffs a deliverable, and this

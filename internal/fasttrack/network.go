@@ -48,9 +48,9 @@ type Network struct {
 	denseRegs    []fabric.Slot
 	dense        bool
 
-	// tabs, when non-nil, holds the memoized routing-decision tables shared
-	// by every instance with the same (topology, variant); see tables.go.
-	// Only batch instances carry tables.
+	// tabs holds the memoized routing-decision tables the sparse arbiter
+	// replays, shared by instances with the same (topology, variant); see
+	// tables.go.
 	tabs *routeTables
 }
 
@@ -79,6 +79,7 @@ func newNet(cfg Config, ar *fabric.Arena) (*Network, error) {
 	n, stages := cfg.Topology.N, cfg.ExpressPipeline
 	sz := n * n
 	nw := &Network{cfg: cfg, n: n}
+	nw.tabs = nw.sharedTables()
 	nw.denseRegs = make([]fabric.Slot, (len(nw.in)+len(nw.outs)+2*stages)*sz)
 	dense := nw.denseRegs
 	take := func(k int) []fabric.Slot {
@@ -108,18 +109,13 @@ func newNet(cfg Config, ar *fabric.Arena) (*Network, error) {
 }
 
 // NewBatch builds b idle instances of cfg whose kernel state shares
-// batch-major slabs, with the memoized route tables attached to each.
+// batch-major slabs.
 func NewBatch(cfg Config, b int) (*fabric.Batch, error) {
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
 	return fabric.NewBatch(cfg.spec(), b, func(ar *fabric.Arena) (fabric.Instance, error) {
-		nw, err := newNet(cfg, ar)
-		if err != nil {
-			return nil, err
-		}
-		nw.enableTables()
-		return nw, nil
+		return newNet(cfg, ar)
 	})
 }
 

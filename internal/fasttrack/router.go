@@ -367,18 +367,7 @@ func (nw *Network) injectAt(s0 *fabric.Shard, a *arb, i, x, y int, now int64) {
 // an 80-byte slot — and with the latch fused in: granting an output writes
 // the downstream next-cycle register directly (emitR).
 func (nw *Network) Route(sh *fabric.Shard, i, x, y int, now int64) {
-	var a arb
-	if tb := nw.tabs; tb != nil {
-		a.exists = tb.exists[i]
-	} else {
-		t := nw.cfg.Topology
-		a.exists = [numOuts]bool{
-			oESh: true,
-			oSSh: true,
-			oEEx: t.HasXExpress(x),
-			oSEx: t.HasYExpress(y),
-		}
-	}
+	a := arb{exists: nw.tabs.exists[i]}
 
 	// Inputs are consumed in the static priority order, and cleared as they
 	// are read. Unrolled: one branch site per port predicts measurably
@@ -402,19 +391,13 @@ func (nw *Network) Route(sh *fabric.Shard, i, x, y int, now int64) {
 	nw.injectAtR(sh, &a, i, x, y, now)
 }
 
-// placeR is place over a pool index. Batch instances replay the memoized
-// preference list for (port, dx, dy) instead of rebuilding it per packet;
-// the tables are constructed by calling prefsFor itself (see tables.go), so
-// both branches walk identical lists.
+// placeR is place over a pool index. It replays the memoized preference list
+// for (port, dx, dy) instead of rebuilding it per packet; the tables are
+// constructed by calling prefsFor itself (see tables.go), so it walks the
+// list the dense place builds.
 func (nw *Network) placeR(sh *fabric.Shard, a *arb, i int, port noc.Port, r int32, x, y int) {
 	p := &nw.Pool[r]
-	var pr *prefs
-	if tb := nw.tabs; tb != nil {
-		pr = &tb.in[port][delta(y, p.Dst.Y, nw.n)*nw.n+delta(x, p.Dst.X, nw.n)]
-	} else {
-		fresh := nw.prefsFor(port, p.Dst, x, y)
-		pr = &fresh
-	}
+	pr := &nw.tabs.in[port][delta(y, p.Dst.Y, nw.n)*nw.n+delta(x, p.Dst.X, nw.n)]
 	for k := 0; k < pr.n; k++ {
 		c := pr.c[k]
 		if !a.exists[c.out] || a.taken[c.out] {
@@ -503,15 +486,7 @@ func (nw *Network) injectAtR(sh *fabric.Shard, a *arb, i, x, y int, now int64) {
 	dx := noc.RingDelta(x, off.P.Dst.X, nw.n)
 	dy := noc.RingDelta(y, off.P.Dst.Y, nw.n)
 
-	var pr *prefs
-	if tb := nw.tabs; tb != nil {
-		pr = &tb.inj[tb.class[i]][dy*nw.n+dx]
-	} else {
-		t := nw.cfg.Topology
-		fresh := nw.injectPrefs(dx, dy, t.HasXExpress(x), t.HasYExpress(y))
-		pr = &fresh
-	}
-
+	pr := &nw.tabs.inj[nw.tabs.class[i]][dy*nw.n+dx]
 	for k := 0; k < pr.n; k++ {
 		c := pr.c[k]
 		if !a.exists[c.out] || a.taken[c.out] {

@@ -11,16 +11,15 @@ import (
 // port and the ring offsets to the destination), the injection preference
 // lists (a pure function of the ring offsets and the router's express-lane
 // class), and the per-router output-exists masks. The tables are built by
-// calling the exact functions the untabled path runs — prefsFor and
-// injectPrefs — once per key and replaying the stored lists thereafter, so
-// equality with the untabled path holds by construction (and is additionally
-// asserted exhaustively by TestRouteTables).
+// calling the list builders themselves — prefsFor, which the dense reference
+// router still runs per packet, and injectPrefs — once per key and replaying
+// the stored lists thereafter, so equality with the direct path holds by
+// construction (and is additionally asserted exhaustively by TestRouteTables
+// and, end to end, by the dense-vs-sparse golden suites).
 //
-// Tables are attached only to batch instances (NewBatch): the per-job path
-// stays byte-for-byte the code the golden suites compare against the dense
-// reference, and the batched-vs-per-job benchmark keeps a fixed baseline.
-// One table set is shared across every instance and every batch with the
-// same (topology, variant) key — it is immutable after construction.
+// Every network carries tables: the sparse arbiter has no other path. One
+// table set is shared by every instance built with the same (topology,
+// variant) key while it stays cached — it is immutable after construction.
 type routeTables struct {
 	n int
 
@@ -45,6 +44,12 @@ type tablesKey struct {
 	variant Variant
 }
 
+// tablesCacheCap bounds tablesCache: the key is client-controlled through
+// ftserve job specs and one N=128 entry is ~5 MB, so an uncapped map lets a
+// client pin gigabytes for the life of the daemon. Networks hold their own
+// *routeTables, so clearing the map is always safe.
+const tablesCacheCap = 32
+
 var (
 	tablesMu    sync.Mutex
 	tablesCache = map[tablesKey]*routeTables{}
@@ -52,7 +57,7 @@ var (
 
 // injectPrefs builds the injection preference list for an offer with ring
 // offsets (dx, dy) at a router with express-lane availability (hx, hy).
-// It is the switch injectAtR historically inlined, with the router coordinate
+// It is the switch the dense injectAt inlines, with the router coordinate
 // dependence reduced to the (hx, hy) class so the list can be memoized;
 // injectEligible's coordinate tests collapse the same way (dx > 0 implies the
 // X-express test, and the Y test is always taken).
@@ -95,18 +100,23 @@ func (nw *Network) injectPrefs(dx, dy int, hx, hy bool) (pr prefs) {
 	return pr
 }
 
-// enableTables attaches the shared route tables for this network's
-// configuration, building them on first use.
-func (nw *Network) enableTables() {
+// sharedTables returns the route tables for this network's configuration,
+// building them on a cache miss. A full cache is simply cleared: instances
+// built together (a batch) still share one set, and a daemon cycling through
+// more than tablesCacheCap topologies pays rebuilds, not memory.
+func (nw *Network) sharedTables() *routeTables {
 	key := tablesKey{n: nw.n, d: nw.cfg.Topology.D, r: nw.cfg.Topology.R, variant: nw.cfg.Variant}
 	tablesMu.Lock()
+	defer tablesMu.Unlock()
 	tb := tablesCache[key]
 	if tb == nil {
+		if len(tablesCache) >= tablesCacheCap {
+			clear(tablesCache)
+		}
 		tb = nw.buildTables()
 		tablesCache[key] = tb
 	}
-	tablesMu.Unlock()
-	nw.tabs = tb
+	return tb
 }
 
 // buildTables memoizes prefsFor and injectPrefs over their full key spaces.

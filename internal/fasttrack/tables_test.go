@@ -2,14 +2,15 @@ package fasttrack
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"fasttrack/internal/noc"
 )
 
 // TestRouteTablesMatchUntabled exhaustively checks the memoized route tables
-// against the functions the untabled per-job path calls, at every router and
-// for every destination offset — the tables claim prefsFor depends on its
+// against the list builders the dense reference path calls, at every router
+// and for every destination offset — the tables claim prefsFor depends on its
 // router coordinate only through the ring offsets, and this is where that
 // claim is proven rather than assumed.
 func TestRouteTablesMatchUntabled(t *testing.T) {
@@ -35,10 +36,9 @@ func TestRouteTablesMatchUntabled(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nw.enableTables()
 			tb := nw.tabs
 			if tb == nil {
-				t.Fatal("enableTables left tabs nil")
+				t.Fatal("New left tabs nil")
 			}
 			n := tc.n
 			for y := 0; y < n; y++ {
@@ -95,8 +95,8 @@ func TestRouteTablesMatchUntabled(t *testing.T) {
 	}
 }
 
-// TestTablesSharedAcrossBatch checks every instance of a batch references
-// one immutable table set.
+// TestTablesSharedAcrossBatch checks every instance of a batch, and a per-job
+// network of the same configuration, reference one immutable table set.
 func TestTablesSharedAcrossBatch(t *testing.T) {
 	top, err := NewTopology(8, 2, 2)
 	if err != nil {
@@ -115,7 +115,50 @@ func TestTablesSharedAcrossBatch(t *testing.T) {
 			t.Fatalf("instance %d has its own table set", i)
 		}
 	}
-	if nw, err := New(Config{Topology: top, Variant: VariantFull}); err != nil || nw.tabs != nil {
-		t.Fatalf("per-job network should run untabled (tabs=%v err=%v)", nw.tabs, err)
+	if nw, err := New(Config{Topology: top, Variant: VariantFull}); err != nil || nw.tabs != first {
+		t.Fatalf("per-job network should share the batch's table set (tabs=%p want %p, err=%v)", nw.tabs, first, err)
+	}
+}
+
+// TestTablesCacheBounded walks more distinct topologies than the cache holds:
+// the process-global map must stay within its cap (the key is
+// client-controlled through ftserve), evicted networks keep working tables,
+// and an evicted-then-rebuilt set equals the original.
+func TestTablesCacheBounded(t *testing.T) {
+	build := func(n, d int) *Network {
+		t.Helper()
+		top, err := NewTopology(n, d, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw, err := New(Config{Topology: top, Variant: VariantFull})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nw
+	}
+	first := build(8, 2)
+	distinct := 0
+	for n := 4; distinct <= tablesCacheCap; n++ {
+		for d := 1; d < n && distinct <= tablesCacheCap; d++ {
+			if _, err := NewTopology(n, d, 1); err != nil {
+				continue
+			}
+			build(n, d)
+			distinct++
+			tablesMu.Lock()
+			size := len(tablesCache)
+			tablesMu.Unlock()
+			if size > tablesCacheCap {
+				t.Fatalf("after %d topologies the cache holds %d entries, cap is %d", distinct, size, tablesCacheCap)
+			}
+		}
+	}
+	rebuilt := build(8, 2)
+	if rebuilt.tabs == first.tabs {
+		t.Fatal("walking more than the cap of topologies never evicted the first entry")
+	}
+	if !reflect.DeepEqual(rebuilt.tabs, first.tabs) {
+		t.Fatal("rebuilt table set differs from the evicted original")
 	}
 }

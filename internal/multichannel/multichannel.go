@@ -32,7 +32,6 @@ type Network struct {
 	// exitBusy[pe] marks client ports already used this cycle.
 	exitBusy  []bool
 	delivered []noc.Packet
-	startChan int // rotating channel service order
 
 	// offeredPEs, acceptedPEs, and busyPEs track which entries of the
 	// corresponding per-PE arrays are set, so the per-cycle bookkeeping
@@ -111,14 +110,17 @@ func (nw *Network) Offer(pe int, p noc.Packet) {
 // Step advances all channels one cycle. Channels are serviced in rotating
 // order; once a channel delivers to a client, the port is busy for the
 // rest of the cycle and later channels deflect their completions there.
+// The rotation follows the cycle number, not a count of Step calls, so an
+// idle Step leaves no trace — which the engine's idle fast-forward relies on.
 func (nw *Network) Step(now int64) {
 	for _, pe := range nw.busyPEs {
 		nw.exitBusy[pe] = false
 	}
 	nw.busyPEs = nw.busyPEs[:0]
 	nw.delivered = nw.delivered[:0]
+	start := int(now % int64(nw.k))
 	for j := 0; j < nw.k; j++ {
-		ch := nw.channels[(nw.startChan+j)%nw.k]
+		ch := nw.channels[(start+j)%nw.k]
 		ch.Step(now)
 		for _, p := range ch.Delivered() {
 			pe := noc.PEIndex(p.Dst, nw.w)
@@ -129,7 +131,6 @@ func (nw *Network) Step(now int64) {
 			nw.delivered = append(nw.delivered, p)
 		}
 	}
-	nw.startChan = (nw.startChan + 1) % nw.k
 
 	// Record offer outcomes and rotate stalled clients to the next channel.
 	for _, pe := range nw.acceptedPEs {

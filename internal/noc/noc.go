@@ -168,7 +168,9 @@ type Network interface {
 	NumPEs() int
 	// Offer presents a packet for injection at PE pe this cycle.
 	Offer(pe int, p Packet)
-	// Step advances the network one clock cycle.
+	// Step advances the network one clock cycle. A Step with nothing in
+	// flight and nothing offered must leave no trace: the engine's idle
+	// fast-forward skips such cycles instead of executing them.
 	Step(now int64)
 	// Accepted reports whether the packet offered at pe was injected during
 	// the latest Step.

@@ -157,3 +157,108 @@ func TestCrossFamilyDeterminism(t *testing.T) {
 		})
 	}
 }
+
+// idleGaps is a no-op observer (it watches, never steers) that locates the
+// longest stretch of cycles ending with an empty network.
+type idleGaps struct {
+	telemetry.Base
+	run, longest, longestEnd int64
+}
+
+func (g *idleGaps) OnCycleEnd(now int64, inFlight int) {
+	if inFlight != 0 {
+		g.run = 0
+		return
+	}
+	if g.run++; g.run > g.longest {
+		g.longest, g.longestEnd = g.run, now
+	}
+}
+
+// TestGoldenIdleSkip checks the idle fast-forward at the level it lives: a
+// per-job Run of an EventWorkload at a rate that actually idles must be
+// bit-identical to the three paths that never skip or skip independently —
+// (a) EngineDense, (b) the same run observed, (c) RunBatch of one — on every
+// network family, since Run arms the skip for all of them (multichannel's
+// rotating service order is the one piece of network state an idle Step could
+// have advanced). The edge rows aim the cycle budget and the stall limit at
+// the longest idle stretch of the run, located by the observed pass.
+func TestGoldenIdleSkip(t *testing.T) {
+	const rate, quota = 0.002, 16
+	run := func(t *testing.T, gn goldenNet, opts sim.Options, batch bool) (sim.Result, error) {
+		t.Helper()
+		net, err := gn.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wl := traffic.NewSynthetic(gn.w, gn.h, traffic.Random{}, rate, quota, 17)
+		if batch {
+			r := sim.RunBatch([]sim.BatchJob{{Net: net, WL: wl, Opts: opts}})[0]
+			return r.Res, r.Err
+		}
+		return sim.Run(net, wl, opts)
+	}
+	rows := []struct {
+		name string
+		opts func(g *idleGaps) sim.Options
+		want func(t *testing.T, res sim.Result, opts sim.Options)
+	}{
+		{"drain", func(*idleGaps) sim.Options { return sim.Options{} },
+			func(t *testing.T, res sim.Result, _ sim.Options) {
+				if res.TimedOut || res.Delivered == 0 || res.Delivered != res.Injected {
+					t.Errorf("run did not drain: %+v", res)
+				}
+			}},
+		{"maxcycles-inside-idle-stretch", func(g *idleGaps) sim.Options {
+			return sim.Options{MaxCycles: g.longestEnd - g.longest/2}
+		}, func(t *testing.T, res sim.Result, opts sim.Options) {
+			if !res.TimedOut || res.Cycles != opts.MaxCycles {
+				t.Errorf("TimedOut=%v Cycles=%d, want timeout at exactly %d", res.TimedOut, res.Cycles, opts.MaxCycles)
+			}
+		}},
+		{"stall-limit-shorter-than-idle-gap", func(g *idleGaps) sim.Options {
+			return sim.Options{StallLimit: g.longest - 1}
+		}, func(t *testing.T, res sim.Result, _ sim.Options) {
+			if res.TimedOut || res.Delivered != res.Injected {
+				t.Errorf("run did not drain: %+v", res)
+			}
+		}},
+	}
+	for _, gn := range goldenNets() {
+		var gaps idleGaps
+		if _, err := run(t, gn, sim.Options{Observer: &gaps}, false); err != nil {
+			t.Fatal(err)
+		}
+		if gaps.longest < 32 {
+			t.Fatalf("%s: longest idle stretch is %d cycles; the rate does not idle enough to test the skip", gn.name, gaps.longest)
+		}
+		for _, row := range rows {
+			t.Run(gn.name+"/"+row.name, func(t *testing.T) {
+				opts := row.opts(&gaps)
+				skip, err := run(t, gn, opts, false)
+				if err != nil {
+					t.Fatalf("skip-armed run: %v", err)
+				}
+				row.want(t, skip, opts)
+				for _, ref := range []struct {
+					name  string
+					opts  sim.Options
+					batch bool
+				}{
+					{"dense", sim.Options{Engine: sim.EngineDense}, false},
+					{"observed", sim.Options{Observer: telemetry.Base{}}, false},
+					{"batch-of-one", sim.Options{}, true},
+				} {
+					ref.opts.MaxCycles, ref.opts.StallLimit = opts.MaxCycles, opts.StallLimit
+					got, err := run(t, gn, ref.opts, ref.batch)
+					if err != nil {
+						t.Fatalf("%s: %v", ref.name, err)
+					}
+					if !reflect.DeepEqual(skip, got) {
+						t.Errorf("skip-armed Run diverges from %s:\nskip: %+v\n%s: %+v", ref.name, skip, ref.name, got)
+					}
+				}
+			})
+		}
+	}
+}

@@ -1,4 +1,4 @@
-// The sharded driver: the same per-cycle protocol as runSequential, with
+// The sharded driver: the same per-cycle protocol as engine.cycle, with
 // three phases fanned out over S persistent workers — workload tick+offer
 // (when the workload is ShardableWorkload), network StepShard, and delivery
 // statistics partitioned by source shard. Everything order-sensitive (the
@@ -90,7 +90,7 @@ func runSharded(net noc.Network, wl Workload, opts Options) (Result, error) {
 	}
 	if s == 1 {
 		// One row: nothing to fan out.
-		return runSequential(net, wl, opts)
+		return runOne(net, wl, opts)
 	}
 
 	e := newEngine(net, wl, opts)
@@ -140,7 +140,7 @@ func runSharded(net noc.Network, wl Workload, opts Options) (Result, error) {
 
 	var now int64
 	for now = 0; now < opts.MaxCycles; now++ {
-		if err := e.pollCtx(now); err != nil {
+		if err := e.pollCtx(); err != nil {
 			return e.res, err
 		}
 

@@ -27,8 +27,8 @@ import (
 const Version = "ft-sim/4"
 
 // Workload produces the packets a simulation injects and observes delivery.
-// Implementations: traffic.Synthetic (statistical patterns) and
-// trace.Workload (application communication traces).
+// Implementations: traffic.SynthView (statistical patterns, built by
+// traffic.NewSynthetic) and trace.Workload (application communication traces).
 type Workload interface {
 	// Tick runs once per cycle before offers are gathered.
 	Tick(now int64)
@@ -67,7 +67,7 @@ type ActiveSet interface {
 // enumerate each shard's PEs on that shard's worker. The contract mirrors
 // ActiveSet's: the packets produced (contents, IDs, order per PE) must be
 // bit-identical to a sequential Tick, and Injected must be safe to call
-// concurrently for PEs owned by different shards. traffic.Synthetic is the
+// concurrently for PEs owned by different shards. traffic.SynthView is the
 // canonical implementation.
 type ShardableWorkload interface {
 	Workload
@@ -298,16 +298,17 @@ func attachObserver(net noc.Network, wl Workload, obs telemetry.Observer) {
 
 // Run drives net against wl until the workload drains or a limit is hit.
 // With Options.Shards > 1 the network steps shard-parallel (see shard.go);
-// the Result is bit-exact with the sequential engine either way.
+// otherwise the run is a lockstep batch of one (see batch.go). The Result is
+// bit-exact either way.
 func Run(net noc.Network, wl Workload, opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	if opts.Shards > 1 {
 		return runSharded(net, wl, opts)
 	}
-	return runSequential(net, wl, opts)
+	return runOne(net, wl, opts)
 }
 
-// engine is one run's mutable state, shared by the sequential and sharded
+// engine is one run's mutable state, shared by the lockstep and sharded
 // drivers. The per-cycle protocol is decomposed into phase methods —
 // tick/offer, step, inject feedback, deliver, cycle-end bookkeeping — so
 // the sharded driver can replace individual phases with fan-out versions
@@ -337,8 +338,9 @@ type engine struct {
 	// partial sums merge to the exact sequential total (int64 addition is
 	// associative; float64 addition is not).
 	latSum       int64
-	now          int64
 	lastProgress int64
+	// executed counts cycles actually run, unlike the skippable virtual clock.
+	executed int64
 
 	// Convergence-window state (inert when ConvergeWindow is 0).
 	convWin telemetry.WindowTracker
@@ -373,9 +375,13 @@ func newEngine(net noc.Network, wl Workload, opts Options) *engine {
 	return e
 }
 
-// pollCtx checks for sweep-scheduler cancellation every few thousand cycles.
-func (e *engine) pollCtx(now int64) error {
-	if e.opts.Context != nil && now&4095 == 0 {
+// pollCtx checks for sweep-scheduler cancellation every few thousand executed
+// cycles, starting with the first so an already-cancelled context returns
+// before any work. It counts executed cycles rather than testing the virtual
+// clock because an idle fast-forward jumps the clock over any fixed multiple.
+func (e *engine) pollCtx() error {
+	e.executed++
+	if e.opts.Context != nil && e.executed&4095 == 1 {
 		return e.opts.Context.Err()
 	}
 	return nil
@@ -609,10 +615,9 @@ const (
 	cycleConverged
 )
 
-// cycle runs the canonical per-cycle phase sequence once at time now. It is
-// the body of runSequential's loop, extracted so the lockstep batch driver
-// (batch.go) interleaves instances cycle by cycle through the exact code the
-// per-job path runs.
+// cycle runs the canonical per-cycle phase sequence once at time now: the
+// one body every instance of the lockstep driver (batch.go) executes, whether
+// it is a per-job Run or one of sixteen siblings.
 func (e *engine) cycle(now int64) (cycleStatus, error) {
 	e.wl.Tick(now)
 	anyOffer := e.phaseOffer(now)
@@ -638,28 +643,4 @@ func (e *engine) cycle(now int64) (cycleStatus, error) {
 		return cycleConverged, nil
 	}
 	return cycleRan, nil
-}
-
-// runSequential is the single-goroutine driver: every phase runs inline on
-// the caller, in the canonical per-cycle order.
-func runSequential(net noc.Network, wl Workload, opts Options) (Result, error) {
-	e := newEngine(net, wl, opts)
-	var now int64
-	for now = 0; now < opts.MaxCycles; now++ {
-		if err := e.pollCtx(now); err != nil {
-			return e.res, err
-		}
-		st, err := e.cycle(now)
-		if err != nil {
-			return e.res, err
-		}
-		if st == cycleDrained {
-			break
-		}
-		if st == cycleConverged {
-			now++ // this cycle completed in full
-			break
-		}
-	}
-	return e.finish(now)
 }

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -171,4 +172,49 @@ func runAt(rate float64) (sim.Result, error) {
 	}
 	wl := traffic.NewSynthetic(8, 8, traffic.Random{}, rate, 300, 3)
 	return sim.Run(nw, wl, sim.Options{})
+}
+
+// cancelOnTick cancels its context from the first Tick and counts the Ticks
+// the engine executes afterwards. Embedding the view keeps it an
+// EventWorkload, so the idle fast-forward stays armed.
+type cancelOnTick struct {
+	*traffic.SynthView
+	cancel context.CancelFunc
+	ticks  int
+}
+
+func (c *cancelOnTick) Tick(now int64) {
+	c.cancel()
+	c.ticks++
+	c.SynthView.Tick(now)
+}
+
+// TestCancelUnderIdleSkip: cancellation latency is bounded in executed
+// cycles, not virtual ones. A low-rate run fast-forwards its clock over
+// almost every multiple of the poll interval, so a poll keyed on the virtual
+// clock fires only when an executed cycle happens to land on one; keyed on
+// executed cycles it fires by the 4096th (with this seed the clock-keyed poll
+// needed 19353). JobTimeout and ftserve per-job deadlines depend on this.
+func TestCancelUnderIdleSkip(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		nw, err := hoplite.New(4, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		wl := &cancelOnTick{SynthView: traffic.NewSynthetic(4, 4, traffic.Random{}, 0.0005, 1000, 2), cancel: cancel}
+		opts := sim.Options{Context: ctx, MaxCycles: 1 << 40}
+		if batch {
+			err = sim.RunBatch([]sim.BatchJob{{Net: nw, WL: wl, Opts: opts}})[0].Err
+		} else {
+			_, err = sim.Run(nw, wl, opts)
+		}
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("batch=%v: err = %v, want context.Canceled", batch, err)
+		}
+		if wl.ticks > 4096 {
+			t.Errorf("batch=%v: cancellation noticed after %d executed cycles, want <= 4096", batch, wl.ticks)
+		}
+	}
 }

@@ -1,86 +1,185 @@
 package traffic
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
+	"fasttrack/internal/noc"
 	"fasttrack/internal/xrand"
 )
 
-// TestSyntheticBatchStreamEquivalence drives a batched instance and the
-// per-job Synthetic through the same Tick/Pending/Injected schedule and
-// asserts the packet streams match event for event: same packets (ID, src,
-// dst, gen) in the same order under an adversarial drain schedule that
-// leaves queues non-empty across ticks. This pins the event-driven
-// generator's claim that it replays the exact per-PE RNG streams the
-// per-cycle path consumes.
+// TestSyntheticBatchStreamEquivalence holds the one production generator to
+// the straight-line per-cycle oracle (oracle_test.go) packet for packet —
+// ID, Src, Dst, Gen, order per PE, Done and the active set — under an
+// adversarial drain schedule that leaves queues non-empty across ticks, so
+// they grow, wrap and compact. The matrix crosses the four paper patterns
+// with B ∈ {1, 3} siblings sharing the flat arrays and with instance 0 either
+// unpartitioned or ticked as four shards (repartitioned mid-run, queues and
+// live lists in flight). Siblings are never partitioned and are held to
+// their own oracles, so ConfigureShards on one view cannot perturb another.
+// This pins the event-driven generator's claim that it replays the exact
+// per-PE RNG streams a per-cycle generator consumes.
 func TestSyntheticBatchStreamEquivalence(t *testing.T) {
-	patterns := []string{"RANDOM", "TRANSPOSE", "BITCOMPL", "LOCAL"}
-	for _, name := range patterns {
-		name := name
+	for _, name := range []string{"RANDOM", "TRANSPOSE", "BITCOMPL", "LOCAL"} {
+		pat, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Run(name, func(t *testing.T) {
-			pat, err := ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const w, h, quota, seed = 4, 4, 12, 9
-			const rate = 0.35
-			ref := NewSynthetic(w, h, pat, rate, quota, seed)
-			sb := NewSyntheticBatch(w, h, []SynthSpec{
-				{Pattern: pat, Rate: rate, Quota: quota, Seed: seed},
-				// A sibling with a different seed shares the flat arrays;
-				// it must not perturb instance 0.
-				{Pattern: pat, Rate: rate, Quota: quota, Seed: seed + 1},
-			})
-			view := sb.View(0)
-			sibling := sb.View(1)
-
-			drain := xrand.New(4242)
-			n := w * h
-			for now := int64(0); now < 4000; now++ {
-				ref.Tick(now)
-				view.Tick(now)
-				sibling.Tick(now)
-				for pe := 0; pe < n; pe++ {
-					refPkt, refOK := ref.Pending(pe, now)
-					gotPkt, gotOK := view.Pending(pe, now)
-					if refOK != gotOK {
-						t.Fatalf("cycle %d pe %d: pending mismatch ref=%v got=%v", now, pe, refOK, gotOK)
-					}
-					if !refOK {
-						continue
-					}
-					if refPkt != gotPkt {
-						t.Fatalf("cycle %d pe %d: packet mismatch\nref: %+v\ngot: %+v", now, pe, refPkt, gotPkt)
-					}
-					// Adversarial drain: inject only sometimes, so queues
-					// grow, wrap, and compact.
-					if drain.Bool(0.6) {
-						ref.Injected(pe, now)
-						view.Injected(pe, now)
-					}
-					if sp, ok := sibling.Pending(pe, now); ok && drain.Bool(0.5) {
-						_ = sp
-						sibling.Injected(pe, now)
-					}
+			for _, b := range []int{1, 3} {
+				for _, shards := range []int{1, 4} {
+					t.Run(fmt.Sprintf("B=%d/shards=%d", b, shards), func(t *testing.T) {
+						streamEquivalence(t, pat, b, shards)
+					})
 				}
-				if ref.Done() != view.Done() {
-					t.Fatalf("cycle %d: Done mismatch ref=%v got=%v", now, ref.Done(), view.Done())
-				}
-				refActive := ref.ActivePEs(nil)
-				gotActive := view.ActivePEs(nil)
-				if !reflect.DeepEqual(refActive, gotActive) {
-					t.Fatalf("cycle %d: active sets differ\nref: %v\ngot: %v", now, refActive, gotActive)
-				}
-				if view.Done() {
-					break
-				}
-			}
-			if !view.Done() || !ref.Done() {
-				t.Fatal("workloads did not drain within the test horizon")
 			}
 		})
+	}
+}
+
+// streamEquivalence is one cell of TestSyntheticBatchStreamEquivalence: b
+// instances against b oracles, instance 0 ticked as `shards` shards.
+func streamEquivalence(t *testing.T, pat Pattern, b, shards int) {
+	const w, h, n, quota, seed = 4, 4, 16, 12, 9
+	const rate = 0.35
+	specs := make([]SynthSpec, b)
+	oracles := make([]*oracleGen, b)
+	for i := range specs {
+		specs[i] = SynthSpec{Pattern: pat, Rate: rate, Quota: quota, Seed: seed + uint64(i)}
+		oracles[i] = newOracle(w, h, specs[i])
+	}
+	sb := NewSyntheticBatch(w, h, specs)
+	if shards > 1 && !sb.View(0).ConfigureShards([]int{0, 4, 8, 12, 16}) {
+		t.Fatal("ConfigureShards rejected a valid partition")
+	}
+	drain := xrand.New(4242)
+	for now := int64(0); ; now++ {
+		if now == 4000 {
+			t.Fatal("workloads did not drain within the test horizon")
+		}
+		if shards > 1 && now == 25 && !sb.View(0).ConfigureShards([]int{0, 3, 9, 10, 16}) {
+			t.Fatal("mid-run repartition rejected")
+		}
+		allDone := true
+		for i, ref := range oracles {
+			view := sb.View(i)
+			sharded := i == 0 && shards > 1
+			ref.Tick(now)
+			if sharded {
+				for k := 0; k < shards; k++ {
+					view.TickShard(k, now)
+				}
+			} else {
+				view.Tick(now)
+			}
+			for pe := 0; pe < n; pe++ {
+				want, wantOK := ref.Pending(pe)
+				got, gotOK := view.Pending(pe, now)
+				if wantOK != gotOK || want != got {
+					t.Fatalf("cycle %d instance %d pe %d: pending mismatch\noracle: %v %+v\ngot:    %v %+v", now, i, pe, wantOK, want, gotOK, got)
+				}
+				if wantOK && drain.Bool(0.6) {
+					ref.Injected(pe)
+					view.Injected(pe, now)
+				}
+			}
+			if ref.Done() != view.Done() {
+				t.Fatalf("cycle %d instance %d: Done mismatch oracle=%v got=%v", now, i, ref.Done(), view.Done())
+			}
+			// The active set is a set: its order (insertion order,
+			// shard-major) is the generator's business.
+			var active []int
+			if sharded {
+				for k := 0; k < shards; k++ {
+					active = view.ActiveShard(k, active)
+				}
+			} else {
+				active = view.ActivePEs(nil)
+			}
+			sort.Ints(active)
+			if !reflect.DeepEqual(active, ref.Active()) {
+				t.Fatalf("cycle %d instance %d: active set %v, oracle has queued packets at %v", now, i, active, ref.Active())
+			}
+			allDone = allDone && view.Done()
+		}
+		if allDone {
+			break
+		}
+	}
+	for i, ref := range oracles {
+		var total int64
+		for _, g := range ref.generated {
+			total += int64(g)
+		}
+		if got := sb.View(i).Generated(); got != total || total == 0 {
+			t.Fatalf("instance %d generated %d packets, oracle %d", i, got, total)
+		}
+	}
+}
+
+// TestSyntheticShardsConcurrent drives one instance's four shards from four
+// goroutines with no barrier between them — each runs TickShard, ActiveShard,
+// Pending and Injected over its own PE range for the whole run — and requires
+// every shard's packet stream to equal the sequential single-goroutine
+// stream. Under -race (make race-shards) this is the generator's data-race
+// gate: shards must share no mutable word.
+func TestSyntheticShardsConcurrent(t *testing.T) {
+	const w, h, cycles = 8, 8, 600
+	bounds := []int{0, 16, 32, 48, 64}
+	// The drain decision is a pure function of (pe, cycle), so it cannot
+	// depend on goroutine interleaving.
+	drains := func(pe int, now int64) bool { return (pe*31+int(now)*17)%5 < 3 }
+
+	// Sequential reference: one goroutine, unpartitioned, cycle-major; the
+	// injected packets are binned by the shard that will own their source.
+	seq := NewSynthetic(w, h, Random{}, 0.5, 40, 99)
+	want := make([][]noc.Packet, 4)
+	for now := int64(0); now < cycles; now++ {
+		seq.Tick(now)
+		for pe := 0; pe < w*h; pe++ {
+			if p, ok := seq.Pending(pe, now); ok && drains(pe, now) {
+				want[pe/16] = append(want[pe/16], p)
+				seq.Injected(pe, now)
+			}
+		}
+	}
+
+	par := NewSynthetic(w, h, Random{}, 0.5, 40, 99)
+	if !par.ConfigureShards(bounds) {
+		t.Fatal("ConfigureShards rejected a valid partition")
+	}
+	got := make([][]noc.Packet, 4)
+	var wg sync.WaitGroup
+	for k := range got {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			var live []int
+			for now := int64(0); now < cycles; now++ {
+				par.TickShard(k, now)
+				live = par.ActiveShard(k, live[:0])
+				sort.Ints(live) // the reference walks PEs ascending
+				for _, pe := range live {
+					if p, ok := par.Pending(pe, now); ok && drains(pe, now) {
+						got[k] = append(got[k], p)
+						par.Injected(pe, now)
+					}
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
+	for k := range got {
+		if len(got[k]) == 0 || !reflect.DeepEqual(got[k], want[k]) {
+			t.Errorf("shard %d: concurrent stream (%d packets) differs from sequential (%d packets)", k, len(got[k]), len(want[k]))
+		}
+	}
+	if par.Done() != seq.Done() || par.Generated() != seq.Generated() {
+		t.Errorf("aggregate state differs: done %v/%v generated %d/%d", par.Done(), seq.Done(), par.Generated(), seq.Generated())
 	}
 }
 

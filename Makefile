@@ -9,7 +9,7 @@ GO ?= go
 # pass so the assertion is meaningful).
 SWEEP_CACHE ?= .ftcache-quick
 
-.PHONY: build test vet race race-shards fuzz verify loc bench bench-sweep bench-check sweep-quick monitor-smoke serve-load serve-load-smoke trace-roundtrip metrics-lint
+.PHONY: build test vet race race-shards fuzz verify loc bench sweep-quick monitor-smoke serve-load serve-load-smoke trace-roundtrip metrics-lint
 
 build:
 	$(GO) build ./...
@@ -42,45 +42,19 @@ loc:
 			END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' \
 		| sort -k2
 
-# Hot-loop benchmark: runs each scenario on the dense reference path and
-# the sparse optimized path, verifies the results are byte-identical, and
-# writes the wall-clock comparison plus the parallel engine's shards×grid
-# scaling curve to BENCH_sim.json (checked in, so later PRs can diff
-# against the baseline).
+# The repo's one benchmark (BENCHMARK.json, benchmark/README.md): every
+# workload once, each run checked against benchmark/golden.json, written as a
+# result set with the machine's provenance. A speed claim is a
+# `go run ./benchmark compare A B` verdict over such sets from the parent and
+# the change; `--workload W --trace 1` adds the per-layer metrics and a
+# Perfetto trace.
 bench:
-	$(GO) run ./cmd/ftbench -out BENCH_sim.json
+	$(GO) run ./benchmark -sets 1 -out benchmark/out/bench.json
 
-# Regression gate against the committed baselines. The -check half
-# re-measures saturation throughput (deterministic), observer overhead (a
-# same-machine ratio, so it transfers across hardware), and the scaling
-# curve (single-shard throughput always; the 8-shard >=2.5x speedup floor
-# only on machines with >=8 cores) and fails on >10% regression. The
-# -check-sweep half re-measures the sweep and gates batch_speedup (the
-# lockstep batched cold pass must stay within tolerance of the >=3x bar)
-# and parallel_speedup (skipped on boxes with fewer cores than the
-# baseline's). Raw nanosecond columns are not compared — they describe the
-# baseline machine.
-bench-check:
-	$(GO) run ./cmd/ftbench -check BENCH_sim.json
-	$(GO) run ./cmd/ftbench -check-sweep BENCH_sweep.json
-
-# Orchestration benchmark: times the quick-scale Fig 11 rate sweep dense
-# serial/parallel, lockstep-batched cold, adaptive per-job cold, and warm
-# over the batched cache, writing BENCH_sweep.json (checked in). The warm
-# pass must execute zero simulations or the tool fails. -reps 5 because the
-# recorded batch_speedup is a gated claim (>=3x) and cold phases are the
-# noisiest measurement in the repo.
-bench-sweep:
-	$(GO) run ./cmd/ftbench -sweep -out BENCH_sweep.json -reps 5
-
-# Batched/per-job equivalence plus warm-cache round trip: -sweep-verify
-# asserts the lockstep batched cold path produces bit-identical results to
-# per-job simulation on a small matrix; then the quick sweep runs cold into
-# a fresh cache and re-runs with -assert-cached, which exits non-zero if
-# any simulation had to execute — proving repeated sweeps are answered
-# entirely from disk.
+# Warm-cache round trip: the quick sweep runs cold into a fresh cache and
+# re-runs with -assert-cached, which exits non-zero if any simulation had to
+# execute — proving repeated sweeps are answered entirely from disk.
 sweep-quick:
-	$(GO) run ./cmd/ftbench -sweep-verify
 	rm -rf $(SWEEP_CACHE)
 	$(GO) run ./cmd/ftexp -quick -run paper -cache-dir $(SWEEP_CACHE)
 	$(GO) run ./cmd/ftexp -quick -run paper -cache-dir $(SWEEP_CACHE) -assert-cached

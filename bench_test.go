@@ -373,7 +373,8 @@ func BenchmarkRouterStep(b *testing.B) {
 // ActiveSet PE iteration) or on the dense reference path (Engine =
 // EngineDense plus a full PE scan). The two are bit-exact — the golden
 // tests in internal/sim enforce it — so the pair measures pure hot-loop
-// speedup; `make bench` records the ratio in BENCH_sim.json.
+// speedup (end to end it is wall_s on the benchmark's engine-sat and
+// engine-idle workloads).
 func simBench(b *testing.B, opts sim.Options, rate float64) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

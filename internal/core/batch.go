@@ -15,9 +15,8 @@ import (
 // path. Batched runs are bit-identical to RunSynthetic, so this is purely a
 // capability check, never a semantics one: multi-channel networks have no
 // slab-backed batch constructor, wrapped workloads (faults, retry,
-// regulation) need the per-job plumbing, the dense engine is the reference
-// the batch is measured against, and sharding composes with batching at the
-// job level rather than inside one instance. Observers batch fine: the
+// regulation) need the per-job plumbing, and sharding composes with batching
+// at the job level rather than inside one instance. Observers batch fine: the
 // lockstep driver steps live instances in ascending instance order each
 // round, so each job's Observer sees the same deterministic event sequence
 // the per-job engine emits (it only forfeits the idle fast-forward, which
@@ -26,8 +25,7 @@ func Batchable(cfg Config, opts SyntheticOptions) bool {
 	if cfg.Kind != KindHoplite && cfg.Kind != KindFastTrack {
 		return false
 	}
-	return opts.Faults == nil && opts.Retry == nil && opts.RegulateRate <= 0 &&
-		opts.Engine == EngineSparse && opts.Shards <= 1
+	return opts.Faults == nil && opts.Retry == nil && opts.RegulateRate <= 0 && opts.Shards <= 1
 }
 
 // SyntheticBatch is a reusable lockstep harness for one configuration: up to

@@ -8,6 +8,8 @@ import (
 
 	"fasttrack/internal/core"
 	"fasttrack/internal/monitor"
+	"fasttrack/internal/sim"
+	"fasttrack/internal/traffic"
 )
 
 // TestBatchGoldenMatrix is the batched path's bit-exactness contract: for a
@@ -172,9 +174,15 @@ func TestBatchableRejections(t *testing.T) {
 	if core.Batchable(core.MultiChannel(8, 2), base) {
 		t.Fatal("multi-channel has no batch constructor")
 	}
-	dense := base
-	dense.Engine = core.EngineDense
-	if core.Batchable(core.Hoplite(8), dense) {
+	// The dense reference is not a core option; the lockstep driver itself
+	// refuses it, in the job's own slot.
+	net, err := core.Hoplite(8).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl := traffic.NewSynthetic(8, 8, traffic.Random{}, base.Rate, base.PacketsPerPE, base.Seed)
+	dense := sim.RunBatch([]sim.BatchJob{{Net: net, WL: wl, Opts: sim.Options{Engine: sim.EngineDense}}})
+	if dense[0].Err == nil {
 		t.Fatal("dense engine is the reference, not batchable")
 	}
 	sharded := base

@@ -58,8 +58,6 @@ type (
 	FaultWindow = faults.Window
 	// RetryConfig tunes the resilient-delivery (retransmission) layer.
 	RetryConfig = reliability.Config
-	// Engine selects the simulation path (EngineSparse or EngineDense).
-	Engine = sim.Engine
 	// Observer receives cycle-level telemetry events (internal/telemetry).
 	Observer = telemetry.Observer
 )
@@ -68,12 +66,6 @@ type (
 const (
 	VariantFull   = fasttrack.VariantFull
 	VariantInject = fasttrack.VariantInject
-)
-
-// Simulation engine paths (see sim.Engine).
-const (
-	EngineSparse = sim.EngineSparse
-	EngineDense  = sim.EngineDense
 )
 
 // Kind selects the network family.
@@ -244,9 +236,6 @@ type SyntheticOptions struct {
 	// fixed-budget path bit-exact.
 	ConvergeWindow int64
 	ConvergeTol    float64
-	// Engine selects the simulation path: EngineSparse (default, optimized)
-	// or EngineDense (the bit-exact straight-line reference).
-	Engine Engine
 	// Shards, when >1, steps the network on that many parallel row-band
 	// workers (sim.Options.Shards). Bit-exact with the sequential engine,
 	// so cache keys ignore it; a wall-clock knob only.
@@ -261,8 +250,6 @@ type SyntheticOptions struct {
 type TraceOptions struct {
 	// MaxCycles optionally bounds the replay; 0 means the engine default.
 	MaxCycles int64
-	// Engine selects the simulation path (see SyntheticOptions.Engine).
-	Engine Engine
 	// Shards, when >1, steps the network on that many parallel row-band
 	// workers (see SyntheticOptions.Shards).
 	Shards int
@@ -320,7 +307,6 @@ func RunSynthetic(ctx context.Context, cfg Config, opts SyntheticOptions) (Resul
 		Context:           ctx,
 		ConvergeWindow:    opts.ConvergeWindow,
 		ConvergeTol:       opts.ConvergeTol,
-		Engine:            opts.Engine,
 		Shards:            opts.Shards,
 		Observer:          opts.Observer,
 	})
@@ -355,7 +341,6 @@ func RunTrace(ctx context.Context, cfg Config, src TraceSource, opts TraceOption
 	res, err := sim.Run(net, wl, sim.Options{
 		MaxCycles: opts.MaxCycles,
 		Context:   ctx,
-		Engine:    opts.Engine,
 		Shards:    opts.Shards,
 		Observer:  opts.Observer,
 	})

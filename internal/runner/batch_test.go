@@ -69,6 +69,43 @@ func TestBatchCacheKeyNeutral(t *testing.T) {
 	}
 }
 
+// TestDoSyntheticBatchMatchesPerJob is the end-to-end face of the golden
+// batch matrices: two network families (FastTrack full and depopulated,
+// Hoplite), both patterns, rates below, at and beyond the knee, simulated
+// once through DoSyntheticBatch with no cache and once per job. Every job
+// must really execute on the lockstep path (no hit, no fallback) and every
+// Result must DeepEqual core.RunSynthetic's.
+func TestDoSyntheticBatchMatchesPerJob(t *testing.T) {
+	var jobs []SyntheticJob
+	for _, pat := range []string{"RANDOM", "TRANSPOSE"} {
+		for _, cfg := range []core.Config{core.FastTrack(8, 2, 1), core.FastTrack(8, 2, 2), core.Hoplite(8)} {
+			for _, rate := range []float64{0.05, 0.3, 1.0} {
+				jobs = append(jobs, SyntheticJob{Cfg: cfg, Opts: core.SyntheticOptions{
+					Pattern: pat, Rate: rate, PacketsPerPE: 120, Seed: 17,
+				}})
+			}
+		}
+	}
+
+	o := &Orchestrator{}
+	batched, err := DoSyntheticBatch(context.Background(), o, &NetPool{}, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if executed, hits := o.Stats(); executed != int64(len(jobs)) || hits != 0 {
+		t.Fatalf("batched pass executed %d jobs with %d hits, want %d cold executions", executed, hits, len(jobs))
+	}
+	for i, j := range jobs {
+		want, err := core.RunSynthetic(context.Background(), j.Cfg, j.Opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(batched[i], want) {
+			t.Errorf("%s %s rate %.2f: batched result diverges from per-job path", j.Cfg, j.Opts.Pattern, j.Opts.Rate)
+		}
+	}
+}
+
 // TestDoSyntheticBatchMixedHitsMissesSingles drives one call containing
 // cache hits, batchable misses across two configurations, and an
 // un-batchable single, and checks results and counters per class.

@@ -26,8 +26,8 @@ func ConfigKey(cfg core.Config) string {
 
 // SyntheticKey is the cache key for core.RunSynthetic(ctx, cfg, o).
 //
-// Engine and Shards are deliberately excluded: the sparse, dense, and
-// shard-parallel paths are bit-exact (golden-tested), so any of them may be
+// Shards is deliberately excluded: the sequential, shard-parallel and
+// lockstep-batched paths are bit-exact (golden-tested), so any of them may be
 // answered from the same entry — sharding is a wall-clock knob, never a
 // semantics knob. Observer presence IS keyed (append-only, so pre-telemetry
 // entries stay valid): a cached Result would silently skip the observer's
@@ -54,8 +54,8 @@ func SyntheticKey(cfg core.Config, o core.SyntheticOptions) string {
 // TraceKey is the cache key for core.RunTrace(ctx, cfg, src, o): the trace
 // enters by content fingerprint, so regenerating an identical trace — or
 // replaying its FTT1 recording, whose header carries the same fingerprint
-// the streaming Writer computed — reuses the entry. Engine and Observer
-// follow the SyntheticKey rules (Engine excluded, Observer keyed
+// the streaming Writer computed — reuses the entry. Shards and Observer
+// follow the SyntheticKey rules (Shards excluded, Observer keyed
 // append-only), and MaxCycles enters only when set so pre-TraceOptions
 // entries stay valid.
 //

@@ -1,5 +1,5 @@
 // Package runner is the sweep orchestration layer shared by ftexp, ftdse and
-// ftbench: the paper's evaluation is thousands of independent cycle-accurate
+// ftserve: the paper's evaluation is thousands of independent cycle-accurate
 // simulations, and this package schedules them across workers, memoizes their
 // results in a content-addressed on-disk cache, and replaces dense
 // injection-rate grids with an adaptive bisection on the throughput knee.

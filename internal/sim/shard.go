@@ -278,16 +278,16 @@ func runSharded(net noc.Network, wl Workload, opts Options) (Result, error) {
 			}
 			e.res.Delivered += int64(len(batch))
 			for i := range batch {
-				p := batch[i]
+				p := &batch[i]
 				if e.aud != nil {
-					if err := e.aud.onDeliver(p, now); err != nil {
+					if err := e.aud.onDeliver(*p, now); err != nil {
 						return e.res, err
 					}
 				}
 				if e.obs != nil {
-					e.obs.OnDeliver(now, &p)
+					e.obs.OnDeliver(now, p)
 				}
-				e.wl.Delivered(p, now)
+				e.wl.Delivered(*p, now)
 			}
 		}
 

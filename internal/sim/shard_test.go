@@ -38,7 +38,8 @@ func runGoldenSharded(t *testing.T, gn goldenNet, pat traffic.Pattern, rate floa
 
 // TestGoldenShardEquivalence holds the sharded engine to byte-identical
 // sim.Results against the sequential sparse engine across every shardable
-// network family, two patterns, both sweep extremes, and S ∈ {1, 2, 4}.
+// network family, two patterns, both sweep extremes, and S ∈ {1, 2, 4},
+// plus one saturated 64×64 Hoplite row at S = 8.
 // This is the tentpole's determinism gate: sharding may only ever change
 // wall-clock time, never a single Result bit.
 func TestGoldenShardEquivalence(t *testing.T) {
@@ -60,6 +61,29 @@ func TestGoldenShardEquivalence(t *testing.T) {
 			}
 		}
 	}
+
+	// One large grid at S=8: eight-row bands whose interior shards touch no
+	// torus-wrap link, and delivery batches of hundreds of packets, all on
+	// the parallel statistics dispatch — the 8×8 cells above have one- or
+	// two-row bands and batches near the dispatch threshold. Quota 8 is
+	// ~1,100 saturated cycles, a fraction of a second without -race.
+	t.Run("hoplite-64x64/RANDOM/1.00/shards=8", func(t *testing.T) {
+		run := func(shards int) sim.Result {
+			net, err := core.Hoplite(64).Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wl := traffic.NewSynthetic(64, 64, traffic.Random{}, 1.0, 8, 17)
+			res, err := sim.Run(net, wl, sim.Options{Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		if seq, shd := run(1), run(8); !reflect.DeepEqual(seq, shd) {
+			t.Errorf("sharded result diverges from sequential:\nseq: %+v\nshd: %+v", seq, shd)
+		}
+	})
 }
 
 // TestShardedObserverNeutralAndExact checks the telemetry fan-in path: a

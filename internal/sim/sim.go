@@ -175,7 +175,7 @@ type Options struct {
 	// Engine selects the simulation path: EngineSparse (default, optimized)
 	// or EngineDense (the straight-line reference both networks and engine
 	// fall back to). The two are bit-exact; EngineDense exists for the golden
-	// equivalence tests and for ftbench's speedup measurements.
+	// equivalence tests and the BenchmarkSim*Reference speedup pairs.
 	Engine Engine
 	// Shards, when >1, partitions the torus into that many row-band shards
 	// and steps them on parallel workers (the network must implement
@@ -497,21 +497,25 @@ func (e *engine) errNegativeLatency(p *noc.Packet, now int64) error {
 // phaseDeliver processes this cycle's deliveries: audit, statistics,
 // observer and workload callbacks, in the network's delivery order.
 func (e *engine) phaseDeliver(now int64) (progress bool, err error) {
-	for _, p := range e.net.Delivered() {
+	// Indexed, not ranged by value: a per-iteration copy whose address is
+	// passed on escapes, one heap packet per delivery.
+	ds := e.net.Delivered()
+	for i := range ds {
+		p := &ds[i]
 		lat := now - p.Gen
 		if lat < 0 {
-			return progress, e.errNegativeLatency(&p, now)
+			return progress, e.errNegativeLatency(p, now)
 		}
 		if e.aud != nil {
-			if err := e.aud.onDeliver(p, now); err != nil {
+			if err := e.aud.onDeliver(*p, now); err != nil {
 				return progress, err
 			}
 		}
-		e.deliverStats(&p, lat)
+		e.deliverStats(p, lat)
 		if e.obs != nil {
-			e.obs.OnDeliver(now, &p)
+			e.obs.OnDeliver(now, p)
 		}
-		e.wl.Delivered(p, now)
+		e.wl.Delivered(*p, now)
 		progress = true
 	}
 	return progress, nil

@@ -274,7 +274,7 @@ func (h *Histogram) Merge(other *Histogram) {
 // ceil-rank semantics: the q-quantile is the ceil(q*n)-th smallest sample,
 // clamped to [1, n]. This is the single quantile definition shared by
 // Histogram.Quantile and Quantiles, so a p99 computed from a histogram
-// (/metrics) and one computed from raw samples (ftbench) agree on the same
+// (/metrics) and one computed from raw samples agree on the same
 // data up to bucket resolution.
 func ceilRank(q float64, n int64) int64 {
 	rank := int64(math.Ceil(q * float64(n)))

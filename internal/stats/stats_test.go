@@ -205,8 +205,8 @@ func TestQuantilesExact(t *testing.T) {
 // quantile definition (ceil-rank: the q-quantile is the ceil(q*n)-th smallest
 // sample). The samples stay in the histogram's width-1 bucket range (1..8) so
 // the bucket upper bound IS the sample and the two implementations must agree
-// exactly — a p99 computed from /metrics' histogram and one computed by
-// ftbench from raw latencies describe identical data identically.
+// exactly — a p99 computed from /metrics' histogram and one computed
+// from raw latencies describe identical data identically.
 //
 // The regression row is q=0.99 over 10 samples: the old Quantiles truncated
 // an index into the sorted slice (int(0.99*9) = 8 → the 9th sample) while the

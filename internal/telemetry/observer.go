@@ -6,8 +6,9 @@
 // bookkeeping also drives the engine's convergence detector.
 //
 // The disabled path is a single nil check at every emission site, so a run
-// without an observer pays nothing measurable (the ftbench baseline records
-// the comparison). Observer callbacks receive packet pointers to avoid
+// without an observer pays nothing measurable (BenchmarkSimSaturation vs
+// BenchmarkSimSaturationNopObserver in the root bench_test.go is the
+// comparison). Observer callbacks receive packet pointers to avoid
 // copying the 80-byte packet per event; implementations must not retain
 // them beyond the call — the pointee is engine- or router-owned memory that
 // is mutated or recycled on later cycles.

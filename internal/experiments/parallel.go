@@ -6,7 +6,6 @@ import (
 	"fasttrack/internal/core"
 	"fasttrack/internal/runner"
 	"fasttrack/internal/sim"
-	"fasttrack/internal/trace"
 )
 
 // defaultOrch schedules simulations for Scales that carry no orchestrator:
@@ -52,15 +51,6 @@ var sweepPool runner.NetPool
 // configuration run batched over one topology instead of one network each.
 func (s Scale) runSyntheticBatch(ctx context.Context, jobs []runner.SyntheticJob) ([]sim.Result, error) {
 	return runner.DoSyntheticBatch(ctx, s.orch(), &sweepPool, jobs)
-}
-
-// runTrace funnels one trace replay through the orchestrator, keyed by the
-// trace's content fingerprint (from its header, so a recorded FTT1 trace
-// shares cache entries with the in-memory generation of the same trace).
-func (s Scale) runTrace(ctx context.Context, cfg core.Config, src trace.Source) (sim.Result, error) {
-	return runner.Do(ctx, s.orch(), runner.TraceKey(cfg, src, core.TraceOptions{}), func() (sim.Result, error) {
-		return core.RunTrace(ctx, cfg, src, core.TraceOptions{})
-	})
 }
 
 // convergeOptions copies the scale's opt-in early-exit knobs into synthetic

@@ -2,10 +2,14 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"fasttrack/internal/core"
+	"fasttrack/internal/runner"
+	"fasttrack/internal/sim"
 	"fasttrack/internal/trace"
 	"fasttrack/internal/workloads/dataflow"
 	"fasttrack/internal/workloads/graphwl"
@@ -41,20 +45,30 @@ func ftCandidates(n int) []core.Config {
 	return cands
 }
 
-// traceSpeedup measures one benchmark trace on Hoplite and the FastTrack
-// candidates, reusing cached replays keyed by the trace fingerprint.
-func traceSpeedup(ctx context.Context, sc Scale, src trace.Source, n int) (SpeedupPoint, error) {
-	name := src.Header().Name
-	pt := SpeedupPoint{Benchmark: name, PEs: n * n}
-	hop, err := sc.runTrace(ctx, core.Hoplite(n), src)
+// traceSpeedup measures one benchmark trace, known by its header, on Hoplite
+// and the FastTrack candidates. Replays are cached by the header's content
+// fingerprint (so a recorded FTT1 trace shares entries with the in-memory
+// generation of the same trace); src runs only for a replay the cache misses.
+func traceSpeedup(ctx context.Context, sc Scale, hdr trace.Header, n int, src func() (trace.Source, error)) (SpeedupPoint, error) {
+	replay := func(cfg core.Config) (sim.Result, error) {
+		return runner.Do(ctx, sc.orch(), runner.TraceHeaderKey(cfg, hdr, core.TraceOptions{}), func() (sim.Result, error) {
+			tr, err := src()
+			if err != nil {
+				return sim.Result{}, err
+			}
+			return core.RunTrace(ctx, cfg, tr, core.TraceOptions{})
+		})
+	}
+	pt := SpeedupPoint{Benchmark: hdr.Name, PEs: n * n}
+	hop, err := replay(core.Hoplite(n))
 	if err != nil {
-		return pt, fmt.Errorf("%s on Hoplite %dx%d: %w", name, n, n, err)
+		return pt, fmt.Errorf("%s on Hoplite %dx%d: %w", hdr.Name, n, n, err)
 	}
 	pt.HopliteCycles = hop.Cycles
 	for _, cfg := range ftCandidates(n) {
-		res, err := sc.runTrace(ctx, cfg, src)
+		res, err := replay(cfg)
 		if err != nil {
-			return pt, fmt.Errorf("%s on %s: %w", name, cfg, err)
+			return pt, fmt.Errorf("%s on %s: %w", hdr.Name, cfg, err)
 		}
 		if pt.BestFTCycles == 0 || res.Cycles < pt.BestFTCycles {
 			pt.BestFTCycles = res.Cycles
@@ -88,32 +102,72 @@ func fig15Sizes(sc Scale, sizes ...int) []int {
 // traceJob generates one benchmark trace for one system size. gen may
 // return any trace.Source — the in-memory generators return a *trace.Trace;
 // a job replaying a pre-recorded FTT1 file would return a *trace.Reader.
+// spec is the generator's Spec for gen's arguments, the key the trace's
+// header is memoized under ("" = no memo).
 type traceJob struct {
-	n   int
-	pes int // reported PE count override (0 = n*n)
-	gen func() (trace.Source, error)
+	n    int
+	pes  int // reported PE count override (0 = n*n)
+	spec string
+	gen  func() (trace.Source, error)
 }
 
-// runTraceJobs generates and measures trace speedups across the scale's
-// orchestrator (worker pool + result cache).
+// runTraceJobs measures trace speedups across the scale's orchestrator
+// (worker pool + result cache).
 func runTraceJobs(sc Scale, jobs []traceJob) ([]SpeedupPoint, error) {
 	pts := make([]SpeedupPoint, len(jobs))
 	err := sc.forEachParallel(len(jobs), func(ctx context.Context, i int) error {
-		tr, err := jobs[i].gen()
-		if err != nil {
-			return err
-		}
-		pt, err := traceSpeedup(ctx, sc, tr, jobs[i].n)
-		if err != nil {
-			return err
-		}
+		pt, err := sc.runTraceJob(ctx, jobs[i])
 		if jobs[i].pes > 0 {
 			pt.PEs = jobs[i].pes
 		}
 		pts[i] = pt
-		return nil
+		return err
 	})
 	return pts, err
+}
+
+// errStaleMemo: the generated trace is not the one the memoized header named.
+var errStaleMemo = errors.New("experiments: stale trace-header memo")
+
+// runTraceJob keys one job's replays by its trace header and generates the
+// trace (once) only when a replay has to run. The header is the cache's
+// `tracehdr` memo (DESIGN.md §9; plain Get/Put — a header is no simulation for
+// runner.Do to count) or, without one, comes from generating first. A
+// generated trace that contradicts the memo rewrites it and re-keys the job.
+func (s Scale) runTraceJob(ctx context.Context, job traceJob) (SpeedupPoint, error) {
+	var genHdr trace.Header
+	generate := sync.OnceValues(func() (trace.Source, error) {
+		src, err := job.gen()
+		if err == nil {
+			genHdr = src.Header()
+		}
+		return src, err
+	})
+	cache, memoKey := s.orch().Cache, ""
+	if cache != nil && job.spec != "" {
+		memoKey = runner.RawKey("tracehdr", job.spec)
+	}
+	var hdr trace.Header
+	for memo := memoKey != "" && cache.Get(memoKey, &hdr); ; memo = false {
+		if !memo {
+			if _, err := generate(); err != nil {
+				return SpeedupPoint{}, err
+			}
+			if hdr = genHdr; memoKey != "" {
+				_ = cache.Put(memoKey, hdr) // best-effort, like runner.Do's result writes
+			}
+		}
+		pt, err := traceSpeedup(ctx, s, hdr, job.n, func() (trace.Source, error) {
+			src, err := generate()
+			if err == nil && genHdr != hdr {
+				err = errStaleMemo
+			}
+			return src, err
+		})
+		if !memo || !errors.Is(err, errStaleMemo) {
+			return pt, err
+		}
+	}
 }
 
 // Fig15aData runs the SpMV suite across PE counts.
@@ -125,7 +179,7 @@ func Fig15aData(sc Scale) ([]SpeedupPoint, error) {
 		m := m
 		for _, n := range fig15Sizes(sc, 2, 4, 8, 16) {
 			n := n
-			jobs = append(jobs, traceJob{n: n, gen: func() (trace.Source, error) {
+			jobs = append(jobs, traceJob{n: n, spec: spmv.Spec(m, n, n, spmv.Options{}), gen: func() (trace.Source, error) {
 				return spmv.Trace(m, n, n, spmv.Options{})
 			}})
 		}
@@ -152,8 +206,9 @@ func Fig15bData(sc Scale) ([]SpeedupPoint, error) {
 		b := b
 		for _, n := range fig15Sizes(sc, 4, 8, 16) {
 			n := n
-			jobs = append(jobs, traceJob{n: n, gen: func() (trace.Source, error) {
-				return graphwl.Trace(b.Graph, b.PartitionFor(n*n), n, n, graphwl.Options{})
+			part := b.PartitionFor(n * n)
+			jobs = append(jobs, traceJob{n: n, spec: graphwl.Spec(b.Graph, part, n, n, graphwl.Options{}), gen: func() (trace.Source, error) {
+				return graphwl.Trace(b.Graph, part, n, n, graphwl.Options{})
 			}})
 		}
 	}
@@ -179,7 +234,7 @@ func Fig15cData(sc Scale) ([]SpeedupPoint, error) {
 		m := m
 		for _, n := range fig15Sizes(sc, 8, 16) {
 			n := n
-			jobs = append(jobs, traceJob{n: n, gen: func() (trace.Source, error) {
+			jobs = append(jobs, traceJob{n: n, spec: dataflow.Spec(m, n, n, dataflow.Options{}), gen: func() (trace.Source, error) {
 				return dataflow.Trace(m, n, n, dataflow.Options{})
 			}})
 		}
@@ -210,7 +265,7 @@ func Fig15dData(sc Scale) ([]SpeedupPoint, error) {
 	var jobs []traceJob
 	for _, b := range benches {
 		b := b
-		jobs = append(jobs, traceJob{n: n, pes: active, gen: func() (trace.Source, error) {
+		jobs = append(jobs, traceJob{n: n, pes: active, spec: overlay.Spec(b, n, n, active, sc.Seed), gen: func() (trace.Source, error) {
 			return overlay.Trace(b, n, n, active, sc.Seed)
 		}})
 	}

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/gob"
 	"encoding/hex"
@@ -47,29 +48,32 @@ func (c *Cache) Path(key string) string {
 	return filepath.Join(c.dir, hex.EncodeToString(sum[:16])+".gob")
 }
 
+// entryFormat names the wire layout of entry values (2: the flat stats blobs
+// of internal/stats/gob.go). Bump it when a codec changes shape but no result
+// bit does (that is sim.Version's job): entries with another tag, 0 for those
+// from before it, are misses that heal on read; no older reader is kept.
+const entryFormat = 2
+
 // entryHeader precedes the value in every cache file.
 type entryHeader struct {
 	// Key is the full canonical key, checked against the request on read.
 	Key string
+	// Format is the entryFormat the value was written with.
+	Format int
 }
 
 // Get decodes the entry for key into out (a non-nil pointer) and reports
-// whether it was found. Any unreadable, truncated or mismatched file is
-// treated as a miss and removed, so a corrupt cache heals itself instead of
-// failing sweeps.
+// whether it was found. Any unreadable, truncated, mismatched or
+// other-format file is treated as a miss and removed, so a corrupt or stale
+// cache heals itself instead of failing sweeps.
 func (c *Cache) Get(key string, out any) bool {
-	f, err := os.Open(c.Path(key))
+	b, err := os.ReadFile(c.Path(key))
 	if err != nil {
 		return false
 	}
-	defer f.Close()
-	dec := gob.NewDecoder(f)
+	dec := gob.NewDecoder(bytes.NewReader(b))
 	var hdr entryHeader
-	if err := dec.Decode(&hdr); err != nil || hdr.Key != key {
-		c.discard(key)
-		return false
-	}
-	if err := dec.Decode(out); err != nil {
+	if dec.Decode(&hdr) != nil || hdr.Key != key || hdr.Format != entryFormat || dec.Decode(out) != nil {
 		c.discard(key)
 		return false
 	}
@@ -86,7 +90,7 @@ func (c *Cache) Put(key string, v any) error {
 		return err
 	}
 	enc := gob.NewEncoder(tmp)
-	if err := enc.Encode(entryHeader{Key: key}); err == nil {
+	if err := enc.Encode(entryHeader{Key: key, Format: entryFormat}); err == nil {
 		err = enc.Encode(v)
 	}
 	if err != nil {

@@ -1,16 +1,19 @@
 package runner
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"fasttrack/internal/core"
 	"fasttrack/internal/sim"
 )
 
-func testCache(t *testing.T) *Cache {
+func testCache(t testing.TB) *Cache {
 	t.Helper()
 	c, err := NewCache(t.TempDir())
 	if err != nil {
@@ -199,4 +202,196 @@ func TestCachedSweepThroughForEach(t *testing.T) {
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatal("warm results diverge from cold results")
 	}
+}
+
+// The entry format before the Format tag, kept here only to write stale
+// entries: a header with just the key, and stats values that each nest a
+// whole gob stream (one compiled decoder per PE — the cost the flat blobs in
+// internal/stats/gob.go removed). The mirror structs carry sim.Result's
+// field names, which is all gob matches on.
+type (
+	oldEntryHeader struct{ Key string }
+	oldAccumulator struct {
+		N              int64
+		Mean, M2       float64
+		MinVal, MaxVal float64
+	}
+	oldHistogram struct {
+		Bounds, Counts       []int64
+		Over, N, Sum, MaxVal int64
+	}
+	oldResult struct {
+		Cycles    int64
+		Latency   *oldHistogram
+		PerSource []oldAccumulator
+	}
+)
+
+func nestedGob(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(v)
+	return buf.Bytes(), err
+}
+
+func (a oldAccumulator) GobEncode() ([]byte, error) {
+	type wire oldAccumulator // drops the method, so this does not recurse
+	return nestedGob(wire(a))
+}
+
+func (h *oldHistogram) GobEncode() ([]byte, error) {
+	type wire oldHistogram
+	return nestedGob(wire(*h))
+}
+
+func writeOldEntry(t testing.TB, c *Cache, key string, v any) {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(oldEntryHeader{Key: key}); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(c.Path(key), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCacheOldFormatEntryHeals: an entry written by a binary from before the
+// Format tag is a deterministic miss — also when its value holds no stats
+// blob and would decode cleanly — that is removed, re-simulated once and
+// rewritten in the current format.
+func TestCacheOldFormatEntryHeals(t *testing.T) {
+	cfg, opts := core.FastTrack(4, 2, 1), quickOpts()
+	fresh, err := core.RunSynthetic(context.Background(), cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, old := range map[string]any{
+		"nested stats blobs": oldResult{
+			Cycles:    fresh.Cycles,
+			Latency:   &oldHistogram{Bounds: []int64{1, 2}, Counts: []int64{3, 0}, N: 3, Sum: 3, MaxVal: 1},
+			PerSource: []oldAccumulator{{N: 2, Mean: 4, M2: 2, MinVal: 3, MaxVal: 5}, {}},
+		},
+		"no stats blobs": oldResult{Cycles: fresh.Cycles},
+	} {
+		t.Run(name, func(t *testing.T) {
+			o := &Orchestrator{Cache: testCache(t)}
+			key := SyntheticKey(cfg, opts)
+			writeOldEntry(t, o.Cache, key, old)
+			var got sim.Result
+			if o.Cache.Get(key, &got) {
+				t.Fatal("old-format entry must read as a miss")
+			}
+			if _, err := os.Stat(o.Cache.Path(key)); !os.IsNotExist(err) {
+				t.Fatal("old-format entry should be removed")
+			}
+			writeOldEntry(t, o.Cache, key, old)
+			runs := 0
+			res, err := Do(context.Background(), o, key, func() (sim.Result, error) {
+				runs++
+				return core.RunSynthetic(context.Background(), cfg, opts)
+			})
+			if err != nil || runs != 1 || !reflect.DeepEqual(res, fresh) {
+				t.Fatalf("Do over an old-format entry: runs=%d err=%v", runs, err)
+			}
+			got = sim.Result{}
+			if !o.Cache.Get(key, &got) || !reflect.DeepEqual(got, fresh) {
+				t.Fatal("healed entry must hit with the re-simulated result")
+			}
+		})
+	}
+}
+
+// TestCacheGetAllocs gates the decode cost of a hit, in the style of
+// sim's TestDeliveryDoesNotAllocate: a 16x16 FastTrack Result holds 256
+// per-PE accumulators, and a decoder that opens a gob stream per value
+// (the pre-Format-tag codec: several thousand allocations here) cannot come
+// back under this bound. What remains is gob compiling one engine for
+// sim.Result per Decoder, which does not grow with the PE count.
+func TestCacheGetAllocs(t *testing.T) {
+	cfg := core.FastTrack(16, 2, 1)
+	opts := core.SyntheticOptions{Pattern: "RANDOM", Rate: 0.2, PacketsPerPE: 5, Seed: 3}
+	res, err := core.RunSynthetic(context.Background(), cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.PerSource) != 256 {
+		t.Fatalf("want 256 per-PE accumulators, got %d", len(res.PerSource))
+	}
+	c := testCache(t)
+	key := SyntheticKey(cfg, opts)
+	if err := c.Put(key, res); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		var got sim.Result
+		if !c.Get(key, &got) {
+			t.Fatal("entry vanished")
+		}
+	})
+	const bound = 600
+	if allocs > bound {
+		t.Fatalf("Cache.Get of a 256-PE result: %.0f allocations, want <= %d", allocs, bound)
+	}
+	t.Logf("%.0f allocations per hit", allocs)
+}
+
+// FuzzCacheGet: whatever bytes sit where an entry should be, Get neither
+// panics nor reports a hit nor allocates beyond a small multiple of the file
+// (plus gob's fixed message chunk), and the file is gone afterwards. The seeds are real entries (current and
+// old format) written under another key, so no mutation of them is a
+// legitimate hit.
+func FuzzCacheGet(f *testing.F) {
+	cfg, opts := core.Hoplite(2), core.SyntheticOptions{Pattern: "RANDOM", Rate: 0.5, PacketsPerPE: 4, Seed: 1}
+	res, err := core.RunSynthetic(context.Background(), cfg, opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	c := testCache(f)
+	const seedKey, key = "seed entries live under this key", "FuzzCacheGet asks for a different, longer key"
+	if err := c.Put(seedKey, res); err != nil {
+		f.Fatal(err)
+	}
+	entry, err := os.ReadFile(c.Path(seedKey))
+	if err != nil {
+		f.Fatal(err)
+	}
+	writeOldEntry(f, c, seedKey, oldResult{Cycles: 9, PerSource: []oldAccumulator{{N: 1}}})
+	oldEntry, err := os.ReadFile(c.Path(seedKey))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(entry)
+	f.Add(entry[:len(entry)/2])
+	f.Add(oldEntry)
+	f.Add([]byte{})
+	f.Add([]byte("not gob"))
+	f.Add([]byte{0xf8, 0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}) // a message claiming 2^63 bytes
+	f.Add([]byte{0xfd, 0x98, 0x96, 0x7f, 0x00})                         // ... and one claiming 10 MB
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(c.Path(key), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var got sim.Result
+		hit := c.Get(key, &got)
+		runtime.ReadMemStats(&after)
+		if hit {
+			t.Fatal("arbitrary bytes read as a hit")
+		}
+		if _, err := os.Stat(c.Path(key)); !os.IsNotExist(err) {
+			t.Fatal("bad entry was not removed")
+		}
+		// 64 covers the widest element a claimed slice length can buy
+		// (40-byte accumulators, one input byte each). The constant is
+		// encoding/gob's, not ours: it allocates a message's claimed
+		// length before reading it, capped at one 10 MB chunk whatever the
+		// claim, and compiles an engine for sim.Result per Decoder.
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+11<<20); grew > limit {
+			t.Fatalf("Get of a %d-byte file allocated %d bytes, limit %d", len(data), grew, limit)
+		}
+	})
 }

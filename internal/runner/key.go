@@ -63,7 +63,12 @@ func SyntheticKey(cfg core.Config, o core.SyntheticOptions) string {
 // and shift injection timing (see trace.StreamOptions.Window), so those
 // runs never share entries with default-window or in-memory replays.
 func TraceKey(cfg core.Config, src trace.Source, o core.TraceOptions) string {
-	hdr := src.Header()
+	return TraceHeaderKey(cfg, src.Header(), o)
+}
+
+// TraceHeaderKey is TraceKey for a trace known only by its header: all a sweep
+// holds when a `tracehdr` memo (DESIGN.md §9) saved it generating the trace.
+func TraceHeaderKey(cfg core.Config, hdr trace.Header, o core.TraceOptions) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s|trace|%s|name=%s pes=%d events=%d fp=%016x",
 		sim.Version, ConfigKey(cfg), hdr.Name, hdr.PEs, hdr.Events, hdr.Fingerprint)

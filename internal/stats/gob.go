@@ -1,78 +1,93 @@
 package stats
 
-// Gob codecs for the measurement types embedded in sim.Result. The sweep
-// orchestration layer (internal/runner) persists results under .ftcache/
-// with encoding/gob, which only serializes exported fields; these custom
-// codecs capture the full private state so a decoded result is bit-identical
-// to the freshly measured one (float64 payloads round-trip exactly through
-// gob). The wire structs are versioned implicitly by the cache key's engine
-// tag, so layout changes only require bumping sim.Version.
+// Wire codecs for the measurement types embedded in sim.Result, which the
+// sweep layer (internal/runner) persists with encoding/gob. They capture the
+// private state gob would skip, so a decoded result is bit-identical to the
+// measured one. Blobs are flat little-endian words, not nested gob streams: a
+// gob Decoder per value cost one engine compile per PE per cached Result.
+// Decoders check the blob's exact length before allocating: a corrupt blob is
+// an error (a cache miss that heals), never a panic or an oversized make.
+// runner's entryFormat versions the layout.
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
+	"math"
+	"slices"
 )
 
-// accumulatorWire mirrors Accumulator's private state for serialization.
-type accumulatorWire struct {
-	N              int64
-	Mean, M2       float64
-	MinVal, MaxVal float64
+var errWire = errors.New("stats: malformed wire blob")
+
+func putWords(b []byte, vs ...int64) []byte {
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	return b
 }
 
-// GobEncode implements gob.GobEncoder.
+func word(b []byte, i int) int64 { return int64(binary.LittleEndian.Uint64(b[8*i:])) }
+
+// GobEncode implements gob.GobEncoder: 40 bytes, n then the Float64bits of
+// mean, m2, min and max.
 func (a Accumulator) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(accumulatorWire{
-		N: a.n, Mean: a.mean, M2: a.m2, MinVal: a.min, MaxVal: a.max,
-	})
-	return buf.Bytes(), err
+	bits := func(f float64) int64 { return int64(math.Float64bits(f)) }
+	return putWords(make([]byte, 0, 40), a.n, bits(a.mean), bits(a.m2), bits(a.min), bits(a.max)), nil
 }
 
 // GobDecode implements gob.GobDecoder.
 func (a *Accumulator) GobDecode(b []byte) error {
-	var w accumulatorWire
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
-		return err
+	if len(b) != 40 {
+		return errWire
 	}
-	a.n, a.mean, a.m2, a.min, a.max = w.N, w.Mean, w.M2, w.MinVal, w.MaxVal
+	float := func(i int) float64 { return math.Float64frombits(uint64(word(b, i))) }
+	a.n, a.mean, a.m2, a.min, a.max = word(b, 0), float(1), float(2), float(3), float(4)
 	return nil
 }
 
-// histogramWire mirrors Histogram's private state for serialization. The
-// integer summary fields (N/Sum/MaxVal) replaced the old floating-point
-// accumulator when the histogram switched to exact-merge internals; the
-// layout change is versioned by the sim.Version bump in the cache keys, so
-// no entry written under the old layout is ever decoded with this one.
-type histogramWire struct {
-	Bounds []int64
-	Counts []int64
-	Over   int64
-	N      int64
-	Sum    int64
-	MaxVal int64
-}
-
-// GobEncode implements gob.GobEncoder.
+// GobEncode implements gob.GobEncoder: len(bounds) and len(counts) (-1 for
+// nil, which DeepEqual tells from empty), the two arrays, over, n, sum, max.
 func (h *Histogram) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(histogramWire{
-		Bounds: h.bounds, Counts: h.counts, Over: h.over,
-		N: h.n, Sum: h.sum, MaxVal: h.max,
-	})
-	return buf.Bytes(), err
+	b := make([]byte, 0, 8*(6+len(h.bounds)+len(h.counts)))
+	for _, s := range [][]int64{h.bounds, h.counts} {
+		n := int64(len(s))
+		if s == nil {
+			n = -1
+		}
+		b = putWords(b, n)
+	}
+	b = putWords(putWords(b, h.bounds...), h.counts...)
+	return putWords(b, h.over, h.n, h.sum, h.max), nil
 }
 
 // GobDecode implements gob.GobDecoder.
 func (h *Histogram) GobDecode(b []byte) error {
-	var w histogramWire
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
-		return err
+	if len(b) < 6*8 || len(b)%8 != 0 {
+		return errWire
 	}
-	h.bounds, h.counts, h.over = w.Bounds, w.Counts, w.Over
-	h.n, h.sum, h.max = w.N, w.Sum, w.MaxVal
-	// The direct-index table is derived state: rebuilding it here keeps a
-	// decoded histogram field-identical to a freshly constructed one.
+	w := make([]int64, len(b)/8) // sized by the blob itself, whatever its length words claim
+	for i := range w {
+		w[i] = word(b, i)
+	}
+	nb, nc, arrays, tail := w[0], w[1], w[2:len(w)-4], w[len(w)-4:]
+	n := max(nb, 0)
+	if nb < -1 || nc < -1 || n != max(nc, 0) || n > int64(len(arrays)) || 2*n != int64(len(arrays)) {
+		return errWire
+	}
+	// Every histogram has NewLatencyHistogram's geometry, which keys the shared
+	// smallCache tables: other bounds would poison them for live simulations.
+	bounds, counts := arrays[:n:n], arrays[n:]
+	if n > 0 && (bounds[n-1] < 0 || bounds[n-1] > 1<<62 || !slices.Equal(bounds, latencyBounds(bounds[n-1]))) {
+		return errWire
+	}
+	if nb < 0 {
+		bounds = nil
+	}
+	if nc < 0 {
+		counts = nil
+	}
+	h.bounds, h.counts = bounds, counts
+	h.over, h.n, h.sum, h.max = tail[0], tail[1], tail[2], tail[3]
+	// Derived state, rebuilt so a decoded histogram is field-identical to a fresh one.
 	h.small = smallIndex(h.bounds)
 	return nil
 }

@@ -153,6 +153,12 @@ func smallIndex(bounds []int64) []int32 {
 // NewLatencyHistogram returns a histogram with geometric buckets from 1 up
 // to max (inclusive) with ratio ~1.25.
 func NewLatencyHistogram(max int64) *Histogram {
+	bounds := latencyBounds(max)
+	return &Histogram{bounds: bounds, counts: make([]int64, len(bounds)), small: smallIndex(bounds)}
+}
+
+// latencyBounds is NewLatencyHistogram's geometry (GobDecode checks blobs by it).
+func latencyBounds(max int64) []int64 {
 	var bounds []int64
 	b := int64(1)
 	for b < max {
@@ -163,8 +169,7 @@ func NewLatencyHistogram(max int64) *Histogram {
 		}
 		b = nb
 	}
-	bounds = append(bounds, max)
-	return &Histogram{bounds: bounds, counts: make([]int64, len(bounds)), small: smallIndex(bounds)}
+	return append(bounds, max)
 }
 
 // Add records one sample.

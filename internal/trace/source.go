@@ -26,9 +26,9 @@ type Header struct {
 // Source is sequential access to one trace. Implementations: *Trace (events
 // in memory) and *Reader (events streamed from an FTT1 file or reader).
 type Source interface {
-	// Header returns the trace identity. It must be cheap for streaming
-	// implementations (header fields only, no event scan); for *Trace it
-	// costs one fingerprint pass.
+	// Header returns the trace identity. Streaming implementations answer
+	// from header fields alone, but *Trace pays one fingerprint pass over
+	// every event per call, so callers take it once and pass the value on.
 	Header() Header
 	// Open starts a cursor at event 0. File-backed sources support any
 	// number of concurrent cursors; one-shot stream sources return an error

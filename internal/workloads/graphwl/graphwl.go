@@ -6,7 +6,9 @@
 package graphwl
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"io"
 
 	"fasttrack/internal/graphgen"
@@ -39,6 +41,20 @@ func Trace(g *graphgen.Graph, part graphgen.Partition, w, h int, opts Options) (
 		return nil, err
 	}
 	return b.Build()
+}
+
+// GenVersion is bumped whenever Trace can emit different events for the same
+// arguments: sweeps memoize trace headers by Spec (see TestGenVersionPin).
+const GenVersion = 1
+
+// Spec names everything Trace's output depends on, without generating it.
+// The partition enters by content hash, which covers its kind and seed.
+func Spec(g *graphgen.Graph, part graphgen.Partition, w, h int, opts Options) string {
+	opts = opts.withDefaults()
+	ph := fnv.New64a()
+	_ = binary.Write(ph, binary.LittleEndian, []int32(part)) // a hash never fails a write
+	return fmt.Sprintf("graph/v%d %s n=%d edges=%d part=%016x grid=%dx%d steps=%d delay=%d",
+		GenVersion, g.Name, g.N, g.Edges(), ph.Sum64(), w, h, opts.Supersteps, opts.ComputeDelay)
 }
 
 // WriteTo streams the same trace, event for event, to dst as an FTT1 file

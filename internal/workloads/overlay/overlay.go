@@ -61,6 +61,15 @@ func Trace(b Benchmark, w, h, activePEs int, seed uint64) (*trace.Trace, error) 
 	return bl.Build()
 }
 
+// GenVersion is bumped whenever Trace can emit different events for the same
+// arguments: sweeps memoize trace headers by Spec (see TestGenVersionPin).
+const GenVersion = 1
+
+// Spec names everything Trace's output depends on, without generating it.
+func Spec(b Benchmark, w, h, activePEs int, seed uint64) string {
+	return fmt.Sprintf("overlay/v%d %+v grid=%dx%d active=%d seed=%d", GenVersion, b, w, h, activePEs, seed)
+}
+
 // WriteTo streams the same trace, event for event, to dst as an FTT1 file
 // without materializing it; the returned header's fingerprint equals
 // Trace(...).Fingerprint() for identical inputs.

@@ -45,6 +45,17 @@ func Trace(m *matrixgen.Matrix, w, h int, opts Options) (*trace.Trace, error) {
 	return b.Build()
 }
 
+// GenVersion is bumped whenever Trace can emit different events for the same
+// arguments: sweeps memoize trace headers by Spec (see TestGenVersionPin).
+const GenVersion = 1
+
+// Spec names everything Trace's output depends on, without generating it.
+func Spec(m *matrixgen.Matrix, w, h int, opts Options) string {
+	opts = opts.withDefaults()
+	return fmt.Sprintf("spmv/v%d %s n=%d nnz=%d grid=%dx%d iter=%d delay=%d",
+		GenVersion, m.Name, m.N, m.NNZ(), w, h, opts.Iterations, opts.ComputeDelay)
+}
+
 // WriteTo streams the same trace, event for event, to dst as an FTT1 file
 // without materializing it; the returned header's fingerprint equals
 // Trace(...).Fingerprint() for identical inputs.

@@ -62,14 +62,17 @@ sweep-quick:
 
 # Short fuzz pass over the property fuzzers (noc.RingDelta, FastTrack
 # topology construction, the daemon's JSON job-spec decoder, the FTT1
-# binary trace decoder, and a result-cache entry file of arbitrary bytes);
-# extend -fuzztime for deeper runs. FuzzCacheGet pays file I/O per input, so
-# its minimizer is capped or it would spend the whole pass shrinking one.
+# binary trace decoder, the trace replay against its test-only oracle at
+# binding and non-binding windows, and a result-cache entry file of
+# arbitrary bytes); extend -fuzztime for deeper runs. FuzzCacheGet pays file
+# I/O per input, so its minimizer is capped or it would spend the whole pass
+# shrinking one.
 fuzz:
 	$(GO) test -fuzz FuzzRingDelta -fuzztime 10s ./internal/noc/
 	$(GO) test -fuzz FuzzTopology -fuzztime 10s ./internal/fasttrack/
 	$(GO) test -fuzz FuzzDecodeJobSpec -fuzztime 10s ./internal/cliflags/
 	$(GO) test -fuzz FuzzReadBinary -fuzztime 10s ./internal/trace/
+	$(GO) test -fuzz FuzzReplayVsOracle -fuzztime 10s ./internal/trace/
 	$(GO) test -fuzz FuzzCacheGet -fuzztime 10s -fuzzminimizetime 1s ./internal/runner/
 
 # Trace record/replay round trip through the fttrace CLI: generate a text

@@ -110,7 +110,7 @@ func main() {
 				tr.Name, tr.PEs, s.Events, s.SelfEvents, s.MaxFanIn, s.CritPathLen, s.AvgDistance)
 			return
 		}
-		if err := tr.Write(os.Stdout); err != nil {
+		if err := trace.WriteText(os.Stdout, tr); err != nil {
 			fatal(err)
 		}
 	}
@@ -198,7 +198,7 @@ func recordInto(f io.WriteSeeker, from, suite, bench string, n int, seed uint64)
 
 // replayTrace runs src on the selected NoC. A binary source replays
 // streaming (constant memory, -trace-window bounds residency); a text
-// source replays in memory.
+// source was read into memory and replays with the window off.
 func replayTrace(src trace.Source, nocKind string, n, d, r int, eng *cliflags.Engine, rep *cliflags.Replay, telem *cliflags.Telemetry, mon *cliflags.Monitor, logger *slog.Logger) {
 	cfg := core.Hoplite(n)
 	if nocKind == "ft" {

@@ -128,9 +128,11 @@ func (e *Engine) Apply(o *core.SyntheticOptions) { o.Shards = e.Shards }
 func (e *Engine) ApplyTrace(o *core.TraceOptions) { o.Shards = e.Shards }
 
 // Replay is the trace-replay flag group (-trace-window). Unlike Engine,
-// an explicit window CAN change what a replay computes (a binding window
-// delays injection — see trace.StreamOptions.Window), so runner.TraceKey
-// keys it whenever it is set.
+// an explicit window CAN change what the replay of a recorded (.ftt) trace
+// computes (a binding window delays injection — see
+// trace.StreamOptions.Window), so runner.TraceKey keys it whenever it is
+// set. A text trace is read into memory and goes through the same
+// trace.Stream with the window off, so the flag does not reach it.
 type Replay struct {
 	Window int
 }

@@ -255,10 +255,10 @@ type TraceOptions struct {
 	Shards int
 	// Observer, when non-nil, receives cycle-level telemetry events.
 	Observer Observer
-	// StreamWindow caps resident events when the source is replayed
-	// streaming (not an in-memory *Trace); 0 means
-	// trace.DefaultStreamWindow. See trace.StreamOptions.Window for the
-	// exactness contract.
+	// StreamWindow caps resident events when the source is not an
+	// in-memory *Trace (whose events are resident anyway, so it replays
+	// with the window off); 0 means trace.DefaultStreamWindow. See
+	// trace.StreamOptions.Window for the exactness contract.
 	StreamWindow int
 }
 
@@ -316,10 +316,11 @@ func RunSynthetic(ctx context.Context, cfg Config, opts SyntheticOptions) (Resul
 // dependency-driven injection, returning completion time and latency
 // statistics. ctx cancels cooperatively (see RunSynthetic).
 //
-// src is any trace.Source. An in-memory *Trace replays through the
-// materialized Workload; anything else (typically a *trace.Reader over an
-// FTT1 file) replays through trace.Stream in O(StreamWindow) memory, so a
-// billion-event recorded trace never has to fit in RAM. The two paths are
+// src is any trace.Source, and every source replays through the one
+// machine, trace.Stream. An in-memory *Trace is replayed with the window off
+// (every event resident, StreamWindow ignored); anything else (typically a
+// *trace.Reader over an FTT1 file) in O(StreamWindow) memory, so a
+// billion-event recorded trace never has to fit in RAM. The two are
 // bit-exact whenever the window does not bind (golden-tested).
 func RunTrace(ctx context.Context, cfg Config, src TraceSource, opts TraceOptions) (Result, error) {
 	defer obs.TraceFrom(ctx).Begin("sim_run").Attr("config", cfg.String()).End()
@@ -327,13 +328,11 @@ func RunTrace(ctx context.Context, cfg Config, src TraceSource, opts TraceOption
 	if err != nil {
 		return Result{}, err
 	}
-	var wl sim.Workload
-	var stream *trace.Stream
+	var wl *trace.Stream
 	if tr, ok := src.(*trace.Trace); ok {
 		wl, err = trace.NewWorkload(tr, net.Width(), net.Height())
 	} else {
-		stream, err = trace.NewStream(src, net.Width(), net.Height(), trace.StreamOptions{Window: opts.StreamWindow})
-		wl = stream
+		wl, err = trace.NewStream(src, net.Width(), net.Height(), trace.StreamOptions{Window: opts.StreamWindow})
 	}
 	if err != nil {
 		return Result{}, err
@@ -344,10 +343,10 @@ func RunTrace(ctx context.Context, cfg Config, src TraceSource, opts TraceOption
 		Shards:    opts.Shards,
 		Observer:  opts.Observer,
 	})
-	// A failed stream reports Done to stop the engine; surface its error
+	// A failed replay reports Done to stop the engine; surface its error
 	// over the (misleadingly clean) partial result.
-	if stream != nil && stream.Err() != nil {
-		return Result{}, stream.Err()
+	if wl.Err() != nil {
+		return Result{}, wl.Err()
 	}
 	return res, err
 }

@@ -56,7 +56,7 @@ func TestGoldenTraceRoundTrip(t *testing.T) {
 		t.Run(tr.Name, func(t *testing.T) {
 			// Text round trip.
 			var txt bytes.Buffer
-			if err := tr.Write(&txt); err != nil {
+			if err := trace.WriteText(&txt, tr); err != nil {
 				t.Fatal(err)
 			}
 			fromTxt, err := trace.Read(bytes.NewReader(txt.Bytes()))

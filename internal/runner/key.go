@@ -62,6 +62,13 @@ func SyntheticKey(cfg core.Config, o core.SyntheticOptions) string {
 // StreamWindow enters only when set: an explicitly bounded window may bind
 // and shift injection timing (see trace.StreamOptions.Window), so those
 // runs never share entries with default-window or in-memory replays.
+//
+// Known limit: a default-window replay and the in-memory (window-off) replay
+// of the same fingerprint share one entry, which is exact only while
+// hdr.Events ≤ trace.DefaultStreamWindow — then the default window cannot
+// bind. That holds for every trace this repository generates (the largest,
+// lu/bomhof3_10656 at 16×16, has 172,775 events); a longer recorded trace
+// whose default window does bind would collide with its in-memory twin.
 func TraceKey(cfg core.Config, src trace.Source, o core.TraceOptions) string {
 	return TraceHeaderKey(cfg, src.Header(), o)
 }

@@ -28,7 +28,7 @@ const Version = "ft-sim/4"
 
 // Workload produces the packets a simulation injects and observes delivery.
 // Implementations: traffic.SynthView (statistical patterns, built by
-// traffic.NewSynthetic) and trace.Workload (application communication traces).
+// traffic.NewSynthetic) and trace.Stream (application communication traces).
 type Workload interface {
 	// Tick runs once per cycle before offers are gathered.
 	Tick(now int64)

@@ -102,21 +102,10 @@ func (w *Writer) Add(src, dst int, delay int32, deps ...int32) int32 {
 	if w.err != nil || w.closed {
 		return id
 	}
-	switch {
-	case w.n >= fttMaxEvents:
+	if w.n >= fttMaxEvents {
 		w.fail(fmt.Errorf("trace: writer overflows %d events", int64(fttMaxEvents)))
-	case src < 0 || src >= w.pes || dst < 0 || dst >= w.pes:
-		w.fail(fmt.Errorf("trace: event %d endpoints (%d->%d) out of range [0,%d)", w.n, src, dst, w.pes))
-	case delay < 0:
-		w.fail(fmt.Errorf("trace: event %d has negative delay", w.n))
-	}
-	for _, d := range deps {
-		if w.err != nil {
-			return id
-		}
-		if d < 0 || int64(d) >= w.n {
-			w.fail(fmt.Errorf("trace: event %d depends on %d (must be in [0,%d))", w.n, d, w.n))
-		}
+	} else if err := checkEvent(w.pes, w.n, src, dst, delay, deps); err != nil {
+		w.fail(fmt.Errorf("trace: %w", err))
 	}
 	if w.err != nil {
 		return id

@@ -84,7 +84,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		if err := EncodeBinary(&bin, tr); err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.Write(&txt); err != nil {
+		if err := WriteText(&txt, tr); err != nil {
 			t.Fatal(err)
 		}
 		fromBin, err := ReadBinary(bytes.NewReader(bin.Bytes()))

@@ -44,10 +44,22 @@ type nopCloser struct{}
 
 func (nopCloser) Close() error { return nil }
 
-// WriteText streams src to w in the text format of (*Trace).Write without
-// materializing the trace — the decode half of a binary→text conversion.
+// WriteText streams src to w in the line-oriented text format, without
+// materializing the trace:
+//
+//	trace <name> <pes> <events>
+//	<src> <dst> <delay> [dep ...]
+//
+// Names containing whitespace are rejected before anything is written (see
+// CheckName): the header line is space-delimited and a spaced name would
+// round-trip corrupted.
 func WriteText(w io.Writer, src Source) error {
-	hdr := src.Header()
+	var hdr Header
+	if t, ok := src.(*Trace); ok {
+		hdr = t.shape() // the fingerprint is not printed; skip its O(events) pass
+	} else {
+		hdr = src.Header()
+	}
 	if err := CheckName(hdr.Name); err != nil {
 		return err
 	}

@@ -18,7 +18,7 @@ func TestConvertRoundTrip(t *testing.T) {
 	binPath := filepath.Join(dir, "t.ftt")
 
 	var txt bytes.Buffer
-	if err := tr.Write(&txt); err != nil {
+	if err := WriteText(&txt, tr); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(txtPath, txt.Bytes(), 0o644); err != nil {
@@ -69,22 +69,6 @@ func TestConvertRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(back.Bytes(), txt.Bytes()) {
 		t.Fatalf("decode mismatch:\n%q\n%q", back.String(), txt.String())
-	}
-}
-
-// TestWriteTextMatchesWrite: the streaming text encoder and (*Trace).Write
-// emit identical bytes for an in-memory source.
-func TestWriteTextMatchesWrite(t *testing.T) {
-	tr := tinyTrace()
-	var direct, streamed bytes.Buffer
-	if err := tr.Write(&direct); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteText(&streamed, tr); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(direct.Bytes(), streamed.Bytes()) {
-		t.Fatal("WriteText differs from Trace.Write")
 	}
 }
 

@@ -61,7 +61,15 @@ type Adder interface {
 
 // Header implements Source for the in-memory trace.
 func (t *Trace) Header() Header {
-	return Header{Name: t.Name, PEs: t.PEs, Events: int64(len(t.Events)), Fingerprint: t.Fingerprint()}
+	hdr := t.shape()
+	hdr.Fingerprint = t.Fingerprint()
+	return hdr
+}
+
+// shape is Header without the fingerprint pass, for the callers that read
+// only name, PE count and event count (NewWorkload, WriteText).
+func (t *Trace) shape() Header {
+	return Header{Name: t.Name, PEs: t.PEs, Events: int64(len(t.Events))}
 }
 
 // Open implements Source for the in-memory trace.

@@ -20,21 +20,31 @@ type StreamOptions struct {
 	//
 	// When the window never binds (Window ≥ the trace's live-event high
 	// water mark, always true when Window ≥ total events), the replay is
-	// cycle-exact to the in-memory Workload: every event is registered
-	// before its dependencies complete, so readiness times are computed
-	// identically (golden-tested in core). When it binds, reading stalls
-	// until completions retire resident events — modeling a bounded
-	// trace-injection FIFO, as in FPGA trace-injection harnesses — and an
-	// event whose dependency already retired is scheduled relative to its
-	// (late) read cycle instead, which can only delay injection, never
-	// reorder a dependency.
+	// cycle-exact to one with every event resident (NewWorkload): every
+	// event is registered before its dependencies complete, so readiness
+	// times are computed identically (golden-tested in core). When it
+	// binds, reading stalls until completions retire resident events —
+	// modeling a bounded trace-injection FIFO, as in FPGA trace-injection
+	// harnesses — and an event whose dependency already retired is
+	// scheduled relative to its (late) read cycle instead, which can only
+	// delay injection, never reorder a dependency.
 	Window int
 }
 
-// Stream replays a Source as a sim.Workload in O(window) memory. It is the
-// streaming counterpart of Workload: same dependency-driven injection
-// semantics, same per-PE readiness heaps, but events are decoded from the
-// cursor on demand and their state lives in a fixed-size ring.
+// Stream replays a trace against a network as a sim.Workload, in O(window)
+// memory: events are decoded from a Cursor on demand and their state lives
+// in a fixed-size ring. Injection is dependency-driven: event i becomes
+// ready Delay cycles after its last dependency is delivered (root events
+// become ready at Delay), and each PE injects its ready events in readiness
+// order.
+//
+// Self-addressed events (src == dst) model local compute handoffs: they
+// complete without network traffic, after their Delay, and release their
+// dependents — important for the LU dataflow traces where much of the DAG
+// is local.
+//
+// It is the only replay machine: NewWorkload is a Stream whose window holds
+// the whole trace.
 type Stream struct {
 	cur    Cursor
 	hdr    Header
@@ -51,8 +61,21 @@ type Stream struct {
 	err       error
 	completed int64
 
-	readyQ []eventHeap
-	selfQ  eventHeap
+	// Dependents lists are threaded through a pool of edges. The pool grows
+	// by fixed-size chunks, so growth never copies and costs one allocation
+	// per edgeChunk edges rather than one per event; a completed event's
+	// edges go back on the free list, so the pool stays O(window).
+	edges    [][]edge
+	edgeN    int32 // edges carved from chunks so far
+	freeEdge int32 // head of the free list, noEdge when empty
+
+	readyQ []eventHeap // per PE, keyed by ready time
+	// selfQ holds ready self-addressed events, completed during Tick.
+	selfQ eventHeap
+	// live lists PEs with a non-empty readyQ (inLive guards duplicates); it
+	// backs the sim.ActiveSet fast path. A PE whose head event is still in
+	// the future stays listed — ActivePEs may return a superset — and PEs
+	// are dropped lazily once their queue drains.
 	live   []int
 	inLive []bool
 	now    int64 // current cycle, for conservative late-read scheduling
@@ -62,25 +85,49 @@ type Stream struct {
 	scratch Event
 }
 
-// evSlot is the resident state of one in-flight event.
+// evSlot is the resident state of one in-flight event (32 bytes).
 type evSlot struct {
-	src, dst   int32
-	delay      int32
-	remaining  int32 // unmet dependency count
-	done       bool
-	doneAt     int64
-	dependents []int32 // later resident events waiting on this one
+	src, dst  int32
+	delay     int32
+	remaining int32 // unmet dependency count
+	doneAt    int64 // completion cycle; notDone until then
+	// first and last bound the list of later resident events waiting on
+	// this one. Appending at last releases dependents in registration
+	// order, so PEs enter the live set — and an observer sees their offers —
+	// in the same order for every window that does not bind.
+	first, last int32
 }
+
+// edge is one dependents-list node: ev waits on the list's owner.
+type edge struct{ ev, next int32 }
+
+const (
+	notDone       = -1 // evSlot.doneAt before completion; cycles are never negative
+	noEdge        = -1
+	edgeChunkBits = 10
+	edgeChunk     = 1 << edgeChunkBits
+)
 
 // NewStream prepares a streaming replay of src on a width×height network.
 func NewStream(src Source, width, height int, opts StreamOptions) (*Stream, error) {
-	hdr := src.Header()
-	if err := headerGeometry(hdr, width, height); err != nil {
-		return nil, err
-	}
 	window := opts.Window
 	if window <= 0 {
 		window = DefaultStreamWindow
+	}
+	return newStream(src, src.Header(), width, height, window)
+}
+
+// newStream builds the replay of src, whose header the caller already holds
+// (hdr.Fingerprint is not read).
+func newStream(src Source, hdr Header, width, height, window int) (*Stream, error) {
+	if hdr.PEs <= 0 {
+		return nil, fmt.Errorf("trace %q: no PEs", hdr.Name)
+	}
+	if hdr.PEs != width*height {
+		return nil, fmt.Errorf("trace %q targets %d PEs, network has %d", hdr.Name, hdr.PEs, width*height)
+	}
+	if hdr.Events > math.MaxInt32 {
+		return nil, fmt.Errorf("trace %q: %d events overflow the int32 event-id space", hdr.Name, hdr.Events)
 	}
 	// The ring never needs more slots than the trace has events.
 	if int64(window) > hdr.Events {
@@ -94,32 +141,20 @@ func NewStream(src Source, width, height int, opts StreamOptions) (*Stream, erro
 		return nil, err
 	}
 	s := &Stream{
-		cur:    cur,
-		hdr:    hdr,
-		width:  width,
-		window: window,
-		ring:   make([]evSlot, window),
-		readyQ: make([]eventHeap, hdr.PEs),
-		inLive: make([]bool, hdr.PEs),
+		cur:      cur,
+		hdr:      hdr,
+		width:    width,
+		window:   window,
+		ring:     make([]evSlot, window),
+		freeEdge: noEdge,
+		readyQ:   make([]eventHeap, hdr.PEs),
+		inLive:   make([]bool, hdr.PEs),
 	}
 	s.fill()
 	if s.err != nil {
 		return nil, s.err
 	}
 	return s, nil
-}
-
-func headerGeometry(hdr Header, width, height int) error {
-	if hdr.PEs <= 0 {
-		return fmt.Errorf("trace %q: no PEs", hdr.Name)
-	}
-	if hdr.PEs != width*height {
-		return fmt.Errorf("trace %q targets %d PEs, network has %d", hdr.Name, hdr.PEs, width*height)
-	}
-	if hdr.Events > math.MaxInt32 {
-		return fmt.Errorf("trace %q: %d events overflow the int32 event-id space", hdr.Name, hdr.Events)
-	}
-	return nil
 }
 
 // fill reads events until the window is full or the source is exhausted.
@@ -145,17 +180,22 @@ func (s *Stream) fill() {
 }
 
 // admit registers the next event (index s.head) in the ring and schedules it
-// if all its dependencies already completed.
+// if all its dependencies already completed. The event is checked first: the
+// cursor may be a hand-built *Trace or a third-party Source that validates
+// nothing, and an out-of-range endpoint or a forward dependency would index
+// past readyQ or alias a ring slot.
 func (s *Stream) admit(e *Event) {
 	idx := s.head
+	if err := checkEvent(s.hdr.PEs, idx, e.Src, e.Dst, e.Delay, e.Deps); err != nil {
+		s.fail(fmt.Errorf("trace %q: %w", s.hdr.Name, err))
+		return
+	}
+	if int64(s.edgeN)+int64(len(e.Deps)) > math.MaxInt32 {
+		s.fail(fmt.Errorf("trace %q: event %d overflows the int32 dependency-edge space", s.hdr.Name, idx))
+		return
+	}
 	slot := &s.ring[idx%int64(s.window)]
-	slot.src = int32(e.Src)
-	slot.dst = int32(e.Dst)
-	slot.delay = e.Delay
-	slot.done = false
-	slot.doneAt = 0
-	slot.dependents = slot.dependents[:0]
-	var remaining int32
+	*slot = evSlot{src: int32(e.Src), dst: int32(e.Dst), delay: e.Delay, doneAt: notDone, first: noEdge, last: noEdge}
 	var base int64 // completion time of the latest already-done dependency
 	for _, d := range e.Deps {
 		if int64(d) < s.low {
@@ -169,20 +209,45 @@ func (s *Stream) admit(e *Event) {
 			continue
 		}
 		dep := &s.ring[int64(d)%int64(s.window)]
-		if dep.done {
+		if dep.doneAt != notDone {
 			if dep.doneAt > base {
 				base = dep.doneAt
 			}
-		} else {
-			dep.dependents = append(dep.dependents, int32(idx))
-			remaining++
+			continue
 		}
+		n := s.newEdge()
+		*s.edgeAt(n) = edge{ev: int32(idx), next: noEdge}
+		if dep.last == noEdge {
+			dep.first = n
+		} else {
+			s.edgeAt(dep.last).next = n
+		}
+		dep.last = n
+		slot.remaining++
 	}
-	slot.remaining = remaining
 	s.head++
-	if remaining == 0 {
+	if slot.remaining == 0 {
 		s.schedule(int32(idx), base+int64(slot.delay))
 	}
+}
+
+func (s *Stream) edgeAt(n int32) *edge {
+	return &s.edges[n>>edgeChunkBits][n&(edgeChunk-1)]
+}
+
+// newEdge takes an edge off the free list, carving a new chunk when the
+// pool is exhausted.
+func (s *Stream) newEdge() int32 {
+	if n := s.freeEdge; n != noEdge {
+		s.freeEdge = s.edgeAt(n).next
+		return n
+	}
+	n := s.edgeN
+	if int(n>>edgeChunkBits) == len(s.edges) {
+		s.edges = append(s.edges, make([]edge, edgeChunk))
+	}
+	s.edgeN++
+	return n
 }
 
 func (s *Stream) schedule(ev int32, readyAt int64) {
@@ -198,21 +263,28 @@ func (s *Stream) schedule(ev int32, readyAt int64) {
 	}
 }
 
-// complete marks ev finished at cycle now, releases its dependents, retires
-// the contiguous completed prefix, and refills the window.
+// complete marks ev finished at cycle now, releases its dependents (their
+// edges return to the pool), retires the contiguous completed prefix, and
+// refills the window.
 func (s *Stream) complete(ev int32, now int64) {
 	s.completed++
 	slot := &s.ring[int64(ev)%int64(s.window)]
-	slot.done = true
 	slot.doneAt = now
-	for _, dep := range slot.dependents {
-		d := &s.ring[int64(dep)%int64(s.window)]
-		d.remaining--
-		if d.remaining == 0 {
-			s.schedule(dep, now+int64(d.delay))
+	if slot.first != noEdge {
+		for n := slot.first; n != noEdge; {
+			e := s.edgeAt(n)
+			d := &s.ring[int64(e.ev)%int64(s.window)]
+			d.remaining--
+			if d.remaining == 0 {
+				s.schedule(e.ev, now+int64(d.delay))
+			}
+			n = e.next
 		}
+		s.edgeAt(slot.last).next = s.freeEdge
+		s.freeEdge = slot.first
+		slot.first, slot.last = noEdge, noEdge
 	}
-	for s.low < s.head && s.ring[s.low%int64(s.window)].done {
+	for s.low < s.head && s.ring[s.low%int64(s.window)].doneAt != notDone {
 		s.low++
 	}
 	s.fill()
@@ -229,7 +301,8 @@ func (s *Stream) fail(err error) {
 // (core.RunTrace does).
 func (s *Stream) Err() error { return s.err }
 
-// Tick implements sim.Workload (see Workload.Tick).
+// Tick implements sim.Workload: retire self-addressed events whose compute
+// delay has elapsed.
 func (s *Stream) Tick(now int64) {
 	s.now = now
 	for len(s.selfQ) > 0 && s.selfQ[0].readyAt <= now {
@@ -260,12 +333,15 @@ func (s *Stream) Injected(pe int, _ int64) {
 	s.readyQ[pe].popItem()
 }
 
-// Delivered implements sim.Workload.
+// Delivered implements sim.Workload: a delivered packet completes its event
+// and may release dependents.
 func (s *Stream) Delivered(p noc.Packet, now int64) {
 	s.complete(p.Event, now)
 }
 
-// ActivePEs implements sim.ActiveSet (see Workload.ActivePEs).
+// ActivePEs implements sim.ActiveSet: the PEs with queued events. PEs
+// whose head event is not ready yet are included (a permitted superset);
+// drained PEs are dropped during the walk.
 func (s *Stream) ActivePEs(buf []int) []int {
 	kept := s.live[:0]
 	for _, pe := range s.live {

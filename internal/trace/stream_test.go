@@ -13,12 +13,13 @@ import (
 
 // replayLog drives a workload on an instant-delivery network (every offered
 // packet injected and delivered the same cycle) and returns the sequence of
-// (cycle, pe, event) injections — a complete observable schedule, so two
-// workloads with equal logs are interchangeable to the engine.
+// (cycle, pe, event, Gen) injections — a complete observable schedule, so
+// two workloads with equal logs are interchangeable to the engine.
 type replayEvent struct {
 	cycle int64
 	pe    int
 	ev    int32
+	gen   int64
 }
 
 type replayable interface {
@@ -43,7 +44,7 @@ func replayInstant(t *testing.T, w replayable, pes int, maxCycles int64) []repla
 				if !ok {
 					break
 				}
-				log = append(log, replayEvent{cycle: now, pe: pe, ev: p.Event})
+				log = append(log, replayEvent{cycle: now, pe: pe, ev: p.Event, gen: p.Gen})
 				w.Injected(pe, now)
 				w.Delivered(p, now)
 			}
@@ -72,13 +73,14 @@ func randomDAG(t *testing.T, seed uint64, pes, n int) *Trace {
 	return tr
 }
 
-// TestStreamMatchesWorkload: with a non-binding window the streaming replay
-// must produce the exact injection schedule of the in-memory Workload, on
-// both the in-memory Source and the binary Reader.
+// TestStreamMatchesWorkload: with a non-binding window the replay must
+// produce the exact injection schedule of the oracle Workload — through
+// NewWorkload (window off) and through NewStream on both the in-memory
+// Source and the binary Reader.
 func TestStreamMatchesWorkload(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		tr := randomDAG(t, seed, 4, 120)
-		wl, err := NewWorkload(tr, 2, 2)
+		wl, err := newOracle(tr, 2, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,8 +90,13 @@ func TestStreamMatchesWorkload(t *testing.T) {
 		if err := EncodeBinary(&buf, tr); err != nil {
 			t.Fatal(err)
 		}
-		for _, src := range []Source{tr, mustReader(t, buf.Bytes())} {
-			st, err := NewStream(src, 2, 2, StreamOptions{})
+		build := []func() (*Stream, error){
+			func() (*Stream, error) { return NewWorkload(tr, 2, 2) },
+			func() (*Stream, error) { return NewStream(tr, 2, 2, StreamOptions{}) },
+			func() (*Stream, error) { return NewStream(mustReader(t, buf.Bytes()), 2, 2, StreamOptions{}) },
+		}
+		for _, b := range build {
+			st, err := b()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,9 +130,19 @@ func mustReader(t *testing.T, data []byte) *Reader {
 
 // TestStreamSmallWindow: a binding window must still complete every event
 // and never offer an event before its dependencies completed — only timing
-// may shift (read backpressure).
+// may shift (read backpressure), and only later: against the oracle's
+// schedule every event is injected exactly once, by the same PE, never
+// earlier.
 func TestStreamSmallWindow(t *testing.T) {
 	tr := randomDAG(t, 11, 4, 200)
+	wl, err := newOracle(tr, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int32]replayEvent{}
+	for _, inj := range replayInstant(t, wl, 4, 100000) {
+		want[inj.ev] = inj
+	}
 	var buf bytes.Buffer
 	if err := EncodeBinary(&buf, tr); err != nil {
 		t.Fatal(err)
@@ -136,6 +153,7 @@ func TestStreamSmallWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		completed := make([]bool, len(tr.Events))
+		injected := 0
 		var now int64
 		for ; !st.Done(); now++ {
 			if now > 100000 {
@@ -153,6 +171,12 @@ func TestStreamSmallWindow(t *testing.T) {
 							t.Fatalf("window %d: event %d offered before dep %d", window, p.Event, d)
 						}
 					}
+					ref, ok := want[p.Event]
+					if !ok || completed[p.Event] || ref.pe != pe || now < ref.cycle {
+						t.Fatalf("window %d: event %d injected by PE %d at cycle %d; oracle %+v (known %v, repeat %v)",
+							window, p.Event, pe, now, ref, ok, completed[p.Event])
+					}
+					injected++
 					st.Injected(pe, now)
 					completed[p.Event] = true
 					st.Delivered(p, now)
@@ -168,8 +192,8 @@ func TestStreamSmallWindow(t *testing.T) {
 		if err := st.Err(); err != nil {
 			t.Fatal(err)
 		}
-		if st.Completed() != len(tr.Events) {
-			t.Fatalf("window %d: completed %d of %d", window, st.Completed(), len(tr.Events))
+		if st.Completed() != len(tr.Events) || injected != len(want) {
+			t.Fatalf("window %d: completed %d of %d, injected %d of %d", window, st.Completed(), len(tr.Events), injected, len(want))
 		}
 	}
 }

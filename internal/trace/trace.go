@@ -105,18 +105,27 @@ func (t *Trace) Validate() error {
 		return fmt.Errorf("trace %q: no PEs", t.Name)
 	}
 	for i, e := range t.Events {
-		if e.Src < 0 || e.Src >= t.PEs || e.Dst < 0 || e.Dst >= t.PEs {
-			return fmt.Errorf("trace %q: event %d endpoints (%d->%d) out of range [0,%d)",
-				t.Name, i, e.Src, e.Dst, t.PEs)
+		if err := checkEvent(t.PEs, int64(i), e.Src, e.Dst, e.Delay, e.Deps); err != nil {
+			return fmt.Errorf("trace %q: %w", t.Name, err)
 		}
-		if e.Delay < 0 {
-			return fmt.Errorf("trace %q: event %d has negative delay", t.Name, i)
-		}
-		for _, d := range e.Deps {
-			if d < 0 || int(d) >= i {
-				return fmt.Errorf("trace %q: event %d depends on %d (must be in [0,%d))",
-					t.Name, i, d, i)
-			}
+	}
+	return nil
+}
+
+// checkEvent is the per-event half of Validate, shared with the two places
+// that see events one at a time: the FTT1 Writer and the replay's admission
+// (Stream.admit). Event i of a pes-PE trace must have endpoints in [0,pes),
+// a non-negative delay and dependencies in [0,i).
+func checkEvent(pes int, i int64, src, dst int, delay int32, deps []int32) error {
+	if src < 0 || src >= pes || dst < 0 || dst >= pes {
+		return fmt.Errorf("event %d endpoints (%d->%d) out of range [0,%d)", i, src, dst, pes)
+	}
+	if delay < 0 {
+		return fmt.Errorf("event %d has negative delay", i)
+	}
+	for _, d := range deps {
+		if d < 0 || int64(d) >= i {
+			return fmt.Errorf("event %d depends on %d (must be in [0,%d))", i, d, i)
 		}
 	}
 	return nil
@@ -182,30 +191,7 @@ func CheckName(name string) error {
 	return nil
 }
 
-// Write serializes the trace in a line-oriented text format:
-//
-//	trace <name> <pes> <events>
-//	<src> <dst> <delay> [dep ...]
-//
-// Names containing whitespace are rejected (see CheckName): the header line
-// is space-delimited and a spaced name would round-trip corrupted.
-func (t *Trace) Write(w io.Writer) error {
-	if err := CheckName(t.Name); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "trace %s %d %d\n", t.Name, t.PEs, len(t.Events))
-	for _, e := range t.Events {
-		fmt.Fprintf(bw, "%d %d %d", e.Src, e.Dst, e.Delay)
-		for _, d := range e.Deps {
-			fmt.Fprintf(bw, " %d", d)
-		}
-		fmt.Fprintln(bw)
-	}
-	return bw.Flush()
-}
-
-// Read parses the format produced by Write.
+// Read parses the text format produced by WriteText.
 func Read(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)

@@ -1,36 +1,12 @@
 package trace
 
-import (
-	"fmt"
-
-	"fasttrack/internal/noc"
-)
-
-// Workload replays a Trace against a network as a sim.Workload. Injection
-// is dependency-driven: event i becomes ready Delay cycles after its last
-// dependency is delivered (root events become ready at Delay). Each PE
-// injects its ready events in readiness order.
-//
-// Self-addressed events (src == dst) model local compute handoffs: they
-// complete without network traffic, after their Delay, and release their
-// dependents — important for the LU dataflow traces where much of the DAG
-// is local.
-type Workload struct {
-	tr        *Trace
-	width     int
-	remaining []int32 // unmet dependency count per event
-	deps      [][]int32
-	readyQ    []eventHeap // per PE, keyed by ready time
-	// selfQ holds ready self-addressed events, completed during Tick.
-	selfQ     eventHeap
-	completed int
-
-	// live lists PEs with a non-empty readyQ (inLive guards duplicates); it
-	// backs the sim.ActiveSet fast path. A PE whose head event is still in
-	// the future stays listed — ActivePEs may return a superset — and PEs
-	// are dropped lazily once their queue drains.
-	live   []int
-	inLive []bool
+// NewWorkload prepares the in-memory trace tr for replay on a width×height
+// network, whose PE count must equal tr.PEs: a Stream over tr's events with
+// the window off — every event is resident before the first cycle, so
+// reading never stalls. The events are checked as they are admitted, inside
+// this call (see Stream.admit), so an invalid trace is rejected here.
+func NewWorkload(tr *Trace, width, height int) (*Stream, error) {
+	return newStream(tr, tr.shape(), width, height, len(tr.Events))
 }
 
 // item pairs an event index with the cycle it becomes injectable.
@@ -41,7 +17,6 @@ type item struct {
 
 type eventHeap []item
 
-func (h eventHeap) Len() int      { return len(h) }
 func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h eventHeap) Less(i, j int) bool {
 	if h[i].readyAt != h[j].readyAt {
@@ -49,18 +24,11 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].ev < h[j].ev
 }
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(item)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
 
 // pushItem and popItem are typed equivalents of container/heap's Push and
 // Pop, avoiding an interface allocation per event on the replay hot path.
-// Less is a strict total order (ev tiebreak), so pop order is identical.
+// Less is a strict total order (ev tiebreak), so pop order does not depend
+// on push order.
 func (h *eventHeap) pushItem(it item) {
 	*h = append(*h, it)
 	q := *h
@@ -97,119 +65,3 @@ func (h *eventHeap) popItem() item {
 	*h = q[:n]
 	return it
 }
-
-// NewWorkload prepares tr for replay on a width×height network. The trace's
-// PE count must equal width*height.
-func NewWorkload(tr *Trace, width, height int) (*Workload, error) {
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	if tr.PEs != width*height {
-		return nil, fmt.Errorf("trace %q targets %d PEs, network has %d", tr.Name, tr.PEs, width*height)
-	}
-	w := &Workload{
-		tr:        tr,
-		width:     width,
-		remaining: make([]int32, len(tr.Events)),
-		deps:      make([][]int32, len(tr.Events)),
-		readyQ:    make([]eventHeap, tr.PEs),
-		inLive:    make([]bool, tr.PEs),
-	}
-	for i, e := range tr.Events {
-		w.remaining[i] = int32(len(e.Deps))
-		for _, d := range e.Deps {
-			w.deps[d] = append(w.deps[d], int32(i))
-		}
-	}
-	// Seed root events.
-	for i, e := range tr.Events {
-		if w.remaining[i] == 0 {
-			w.schedule(int32(i), int64(e.Delay))
-		}
-	}
-	return w, nil
-}
-
-func (w *Workload) schedule(ev int32, readyAt int64) {
-	e := &w.tr.Events[ev]
-	if e.Src == e.Dst {
-		w.selfQ.pushItem(item{ev: ev, readyAt: readyAt})
-		return
-	}
-	w.readyQ[e.Src].pushItem(item{ev: ev, readyAt: readyAt})
-	if !w.inLive[e.Src] {
-		w.inLive[e.Src] = true
-		w.live = append(w.live, e.Src)
-	}
-}
-
-// complete marks ev finished at cycle now and releases its dependents.
-func (w *Workload) complete(ev int32, now int64) {
-	w.completed++
-	for _, dep := range w.deps[ev] {
-		w.remaining[dep]--
-		if w.remaining[dep] == 0 {
-			w.schedule(dep, now+int64(w.tr.Events[dep].Delay))
-		}
-	}
-}
-
-// Tick implements sim.Workload: retire self-addressed events whose compute
-// delay has elapsed.
-func (w *Workload) Tick(now int64) {
-	for len(w.selfQ) > 0 && w.selfQ[0].readyAt <= now {
-		it := w.selfQ.popItem()
-		w.complete(it.ev, now)
-	}
-}
-
-// Pending implements sim.Workload.
-func (w *Workload) Pending(pe int, now int64) (noc.Packet, bool) {
-	q := w.readyQ[pe]
-	if len(q) == 0 || q[0].readyAt > now {
-		return noc.Packet{}, false
-	}
-	ev := q[0].ev
-	e := &w.tr.Events[ev]
-	return noc.Packet{
-		ID:    int64(ev),
-		Src:   noc.PECoord(e.Src, w.width),
-		Dst:   noc.PECoord(e.Dst, w.width),
-		Gen:   q[0].readyAt,
-		Event: ev,
-	}, true
-}
-
-// Injected implements sim.Workload.
-func (w *Workload) Injected(pe int, _ int64) {
-	w.readyQ[pe].popItem()
-}
-
-// Delivered implements sim.Workload: a delivered packet completes its event
-// and may release dependents.
-func (w *Workload) Delivered(p noc.Packet, now int64) {
-	w.complete(p.Event, now)
-}
-
-// ActivePEs implements sim.ActiveSet: the PEs with queued events. PEs
-// whose head event is not ready yet are included (a permitted superset);
-// drained PEs are dropped during the walk.
-func (w *Workload) ActivePEs(buf []int) []int {
-	kept := w.live[:0]
-	for _, pe := range w.live {
-		if len(w.readyQ[pe]) == 0 {
-			w.inLive[pe] = false
-			continue
-		}
-		kept = append(kept, pe)
-		buf = append(buf, pe)
-	}
-	w.live = kept
-	return buf
-}
-
-// Done implements sim.Workload.
-func (w *Workload) Done() bool { return w.completed == len(w.tr.Events) }
-
-// Completed returns the number of finished events.
-func (w *Workload) Completed() int { return w.completed }

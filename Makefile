@@ -9,7 +9,7 @@ GO ?= go
 # pass so the assertion is meaningful).
 SWEEP_CACHE ?= .ftcache-quick
 
-.PHONY: build test vet race race-shards fuzz verify loc bench sweep-quick monitor-smoke serve-load serve-load-smoke trace-roundtrip metrics-lint
+.PHONY: build fmt test vet race race-shards fuzz verify loc bench sweep-quick monitor-smoke serve-load serve-load-smoke trace-roundtrip metrics-lint
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,10 @@ test:
 vet:
 	$(GO) vet ./...
 
+# Formatting gate: fails, naming them, if gofmt would rewrite any file.
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; false; }
+
 race:
 	$(GO) test -race ./...
 
@@ -27,9 +31,11 @@ race:
 # real goroutines (noctest harness, golden sim matrix) and drive the
 # synthetic generator's shards from one goroutine each, so running them
 # under -race is the data-race gate for the parallel engine; -count=2
-# defeats test caching so the goroutine schedules re-roll.
+# defeats test caching so the goroutine schedules re-roll. The standing-offer
+# suites ride along because shard workers call Kernel.Hold and Refuse
+# concurrently.
 race-shards:
-	$(GO) test -race -count=2 -run 'TestShardEquivalence|TestGoldenShardEquivalence|TestSharded|TestConfigureShards|TestSyntheticShard' ./internal/fabric/ ./internal/hoplite/ ./internal/fasttrack/ ./internal/sim/ ./internal/traffic/
+	$(GO) test -race -count=2 -run 'TestShardEquivalence|TestGoldenShardEquivalence|TestSharded|TestConfigureShards|TestSyntheticShard|TestStandingOffers|TestGoldenStandingOffers' ./internal/fabric/ ./internal/hoplite/ ./internal/fasttrack/ ./internal/sim/ ./internal/traffic/
 
 # Non-test Go lines per package and in total (benchmark/ and examples/
 # excluded): ROADMAP aim 2 makes net-negative diffs a deliverable, and this
@@ -121,4 +127,4 @@ monitor-smoke:
 	$(GO) run ./cmd/ftexp -quick -run fig11 -no-cache -span-trace .smoke.spans.trace.json > /dev/null
 	rm -f .smoke.spans.trace.json
 
-verify: build vet test race race-shards sweep-quick trace-roundtrip monitor-smoke serve-load-smoke metrics-lint
+verify: build fmt vet test race race-shards sweep-quick trace-roundtrip monitor-smoke serve-load-smoke metrics-lint

@@ -29,9 +29,11 @@ const MaxPlanes = 4
 
 // Slot is a full-packet register with a valid bit: the client offer
 // registers, and the link registers of the families' dense reference paths.
+// Held marks an offer register that keeps OK across a refusal (see Hold).
 type Slot struct {
-	P  noc.Packet
-	OK bool
+	P    noc.Packet
+	OK   bool
+	Held bool
 }
 
 // Spec is the geometry a Kernel is built for.
@@ -148,7 +150,7 @@ type Kernel struct {
 	Cur, Next [MaxPlanes][]int32
 	// Pool holds every in-flight packet from injection to delivery.
 	Pool []noc.Packet
-	// Offers is the per-PE injection register; the arbiter clears OK.
+	// Offers is the per-PE injection register; Accept and Refuse clear OK.
 	Offers   []Slot
 	accepted []bool
 
@@ -312,8 +314,16 @@ func (k *Kernel) NumPEs() int { return k.W * k.H }
 // Offer presents p for injection at PE pe this cycle. Concurrent offers are
 // allowed for PEs owned by different shards: the activity mark lands in the
 // owning shard's next array and the offer register itself is per-PE.
-func (k *Kernel) Offer(pe int, p noc.Packet) {
-	k.Offers[pe] = Slot{P: p, OK: true}
+func (k *Kernel) Offer(pe int, p noc.Packet) { k.offer(pe, Slot{P: p, OK: true}) }
+
+// Hold presents p as a standing offer, the hardware's valid register: a
+// refusal leaves it latched and re-marks its router, so the arbiter sees it
+// again every cycle with no further call, until it is accepted, replaced by
+// another Offer or Hold at pe, or Reset. Concurrency is Offer's.
+func (k *Kernel) Hold(pe int, p noc.Packet) { k.offer(pe, Slot{P: p, OK: true, Held: true}) }
+
+func (k *Kernel) offer(pe int, s Slot) {
+	k.Offers[pe] = s
 	sh := &k.sh[0]
 	if k.shardOf != nil {
 		sh = &k.sh[k.shardOf[pe]]
@@ -474,11 +484,25 @@ func (k *Kernel) BeginDense(now int64) *Shard {
 	return s0
 }
 
-// Accept records that PE i's offer entered the network this cycle.
+// Accept records that PE i's offer entered the network this cycle, and
+// retires the offer register (its packet stays readable for Inject).
 func (k *Kernel) Accept(sh *Shard, i int) {
 	sh.InFlight++
+	k.Offers[i].OK = false
 	k.accepted[i] = true
 	sh.acceptedPEs = append(sh.acceptedPEs, i)
+}
+
+// Refuse records that PE i's offer found no free output this cycle (§IV-C:
+// the client stalls). A one-cycle offer is forgotten; a standing one stays
+// latched, and marking its router (which sh owns) keeps it in the working set.
+func (k *Kernel) Refuse(sh *Shard, i int) {
+	sh.Counters.InjectionStalls++
+	if off := &k.Offers[i]; off.Held {
+		sh.Mark(i)
+	} else {
+		off.OK = false
+	}
 }
 
 // Inject accepts PE i's offer, copies it into the pool stamped with the

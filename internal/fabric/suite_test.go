@@ -22,6 +22,10 @@ func TestResetEqualsFresh(t *testing.T) {
 	noctest.ForEach(t, "", noctest.ResetEqualsFresh)
 }
 
+func TestStandingOffers(t *testing.T) {
+	noctest.ForEach(t, "", noctest.StandingOffers)
+}
+
 // TestShardedPoolBound saturates every case at its largest shard count for
 // far longer than the fabric takes to fill: an arena smaller than the true
 // occupancy bound would hit the kernel's pool-exhaustion panic.

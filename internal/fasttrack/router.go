@@ -295,7 +295,6 @@ func (nw *Network) injectAt(s0 *fabric.Shard, a *arb, i, x, y int, now int64) {
 	if !off.OK {
 		return
 	}
-	off.OK = false
 
 	t := nw.cfg.Topology
 	p := off.P
@@ -358,7 +357,7 @@ func (nw *Network) injectAt(s0 *fabric.Shard, a *arb, i, x, y int, now int64) {
 		}
 		return
 	}
-	s0.Counters.InjectionStalls++
+	nw.Refuse(s0, i)
 }
 
 // Route implements fabric.Router: the arbiter the kernel calls for each
@@ -481,7 +480,6 @@ func (nw *Network) injectAtR(sh *fabric.Shard, a *arb, i, x, y int, now int64) {
 	if !off.OK {
 		return
 	}
-	off.OK = false
 
 	dx := noc.RingDelta(x, off.P.Dst.X, nw.n)
 	dy := noc.RingDelta(y, off.P.Dst.Y, nw.n)
@@ -509,5 +507,5 @@ func (nw *Network) injectAtR(sh *fabric.Shard, a *arb, i, x, y int, now int64) {
 		}
 		return
 	}
-	sh.Counters.InjectionStalls++
+	nw.Refuse(sh, i)
 }

@@ -278,7 +278,7 @@ func (nw *Network) Route(sh *fabric.Shard, i, x, y int, now int64) {
 				nw.Accept(sh, i)
 				nw.Deliver(sh, p)
 			} else {
-				sh.Counters.InjectionStalls++
+				nw.Refuse(sh, i)
 			}
 		case off.P.Dst.X == x && !sTaken:
 			r := nw.Inject(sh, i, now)
@@ -287,9 +287,8 @@ func (nw *Network) Route(sh *fabric.Shard, i, x, y int, now int64) {
 				nw.obsHop(sh, i, noc.PortSSh, r)
 			}
 		default:
-			sh.Counters.InjectionStalls++
+			nw.Refuse(sh, i)
 		}
-		off.OK = false
 	}
 }
 
@@ -424,14 +423,13 @@ func (nw *Network) route(s0 *fabric.Shard, x, y int, now int64) {
 				nw.Accept(s0, i)
 				nw.Deliver(s0, p)
 			} else {
-				s0.Counters.InjectionStalls++
+				nw.Refuse(s0, i)
 			}
 		case p.Dst.X == x && !sTaken:
 			nw.sOut[i] = fabric.Slot{P: p, OK: true}
 			nw.Accept(s0, i)
 		default:
-			s0.Counters.InjectionStalls++
+			nw.Refuse(s0, i)
 		}
-		off.OK = false
 	}
 }

@@ -97,15 +97,15 @@ func TestMetricsEndpointTotals(t *testing.T) {
 		denied += c.ExpressDeniedByInput[p]
 	}
 	want := map[string]int64{
-		"fasttrack_sim_cycles_total":            res.Cycles,
-		"fasttrack_sim_packets_injected_total":  res.Injected,
-		"fasttrack_sim_packets_delivered_total": res.Delivered,
-		"fasttrack_sim_packets_offered_total":   res.Injected + c.InjectionStalls,
-		"fasttrack_sim_injection_stalls_total":  c.InjectionStalls,
-		`fasttrack_sim_hops_total{wire="local"}`:   c.ShortTraversals,
-		`fasttrack_sim_hops_total{wire="express"}`: c.ExpressTraversals,
-		"fasttrack_sim_express_denied_total":       denied,
-		"fasttrack_sim_packets_in_flight":          0,
+		"fasttrack_sim_cycles_total":                    res.Cycles,
+		"fasttrack_sim_packets_injected_total":          res.Injected,
+		"fasttrack_sim_packets_delivered_total":         res.Delivered,
+		"fasttrack_sim_packets_offered_total":           res.Injected + c.InjectionStalls,
+		"fasttrack_sim_injection_stalls_total":          c.InjectionStalls,
+		`fasttrack_sim_hops_total{wire="local"}`:        c.ShortTraversals,
+		`fasttrack_sim_hops_total{wire="express"}`:      c.ExpressTraversals,
+		"fasttrack_sim_express_denied_total":            denied,
+		"fasttrack_sim_packets_in_flight":               0,
 		`fasttrack_sim_latency_cycles{quantile="0.5"}`:  res.P50,
 		`fasttrack_sim_latency_cycles{quantile="0.99"}`: res.P99,
 		"fasttrack_runner_jobs_executed_total":          3,

@@ -159,7 +159,14 @@ func (c *Counters) TotalExpressDenied() int64 {
 //  3. Read Accepted for each offering PE and Delivered for the packets that
 //     exited this cycle.
 //
-// Offers not accepted are forgotten; the client must offer again.
+// Offers not accepted are forgotten; the client must offer again. That
+// one-cycle Offer is the whole contract: every Network honours it, and the
+// wrappers (faults, multichannel) and external drivers rely on nothing else.
+// A standing offer — presented once, latched until granted, like a hardware
+// valid register — is a capability of the bufferless fabric kernel
+// (fabric.Kernel.Hold) outside this interface; the engine opts into it when the
+// workload's pending packet cannot change under it (sim.StableHead), with
+// cycle-for-cycle identical results.
 type Network interface {
 	// Width and Height return the torus dimensions in routers.
 	Width() int

@@ -21,9 +21,11 @@ import (
 )
 
 // Fabric is what the harness needs from a network under test: the sharded
-// stepping protocol, both observer attachment points, and Reset.
+// stepping protocol, the kernel's standing-offer port, both observer
+// attachment points, and Reset.
 type Fabric interface {
 	noc.ShardedNetwork
+	Hold(pe int, p noc.Packet)
 	telemetry.Observable
 	telemetry.ShardObservable
 	Reset()
@@ -70,12 +72,24 @@ func (r *Recorder) OnExpressDenied(now int64, router int, in noc.Port, p *noc.Pa
 
 // schedule is a precomputed offer plan: per-PE destination queues plus a
 // per-(cycle,PE) offer gate. A PE re-offers the head of its queue until the
-// network accepts it.
+// network accepts it; style says how.
 type schedule struct {
 	cycles int
 	queues [][]noc.Coord
 	gates  []bool
+	style  offerStyle
 }
+
+// offerStyle selects what an open gate starts.
+type offerStyle int
+
+const (
+	gated offerStyle = iota // one Offer; a refused PE waits for its next open gate
+	retry                   // the same packet re-Offered every cycle until accepted
+	hold                    // a single Hold
+)
+
+func (sc schedule) styled(s offerStyle) schedule { sc.style = s; return sc }
 
 func newSchedule(w, h int, seed uint64, cycles int, rate float64) schedule {
 	n := w * h
@@ -106,7 +120,14 @@ const (
 	stepDriven             // ConfigureShards, Step, network observer
 )
 
+// accept is one (cycle, PE) at which the network took an offer.
+type accept struct {
+	now int64
+	pe  int
+}
+
 type runResult struct {
+	accepts   []accept
 	delivered []noc.Packet
 	counters  noc.Counters
 	events    []Event
@@ -152,37 +173,63 @@ func replay(t *testing.T, nw Fabric, sc schedule, m mode, shards int) runResult 
 
 	w, n := nw.Width(), nw.NumPEs()
 	qpos := make([]int, n)
+	// standing marks PEs whose retry/hold offer is still outstanding, head
+	// holds the packet; both outlive the offered window until accepted.
+	standing := make([]bool, n)
+	head := make([]noc.Packet, n)
+	outstanding := 0
+	var accepts []accept
 	var delivered []noc.Packet
 	var offered []int
 	maxCycles := sc.cycles + 20*n // offered window + generous drain
 	for c := 0; c < maxCycles; c++ {
 		now := int64(c)
 		offered = offered[:0]
-		if c < sc.cycles {
-			for pe := 0; pe < n; pe++ {
-				if qpos[pe] < len(sc.queues[pe]) && sc.gates[c*n+pe] {
-					nw.Offer(pe, noc.Packet{
-						ID:  int64(pe)<<32 | int64(qpos[pe]),
-						Src: noc.PECoord(pe, w),
-						Dst: sc.queues[pe][qpos[pe]],
-						Gen: now,
-					})
-					offered = append(offered, pe)
+		for pe := 0; pe < n; pe++ {
+			switch {
+			case standing[pe]:
+				if sc.style == retry {
+					nw.Offer(pe, head[pe])
 				}
+			case c < sc.cycles && qpos[pe] < len(sc.queues[pe]) && sc.gates[c*n+pe]:
+				head[pe] = noc.Packet{
+					ID:  int64(pe)<<32 | int64(qpos[pe]),
+					Src: noc.PECoord(pe, w),
+					Dst: sc.queues[pe][qpos[pe]],
+					Gen: now,
+				}
+				if sc.style == hold {
+					nw.Hold(pe, head[pe])
+				} else {
+					nw.Offer(pe, head[pe])
+				}
+				if sc.style != gated {
+					standing[pe] = true
+					outstanding++
+				}
+			default:
+				continue
 			}
+			offered = append(offered, pe)
 		}
 		step(now)
 		for _, pe := range offered {
 			if nw.Accepted(pe) {
 				qpos[pe]++
+				if standing[pe] {
+					standing[pe] = false
+					outstanding--
+				}
+				accepts = append(accepts, accept{now, pe})
 			}
 		}
 		delivered = append(delivered, nw.Delivered()...)
-		if c >= sc.cycles && nw.InFlight() == 0 {
+		if c >= sc.cycles && nw.InFlight() == 0 && outstanding == 0 {
 			break
 		}
 	}
 	return runResult{
+		accepts:   accepts,
 		delivered: delivered,
 		counters:  *nw.Counters(),
 		events:    rec.Events,
@@ -195,6 +242,9 @@ func requireEqual(t *testing.T, what string, want, got runResult) {
 	t.Helper()
 	if got.inFlight != 0 {
 		t.Fatalf("%s: did not drain, %d in flight", what, got.inFlight)
+	}
+	if !reflect.DeepEqual(want.accepts, got.accepts) {
+		t.Fatalf("%s: accept cycles diverged (%d vs %d accepts)", what, len(want.accepts), len(got.accepts))
 	}
 	if !reflect.DeepEqual(want.delivered, got.delivered) {
 		t.Fatalf("%s: delivered stream diverged (%d vs %d packets)", what, len(want.delivered), len(got.delivered))

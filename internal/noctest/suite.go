@@ -100,8 +100,12 @@ func ConfigureShardsEdges(t *testing.T, nw Fabric) {
 }
 
 // ResetEqualsFresh leaves an instance sharded, observed and saturated
-// mid-flight, Resets it, and requires it to replay the case's schedule with
-// the same delivered stream, counters and event log as a fresh instance.
+// mid-flight with a standing offer latched at every refused PE, Resets it, and
+// requires first that idle Steps leave no trace (a latched offer whose mark
+// survived would be refused or injected) and then that it replays the case's
+// schedule with the same delivered stream, counters and event log as a fresh
+// instance (one whose mark did not survive would be injected once traffic
+// wakes its router).
 func ResetEqualsFresh(t *testing.T, c Case) {
 	used := c.New(t)
 	sc := newSchedule(used.Width(), used.Height(), c.Seed, c.Cycles, c.Rate)
@@ -111,15 +115,87 @@ func ResetEqualsFresh(t *testing.T, c Case) {
 		t.Fatal(err)
 	}
 	used.SetObserver(&Recorder{})
-	Saturate(used, 0, 40)
+	now := Saturate(used, 0, 40)
+	w, n := used.Width(), used.NumPEs()
+	for pe := 0; pe < n; pe++ {
+		used.Hold(pe, noc.Packet{ID: -int64(pe) - 1, Src: noc.PECoord(pe, w), Dst: noc.PECoord((pe+1)%n, w), Gen: now})
+	}
+	used.Step(now)
 	if used.InFlight() == 0 {
 		t.Fatal("saturated instance is empty; nothing to reset")
 	}
 	used.Reset()
-	if used.InFlight() != 0 || *used.Counters() != (noc.Counters{}) {
-		t.Fatalf("Reset left %d in flight, counters %+v", used.InFlight(), *used.Counters())
+	rec := &Recorder{}
+	used.SetObserver(rec)
+	for i := int64(0); i < 3; i++ {
+		used.Step(i)
+		if used.InFlight() != 0 || len(used.Delivered()) != 0 || *used.Counters() != (noc.Counters{}) || len(rec.Events) != 0 {
+			t.Fatalf("idle Step %d after Reset left a trace: %d in flight, %d delivered, counters %+v, %d events",
+				i, used.InFlight(), len(used.Delivered()), *used.Counters(), len(rec.Events))
+		}
 	}
 	requireEqual(t, "after Reset", fresh, replay(t, used, sc, sequential, 1))
+}
+
+// StandingOffers is the conformance gate for Kernel.Hold. A single Hold must
+// be indistinguishable from the same packet re-Offered every cycle until it is
+// accepted — same accept cycles, delivered stream, counters (InjectionStalls
+// included) and event log — sequentially and over two shards, stepped on
+// goroutines and through Step. An Offer over a standing offer must replace it,
+// standing-ness included. (ResetEqualsFresh covers Reset dropping them.)
+func StandingOffers(t *testing.T, c Case) {
+	probe := c.New(t)
+	sc := newSchedule(probe.Width(), probe.Height(), c.Seed, c.Cycles, c.Rate).styled(retry)
+	want := reference(t, probe, sc)
+	if want.counters.InjectionStalls == 0 {
+		t.Fatal("no offer was ever refused; schedule too sparse to tell Hold from Offer")
+	}
+	requireEqual(t, "Hold", want, replay(t, c.New(t), sc.styled(hold), sequential, 1))
+	requireEqual(t, "re-Offer, 2 shards", want, replay(t, c.New(t), sc, workers, 2))
+	requireEqual(t, "Hold, 2 shards", want, replay(t, c.New(t), sc.styled(hold), workers, 2))
+	requireEqual(t, "Hold, 2 Step-driven shards", want, replay(t, c.New(t), sc.styled(hold), stepDriven, 2))
+
+	// Replacement: on a congested fabric every PE Holds a packet and then
+	// Offers another over it. Only the second may ever enter, and only in
+	// this cycle: the PEs refused now must not be retried.
+	const held, oneCycle = int64(1) << 40, int64(1) << 41
+	nw := c.New(t)
+	w, n := nw.Width(), nw.NumPEs()
+	now := Saturate(nw, 0, 40)
+	for pe := 0; pe < n; pe++ {
+		p := noc.Packet{ID: held | int64(pe), Src: noc.PECoord(pe, w), Dst: noc.PECoord((pe+n/2+1)%n, w), Gen: now}
+		nw.Hold(pe, p)
+		p.ID = oneCycle | int64(pe)
+		nw.Offer(pe, p)
+	}
+	nw.Step(now)
+	accepted := 0
+	for pe := 0; pe < n; pe++ {
+		if nw.Accepted(pe) {
+			accepted++
+		}
+	}
+	if accepted == 0 || accepted == n {
+		t.Fatalf("%d of %d replacing offers accepted; need both outcomes", accepted, n)
+	}
+	entered := 0
+	for ; ; now++ {
+		for _, p := range nw.Delivered() {
+			if p.ID&held != 0 {
+				t.Fatalf("replaced standing offer %#x was injected", p.ID)
+			}
+			if p.ID&oneCycle != 0 {
+				entered++
+			}
+		}
+		if nw.InFlight() == 0 {
+			break
+		}
+		nw.Step(now + 1)
+	}
+	if entered != accepted {
+		t.Fatalf("%d replacing offers entered, %d were accepted in their one cycle", entered, accepted)
+	}
 }
 
 // SaturatedStepAllocs returns the steady-state allocations per Step of a

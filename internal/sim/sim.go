@@ -62,6 +62,26 @@ type ActiveSet interface {
 	ActivePEs(buf []int) []int
 }
 
+// StableHead is a marker (never called) declared by workloads whose per-PE
+// source queue is strictly FIFO and dequeued only by Injected: once Pending(pe)
+// returns a packet it returns that packet, bit for bit, every later cycle until
+// Injected(pe), and pe stays in the ActiveSet meanwhile. That is stronger than
+// Workload's retry rule — a trace.Stream head can be displaced by a lower-index
+// event that becomes ready the same cycle — and it lets the engine present the
+// packet once, as a standing offer (holder), instead of rebuilding and
+// re-offering it every stalled cycle. Decorators that reorder, delay or
+// withdraw offers (regulate, reliability) must not declare it.
+type StableHead interface {
+	StableHead()
+}
+
+// holder is the fabric kernel's standing-offer port (fabric.Kernel.Hold): the
+// offer stays latched across refusals until accepted. Wrappers that gate or
+// rewrite offers per cycle (faults, multichannel) deliberately lack it.
+type holder interface {
+	Hold(pe int, p noc.Packet)
+}
+
 // ShardableWorkload is optionally implemented by workloads whose generation
 // state can be partitioned by PE range, so the sharded engine can tick and
 // enumerate each shard's PEs on that shard's worker. The contract mirrors
@@ -325,8 +345,13 @@ type engine struct {
 
 	offered    []bool
 	offeredPkt []noc.Packet
-	aud        *auditor
-	obs        telemetry.Observer
+	// hold is set when the network is a holder and the workload StableHead;
+	// nil (always, under EngineDense: the reference) keeps offers one-cycle.
+	// A standing offer keeps offered[pe] and offeredPkt[pe] set from the cycle
+	// it is presented until injectPE sees it accepted.
+	hold holder
+	aud  *auditor
+	obs  telemetry.Observer
 	// track mirrors accepted offers for the auditor and the observer;
 	// without either consumer the copy is skipped in the hot loop.
 	track    bool
@@ -370,6 +395,8 @@ func newEngine(net noc.Network, wl Workload, opts Options) *engine {
 	e.activeWL, e.fast = wl.(ActiveSet)
 	if opts.Engine == EngineDense {
 		e.fast = false
+	} else if _, ok := wl.(StableHead); ok {
+		e.hold, _ = net.(holder)
 	}
 	e.track = e.aud != nil || e.obs != nil
 	return e
@@ -391,6 +418,9 @@ func (e *engine) pollCtx() error {
 // was offered. Touches only per-PE state, so the sharded driver calls it
 // concurrently for PEs owned by different shards.
 func (e *engine) offerPE(pe int, now int64) bool {
+	if e.hold != nil && e.offered[pe] {
+		return true // refused last cycle and still latched in the network
+	}
 	p, ok := e.wl.Pending(pe, now)
 	e.offered[pe] = ok
 	if !ok {
@@ -399,7 +429,11 @@ func (e *engine) offerPE(pe int, now int64) bool {
 	if e.track {
 		e.offeredPkt[pe] = p
 	}
-	e.net.Offer(pe, p)
+	if e.hold != nil {
+		e.hold.Hold(pe, p)
+	} else {
+		e.net.Offer(pe, p)
+	}
 	return true
 }
 
@@ -441,6 +475,7 @@ func (e *engine) injectPE(pe int, now int64) bool {
 		}
 		return false
 	}
+	e.offered[pe] = false // releases a standing offer's latch
 	e.wl.Injected(pe, now)
 	if e.aud != nil {
 		e.aud.onInject(e.offeredPkt[pe], now)

@@ -364,3 +364,48 @@ func BenchmarkReplayStreaming(b *testing.B) {
 	}
 	b.ReportMetric(float64(fi.Size())/float64(n), "bytes/event")
 }
+
+// TestStreamHeadDisplacedAfterRefusal builds the case that keeps a Stream on
+// one-cycle offers (it must not declare sim's StableHead marker): PE 0's head
+// is offered and refused at cycle T, and a delivery later in that same cycle
+// readies a lower-index event of PE 0 with the same ready time. The per-PE
+// heap orders by (readyAt, index), so the next cycle's head is the new event —
+// an offer latched in the network at T would have injected the wrong packet.
+func TestStreamHeadDisplacedAfterRefusal(t *testing.T) {
+	const T = 3
+	b := NewBuilder("stream/displaced", 4)
+	root := b.Add(1, 2, 0)        // delivered at cycle T
+	early := b.Add(0, 3, 0, root) // ready the cycle root is delivered
+	late := b.Add(0, 3, T)        // root event of PE 0, ready at T
+	tr, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewWorkload(tr, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := any(st).(interface{ StableHead() }); ok {
+		t.Fatal("*Stream declares StableHead; its head is not stable (see below)")
+	}
+
+	st.Tick(0)
+	rootPkt, ok := st.Pending(1, 0)
+	if !ok || rootPkt.Event != root {
+		t.Fatalf("cycle 0: PE 1 offers %+v, %v; want event %d", rootPkt, ok, root)
+	}
+	st.Injected(1, 0)
+	for now := int64(1); now <= T; now++ {
+		st.Tick(now)
+	}
+	if p, ok := st.Pending(0, T); !ok || p.Event != late {
+		t.Fatalf("cycle %d: PE 0 offers %+v, %v; want event %d", T, p, ok, late)
+	}
+	// The network refuses PE 0 (no Injected), then delivers root.
+	st.Delivered(rootPkt, T)
+	st.Tick(T + 1)
+	p, ok := st.Pending(0, T+1)
+	if !ok || p.Event != early || p.Gen != T {
+		t.Fatalf("cycle %d: PE 0 offers %+v, %v; want the displacing event %d generated at %d", T+1, p, ok, early, T)
+	}
+}

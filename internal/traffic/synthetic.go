@@ -105,7 +105,7 @@ func (in *synthInst) shardOf(pe int) *synthShard {
 // — ID, source, destination, generation cycle, order — are those of the
 // straight-line per-cycle generator kept as the oracle in oracle_test.go.
 //
-// Views implement sim.Workload, ActiveSet, EventWorkload and
+// Views implement sim.Workload, ActiveSet, StableHead, EventWorkload and
 // ShardableWorkload per instance. Ticks must visit cycles in ascending order
 // and may skip only cycles before NextEventCycle.
 type SyntheticBatch struct {
@@ -334,6 +334,10 @@ func (v *SynthView) Pending(pe int, _ int64) (noc.Packet, bool) {
 		Event: -1,
 	}, true
 }
+
+// StableHead declares sim.StableHead: Tick appends behind the head and only
+// Injected dequeues (or moves the ID's sequence half), so Pending is fixed.
+func (v *SynthView) StableHead() {}
 
 // Injected implements sim.Workload. Safe to call concurrently for PEs in
 // distinct shards: the dequeue touches only per-PE state and the pending

@@ -119,12 +119,17 @@ serve-load-smoke:
 metrics-lint:
 	$(GO) test -count=1 -run 'TestMetricsLint|TestPromLint' ./internal/monitor/
 
-# Live-monitoring smoke: a short run with the ops server, flight recorder
-# and span tracing all armed must still exit cleanly (the e2e HTTP
-# assertions live in internal/monitor's tests; this catches CLI wiring rot).
+# Observability smoke: a short run with the ops server, flight recorder,
+# packet tracer (both encodings), link stats and windowed metrics all armed
+# on one observer stack, and a sweep with span tracing, must still exit
+# cleanly (the e2e HTTP assertions live in internal/monitor's tests; this
+# catches CLI wiring rot).
+SMOKE_OUT = .smoke.trace.json .smoke.events.jsonl .smoke.links.csv .smoke.metrics.csv .smoke.spans.trace.json
 monitor-smoke:
-	$(GO) run ./cmd/ftsim -n 4 -packets 100 -http 127.0.0.1:0 -flight-recorder 64 > /dev/null
+	$(GO) run ./cmd/ftsim -n 4 -packets 100 -http 127.0.0.1:0 -flight-recorder 64 \
+		-trace-out .smoke.trace.json -trace-jsonl .smoke.events.jsonl \
+		-link-stats .smoke.links.csv -metrics-out .smoke.metrics.csv > /dev/null
 	$(GO) run ./cmd/ftexp -quick -run fig11 -no-cache -span-trace .smoke.spans.trace.json > /dev/null
-	rm -f .smoke.spans.trace.json
+	rm -f $(SMOKE_OUT)
 
 verify: build fmt vet test race race-shards sweep-quick trace-roundtrip monitor-smoke serve-load-smoke metrics-lint

@@ -48,7 +48,7 @@ func main() {
 		os.Exit(1)
 	}
 	orch.Log = logger
-	ops, err := mon.Build(0, 0, orch)
+	ops, err := cliflags.BuildOps(nil, mon, 0, 0, orch)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ftdse:", err)
 		os.Exit(1)

@@ -72,7 +72,7 @@ func main() {
 	if *progress {
 		orch.Progress = os.Stderr
 	}
-	ops, err := mon.Build(0, 0, orch)
+	ops, err := cliflags.BuildOps(nil, mon, 0, 0, orch)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ftexp:", err)
 		os.Exit(1)

@@ -22,7 +22,6 @@ import (
 	"fasttrack/internal/noc"
 	"fasttrack/internal/sim"
 	"fasttrack/internal/stats"
-	"fasttrack/internal/telemetry"
 	"fasttrack/internal/viz"
 )
 
@@ -60,37 +59,32 @@ func main() {
 	work.Apply(&opts)
 	eng.Apply(&opts)
 	flt.Apply(&opts)
-	sinks, err := telem.Build(topo.N, topo.N)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftsim: %v\n", err)
-		os.Exit(1)
-	}
-	ops, err := mon.Build(topo.N, topo.N, nil)
+	ops, err := cliflags.BuildOps(telem, mon, topo.N, topo.N, nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ftsim: %v\n", err)
 		os.Exit(1)
 	}
 	ops.Log = logger
-	opts.Observer = telemetry.Multi(sinks.Observer, ops.Observer)
+	opts.Observer = ops.Observer
 
 	ctx := context.Background()
 	res, err := core.RunSynthetic(ctx, cfg, opts)
+	// A tripped watchdog or invariant check is exactly what the flight
+	// recorder exists for: dump the forensic report before exiting.
+	var inv *sim.InvariantError
+	if errors.As(err, &inv) {
+		ops.DumpFlight(ctx, 10)
+	}
 	if err != nil {
-		// A tripped watchdog or invariant check is exactly what the flight
-		// recorder exists for: dump the forensic report before exiting.
-		var inv *sim.InvariantError
-		if errors.As(err, &inv) {
-			ops.DumpFlight(ctx, 10)
-		}
 		fmt.Fprintf(os.Stderr, "ftsim: %v\n", err)
+	}
+	// The stack closes on the error path too: a failed run is the one its
+	// trace and reports exist for.
+	if cerr := ops.Close(); cerr != nil {
+		fmt.Fprintf(os.Stderr, "ftsim: telemetry: %v\n", cerr)
 		os.Exit(1)
 	}
-	if err := sinks.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "ftsim: telemetry: %v\n", err)
-		os.Exit(1)
-	}
-	if err := ops.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "ftsim: monitor: %v\n", err)
+	if err != nil {
 		os.Exit(1)
 	}
 

@@ -29,7 +29,6 @@ import (
 	"fasttrack/internal/cliflags"
 	"fasttrack/internal/core"
 	"fasttrack/internal/sim"
-	"fasttrack/internal/telemetry"
 	"fasttrack/internal/trace"
 	"fasttrack/internal/workloads/dataflow"
 	"fasttrack/internal/workloads/graphwl"
@@ -204,33 +203,30 @@ func replayTrace(src trace.Source, nocKind string, n, d, r int, eng *cliflags.En
 	if nocKind == "ft" {
 		cfg = core.FastTrack(n, d, r)
 	}
-	sinks, err := telem.Build(n, n)
-	if err != nil {
-		fatal(err)
-	}
-	ops, err := mon.Build(n, n, nil)
+	ops, err := cliflags.BuildOps(telem, mon, n, n, nil)
 	if err != nil {
 		fatal(err)
 	}
 	ops.Log = logger
-	obs := telemetry.Multi(sinks.Observer, ops.Observer)
-	topts := core.TraceOptions{Observer: obs}
+	topts := core.TraceOptions{Observer: ops.Observer}
 	eng.ApplyTrace(&topts)
 	rep.Apply(&topts)
 	ctx := context.Background()
 	res, err := core.RunTrace(ctx, cfg, src, topts)
+	var inv *sim.InvariantError
+	if errors.As(err, &inv) {
+		ops.DumpFlight(ctx, 10)
+	}
 	if err != nil {
-		var inv *sim.InvariantError
-		if errors.As(err, &inv) {
-			ops.DumpFlight(ctx, 10)
-		}
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "fttrace:", err)
 	}
-	if err := sinks.Close(); err != nil {
-		fatal(err)
+	// The stack closes on the error path too: a failed replay is the one its
+	// trace and reports exist for.
+	if cerr := ops.Close(); cerr != nil {
+		fatal(cerr)
 	}
-	if err := ops.Close(); err != nil {
-		fatal(err)
+	if err != nil {
+		os.Exit(1)
 	}
 	hdr := src.Header()
 	fmt.Printf("%s on %s: %d cycles, %d messages, avg latency %.1f, worst %d\n",

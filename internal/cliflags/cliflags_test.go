@@ -108,7 +108,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 	var opts core.SyntheticOptions
 	work.Apply(&opts)
-	sinks, err := telem.Build(topo.N, topo.N)
+	sinks, err := cliflags.BuildOps(telem, nil, topo.N, topo.N, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestTelemetryDisabled(t *testing.T) {
 	if telem.Enabled() {
 		t.Fatal("Enabled() true with no flags")
 	}
-	sinks, err := telem.Build(8, 8)
+	sinks, err := cliflags.BuildOps(telem, nil, 8, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

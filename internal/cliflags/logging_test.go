@@ -47,7 +47,7 @@ func TestLoggingFlags(t *testing.T) {
 func TestDumpFlightRouting(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "flight.txt")
 	m := &Monitor{FlightRecorder: 4, FlightOut: out}
-	ops, err := m.Build(4, 4, nil)
+	ops, err := BuildOps(nil, m, 4, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 
@@ -35,64 +36,117 @@ func RegisterMonitor(fs *flag.FlagSet) *Monitor {
 	return m
 }
 
-// Enabled reports whether any monitoring was requested.
-func (m *Monitor) Enabled() bool {
-	return m.HTTP != "" || m.FlightRecorder > 0 || m.SpanTrace != ""
-}
-
-// Ops is the live-monitoring stack built from the Monitor flags: attach
-// Observer to the run (nil when neither -http nor -flight-recorder was set),
-// then Close once the run finishes to write the span trace and stop the
-// server. Sweep tools that never see a network pass w, h = 0 and get the
-// runner/span side only.
+// Ops is the observer stack built from the Telemetry and Monitor flag
+// groups: attach Observer to the run, then Close once the run finishes —
+// failed or not — to write the reports, terminate the trace streams and stop
+// the server.
 type Ops struct {
-	// Observer fans out to the collector and flight recorder; nil when
-	// neither is enabled, costing the run nothing.
+	// Observer fans out to every enabled observer: packet tracer, link
+	// stats, windowed metrics, live collector, flight recorder. nil when no
+	// flag asked for one, costing the run nothing.
 	Observer telemetry.Observer
-	// Collector and Flight are the enabled instruments (nil when off).
-	Collector *monitor.Collector
-	Flight    *monitor.FlightRecorder
-	// Server is the running ops server, nil without -http.
-	Server *monitor.Server
 	// Log receives the flight-recorder forensics record (DumpFlight);
 	// nil falls back to slog.Default().
 	Log *slog.Logger
 
+	tracer    *telemetry.Tracer
+	link      *telemetry.LinkStats
+	metrics   *telemetry.Metrics
+	collector *monitor.Collector
+	flight    *monitor.FlightRecorder
+	server    *monitor.Server
 	spans     *runner.SpanLog
-	spanPath  string
-	flightOut string
+	files     []*os.File
+
+	linkPath, metricsPath, spanPath, flightOut string
 }
 
-// Build starts the monitoring stack for a w×h run. orch, when non-nil, is
+// BuildOps opens the observer stack the flags ask for, for a w×h run.
+// Either group may be nil: the sweep tools register no Telemetry group and
+// pass w, h = 0, getting the runner/span side only. orch, when non-nil, is
 // exported on /metrics and receives the span log when -span-trace is set.
-// Sweep tools pass w, h = 0 (no per-network collector).
-func (m *Monitor) Build(w, h int, orch *runner.Orchestrator) (*Ops, error) {
-	ops := &Ops{}
-	if m.HTTP != "" && w > 0 && h > 0 {
-		ops.Collector = monitor.NewCollector(w, h)
+// On error, every file already opened is closed.
+func BuildOps(t *Telemetry, m *Monitor, w, h int, orch *runner.Orchestrator) (*Ops, error) {
+	if t == nil {
+		t = &Telemetry{}
 	}
-	if m.FlightRecorder > 0 {
-		ops.Flight = monitor.NewFlightRecorder(m.FlightRecorder, w)
-		ops.flightOut = m.FlightOut
+	if m == nil {
+		m = &Monitor{}
 	}
-	if m.SpanTrace != "" && orch != nil {
-		ops.spans = runner.NewSpanLog()
-		orch.Spans = ops.spans
-		ops.spanPath = m.SpanTrace
+	o := &Ops{}
+	fail := func(err error) (*Ops, error) {
+		for _, f := range o.files {
+			f.Close()
+		}
+		return nil, err
 	}
-	ops.Observer = telemetry.Multi(asObserver(ops.Collector), asObserver(ops.Flight))
-	if m.HTTP != "" {
-		srv, err := monitor.StartServer(m.HTTP, monitor.ServerOptions{
-			Collector: ops.Collector, Flight: ops.Flight, Runner: orch,
-			Log: slog.Default(),
-		})
+	open := func(path string) (io.Writer, error) {
+		if path == "" {
+			return nil, nil
+		}
+		f, err := os.Create(path)
 		if err != nil {
 			return nil, err
 		}
-		ops.Server = srv
+		o.files = append(o.files, f)
+		return f, nil
+	}
+	chrome, err := open(t.TraceOut)
+	if err != nil {
+		return fail(err)
+	}
+	jsonl, err := open(t.TraceJSONL)
+	if err != nil {
+		return fail(err)
+	}
+	if chrome != nil || jsonl != nil {
+		o.tracer = telemetry.NewTracer(telemetry.TracerOptions{
+			Sample: t.TraceSample, JSONL: jsonl, Chrome: chrome, Width: w,
+		})
+	}
+	if t.LinkStats != "" {
+		o.link, o.linkPath = telemetry.NewLinkStats(w, h), t.LinkStats
+	}
+	if t.MetricsOut != "" {
+		o.metrics, o.metricsPath = telemetry.NewMetrics(t.MetricsWindow, w*h), t.MetricsOut
+	}
+	if m.HTTP != "" && w > 0 && h > 0 {
+		o.collector = monitor.NewCollector(w, h)
+	}
+	if m.FlightRecorder > 0 {
+		o.flight, o.flightOut = monitor.NewFlightRecorder(m.FlightRecorder, w), m.FlightOut
+	}
+	if m.SpanTrace != "" && orch != nil {
+		o.spans, o.spanPath = runner.NewSpanLog(), m.SpanTrace
+		orch.Spans = o.spans
+	}
+	o.Observer = telemetry.Multi(asObserver(o.tracer), asObserver(o.link), asObserver(o.metrics),
+		asObserver(o.collector), asObserver(o.flight))
+	if m.HTTP != "" {
+		srv, err := monitor.StartServer(m.HTTP, monitor.ServerOptions{
+			Collector: o.collector, Flight: o.flight, Runner: orch,
+			Log: slog.Default(),
+		})
+		if err != nil {
+			return fail(err)
+		}
+		o.server = srv
 		fmt.Fprintf(os.Stderr, "monitor: live on http://%s (/metrics, /live, /debug/pprof)\n", srv.Addr())
 	}
-	return ops, nil
+	return o, nil
+}
+
+// asObserver converts a possibly-nil concrete observer pointer into a
+// possibly-nil interface (a nil *T in a non-nil interface would defeat
+// Multi's nil filtering).
+func asObserver[T any, PT interface {
+	*T
+	telemetry.Observer
+}](p PT) telemetry.Observer {
+	if p == nil {
+		return nil
+	}
+	return p
 }
 
 // DumpFlight emits the flight recorder's forensic report (the k worst
@@ -103,11 +157,11 @@ func (m *Monitor) Build(w, h int, orch *runner.Orchestrator) (*Ops, error) {
 // process keeps its forensics even when the log pipeline escapes newlines
 // or drops the record — and the log carries the path instead of the body.
 func (o *Ops) DumpFlight(ctx context.Context, k int) {
-	if o.Flight == nil {
+	if o.flight == nil {
 		return
 	}
 	var buf bytes.Buffer
-	o.Flight.WriteReport(&buf, k)
+	o.flight.WriteReport(&buf, k)
 	log := obs.LoggerWith(ctx, o.Log)
 	if o.flightOut != "" {
 		if err := os.WriteFile(o.flightOut, buf.Bytes(), 0o644); err != nil {
@@ -121,30 +175,53 @@ func (o *Ops) DumpFlight(ctx context.Context, k int) {
 	log.Error("flight forensics", "worst", k, "report", buf.String())
 }
 
-// Close finalizes the stack: the collector is marked done (the /live page
-// shows "run finished"), the span trace is written, and the server stops.
-// It returns the first error encountered.
+// Close finalizes the stack, in order: the metrics tail window is flushed
+// and both CSV reports are written, the trace streams are terminated and
+// their files closed, the collector is marked done (the /live page shows
+// "run finished"), the span trace is written and the server stops. It
+// returns the first error encountered.
 func (o *Ops) Close() error {
-	if o.Collector != nil {
-		o.Collector.MarkDone()
-	}
 	var first error
 	keep := func(err error) {
-		if first == nil && err != nil {
+		if first == nil {
 			first = err
 		}
 	}
-	if o.spans != nil && o.spanPath != "" {
-		f, err := os.Create(o.spanPath)
-		if err != nil {
-			keep(err)
-		} else {
-			keep(o.spans.WriteChrome(f))
-			keep(f.Close())
-		}
+	if o.metrics != nil {
+		o.metrics.Finish()
+		keep(writeFile(o.metricsPath, o.metrics.WriteCSV))
 	}
-	if o.Server != nil {
-		keep(o.Server.Close())
+	if o.link != nil {
+		keep(writeFile(o.linkPath, o.link.WriteCSV))
+	}
+	if o.tracer != nil {
+		keep(o.tracer.Close())
+	}
+	for _, f := range o.files {
+		keep(f.Close())
+	}
+	o.files = nil
+	if o.collector != nil {
+		o.collector.MarkDone()
+	}
+	if o.spans != nil {
+		keep(writeFile(o.spanPath, o.spans.WriteChrome))
+	}
+	if o.server != nil {
+		keep(o.server.Close())
 	}
 	return first
+}
+
+// writeFile creates path, writes one report into it and closes it.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

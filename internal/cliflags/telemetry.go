@@ -1,15 +1,10 @@
 package cliflags
 
-import (
-	"flag"
-	"io"
-	"os"
-
-	"fasttrack/internal/telemetry"
-)
+import "flag"
 
 // Telemetry is the observability flag group (-trace-out, -trace-jsonl,
-// -trace-sample, -link-stats, -metrics-out, -metrics-window).
+// -trace-sample, -link-stats, -metrics-out, -metrics-window). BuildOps turns
+// it, together with the Monitor group, into one observer stack.
 type Telemetry struct {
 	TraceOut      string
 	TraceJSONL    string
@@ -34,116 +29,4 @@ func RegisterTelemetry(fs *flag.FlagSet) *Telemetry {
 // Enabled reports whether any telemetry output was requested.
 func (t *Telemetry) Enabled() bool {
 	return t.TraceOut != "" || t.TraceJSONL != "" || t.LinkStats != "" || t.MetricsOut != ""
-}
-
-// Sinks is the set of observers built from the telemetry flags, plus the
-// files they stream to. Attach Observer to the run (it is nil when no
-// telemetry flag was set), then Close once the run finishes to flush
-// buffered trace output and write the CSV reports.
-type Sinks struct {
-	// Observer fans out to every enabled observer; nil when none.
-	Observer telemetry.Observer
-	// Tracer, Link and Metrics are the enabled observers (nil when off).
-	Tracer  *telemetry.Tracer
-	Link    *telemetry.LinkStats
-	Metrics *telemetry.Metrics
-
-	linkPath, metricsPath string
-	files                 []*os.File
-}
-
-// Build opens the requested sinks for a w×h network and composes the
-// observer. On error, any files already opened are closed.
-func (t *Telemetry) Build(w, h int) (*Sinks, error) {
-	s := &Sinks{}
-	open := func(path string) (io.Writer, error) {
-		f, err := os.Create(path)
-		if err != nil {
-			for _, g := range s.files {
-				g.Close()
-			}
-			return nil, err
-		}
-		s.files = append(s.files, f)
-		return f, nil
-	}
-	if t.TraceOut != "" || t.TraceJSONL != "" {
-		var chrome, jsonl io.Writer
-		var err error
-		if t.TraceOut != "" {
-			if chrome, err = open(t.TraceOut); err != nil {
-				return nil, err
-			}
-		}
-		if t.TraceJSONL != "" {
-			if jsonl, err = open(t.TraceJSONL); err != nil {
-				return nil, err
-			}
-		}
-		s.Tracer = telemetry.NewTracer(telemetry.TracerOptions{
-			Sample: t.TraceSample, JSONL: jsonl, Chrome: chrome, Width: w,
-		})
-	}
-	if t.LinkStats != "" {
-		s.Link = telemetry.NewLinkStats(w, h)
-		s.linkPath = t.LinkStats
-	}
-	if t.MetricsOut != "" {
-		s.Metrics = telemetry.NewMetrics(t.MetricsWindow, w*h)
-		s.metricsPath = t.MetricsOut
-	}
-	s.Observer = telemetry.Multi(asObserver(s.Tracer), asObserver(s.Link), asObserver(s.Metrics))
-	return s, nil
-}
-
-// asObserver converts a possibly-nil concrete observer pointer into a
-// possibly-nil interface (a nil *T in a non-nil interface would defeat
-// Multi's nil filtering).
-func asObserver[T any, PT interface {
-	*T
-	telemetry.Observer
-}](p PT) telemetry.Observer {
-	if p == nil {
-		return nil
-	}
-	return p
-}
-
-// Close finalizes every sink: the metrics tail window is flushed and both
-// CSV reports are written, then the trace streams are terminated and all
-// files closed. It returns the first error encountered.
-func (s *Sinks) Close() error {
-	var first error
-	keep := func(err error) {
-		if first == nil && err != nil {
-			first = err
-		}
-	}
-	if s.Metrics != nil {
-		s.Metrics.Finish()
-		f, err := os.Create(s.metricsPath)
-		if err != nil {
-			keep(err)
-		} else {
-			keep(s.Metrics.WriteCSV(f))
-			keep(f.Close())
-		}
-	}
-	if s.Link != nil {
-		f, err := os.Create(s.linkPath)
-		if err != nil {
-			keep(err)
-		} else {
-			keep(s.Link.WriteCSV(f))
-			keep(f.Close())
-		}
-	}
-	if s.Tracer != nil {
-		keep(s.Tracer.Close())
-	}
-	for _, f := range s.files {
-		keep(f.Close())
-	}
-	s.files = nil
-	return first
 }

@@ -39,11 +39,6 @@ type Scale struct {
 	// throughput knee whose evaluations double as curve samples, cutting
 	// the run count per curve ~2-4x (ftexp -adaptive).
 	AdaptiveRates bool
-	// ConvergeWindow and ConvergeTol arm the engine's convergence-based
-	// early exit for adaptive saturation evaluations (sim.Options). 0
-	// leaves every run on the fixed packet-quota budget.
-	ConvergeWindow int64
-	ConvergeTol    float64
 }
 
 // FullScale reproduces the paper-sized sweeps.

@@ -52,12 +52,3 @@ var sweepPool runner.NetPool
 func (s Scale) runSyntheticBatch(ctx context.Context, jobs []runner.SyntheticJob) ([]sim.Result, error) {
 	return runner.DoSyntheticBatch(ctx, s.orch(), &sweepPool, jobs)
 }
-
-// convergeOptions copies the scale's opt-in early-exit knobs into synthetic
-// run options (adaptive saturation evals use it; dense grids never do, so
-// figure output stays bit-stable unless adaptivity is requested).
-func (s Scale) convergeOptions(o core.SyntheticOptions) core.SyntheticOptions {
-	o.ConvergeWindow = s.ConvergeWindow
-	o.ConvergeTol = s.ConvergeTol
-	return o
-}

@@ -108,9 +108,9 @@ func sweepSyntheticAdaptive(sc Scale, configs []core.Config, patterns []string) 
 	err := sc.forEachParallel(len(curves), func(ctx context.Context, i int) error {
 		c := curves[i]
 		sat, err := runner.SaturationSearch(func(rate float64) (sim.Result, error) {
-			return sc.runSynthetic(ctx, c.cfg, sc.convergeOptions(core.SyntheticOptions{
+			return sc.runSynthetic(ctx, c.cfg, core.SyntheticOptions{
 				Pattern: c.pat, Rate: rate, PacketsPerPE: sc.Quota, Seed: sc.Seed,
-			}))
+			})
 		}, runner.SaturationOptions{Hi: hi, Probes: probes})
 		if err != nil {
 			return fmt.Errorf("%s/%s: %w", c.cfg, c.pat, err)

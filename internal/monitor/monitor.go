@@ -75,10 +75,6 @@ type Collector struct {
 	done atomic.Bool
 }
 
-// collectorHistogramMax matches the engine's default latency histogram
-// bound so quantiles agree with sim.Result.
-const collectorHistogramMax = 1 << 20
-
 // NewCollector returns a Collector for a w×h network.
 func NewCollector(w, h int) *Collector {
 	if w < 1 {
@@ -92,7 +88,7 @@ func NewCollector(w, h int) *Collector {
 		w: w, h: h,
 		linkLocal:   make([]atomic.Int64, n),
 		linkExpress: make([]atomic.Int64, n),
-		hist:        stats.NewLatencyHistogram(collectorHistogramMax),
+		hist:        stats.NewLatencyHistogram(stats.DefaultHistogramMax),
 	}
 }
 

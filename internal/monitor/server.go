@@ -168,6 +168,19 @@ func (p *PromWriter) Gauge(name, help string, v float64) {
 	p.Sample(name, "", v)
 }
 
+// StageHist writes one stage-latency histogram (base_seconds) plus its
+// p50/p99 summary gauges as separate families (base_p50_seconds —
+// Prometheus reserves the histogram's own _bucket/_sum/_count suffixes).
+// Quantiles resolve to bucket upper bounds under the repo-wide ceil-rank
+// convention.
+func (p *PromWriter) StageHist(base, help string, s obs.HistSnapshot) {
+	p.Histogram(base+"_seconds", help, s)
+	p.Gauge(base+"_p50_seconds", "Ceil-rank median of "+base+"_seconds, as a bucket upper bound.",
+		s.Quantile(0.5).Seconds())
+	p.Gauge(base+"_p99_seconds", "Ceil-rank 99th percentile of "+base+"_seconds, as a bucket upper bound.",
+		s.Quantile(0.99).Seconds())
+}
+
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	p := NewPromWriter(w)
@@ -230,22 +243,9 @@ func WriteRunnerMetrics(p *PromWriter, s runner.Snapshot) {
 	p.Gauge("fasttrack_runner_jobs_pending", "Jobs admitted to a batch but not yet started.", float64(s.Pending))
 	p.Gauge("fasttrack_runner_workers", "Worker pool size.", float64(s.Workers))
 
-	p.Histogram("fasttrack_runner_job_simulated_seconds",
+	p.StageHist("fasttrack_runner_job_simulated",
 		"Per-job wall clock of fresh simulations (batched chunks split evenly).", s.HistSimulated)
-	p.Gauge("fasttrack_runner_job_simulated_p50_seconds",
-		"Ceil-rank median of fresh-simulation job duration, as a bucket upper bound.",
-		s.HistSimulated.Quantile(0.5).Seconds())
-	p.Gauge("fasttrack_runner_job_simulated_p99_seconds",
-		"Ceil-rank 99th percentile of fresh-simulation job duration, as a bucket upper bound.",
-		s.HistSimulated.Quantile(0.99).Seconds())
-	p.Histogram("fasttrack_runner_job_cached_seconds",
-		"Per-job cache-hit lookup latency.", s.HistCacheHit)
-	p.Gauge("fasttrack_runner_job_cached_p50_seconds",
-		"Ceil-rank median of cache-hit lookup latency, as a bucket upper bound.",
-		s.HistCacheHit.Quantile(0.5).Seconds())
-	p.Gauge("fasttrack_runner_job_cached_p99_seconds",
-		"Ceil-rank 99th percentile of cache-hit lookup latency, as a bucket upper bound.",
-		s.HistCacheHit.Quantile(0.99).Seconds())
+	p.StageHist("fasttrack_runner_job_cached", "Per-job cache-hit lookup latency.", s.HistCacheHit)
 }
 
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
@@ -311,33 +311,11 @@ func makeLiveEvent(prev, cur Snapshot) liveEvent {
 }
 
 // sseBufFrames bounds each /live/stream client's frame buffer: a consumer
-// slower than the snapshot producer loses the oldest frames, never the
-// producer's liveness (each frame is a self-contained cumulative snapshot,
-// so dropping intermediates only lowers that client's refresh rate).
+// slower than the snapshot producer loses the oldest frames (obs.OfferFrame),
+// never the producer's liveness (each frame is a self-contained cumulative
+// snapshot, so dropping intermediates only lowers that client's refresh
+// rate).
 const sseBufFrames = 8
-
-// offerFrame enqueues b without ever blocking: when the buffer is full the
-// oldest frame is discarded (counted in dropped) to make room. The channel
-// must have a single producer (this function's caller).
-func offerFrame(frames chan []byte, b []byte, dropped *atomic.Int64) {
-	select {
-	case frames <- b:
-		return
-	default:
-	}
-	select {
-	case <-frames:
-		dropped.Add(1)
-	default:
-	}
-	select {
-	case frames <- b:
-	default:
-		// A racing consumer refilled the buffer; losing the new frame is as
-		// acceptable as losing the oldest.
-		dropped.Add(1)
-	}
-}
 
 // SSEDropped reports how many /live/stream frames were discarded because a
 // client fell behind (drop-oldest backpressure).
@@ -379,7 +357,7 @@ func (s *Server) handleLiveStream(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return
 			}
-			offerFrame(frames, b, &s.sseDropped)
+			obs.OfferFrame(frames, b, &s.sseDropped)
 		}
 		emit()
 		for {

@@ -3,6 +3,8 @@ package obs
 import (
 	"sync/atomic"
 	"time"
+
+	"fasttrack/internal/stats"
 )
 
 // The stage-latency histograms share one fixed bucket geometry, spanning
@@ -90,21 +92,15 @@ func (h *DurationHist) Snapshot() HistSnapshot {
 // comparison perform the identical rounding.
 func (s HistSnapshot) SumSeconds() float64 { return float64(s.SumNS) / 1e9 }
 
-// Quantile returns the ceil-rank q-quantile as a bucket upper bound (the
-// repo-wide quantile convention): the smallest bound whose cumulative count
-// reaches ceil(q*Count). Samples in the overflow bucket report the largest
-// finite bound — the histogram cannot resolve beyond it.
+// Quantile returns the ceil-rank q-quantile (stats.CeilRank, the repo-wide
+// quantile definition) as a bucket upper bound: the smallest bound whose
+// cumulative count reaches that rank. Samples in the overflow bucket report
+// the largest finite bound — the histogram cannot resolve beyond it.
 func (s HistSnapshot) Quantile(q float64) time.Duration {
 	if s.Count == 0 {
 		return 0
 	}
-	rank := int64(float64(s.Count) * q)
-	if float64(rank) < float64(s.Count)*q {
-		rank++
-	}
-	if rank < 1 {
-		rank = 1
-	}
+	rank := stats.CeilRank(q, s.Count)
 	var cum int64
 	for i := 0; i < numHistBuckets; i++ {
 		cum += s.Counts[i]

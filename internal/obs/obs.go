@@ -2,14 +2,16 @@
 // serving stack (internal/serve), the sweep orchestrator (internal/runner)
 // and the core run entry points: trace IDs that follow one job across every
 // layer, per-job stage span recording with Perfetto export, fixed-bucket
-// duration histograms for the /metrics stage-latency families, and log/slog
-// construction for the CLIs.
+// duration histograms for the /metrics stage-latency families, the Chrome
+// trace-event writer every Perfetto export shares, the drop-oldest rule of
+// every SSE stream, and log/slog construction for the CLIs.
 //
 // The paper's evaluation discipline — measure where cycles go, and bound the
 // measurement's own overhead — applies to the serving layer too: everything
-// here is allocation-light, lock-narrow, and strictly off the cycle loop
-// (the engine's telemetry.Observer path is untouched). A request without a
-// trace attached pays one context lookup per run, nothing more.
+// here is allocation-light, lock-narrow, and off the cycle loop unless a run
+// attaches the packet tracer, which streams through the trace-event writer.
+// A request without a trace attached pays one context lookup per run,
+// nothing more.
 package obs
 
 import (
@@ -20,6 +22,7 @@ import (
 	"io"
 	"log/slog"
 	"strings"
+	"sync/atomic"
 )
 
 // NewTraceID returns a fresh 32-hex-char trace identifier.
@@ -140,5 +143,32 @@ func NewLogger(w io.Writer, format, level string) (*slog.Logger, error) {
 		return slog.New(slog.NewJSONHandler(w, opts)), nil
 	default:
 		return nil, fmt.Errorf("obs: unknown log format %q (text|json)", format)
+	}
+}
+
+// OfferFrame enqueues frame on a subscriber's bounded buffer without ever
+// blocking: when the buffer is full the oldest frame is discarded to make
+// room, and each lost frame is counted in dropped. It is the backpressure
+// rule of every SSE stream (the ops server's /live/stream and ftserve's job
+// streams): a slow client loses intermediate frames, never the producer's
+// liveness. ch must have one producer at a time, and a send must not race
+// its close.
+func OfferFrame(ch chan []byte, frame []byte, dropped *atomic.Int64) {
+	select {
+	case ch <- frame:
+		return
+	default:
+	}
+	select {
+	case <-ch:
+		dropped.Add(1)
+	default:
+	}
+	select {
+	case ch <- frame:
+	default:
+		// The freed slot was taken after all; losing the new frame is as
+		// acceptable as losing the oldest.
+		dropped.Add(1)
 	}
 }

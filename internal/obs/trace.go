@@ -1,18 +1,16 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
-	"io"
 	"sync"
 	"time"
 )
 
-// Span is one finished stage of a job's lifecycle. Durations are stored as
-// the two wall-clock instants; DurNS is what the metrics layer and the wire
-// forms expose, so a span and the histogram sample recorded from it carry
-// the identical nanosecond count (the exactness the reconciliation tests
-// assert).
+// Span is one finished interval: a stage of a job's lifecycle here, and the
+// interval of every sweep job (runner.Span embeds it). Durations are stored
+// as the two wall-clock instants; DurNS is what the metrics layer and the
+// wire forms expose, so a span and the histogram sample recorded from it
+// carry the identical nanosecond count (the exactness the reconciliation
+// tests assert).
 type Span struct {
 	Name       string
 	Start, End time.Time
@@ -165,116 +163,4 @@ func (t *JobTrace) Export() Export {
 	}
 	t.mu.Unlock()
 	return ex
-}
-
-// chromeEvent mirrors the Chrome trace-event shape the packet tracer and
-// sweep span log already emit, so one Perfetto session can load all three
-// layers (pid 1 packets, pid 2 sweep workers, pid 3 job lifecycle).
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	TS   int64          `json:"ts"`
-	Dur  int64          `json:"dur,omitempty"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// jobPID keeps job-lifecycle tracks apart from the packet tracer (pid 1)
-// and the sweep span log (pid 2) in a merged Perfetto view.
-const jobPID = 3
-
-// Track IDs inside the job process: lifecycle stages on one lane, SSE
-// subscriber streams on another so their overlap with `run` stays readable.
-const (
-	tidLifecycle = 1
-	tidSSE       = 2
-)
-
-// WriteChrome exports the trace as Chrome trace-event JSON
-// ({"traceEvents":[...]}, ts/dur in microseconds since trace creation),
-// loadable in Perfetto or chrome://tracing. Every slice carries the
-// trace_id and the exact dur_ns in its args.
-func (t *JobTrace) WriteChrome(w io.Writer) error {
-	t.mu.Lock()
-	spans := append([]Span(nil), t.spans...)
-	traceID, jobID, start := t.traceID, t.jobID, t.start
-	t.mu.Unlock()
-
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(`{"traceEvents":[`); err != nil {
-		return err
-	}
-	first := true
-	emit := func(ev chromeEvent) error {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if !first {
-			if err := bw.WriteByte(','); err != nil {
-				return err
-			}
-		}
-		first = false
-		_, err = bw.Write(b)
-		return err
-	}
-
-	name := "ftserve job"
-	if jobID != "" {
-		name = "ftserve job " + jobID
-	}
-	if err := emit(chromeEvent{
-		Name: "process_name", Ph: "M", PID: jobPID,
-		Args: map[string]any{"name": name},
-	}); err != nil {
-		return err
-	}
-	for _, lane := range []struct {
-		tid  int
-		name string
-	}{{tidLifecycle, "lifecycle"}, {tidSSE, "sse"}} {
-		if err := emit(chromeEvent{
-			Name: "thread_name", Ph: "M", PID: jobPID, TID: lane.tid,
-			Args: map[string]any{"name": lane.name},
-		}); err != nil {
-			return err
-		}
-	}
-	for _, s := range spans {
-		tid := tidLifecycle
-		if s.Name == "sse_stream" {
-			tid = tidSSE
-		}
-		args := map[string]any{"trace_id": traceID, "dur_ns": int64(s.Dur())}
-		if jobID != "" {
-			args["job_id"] = jobID
-		}
-		for k, v := range s.Attrs {
-			args[k] = v
-		}
-		ev := chromeEvent{
-			Name: s.Name, Cat: "job", PID: jobPID, TID: tid,
-			TS: s.Start.Sub(start).Microseconds(), Args: args,
-		}
-		if d := s.Dur(); d > 0 {
-			ev.Ph = "X"
-			ev.Dur = d.Microseconds()
-			if ev.Dur < 1 {
-				ev.Dur = 1 // zero-width slices are invisible in Perfetto
-			}
-		} else {
-			ev.Ph, ev.S = "i", "p" // instant event, process-scoped
-		}
-		if err := emit(ev); err != nil {
-			return err
-		}
-	}
-	if _, err := bw.WriteString("]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
 }

@@ -1,22 +1,25 @@
 // Sweep span tracing: every job an Orchestrator schedules can be recorded
 // as a span (queued → running → done, with worker id, cache-hit flag and
-// cache key) and exported in the same Chrome trace-event JSON dialect the
-// packet tracer writes, so one Perfetto timeline shows workers, cache hits
-// and bisection steps of a whole sweep.
+// cache key) and exported as Chrome trace-event JSON through obs's one
+// writer, so one Perfetto timeline shows workers, cache hits and bisection
+// steps of a whole sweep beside the packet tracer's output.
 package runner
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
+
+	"fasttrack/internal/obs"
 )
 
-// Span is one scheduled job's timeline entry.
+// Span is one scheduled job's timeline entry. The embedded obs.Span holds
+// its running interval: Start and End are the job's start and completion.
 type Span struct {
+	obs.Span
 	// Index is the job's ForEach index; Worker is the pool slot it ran on.
 	Index  int
 	Worker int
@@ -25,9 +28,8 @@ type Span struct {
 	// sweep runs under an ftserve job; empty for CLI sweeps.
 	TraceID string
 	JobID   string
-	// Queued, Start and End are wall-clock instants: batch submission, job
-	// start, job completion.
-	Queued, Start, End time.Time
+	// Queued is the batch's submission instant.
+	Queued time.Time
 	// CacheHit reports the job was answered from the result cache (set by
 	// Do when the job's computation never ran).
 	CacheHit bool
@@ -77,64 +79,28 @@ func spanFrom(ctx context.Context) *Span {
 	return s
 }
 
-// chromeSpanEvent mirrors telemetry's Chrome trace-event shape for complete
-// ("X") and metadata ("M") events.
-type chromeSpanEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	TS   int64          `json:"ts"`
-	Dur  int64          `json:"dur,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 // spanPID separates sweep-job tracks from the packet tracer's pid 1, so a
 // merged Perfetto view keeps the two layers apart.
 const spanPID = 2
 
-// WriteChrome exports the log as Chrome trace-event JSON
-// ({"traceEvents":[...]}, ts/dur in microseconds since log creation), one
-// track per worker, loadable in Perfetto or chrome://tracing alongside the
-// packet tracer's output.
+// WriteChrome exports the log as Chrome trace-event JSON (ts/dur in
+// microseconds since log creation): one lane per worker in ascending worker
+// order, then one slice per job in completion order, loadable in Perfetto or
+// chrome://tracing alongside the packet tracer's output.
 func (l *SpanLog) WriteChrome(w io.Writer) error {
 	l.mu.Lock()
 	spans := append([]Span(nil), l.spans...)
 	start := l.start
 	l.mu.Unlock()
 
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(`{"traceEvents":[`); err != nil {
-		return err
+	tw := obs.NewTraceWriter(w)
+	workers := make([]int, len(spans))
+	for i, s := range spans {
+		workers[i] = s.Worker
 	}
-	first := true
-	emit := func(ev chromeSpanEvent) error {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if !first {
-			if err := bw.WriteByte(','); err != nil {
-				return err
-			}
-		}
-		first = false
-		_, err = bw.Write(b)
-		return err
-	}
-
-	workers := map[int]bool{}
-	for _, s := range spans {
-		workers[s.Worker] = true
-	}
-	for wid := range workers {
-		if err := emit(chromeSpanEvent{
-			Name: "thread_name", Ph: "M", PID: spanPID, TID: wid,
-			Args: map[string]any{"name": fmt.Sprintf("worker %d", wid)},
-		}); err != nil {
-			return err
-		}
+	slices.Sort(workers)
+	for _, wid := range slices.Compact(workers) {
+		tw.Emit(obs.Metadata("thread_name", spanPID, wid, fmt.Sprintf("worker %d", wid)))
 	}
 	for _, s := range spans {
 		args := map[string]any{
@@ -154,23 +120,12 @@ func (l *SpanLog) WriteChrome(w io.Writer) error {
 		if s.Err != "" {
 			args["error"] = s.Err
 		}
-		name := fmt.Sprintf("job %d", s.Index)
+		job := s.Span
+		job.Name = fmt.Sprintf("job %d", s.Index)
 		if s.CacheHit {
-			name = fmt.Sprintf("job %d (cached)", s.Index)
+			job.Name += " (cached)"
 		}
-		dur := s.End.Sub(s.Start).Microseconds()
-		if dur < 1 {
-			dur = 1 // zero-width slices are invisible in Perfetto
-		}
-		if err := emit(chromeSpanEvent{
-			Name: name, Cat: "sweep", Ph: "X", PID: spanPID, TID: s.Worker,
-			TS: s.Start.Sub(start).Microseconds(), Dur: dur, Args: args,
-		}); err != nil {
-			return err
-		}
+		tw.Emit(job.Event(start, spanPID, s.Worker, "sweep", args))
 	}
-	if _, err := bw.WriteString("]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return tw.Close()
 }

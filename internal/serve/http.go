@@ -167,7 +167,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStream serves the job's SSE feed. Backpressure discipline: frames
-// arrive through a bounded drop-oldest buffer (see Job.offer) and every
+// arrive through a bounded drop-oldest buffer (obs.OfferFrame) and every
 // write carries a deadline, so a stalled consumer can neither wedge a
 // worker nor hold this handler's goroutine past the timeout.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {

@@ -89,7 +89,8 @@ type Status struct {
 
 // Job is one admitted request. All mutable state sits behind mu; SSE
 // subscribers receive frames through bounded buffered channels that are
-// only sent to and closed under mu (drop-oldest, never blocking).
+// only sent to and closed under mu (obs.OfferFrame: drop-oldest, never
+// blocking).
 type Job struct {
 	ID   string
 	Spec *cliflags.JobSpec
@@ -189,33 +190,12 @@ func sseFrame(event string, payload any) []byte {
 	return []byte("event: " + event + "\ndata: " + string(b) + "\n\n")
 }
 
-// offer enqueues a frame on a subscriber without blocking: a full buffer
-// loses its oldest frame (counted fleet-wide). Callers hold j.mu, so sends
-// never race the close in finish/unsubscribe.
-func (j *Job) offer(ch chan []byte, b []byte) {
-	select {
-	case ch <- b:
-		return
-	default:
-	}
-	select {
-	case <-ch:
-		j.srv.c.sseDropped.Add(1)
-	default:
-	}
-	select {
-	case ch <- b:
-	default:
-		j.srv.c.sseDropped.Add(1)
-	}
-}
-
 // publish fans an event frame out to every subscriber.
 func (j *Job) publish(event string, payload any) {
 	b := sseFrame(event, payload)
 	j.mu.Lock()
 	for ch := range j.subs {
-		j.offer(ch, b)
+		obs.OfferFrame(ch, b, &j.srv.c.sseDropped)
 	}
 	j.mu.Unlock()
 }
@@ -258,7 +238,7 @@ func (j *Job) setRunning() {
 	j.started = time.Now()
 	frame := sseFrame("status", j.statusLocked())
 	for ch := range j.subs {
-		j.offer(ch, frame)
+		obs.OfferFrame(ch, frame, &j.srv.c.sseDropped)
 	}
 	j.mu.Unlock()
 }
@@ -277,8 +257,8 @@ func (j *Job) finish(state State, cached bool, result any, failure *Failure) {
 	j.finished = time.Now()
 	frame := sseFrame("status", j.statusLocked())
 	for ch := range j.subs {
-		j.offer(ch, traceFrame)
-		j.offer(ch, frame)
+		obs.OfferFrame(ch, traceFrame, &j.srv.c.sseDropped)
+		obs.OfferFrame(ch, frame, &j.srv.c.sseDropped)
 		close(ch)
 	}
 	j.subs = nil

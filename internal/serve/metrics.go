@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"fasttrack/internal/monitor"
-	"fasttrack/internal/obs"
 )
 
 func timeSince(t time.Time) float64 { return time.Since(t).Seconds() }
@@ -50,26 +49,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Stage-latency histograms: every sample is the exact duration of one
 	// recorded span, so each family's _sum reconciles bit-for-bit with the
 	// per-job span logs (/debug/trace) — asserted by cmd/ftload.
-	writeStageHist(p, "ftserve_queue_wait",
+	p.StageHist("ftserve_queue_wait",
 		"Time jobs spent accepted but not started.", s.histQueueWait.Snapshot())
-	writeStageHist(p, "ftserve_run",
+	p.StageHist("ftserve_run",
 		"Wall clock of the job execution stage.", s.histRun.Snapshot())
-	writeStageHist(p, "ftserve_job_e2e",
+	p.StageHist("ftserve_job_e2e",
 		"End-to-end wall clock, admission to terminal state.", s.histE2E.Snapshot())
-	writeStageHist(p, "ftserve_sse_flush",
+	p.StageHist("ftserve_sse_flush",
 		"Per-frame SSE write+flush latency.", s.histSSEFlush.Snapshot())
 
 	monitor.WriteRunnerMetrics(p, s.orch.Snapshot())
-}
-
-// writeStageHist emits one stage-latency histogram (base_seconds) plus its
-// p50/p99 summary gauges as separate families (base_p50_seconds — Prometheus
-// reserves the histogram's own _bucket/_sum/_count suffixes). Quantiles
-// resolve to bucket upper bounds under the repo-wide ceil-rank convention.
-func writeStageHist(p *monitor.PromWriter, base, help string, s obs.HistSnapshot) {
-	p.Histogram(base+"_seconds", help, s)
-	p.Gauge(base+"_p50_seconds", "Ceil-rank median of "+base+"_seconds, as a bucket upper bound.",
-		s.Quantile(0.5).Seconds())
-	p.Gauge(base+"_p99_seconds", "Ceil-rank 99th percentile of "+base+"_seconds, as a bucket upper bound.",
-		s.Quantile(0.99).Seconds())
 }

@@ -181,7 +181,7 @@ type Options struct {
 	// tripwire; 0 means a generous default.
 	StallLimit int64
 	// HistogramMax is the largest latency the histogram resolves exactly;
-	// 0 means 1<<20 cycles.
+	// 0 means stats.DefaultHistogramMax (1<<20 cycles).
 	HistogramMax int64
 	// CheckConservation audits packet conservation every cycle and checks
 	// each delivery against its injected copy (no loss, duplication,
@@ -217,7 +217,7 @@ type Options struct {
 	// ConvergeWindow, when positive, arms the opt-in early-exit stationarity
 	// test: every ConvergeWindow cycles the windowed delivery rate and mean
 	// latency are compared against the previous window, and once both change
-	// by less than ConvergeTol (relative) for ConvergePatience consecutive
+	// by less than ConvergeTol (relative) for convergePatience consecutive
 	// windows the run stops with Result.Converged set. The default (0) keeps
 	// the fixed-budget path, so golden bit-exactness is untouched. Intended
 	// for saturation-throughput measurements where steady state arrives long
@@ -225,10 +225,11 @@ type Options struct {
 	ConvergeWindow int64
 	// ConvergeTol is the relative per-window change threshold; 0 means 0.01.
 	ConvergeTol float64
-	// ConvergePatience is the number of consecutive stationary windows
-	// required before exiting; 0 means 3.
-	ConvergePatience int
 }
+
+// convergePatience is the number of consecutive stationary windows the
+// convergence early exit requires.
+const convergePatience = 3
 
 func (o Options) withDefaults() Options {
 	if o.MaxCycles == 0 {
@@ -238,15 +239,10 @@ func (o Options) withDefaults() Options {
 		o.StallLimit = 1 << 16
 	}
 	if o.HistogramMax == 0 {
-		o.HistogramMax = 1 << 20
+		o.HistogramMax = stats.DefaultHistogramMax
 	}
-	if o.ConvergeWindow > 0 {
-		if o.ConvergeTol == 0 {
-			o.ConvergeTol = 0.01
-		}
-		if o.ConvergePatience == 0 {
-			o.ConvergePatience = 3
-		}
+	if o.ConvergeWindow > 0 && o.ConvergeTol == 0 {
+		o.ConvergeTol = 0.01
 	}
 	return o
 }
@@ -272,8 +268,7 @@ func relDelta(a, b float64) float64 {
 // queueing, which grows linearly for as long as the quota lasts — a
 // flat-latency criterion would never pass there).
 type convergence struct {
-	tol      float64
-	patience int
+	tol float64
 
 	started int
 	streak  int
@@ -282,7 +277,7 @@ type convergence struct {
 }
 
 // observe folds in one completed window and reports whether the run has been
-// stationary for the configured patience.
+// stationary for convergePatience windows in a row.
 func (c *convergence) observe(wp telemetry.WindowPoint) bool {
 	latDelta := wp.MeanLatency - c.prevLat
 	if c.started >= 2 && wp.TotalDelivered > 0 {
@@ -295,7 +290,7 @@ func (c *convergence) observe(wp telemetry.WindowPoint) bool {
 	}
 	c.started++
 	c.prevRate, c.prevLat, c.prevLatDelta = wp.Rate, wp.MeanLatency, latDelta
-	return c.streak >= c.patience
+	return c.streak >= convergePatience
 }
 
 // attachObserver hands obs to the network and to every layer of the workload
@@ -381,7 +376,7 @@ func newEngine(net noc.Network, wl Workload, opts Options) *engine {
 		aud:     newAuditor(net, opts),
 		obs:     opts.Observer,
 		convWin: telemetry.WindowTracker{W: opts.ConvergeWindow},
-		conv:    convergence{tol: opts.ConvergeTol, patience: opts.ConvergePatience},
+		conv:    convergence{tol: opts.ConvergeTol},
 	}
 	e.res.PerSource = make([]stats.Accumulator, e.numPE)
 	e.offered = make([]bool, e.numPE)

@@ -150,6 +150,12 @@ func smallIndex(bounds []int64) []int32 {
 	return small
 }
 
+// DefaultHistogramMax is the largest latency in cycles the engine's
+// delivery histogram resolves exactly unless sim.Options.HistogramMax says
+// otherwise. The live collector and the windowed metrics observer use the
+// same bound, so their quantiles agree with sim.Result.
+const DefaultHistogramMax = 1 << 20
+
 // NewLatencyHistogram returns a histogram with geometric buckets from 1 up
 // to max (inclusive) with ratio ~1.25.
 func NewLatencyHistogram(max int64) *Histogram {
@@ -216,7 +222,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if total == 0 {
 		return 0
 	}
-	rank := ceilRank(q, total)
+	rank := CeilRank(q, total)
 	max := h.max
 	var cum int64
 	for i, c := range h.counts {
@@ -275,13 +281,14 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// ceilRank converts quantile q over n samples to a 1-based rank using
+// CeilRank converts quantile q over n samples to a 1-based rank using
 // ceil-rank semantics: the q-quantile is the ceil(q*n)-th smallest sample,
 // clamped to [1, n]. This is the single quantile definition shared by
-// Histogram.Quantile and Quantiles, so a p99 computed from a histogram
-// (/metrics) and one computed from raw samples agree on the same
-// data up to bucket resolution.
-func ceilRank(q float64, n int64) int64 {
+// Histogram.Quantile, Quantiles and the stage-latency histograms'
+// obs.HistSnapshot.Quantile, so a p99 computed from a histogram (/metrics)
+// and one computed from raw samples agree on the same data up to bucket
+// resolution.
+func CeilRank(q float64, n int64) int64 {
 	rank := int64(math.Ceil(q * float64(n)))
 	if rank < 1 {
 		rank = 1
@@ -301,7 +308,7 @@ func Quantiles(xs []int64, qs ...float64) []int64 {
 	}
 	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 	for i, q := range qs {
-		out[i] = xs[ceilRank(q, int64(len(xs)))-1]
+		out[i] = xs[CeilRank(q, int64(len(xs)))-1]
 	}
 	return out
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"fasttrack/internal/noc"
+	"fasttrack/internal/obs"
 )
 
 // TracerOptions configures a Tracer.
@@ -38,12 +39,11 @@ type Tracer struct {
 
 	jsonl  *bufio.Writer
 	enc    *json.Encoder
-	chrome *bufio.Writer
+	chrome *obs.TraceWriter
 
-	chromeEvents int64
-	begun        map[int64]bool
-	events       int64
-	err          error
+	begun  map[int64]bool
+	events int64
+	err    error
 }
 
 // NewTracer returns a Tracer writing to the sinks in o.
@@ -54,11 +54,8 @@ func NewTracer(o TracerOptions) *Tracer {
 		t.enc = json.NewEncoder(t.jsonl)
 	}
 	if o.Chrome != nil {
-		t.chrome = bufio.NewWriter(o.Chrome)
+		t.chrome = obs.NewTraceWriter(o.Chrome)
 		t.begun = make(map[int64]bool)
-		if _, err := t.chrome.WriteString(`{"traceEvents":[`); err != nil {
-			t.fail(err)
-		}
 	}
 	return t
 }
@@ -91,39 +88,22 @@ func (t *Tracer) emitJSONL(v any) {
 	}
 }
 
-// chromeEvent is one Chrome trace-event entry. Async events ("b"/"n"/"e")
-// pair by (cat, scope, id), so the per-packet id string is the track key;
-// string ids also keep negative retransmit IDs unambiguous.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	ID   string         `json:"id,omitempty"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	TS   int64          `json:"ts"`
-	Args map[string]any `json:"args,omitempty"`
-}
+// tracerPID is the packet tracer's process in a merged Perfetto view (the
+// sweep span log is pid 2, a daemon job pid 3).
+const tracerPID = 1
 
-func (t *Tracer) emitChrome(ev chromeEvent) {
+// emitChrome writes one event of packet p's async track on lane tid.
+// Async events ("b"/"n"/"e") pair by (cat, scope, id), so the per-packet id
+// string is the track key; string ids also keep negative retransmit IDs
+// unambiguous.
+func (t *Tracer) emitChrome(ph string, now int64, tid int, p *noc.Packet, args map[string]any) {
 	if t.chrome == nil {
 		return
 	}
-	b, err := json.Marshal(ev)
-	if err != nil {
-		t.fail(err)
-		return
-	}
-	if t.chromeEvents > 0 {
-		if err := t.chrome.WriteByte(','); err != nil {
-			t.fail(err)
-			return
-		}
-	}
-	t.chromeEvents++
-	if _, err := t.chrome.Write(b); err != nil {
-		t.fail(err)
-	}
+	t.chrome.Emit(obs.Event{
+		Name: "packet", Cat: "pkt", Ph: ph, ID: fmt.Sprint(p.ID),
+		PID: tracerPID, TID: tid, TS: now, Args: args,
+	})
 }
 
 // ensureBegin opens the packet's async track if it is not open yet. Hops
@@ -136,12 +116,8 @@ func (t *Tracer) ensureBegin(now int64, p *noc.Packet) {
 		return
 	}
 	t.begun[p.ID] = true
-	t.emitChrome(chromeEvent{
-		Name: "packet", Cat: "pkt", Ph: "b", ID: fmt.Sprint(p.ID),
-		PID: 1, TID: 0, TS: now,
-		Args: map[string]any{
-			"src": p.Src.String(), "dst": p.Dst.String(), "gen": p.Gen,
-		},
+	t.emitChrome("b", now, 0, p, map[string]any{
+		"src": p.Src.String(), "dst": p.Dst.String(), "gen": p.Gen,
 	})
 }
 
@@ -207,11 +183,7 @@ func (t *Tracer) hop(now int64, router int, out noc.Port, p *noc.Packet) {
 	re.ID = p.ID
 	t.emitJSONL(re)
 	t.ensureBegin(now, p)
-	t.emitChrome(chromeEvent{
-		Name: "packet", Cat: "pkt", Ph: "n", ID: fmt.Sprint(p.ID),
-		PID: 1, TID: router, TS: now,
-		Args: map[string]any{"port": out.String(), "express": out.IsExpress()},
-	})
+	t.emitChrome("n", now, router, p, map[string]any{"port": out.String(), "express": out.IsExpress()})
 }
 
 // OnDeflect implements Observer.
@@ -233,11 +205,7 @@ func (t *Tracer) routerInstant(ev string, now int64, router int, in noc.Port, p 
 	re.ID = p.ID
 	t.emitJSONL(re)
 	t.ensureBegin(now, p)
-	t.emitChrome(chromeEvent{
-		Name: "packet", Cat: "pkt", Ph: "n", ID: fmt.Sprint(p.ID),
-		PID: 1, TID: router, TS: now,
-		Args: map[string]any{"event": ev, "port": in.String()},
-	})
+	t.emitChrome("n", now, router, p, map[string]any{"event": ev, "port": in.String()})
 }
 
 // OnDeliver implements Observer.
@@ -300,29 +268,18 @@ func (t *Tracer) endTrack(now int64, p *noc.Packet, args map[string]any) {
 	if t.chrome == nil {
 		return
 	}
-	t.emitChrome(chromeEvent{
-		Name: "packet", Cat: "pkt", Ph: "e", ID: fmt.Sprint(p.ID),
-		PID: 1, TID: 0, TS: now, Args: args,
-	})
+	t.emitChrome("e", now, 0, p, args)
 	delete(t.begun, p.ID)
 }
 
 // Events returns the number of sampled-in events emitted so far.
 func (t *Tracer) Events() int64 { return t.events }
 
-// Err returns the first write error, if any.
-func (t *Tracer) Err() error { return t.err }
-
 // Close terminates the Chrome document and flushes all buffered output.
 // It returns the first error encountered over the tracer's lifetime.
 func (t *Tracer) Close() error {
 	if t.chrome != nil {
-		if _, err := t.chrome.WriteString("]}\n"); err != nil {
-			t.fail(err)
-		}
-		if err := t.chrome.Flush(); err != nil {
-			t.fail(err)
-		}
+		t.fail(t.chrome.Close())
 		t.chrome = nil
 	}
 	if t.jsonl != nil {

@@ -40,7 +40,8 @@ type WindowPoint struct {
 //
 // The arithmetic is deliberately exact about operation order — the
 // convergence early-exit compares these floats against tolerances, and its
-// goldens require bit-stable values: Rate = float64(d)/float64(W) and
+// goldens require bit-stable values: Rate = float64(d)/float64(length),
+// where length is W for every window but a run's tail, and
 // MeanLatency = (latSum-prevLatSum)/float64(d).
 type WindowTracker struct {
 	// W is the window length in cycles; the tracker is inert when W <= 0.
@@ -60,54 +61,16 @@ func (t *WindowTracker) Boundary(now int64) bool {
 
 // Roll closes the window ending after cycle now and returns its point.
 // delivered/injected are cumulative counts and latSum the cumulative
-// delivery-latency sum at the end of the cycle.
+// delivery-latency sum at the end of the cycle. Roll is called only at
+// boundaries, so the window it closes is exactly W cycles long.
 func (t *WindowTracker) Roll(now, delivered, injected int64, latSum float64, inFlight int) WindowPoint {
-	d := delivered - t.prevDelivered
-	rate := float64(d) / float64(t.W)
-	lat := 0.0
-	if d > 0 {
-		lat = (latSum - t.prevLatSum) / float64(d)
-	}
-	wp := WindowPoint{
-		Index: t.idx, Start: t.start, End: now + 1,
-		Delivered: d, Injected: injected - t.prevInjected,
-		TotalDelivered: delivered, TotalInjected: injected,
-		Rate: rate, MeanLatency: lat, InFlight: inFlight,
-	}
-	t.idx++
-	t.start = now + 1
-	t.prevDelivered, t.prevInjected, t.prevLatSum = delivered, injected, latSum
+	wp, _ := t.Flush(now+1, delivered, injected, latSum, inFlight)
 	return wp
 }
 
-// Peek computes the point the in-progress window [start, endCycle) would
-// yield if it were closed now, without mutating the tracker: the next Roll
-// or Flush is bit-identical whether or not Peek was called. It is the
-// read-only snapshot API behind live monitoring (internal/monitor) — the
-// engine's convergence detector shares this tracker's bookkeeping, so a
-// mid-window observation must never advance window state. Peek reports
-// false when the window is empty (endCycle <= start).
-func (t *WindowTracker) Peek(endCycle, delivered, injected int64, latSum float64, inFlight int) (WindowPoint, bool) {
-	length := endCycle - t.start
-	if length <= 0 {
-		return WindowPoint{}, false
-	}
-	d := delivered - t.prevDelivered
-	rate := float64(d) / float64(length)
-	lat := 0.0
-	if d > 0 {
-		lat = (latSum - t.prevLatSum) / float64(d)
-	}
-	return WindowPoint{
-		Index: t.idx, Start: t.start, End: endCycle,
-		Delivered: d, Injected: injected - t.prevInjected,
-		TotalDelivered: delivered, TotalInjected: injected,
-		Rate: rate, MeanLatency: lat, InFlight: inFlight,
-	}, true
-}
-
-// Flush closes a partial window [start, endCycle) — the tail of a run that
-// stopped between boundaries. It reports false when the window is empty.
+// Flush closes the window [start, endCycle): a full window from Roll, or
+// the partial tail of a run that stopped between boundaries. It reports
+// false when the window is empty.
 func (t *WindowTracker) Flush(endCycle, delivered, injected int64, latSum float64, inFlight int) (WindowPoint, bool) {
 	length := endCycle - t.start
 	if length <= 0 {
@@ -150,10 +113,6 @@ type Metrics struct {
 	finished  bool
 }
 
-// metricsHistogramMax bounds the per-window latency histogram; matching the
-// engine default keeps p99 resolution identical to sim.Result.
-const metricsHistogramMax = 1 << 20
-
 // NewMetrics returns a Metrics observer with the given window length in
 // cycles (values < 1 are raised to 1) for a numPE-client network.
 func NewMetrics(window int64, numPE int) *Metrics {
@@ -166,7 +125,7 @@ func NewMetrics(window int64, numPE int) *Metrics {
 	return &Metrics{
 		tracker: WindowTracker{W: window},
 		numPE:   numPE,
-		hist:    stats.NewLatencyHistogram(metricsHistogramMax),
+		hist:    stats.NewLatencyHistogram(stats.DefaultHistogramMax),
 	}
 }
 
@@ -213,16 +172,6 @@ func (m *Metrics) Finish() {
 // Points returns the recorded windows (call Finish first to include the
 // trailing partial window).
 func (m *Metrics) Points() []WindowPoint { return m.points }
-
-// Snapshot returns the in-progress partial window as it stands, without
-// closing it: subsequent window rolls — and any convergence detector sharing
-// the same WindowTracker arithmetic — are unaffected. ok is false when the
-// current window has no cycles yet. Snapshot must be called from the
-// simulation goroutine (Metrics is not concurrency-safe); the monitor's
-// Collector, not Metrics, is the cross-goroutine view.
-func (m *Metrics) Snapshot() (WindowPoint, bool) {
-	return m.tracker.Peek(m.lastCycle, m.delivered, m.injected, m.latSum, m.inFlight)
-}
 
 // WriteCSV emits the time series, one row per window. Throughput is
 // normalized per PE to match the paper's sustained-rate axis.

@@ -59,12 +59,19 @@ bench:
 
 # Warm-cache round trip: the quick sweep runs cold into a fresh cache and
 # re-runs with -assert-cached, which exits non-zero if any simulation had to
-# execute — proving repeated sweeps are answered entirely from disk.
+# execute — proving repeated sweeps are answered entirely from disk. The two
+# renders must then match byte for byte once SWEEP_FIGS drops the wall-clock
+# "(… completed in …)" lines and the "N simulated, M from cache" tally: the
+# per-job cold path and the cache render identical figures.
+SWEEP_OUT ?= .sweep-quick
+SWEEP_FIGS = grep -vE '^\(.* completed in .*\)$$|^[0-9]+ simulated, [0-9]+ from cache$$'
 sweep-quick:
-	rm -rf $(SWEEP_CACHE)
-	$(GO) run ./cmd/ftexp -quick -run paper -cache-dir $(SWEEP_CACHE)
-	$(GO) run ./cmd/ftexp -quick -run paper -cache-dir $(SWEEP_CACHE) -assert-cached
-	rm -rf $(SWEEP_CACHE)
+	rm -rf $(SWEEP_CACHE) $(SWEEP_OUT) && mkdir -p $(SWEEP_OUT)
+	$(GO) run ./cmd/ftexp -quick -run paper -cache-dir $(SWEEP_CACHE) > $(SWEEP_OUT)/cold.txt
+	$(GO) run ./cmd/ftexp -quick -run paper -cache-dir $(SWEEP_CACHE) -assert-cached > $(SWEEP_OUT)/warm.txt
+	$(SWEEP_FIGS) $(SWEEP_OUT)/cold.txt > $(SWEEP_OUT)/cold.figs
+	$(SWEEP_FIGS) $(SWEEP_OUT)/warm.txt | cmp - $(SWEEP_OUT)/cold.figs
+	rm -rf $(SWEEP_CACHE) $(SWEEP_OUT)
 
 # Short fuzz pass over the property fuzzers (noc.RingDelta, FastTrack
 # topology construction, the daemon's JSON job-spec decoder, the FTT1

@@ -8,16 +8,14 @@ import (
 
 	"fasttrack/internal/core"
 	"fasttrack/internal/monitor"
-	"fasttrack/internal/sim"
-	"fasttrack/internal/traffic"
 )
 
-// TestBatchGoldenMatrix is the batched path's bit-exactness contract: for a
-// matrix of network families × patterns × rates (below and at saturation) ×
-// batch widths, every lockstep result must DeepEqual the per-job
-// RunSynthetic result — all Result fields, counters, and float accumulation
-// order included. Per-instance seeds differ so lockstep neighbours never
-// shadow each other.
+// TestBatchGoldenMatrix is the SyntheticBatch contract the benchmark probes
+// rely on: for a matrix of network families × patterns × rates (below and at
+// saturation) × harness sizes, every result Run returns must DeepEqual the
+// RunSynthetic result of the job in its slot — all Result fields, counters,
+// and float accumulation order included. Seeds differ per slot, so a result
+// returned in the wrong slot cannot pass.
 func TestBatchGoldenMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden matrix is slow")
@@ -55,7 +53,7 @@ func TestBatchGoldenMatrix(t *testing.T) {
 								t.Fatal(err)
 							}
 							if !reflect.DeepEqual(got[i], want) {
-								t.Fatalf("instance %d diverges from per-job run\nbatched: %+v\nper-job: %+v",
+								t.Fatalf("job %d diverges from per-job run\nbatched: %+v\nper-job: %+v",
 									i, got[i], want)
 							}
 						}
@@ -66,9 +64,8 @@ func TestBatchGoldenMatrix(t *testing.T) {
 	}
 }
 
-// TestBatchMixedSpecs runs one lockstep batch whose instances differ in
-// pattern, rate, and seed — instances drain at very different cycles, so
-// this exercises retirement and compaction of the live set.
+// TestBatchMixedSpecs runs one SyntheticBatch call whose jobs differ in
+// pattern, rate, seed and cycle budget: each option must reach its own job.
 func TestBatchMixedSpecs(t *testing.T) {
 	cfg := core.FastTrack(8, 2, 1)
 	optsList := []core.SyntheticOptions{
@@ -92,16 +89,15 @@ func TestBatchMixedSpecs(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("instance %d diverges\nbatched: %+v\nper-job: %+v", i, got[i], want)
+			t.Fatalf("job %d diverges\nbatched: %+v\nper-job: %+v", i, got[i], want)
 		}
 	}
 }
 
-// TestBatchReuseGolden reruns a harness three times on the same jobs: Reset
-// must restore the exact post-construction state, so every rerun is
-// bit-identical to the first (and to the per-job path, covered above). A
-// second pass with different jobs in between guards against state leaking
-// through the slabs.
+// TestBatchReuseGolden reruns one SyntheticBatch three times on the same
+// jobs, with different jobs in between: nothing a run leaves behind —
+// including the route tables per-job FastTrack networks share — may change
+// a later result.
 func TestBatchReuseGolden(t *testing.T) {
 	for _, cfg := range []core.Config{core.Hoplite(8), core.FastTrack(8, 2, 2)} {
 		cfg := cfg
@@ -136,8 +132,8 @@ func TestBatchReuseGolden(t *testing.T) {
 	}
 }
 
-// TestBatchChunksOverCapacity runs more jobs than the harness width; Run
-// must chunk and still match the per-job path job for job.
+// TestBatchChunksOverCapacity runs more jobs than the harness size; Run
+// must still return every job's per-job result, in order.
 func TestBatchChunksOverCapacity(t *testing.T) {
 	cfg := core.Hoplite(8)
 	var jobs []core.SyntheticOptions
@@ -165,59 +161,10 @@ func TestBatchChunksOverCapacity(t *testing.T) {
 	}
 }
 
-// TestBatchableRejections documents the capability boundary.
-func TestBatchableRejections(t *testing.T) {
-	base := core.SyntheticOptions{Pattern: "RANDOM", Rate: 0.5, PacketsPerPE: 10, Seed: 1}
-	if !core.Batchable(core.Hoplite(8), base) {
-		t.Fatal("plain hoplite job should be batchable")
-	}
-	if core.Batchable(core.MultiChannel(8, 2), base) {
-		t.Fatal("multi-channel has no batch constructor")
-	}
-	// The dense reference is not a core option; the lockstep driver itself
-	// refuses it, in the job's own slot.
-	net, err := core.Hoplite(8).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl := traffic.NewSynthetic(8, 8, traffic.Random{}, base.Rate, base.PacketsPerPE, base.Seed)
-	dense := sim.RunBatch([]sim.BatchJob{{Net: net, WL: wl, Opts: sim.Options{Engine: sim.EngineDense}}})
-	if dense[0].Err == nil {
-		t.Fatal("dense engine is the reference, not batchable")
-	}
-	sharded := base
-	sharded.Shards = 2
-	if core.Batchable(core.Hoplite(8), sharded) {
-		t.Fatal("sharded jobs compose with batching at the job level")
-	}
-	reg := base
-	reg.RegulateRate = 0.1
-	if core.Batchable(core.Hoplite(8), reg) {
-		t.Fatal("regulated workloads need the per-job plumbing")
-	}
-	observed := base
-	observed.Observer = monitor.NewCollector(8, 8)
-	if !core.Batchable(core.Hoplite(8), observed) {
-		t.Fatal("observed jobs batch (lockstep steps instances in deterministic order)")
-	}
-
-	sb, err := core.NewSyntheticBatch(core.Hoplite(8), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sb.Run(context.Background(), []core.SyntheticOptions{sharded}); err == nil {
-		t.Fatal("Run accepted an un-batchable job")
-	}
-	if _, err := core.NewSyntheticBatch(core.MultiChannel(8, 2), 2); err == nil {
-		t.Fatal("NewSyntheticBatch accepted multi-channel")
-	}
-}
-
-// TestBatchObserverGolden is the batch observer contract: running observed
-// jobs through the lockstep path must leave Results bit-identical to
-// RunSynthetic with the same observer arrangement, and each job's monitor
-// Collector must accumulate identical deterministic totals — batched sweeps
-// feed live telemetry instead of silently dropping it.
+// TestBatchObserverGolden: each job's Observer must reach its own run, so
+// Results are bit-identical to RunSynthetic with the same observer
+// arrangement and each job's monitor Collector accumulates identical
+// deterministic totals.
 func TestBatchObserverGolden(t *testing.T) {
 	cfg := core.Hoplite(8)
 	const width = 4

@@ -39,16 +39,3 @@ func (s Scale) runSynthetic(ctx context.Context, cfg core.Config, o core.Synthet
 		return core.RunSynthetic(ctx, cfg, o)
 	})
 }
-
-// sweepPool recycles slab-backed batched networks across this package's
-// dense sweeps: the figures revisit the same few configurations at many
-// rates, so successive chunks reuse the same harness.
-var sweepPool runner.NetPool
-
-// runSyntheticBatch answers many synthetic jobs at once on the lockstep
-// batched path (runner.DoSyntheticBatch): per job it is bit-identical to
-// runSynthetic — same cache keys, same Result — but cold jobs sharing a
-// configuration run batched over one topology instead of one network each.
-func (s Scale) runSyntheticBatch(ctx context.Context, jobs []runner.SyntheticJob) ([]sim.Result, error) {
-	return runner.DoSyntheticBatch(ctx, s.orch(), &sweepPool, jobs)
-}

@@ -31,12 +31,10 @@ type RatePoint struct {
 	WorstLatency  int64
 }
 
-// sweepSynthetic runs the rate sweep for the given configs and patterns on
-// the lockstep batched path: jobs sharing a configuration run as one batch
-// over a single topology (results are bit-identical to per-job runs and are
-// served from the result cache when one is configured). With AdaptiveRates
-// set the dense grid is replaced by one adaptive saturation search per
-// curve, which bisects sequentially and so stays on the per-job path.
+// sweepSynthetic runs the rate sweep for the given configs and patterns, one
+// job per grid point (runner.DoSynthetic: cache hits inline, each miss its
+// own sweep job). With AdaptiveRates set the dense grid is replaced by one
+// adaptive saturation search per curve, which bisects sequentially.
 func sweepSynthetic(sc Scale, configs []core.Config, patterns []string) ([]RatePoint, error) {
 	if sc.AdaptiveRates {
 		return sweepSyntheticAdaptive(sc, configs, patterns)
@@ -51,7 +49,7 @@ func sweepSynthetic(sc Scale, configs []core.Config, patterns []string) ([]RateP
 			}
 		}
 	}
-	results, err := sc.runSyntheticBatch(context.Background(), jobs)
+	results, err := runner.DoSynthetic(context.Background(), sc.orch(), jobs)
 	if err != nil {
 		return nil, err
 	}

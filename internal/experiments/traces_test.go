@@ -27,10 +27,12 @@ func (c countedSource) Header() trace.Header {
 // TestWarmSweepGeneratesNothing drives runTraceJobs with counting generators
 // over one cache: a trace is generated exactly when one of its replays has
 // to run, its header is taken once, and a wrong memo costs one regeneration.
+// A job the cache holds completely is answered without a ForEach job, and
+// every replay answered from the cache counts as exactly one hit.
 func TestWarmSweepGeneratesNothing(t *testing.T) {
 	const n, active, seed = 4, 8, 1
 	benches := overlay.Benchmarks()[:3]
-	replays := 1 + len(ftCandidates(n))
+	replays := len(traceConfigs(n))
 	gens, headers := make([]int, len(benches)), make([]int, len(benches))
 	jobs := make([]traceJob, len(benches))
 	for i, b := range benches {
@@ -83,10 +85,28 @@ func TestWarmSweepGeneratesNothing(t *testing.T) {
 	}
 	cached := func() *runner.Orchestrator { return &runner.Orchestrator{Workers: 2, Cache: cache} }
 
-	cold := pass("cold", cached(), jobs, []int{1, 1, 1}, len(jobs)*replays)
-	if warm := pass("warm", cached(), jobs, []int{0, 0, 0}, 0); !reflect.DeepEqual(warm, cold) {
+	// traced records one span per ForEach job; scheduled checks a pass's
+	// ForEach jobs and cache hits.
+	traced := func() *runner.Orchestrator {
+		o := cached()
+		o.Spans = runner.NewSpanLog()
+		return o
+	}
+	scheduled := func(name string, o *runner.Orchestrator, wantJobs, wantHits int) {
+		t.Helper()
+		if _, hits := o.Stats(); len(o.Spans.Spans()) != wantJobs || hits != int64(wantHits) {
+			t.Errorf("%s: %d ForEach jobs and %d hits, want %d and %d", name, len(o.Spans.Spans()), hits, wantJobs, wantHits)
+		}
+	}
+
+	coldOrch := traced()
+	cold := pass("cold", coldOrch, jobs, []int{1, 1, 1}, len(jobs)*replays)
+	scheduled("cold", coldOrch, len(jobs), 0)
+	warmOrch := traced()
+	if warm := pass("warm", warmOrch, jobs, []int{0, 0, 0}, 0); !reflect.DeepEqual(warm, cold) {
 		t.Errorf("warm points differ from cold:\n%+v\n%+v", warm, cold)
 	}
+	scheduled("warm", warmOrch, 0, len(jobs)*replays)
 
 	// One result entry lost: only that job's trace comes back, once.
 	tr, err := overlay.Trace(benches[1], n, n, active, seed)
@@ -97,9 +117,11 @@ func TestWarmSweepGeneratesNothing(t *testing.T) {
 	if err := os.Remove(cache.Path(runner.TraceHeaderKey(core.Hoplite(n), hdr, core.TraceOptions{}))); err != nil {
 		t.Fatal(err)
 	}
-	if pts := pass("one entry deleted", cached(), jobs, []int{0, 1, 0}, 1); !reflect.DeepEqual(pts, cold) {
+	partial := traced()
+	if pts := pass("one entry deleted", partial, jobs, []int{0, 1, 0}, 1); !reflect.DeepEqual(pts, cold) {
 		t.Errorf("points changed after an entry was re-simulated:\n%+v\n%+v", pts, cold)
 	}
+	scheduled("one entry deleted", partial, 1, len(jobs)*replays-1)
 
 	// A memo that names some other trace: its replays miss, the generated
 	// trace exposes it, the true header's entries then hit (nothing runs).

@@ -44,8 +44,7 @@ type Spec struct {
 	Planes int
 	// Stages is the number of extra pipeline registers on each of a
 	// router's two express links. The family owns those registers; the
-	// kernel only accounts for the packets they hold (PoolBound) and for
-	// their share of a batch's slabs (NewBatch).
+	// kernel only accounts for the packets they hold (PoolBound).
 	Stages int
 }
 
@@ -53,8 +52,8 @@ type Spec struct {
 // outstanding: every live packet sits in a link register or a pipeline stage
 // at the start of a cycle (planes + 2·stages per router), and during the
 // cycle each router adds at most one injection while slots freed by delivery
-// are withheld until EndCycle. It sizes the single-shard pool, each shard's
-// arena, and each instance's share of a batch's packet slab.
+// are withheld until EndCycle. It sizes the single-shard pool and each
+// shard's arena.
 func PoolBound(planes, stages, routers int) int {
 	return (planes+2*stages+1)*routers + 64
 }
@@ -132,9 +131,8 @@ func (sh *Shard) clip(wd int, b uint64) uint64 {
 // Kernel is the shared fabric state; embed it in a family's Network and call
 // Init. The exported fields are the arbiter's working set.
 type Kernel struct {
-	W, H   int
-	planes int
-	bound  int32 // PoolBound: the pool slots each shard's arena holds
+	W, H  int
+	bound int32 // PoolBound: the pool slots each shard's arena holds
 
 	// Cur and Next are the link registers, one plane per router input,
 	// indexed by destination-router index (y*W + x). Each register holds an
@@ -173,28 +171,23 @@ type Kernel struct {
 	post   PostFunc
 }
 
-// Init builds the idle kernel state for spec. When ar is non-nil the arrays
-// are carved from its batch-major slabs instead of allocated individually.
-func (k *Kernel) Init(spec Spec, ar *Arena, router Router, post PostFunc) {
-	if ar == nil {
-		ar = new(Arena)
-	}
+// Init builds the idle kernel state for spec.
+func (k *Kernel) Init(spec Spec, router Router, post PostFunc) {
 	n := spec.W * spec.H
 	*k = Kernel{
-		W: spec.W, H: spec.H, planes: spec.Planes,
+		W: spec.W, H: spec.H,
 		bound:    int32(PoolBound(spec.Planes, spec.Stages, n)),
-		Offers:   carve(&ar.slots, n),
-		accepted: carve(&ar.bools, n),
-		curBits:  carve(&ar.words, (n+63)/64),
+		Offers:   make([]Slot, n),
+		accepted: make([]bool, n),
+		curBits:  make([]uint64, (n+63)/64),
 		router:   router, post: post,
 	}
 	for p := 0; p < spec.Planes; p++ {
-		k.Cur[p], k.Next[p] = ar.Int32s(n), ar.Int32s(n)
+		k.Cur[p], k.Next[p] = make([]int32, n), make([]int32, n)
 		Fill(k.Cur[p], -1)
 		Fill(k.Next[p], -1)
 	}
-	k.Pool = carve(&ar.packets, int(k.bound))
-	k.partition(1, ar)
+	k.partition(1)
 }
 
 // Fill sets every element of regs to v.
@@ -207,11 +200,8 @@ func Fill(regs []int32, v int32) {
 // partition lays s row-band shards over the fabric: shard j owns rows
 // [j*H/s, (j+1)*H/s), a contiguous router range, so concatenating per-shard
 // output in ascending j equals a row-major scan. Each shard gets a private
-// PoolBound-sized arena of the pool. ar is non-nil only under Init.
-func (k *Kernel) partition(s int, ar *Arena) {
-	if ar == nil {
-		ar = new(Arena)
-	}
+// PoolBound-sized arena of the pool.
+func (k *Kernel) partition(s int) {
 	n := k.W * k.H
 	words := (n + 63) / 64
 	k.sh = make([]Shard, s)
@@ -233,9 +223,9 @@ func (k *Kernel) partition(s int, ar *Arena) {
 		if r := uint(sh.hi) & 63; r != 0 {
 			sh.hiMask = 1<<r - 1
 		}
-		sh.next = carve(&ar.words, words)
+		sh.next = make([]uint64, words)
 		if k.post != nil {
-			sh.keep = carve(&ar.words, words)
+			sh.keep = make([]uint64, words)
 		}
 		sh.cursor = int32(j) * k.bound
 		sh.limit = sh.cursor + k.bound
@@ -245,34 +235,6 @@ func (k *Kernel) partition(s int, ar *Arena) {
 			}
 		}
 	}
-}
-
-// Reset restores the idle state Init leaves, keeping every backing array so
-// a recycled instance re-runs a job without reallocating. A run on a Reset
-// kernel is bit-identical to a run on a fresh one: only slice capacity
-// survives, which routing never observes. A sharded kernel drops back to one
-// shard.
-func (k *Kernel) Reset() {
-	for p := 0; p < k.planes; p++ {
-		Fill(k.Cur[p], -1)
-		Fill(k.Next[p], -1)
-	}
-	clear(k.Offers)
-	clear(k.accepted)
-	clear(k.curBits)
-	k.obs = nil
-	k.mergedDelivered = k.mergedDelivered[:0]
-	if len(k.sh) != 1 {
-		k.partition(1, nil)
-		return
-	}
-	k.shardObs = nil
-	s0 := &k.sh[0]
-	clear(s0.next)
-	clear(s0.keep)
-	s0.Counters, s0.InFlight, s0.Obs, s0.Now = noc.Counters{}, 0, nil, 0
-	s0.delivered, s0.acceptedPEs = s0.delivered[:0], s0.acceptedPEs[:0]
-	s0.free, s0.freed, s0.cursor = s0.free[:0], s0.freed[:0], 0
 }
 
 // ConfigureShards implements noc.ShardedNetwork: partition the fabric into s
@@ -285,7 +247,7 @@ func (k *Kernel) ConfigureShards(s int) (int, error) {
 	if n := k.InFlight(); n != 0 {
 		return 0, fmt.Errorf("fabric: cannot reconfigure shards with %d packets in flight", n)
 	}
-	k.partition(min(s, k.H), nil)
+	k.partition(min(s, k.H))
 	return len(k.sh), nil
 }
 
@@ -318,8 +280,8 @@ func (k *Kernel) Offer(pe int, p noc.Packet) { k.offer(pe, Slot{P: p, OK: true})
 
 // Hold presents p as a standing offer, the hardware's valid register: a
 // refusal leaves it latched and re-marks its router, so the arbiter sees it
-// again every cycle with no further call, until it is accepted, replaced by
-// another Offer or Hold at pe, or Reset. Concurrency is Offer's.
+// again every cycle with no further call, until it is accepted or replaced
+// by another Offer or Hold at pe. Concurrency is Offer's.
 func (k *Kernel) Hold(pe int, p noc.Packet) { k.offer(pe, Slot{P: p, OK: true, Held: true}) }
 
 func (k *Kernel) offer(pe int, s Slot) {

@@ -18,10 +18,6 @@ func TestConfigureShardsEdges(t *testing.T) {
 	})
 }
 
-func TestResetEqualsFresh(t *testing.T) {
-	noctest.ForEach(t, "", noctest.ResetEqualsFresh)
-}
-
 func TestStandingOffers(t *testing.T) {
 	noctest.ForEach(t, "", noctest.StandingOffers)
 }

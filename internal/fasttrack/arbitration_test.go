@@ -55,6 +55,7 @@ func TestRouterArbitrationExhaustive(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				nw.SetDense(true)
 				i := c.y*8 + c.x
 				var want int
 				mk := func(id int64, express bool, dim byte) fabric.Slot {

@@ -33,19 +33,17 @@ type Network struct {
 	// express link leaving router i, oldest first; likewise yPipeR for Y
 	// links. A pipelined express grant cannot latch downstream immediately,
 	// so it parks in exPend/syPend and the kernel's post-route pass
-	// (pipeStep) shifts it through the stages. pipeRegs backs all four.
+	// (pipeStep) shifts it through the stages.
 	xPipeR, yPipeR []int32
 	exPend, syPend []int32
-	pipeRegs       []int32
 
 	// Dense reference path: full-packet link registers (in, by input port),
 	// per-output staging for the current Step (outs), and the full-packet
-	// form of the express pipelines. denseRegs backs all of them. Only one
-	// representation is ever in use per instance; see SetDense.
+	// form of the express pipelines. SetDense(true) allocates them; the
+	// sparse path never does.
 	in           [4][]fabric.Slot
 	outs         [numOuts][]fabric.Slot
 	xPipe, yPipe []fabric.Slot
-	denseRegs    []fabric.Slot
 	dense        bool
 
 	// tabs holds the memoized routing-decision tables the sparse arbiter
@@ -54,78 +52,29 @@ type Network struct {
 	tabs *routeTables
 }
 
-// spec is the kernel geometry of a configuration.
-func (c Config) spec() fabric.Spec {
-	return fabric.Spec{W: c.Topology.N, H: c.Topology.N, Planes: 4, Stages: c.ExpressPipeline}
-}
-
-func (c Config) check() error {
-	if _, err := NewTopology(c.Topology.N, c.Topology.D, c.Topology.R); err != nil {
-		return err
-	}
-	return c.Validate()
-}
-
 // New builds an idle FastTrack network for the given configuration.
-func New(cfg Config) (*Network, error) { return newNet(cfg, nil) }
-
-// newNet is New with an optional batch arena for the kernel state and the
-// sparse pipeline registers. The dense reference arrays always come from a
-// plain allocation — batch instances never run the dense path.
-func newNet(cfg Config, ar *fabric.Arena) (*Network, error) {
-	if err := cfg.check(); err != nil {
+func New(cfg Config) (*Network, error) {
+	if _, err := NewTopology(cfg.Topology.N, cfg.Topology.D, cfg.Topology.R); err != nil {
+		return nil, err
+	}
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	n, stages := cfg.Topology.N, cfg.ExpressPipeline
 	sz := n * n
 	nw := &Network{cfg: cfg, n: n}
 	nw.tabs = nw.sharedTables()
-	nw.denseRegs = make([]fabric.Slot, (len(nw.in)+len(nw.outs)+2*stages)*sz)
-	dense := nw.denseRegs
-	take := func(k int) []fabric.Slot {
-		r := dense[:k:k]
-		dense = dense[k:]
-		return r
-	}
-	for p := range nw.in {
-		nw.in[p] = take(sz)
-	}
-	for o := range nw.outs {
-		nw.outs[o] = take(sz)
-	}
 	var post fabric.PostFunc
 	if stages > 0 {
-		nw.xPipe, nw.yPipe = take(stages*sz), take(stages*sz)
-		nw.pipeRegs = ar.Int32s((2*stages + 2) * sz)
-		fabric.Fill(nw.pipeRegs, -1)
-		regs := nw.pipeRegs
+		regs := make([]int32, (2*stages+2)*sz)
+		fabric.Fill(regs, -1)
 		nw.xPipeR, regs = regs[:stages*sz], regs[stages*sz:]
 		nw.yPipeR, regs = regs[:stages*sz], regs[stages*sz:]
 		nw.exPend, nw.syPend = regs[:sz], regs[sz:]
 		post = nw.pipeStep
 	}
-	nw.Init(cfg.spec(), ar, nw, post)
+	nw.Init(fabric.Spec{W: n, H: n, Planes: 4, Stages: stages}, nw, post)
 	return nw, nil
-}
-
-// NewBatch builds b idle instances of cfg whose kernel state shares
-// batch-major slabs.
-func NewBatch(cfg Config, b int) (*fabric.Batch, error) {
-	if err := cfg.check(); err != nil {
-		return nil, err
-	}
-	return fabric.NewBatch(cfg.spec(), b, func(ar *fabric.Arena) (fabric.Instance, error) {
-		return newNet(cfg, ar)
-	})
-}
-
-// Reset restores the network to the idle state New leaves it in, keeping
-// every backing array; see fabric.Kernel.Reset.
-func (nw *Network) Reset() {
-	nw.Kernel.Reset()
-	clear(nw.denseRegs)
-	fabric.Fill(nw.pipeRegs, -1)
-	nw.dense = false
 }
 
 // ConfigureShards implements noc.ShardedNetwork; the dense reference path
@@ -144,8 +93,30 @@ func (nw *Network) Config() Config { return nw.cfg }
 // routers every cycle instead of only occupied ones. The two paths are
 // bit-exact (the golden equivalence tests compare them); the dense path
 // exists as the straightforward baseline for those tests and for
-// benchmarking the sparse path's speedup. Select before the first Step.
-func (nw *Network) SetDense(d bool) { nw.dense = d }
+// benchmarking the sparse path's speedup. Select before the first Step; the
+// first SetDense(true) allocates the full-packet registers.
+func (nw *Network) SetDense(d bool) {
+	nw.dense = d
+	if !d || nw.in[0] != nil {
+		return
+	}
+	sz, stages := nw.n*nw.n, nw.cfg.ExpressPipeline
+	regs := make([]fabric.Slot, (len(nw.in)+len(nw.outs)+2*stages)*sz)
+	take := func(k int) []fabric.Slot {
+		r := regs[:k:k]
+		regs = regs[k:]
+		return r
+	}
+	for p := range nw.in {
+		nw.in[p] = take(sz)
+	}
+	for o := range nw.outs {
+		nw.outs[o] = take(sz)
+	}
+	if stages > 0 {
+		nw.xPipe, nw.yPipe = take(stages*sz), take(stages*sz)
+	}
+}
 
 // Step advances the network one clock cycle. The kernel visits only routers
 // holding an in-flight input, a pending offer, or an occupied

@@ -101,8 +101,9 @@ func (nw *Network) injectPrefs(dx, dy int, hx, hy bool) (pr prefs) {
 }
 
 // sharedTables returns the route tables for this network's configuration,
-// building them on a cache miss. A full cache is simply cleared: instances
-// built together (a batch) still share one set, and a daemon cycling through
+// building them on a cache miss. A full cache is simply cleared: the per-job
+// networks of a sweep over one configuration still share one set, and a
+// daemon cycling through
 // more than tablesCacheCap topologies pays rebuilds, not memory.
 func (nw *Network) sharedTables() *routeTables {
 	key := tablesKey{n: nw.n, d: nw.cfg.Topology.D, r: nw.cfg.Topology.R, variant: nw.cfg.Variant}

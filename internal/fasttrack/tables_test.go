@@ -95,28 +95,27 @@ func TestRouteTablesMatchUntabled(t *testing.T) {
 	}
 }
 
-// TestTablesSharedAcrossBatch checks every instance of a batch, and a per-job
-// network of the same configuration, reference one immutable table set.
-func TestTablesSharedAcrossBatch(t *testing.T) {
+// TestTablesSharedAcrossNetworks checks that the per-job networks of one
+// configuration, as a sweep builds them, reference one immutable table set.
+func TestTablesSharedAcrossNetworks(t *testing.T) {
 	top, err := NewTopology(8, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewBatch(Config{Topology: top, Variant: VariantFull}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := b.Instance(0).(*Network).tabs
-	if first == nil {
-		t.Fatal("batch instance has no tables")
-	}
-	for i := 1; i < b.Size(); i++ {
-		if b.Instance(i).(*Network).tabs != first {
-			t.Fatalf("instance %d has its own table set", i)
+	var first *routeTables
+	for i := 0; i < 4; i++ {
+		nw, err := New(Config{Topology: top, Variant: VariantFull})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if nw, err := New(Config{Topology: top, Variant: VariantFull}); err != nil || nw.tabs != first {
-		t.Fatalf("per-job network should share the batch's table set (tabs=%p want %p, err=%v)", nw.tabs, first, err)
+		if nw.tabs == nil {
+			t.Fatal("network has no tables")
+		}
+		if i == 0 {
+			first = nw.tabs
+		} else if nw.tabs != first {
+			t.Fatalf("network %d has its own table set", i)
+		}
 	}
 }
 

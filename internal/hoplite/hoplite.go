@@ -40,9 +40,8 @@ type Network struct {
 	fabric.Kernel
 
 	// Full-packet link registers and output staging of the dense reference
-	// path, indexed by destination-router index (y*W + x). Only one
-	// representation is ever in use per instance — SetDense selects before
-	// the first Step.
+	// path, indexed by destination-router index (y*W + x). SetDense(true)
+	// allocates them; the sparse path never does.
 	wIn, nIn   []fabric.Slot
 	eOut, sOut []fabric.Slot
 	dense      bool
@@ -59,53 +58,15 @@ func (nw *Network) SetExitGate(gate func(pe int) bool) { nw.exitGate = gate }
 
 func (nw *Network) canExit(pe int) bool { return nw.exitGate == nil || nw.exitGate(pe) }
 
-func checkDims(w, h int) error {
-	if w < 2 || h < 2 {
-		return fmt.Errorf("hoplite: dimensions %dx%d too small (need at least 2x2)", w, h)
-	}
-	return nil
-}
-
 // New returns an idle W×H Hoplite network. Both dimensions must be at
 // least 2 (a 1-wide ring has no distinct neighbour registers).
-func New(w, h int) (*Network, error) { return newNet(w, h, nil) }
-
-// newNet is New with an optional batch arena for the kernel state. The dense
-// reference arrays always come from plain allocations — batch instances
-// never run the dense path.
-func newNet(w, h int, ar *fabric.Arena) (*Network, error) {
-	if err := checkDims(w, h); err != nil {
-		return nil, err
+func New(w, h int) (*Network, error) {
+	if w < 2 || h < 2 {
+		return nil, fmt.Errorf("hoplite: dimensions %dx%d too small (need at least 2x2)", w, h)
 	}
-	n := w * h
-	nw := &Network{
-		wIn: make([]fabric.Slot, n), nIn: make([]fabric.Slot, n),
-		eOut: make([]fabric.Slot, n), sOut: make([]fabric.Slot, n),
-	}
-	nw.Init(fabric.Spec{W: w, H: h, Planes: numPlanes}, ar, nw, nil)
+	nw := &Network{}
+	nw.Init(fabric.Spec{W: w, H: h, Planes: numPlanes}, nw, nil)
 	return nw, nil
-}
-
-// NewBatch builds b idle w×h instances whose kernel state shares batch-major
-// slabs.
-func NewBatch(w, h, b int) (*fabric.Batch, error) {
-	if err := checkDims(w, h); err != nil {
-		return nil, err
-	}
-	return fabric.NewBatch(fabric.Spec{W: w, H: h, Planes: numPlanes}, b,
-		func(ar *fabric.Arena) (fabric.Instance, error) { return newNet(w, h, ar) })
-}
-
-// Reset restores the network to the idle state New leaves it in, keeping
-// every backing array; see fabric.Kernel.Reset.
-func (nw *Network) Reset() {
-	nw.Kernel.Reset()
-	clear(nw.wIn)
-	clear(nw.nIn)
-	clear(nw.eOut)
-	clear(nw.sOut)
-	nw.dense = false
-	nw.exitGate = nil
 }
 
 // ConfigureShards implements noc.ShardedNetwork. The dense reference path
@@ -125,8 +86,16 @@ func (nw *Network) ConfigureShards(s int) (int, error) {
 // routers every cycle instead of only occupied ones. The two paths are
 // bit-exact (the golden equivalence tests compare them); the dense path
 // exists as the straightforward baseline for those tests and for
-// benchmarking the sparse path's speedup. Select before the first Step.
-func (nw *Network) SetDense(d bool) { nw.dense = d }
+// benchmarking the sparse path's speedup. Select before the first Step; the
+// first SetDense(true) allocates the full-packet registers.
+func (nw *Network) SetDense(d bool) {
+	nw.dense = d
+	if d && nw.wIn == nil {
+		n := nw.W * nw.H
+		nw.wIn, nw.nIn = make([]fabric.Slot, n), make([]fabric.Slot, n)
+		nw.eOut, nw.sOut = make([]fabric.Slot, n), make([]fabric.Slot, n)
+	}
+}
 
 // Step advances the network one cycle. The kernel visits only routers
 // holding an in-flight input or a pending offer, in ascending router index —

@@ -243,8 +243,7 @@ func WriteRunnerMetrics(p *PromWriter, s runner.Snapshot) {
 	p.Gauge("fasttrack_runner_jobs_pending", "Jobs admitted to a batch but not yet started.", float64(s.Pending))
 	p.Gauge("fasttrack_runner_workers", "Worker pool size.", float64(s.Workers))
 
-	p.StageHist("fasttrack_runner_job_simulated",
-		"Per-job wall clock of fresh simulations (batched chunks split evenly).", s.HistSimulated)
+	p.StageHist("fasttrack_runner_job_simulated", "Per-job wall clock of fresh simulations.", s.HistSimulated)
 	p.StageHist("fasttrack_runner_job_cached", "Per-job cache-hit lookup latency.", s.HistCacheHit)
 }
 

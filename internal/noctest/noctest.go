@@ -21,14 +21,13 @@ import (
 )
 
 // Fabric is what the harness needs from a network under test: the sharded
-// stepping protocol, the kernel's standing-offer port, both observer
-// attachment points, and Reset.
+// stepping protocol, the kernel's standing-offer port, and both observer
+// attachment points.
 type Fabric interface {
 	noc.ShardedNetwork
 	Hold(pe int, p noc.Packet)
 	telemetry.Observable
 	telemetry.ShardObservable
-	Reset()
 }
 
 // Event is one recorded router-level telemetry event.

@@ -99,50 +99,12 @@ func ConfigureShardsEdges(t *testing.T, nw Fabric) {
 	}
 }
 
-// ResetEqualsFresh leaves an instance sharded, observed and saturated
-// mid-flight with a standing offer latched at every refused PE, Resets it, and
-// requires first that idle Steps leave no trace (a latched offer whose mark
-// survived would be refused or injected) and then that it replays the case's
-// schedule with the same delivered stream, counters and event log as a fresh
-// instance (one whose mark did not survive would be injected once traffic
-// wakes its router).
-func ResetEqualsFresh(t *testing.T, c Case) {
-	used := c.New(t)
-	sc := newSchedule(used.Width(), used.Height(), c.Seed, c.Cycles, c.Rate)
-	fresh := reference(t, c.New(t), sc)
-
-	if _, err := used.ConfigureShards(2); err != nil {
-		t.Fatal(err)
-	}
-	used.SetObserver(&Recorder{})
-	now := Saturate(used, 0, 40)
-	w, n := used.Width(), used.NumPEs()
-	for pe := 0; pe < n; pe++ {
-		used.Hold(pe, noc.Packet{ID: -int64(pe) - 1, Src: noc.PECoord(pe, w), Dst: noc.PECoord((pe+1)%n, w), Gen: now})
-	}
-	used.Step(now)
-	if used.InFlight() == 0 {
-		t.Fatal("saturated instance is empty; nothing to reset")
-	}
-	used.Reset()
-	rec := &Recorder{}
-	used.SetObserver(rec)
-	for i := int64(0); i < 3; i++ {
-		used.Step(i)
-		if used.InFlight() != 0 || len(used.Delivered()) != 0 || *used.Counters() != (noc.Counters{}) || len(rec.Events) != 0 {
-			t.Fatalf("idle Step %d after Reset left a trace: %d in flight, %d delivered, counters %+v, %d events",
-				i, used.InFlight(), len(used.Delivered()), *used.Counters(), len(rec.Events))
-		}
-	}
-	requireEqual(t, "after Reset", fresh, replay(t, used, sc, sequential, 1))
-}
-
 // StandingOffers is the conformance gate for Kernel.Hold. A single Hold must
 // be indistinguishable from the same packet re-Offered every cycle until it is
 // accepted — same accept cycles, delivered stream, counters (InjectionStalls
 // included) and event log — sequentially and over two shards, stepped on
 // goroutines and through Step. An Offer over a standing offer must replace it,
-// standing-ness included. (ResetEqualsFresh covers Reset dropping them.)
+// standing-ness included.
 func StandingOffers(t *testing.T, c Case) {
 	probe := c.New(t)
 	sc := newSchedule(probe.Width(), probe.Height(), c.Seed, c.Cycles, c.Rate).styled(retry)

@@ -26,10 +26,9 @@ func ConfigKey(cfg core.Config) string {
 
 // SyntheticKey is the cache key for core.RunSynthetic(ctx, cfg, o).
 //
-// Shards is deliberately excluded: the sequential, shard-parallel and
-// lockstep-batched paths are bit-exact (golden-tested), so any of them may be
-// answered from the same entry — sharding is a wall-clock knob, never a
-// semantics knob. Observer presence IS keyed (append-only, so pre-telemetry
+// Shards is deliberately excluded: the sequential and shard-parallel paths
+// are bit-exact (golden-tested), so either may be answered from the same
+// entry — sharding is a wall-clock knob, never a semantics knob. Observer presence IS keyed (append-only, so pre-telemetry
 // entries stay valid): a cached Result would silently skip the observer's
 // side effects, so observed runs never share entries with unobserved ones.
 func SyntheticKey(cfg core.Config, o core.SyntheticOptions) string {

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"fasttrack/internal/core"
 	"fasttrack/internal/obs"
 )
 
@@ -119,9 +120,8 @@ func (o *Orchestrator) Snapshot() Snapshot {
 	}
 }
 
-// Timing reports aggregate per-job wall clock: total busy time across all
-// executed jobs and the slowest single job with its ForEach index (-1 when
-// the slowest job ran outside ForEach).
+// Timing reports aggregate wall clock over ForEach jobs: total busy time and
+// the slowest single job with its ForEach index (0 before any job ran).
 func (o *Orchestrator) Timing() (busy, slowest time.Duration, slowestIndex int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -283,20 +283,43 @@ func Do[T any](ctx context.Context, o *Orchestrator, key string, run func() (T, 
 		span.Key = key
 	}
 	var v T
-	if o.Cache != nil {
-		t0 := time.Now()
-		hit := o.Cache.Get(key, &v)
-		if hit {
-			o.histCacheHit.Observe(time.Since(t0))
-			o.mu.Lock()
-			o.hits++
-			o.mu.Unlock()
-			if span != nil {
-				span.CacheHit = true
-			}
-			return v, nil
+	if o.Lookup([]string{key}, []any{&v}) {
+		if span != nil {
+			span.CacheHit = true
 		}
+		return v, nil
 	}
+	return compute(o, key, run)
+}
+
+// Lookup answers keys[i] from the cache into outs[i] (a pointer, as for
+// Cache.Get) and reports whether every key hit. Only a full hit is counted in
+// Stats, one hit per key with its own lookup time, so a caller that falls
+// back to Do after a partial hit still counts each key once.
+func (o *Orchestrator) Lookup(keys []string, outs []any) bool {
+	if o.Cache == nil {
+		return false
+	}
+	took := make([]time.Duration, len(keys))
+	for i, key := range keys {
+		t0 := time.Now()
+		if !o.Cache.Get(key, outs[i]) {
+			return false
+		}
+		took[i] = time.Since(t0)
+	}
+	for _, d := range took {
+		o.histCacheHit.Observe(d)
+	}
+	o.mu.Lock()
+	o.hits += int64(len(keys))
+	o.mu.Unlock()
+	return true
+}
+
+// compute runs a job whose key missed, counts and times it, and stores the
+// result under key.
+func compute[T any](o *Orchestrator, key string, run func() (T, error)) (T, error) {
 	t0 := time.Now()
 	v, err := run()
 	if err != nil {
@@ -312,4 +335,42 @@ func Do[T any](ctx context.Context, o *Orchestrator, key string, run func() (T, 
 		_ = o.Cache.Put(key, v)
 	}
 	return v, nil
+}
+
+// SyntheticJob is one synthetic simulation request for DoSynthetic.
+type SyntheticJob struct {
+	Cfg  core.Config
+	Opts core.SyntheticOptions
+}
+
+// DoSynthetic answers a sweep's synthetic jobs, returning results in job
+// order. Per job it is Do(SyntheticKey, core.RunSynthetic): the same key,
+// stored bytes and Result bits. Cache hits are served inline, before
+// ForEach, so a warm sweep schedules nothing and records no span; each miss
+// is its own ForEach job, which simulates it without reading its key again.
+func DoSynthetic(ctx context.Context, o *Orchestrator, jobs []SyntheticJob) ([]core.Result, error) {
+	out := make([]core.Result, len(jobs))
+	keys := make([]string, len(jobs))
+	var misses []int
+	for i, j := range jobs {
+		keys[i] = SyntheticKey(j.Cfg, j.Opts)
+		if !o.Lookup(keys[i:i+1], []any{&out[i]}) {
+			misses = append(misses, i)
+		}
+	}
+	err := o.ForEach(ctx, len(misses), func(jctx context.Context, m int) error {
+		i := misses[m]
+		if span := spanFrom(jctx); span != nil {
+			span.Key = keys[i]
+		}
+		var err error
+		out[i], err = compute(o, keys[i], func() (core.Result, error) {
+			return core.RunSynthetic(jctx, jobs[i].Cfg, jobs[i].Opts)
+		})
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

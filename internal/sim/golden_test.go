@@ -177,25 +177,21 @@ func (g *idleGaps) OnCycleEnd(now int64, inFlight int) {
 
 // TestGoldenIdleSkip checks the idle fast-forward at the level it lives: a
 // per-job Run of an EventWorkload at a rate that actually idles must be
-// bit-identical to the three paths that never skip or skip independently —
-// (a) EngineDense, (b) the same run observed, (c) RunBatch of one — on every
-// network family, since Run arms the skip for all of them (multichannel's
+// bit-identical to the two paths that never skip — (a) EngineDense, (b) the
+// same run observed — on every network family, since Run arms the skip for
+// all of them (multichannel's
 // rotating service order is the one piece of network state an idle Step could
 // have advanced). The edge rows aim the cycle budget and the stall limit at
 // the longest idle stretch of the run, located by the observed pass.
 func TestGoldenIdleSkip(t *testing.T) {
 	const rate, quota = 0.002, 16
-	run := func(t *testing.T, gn goldenNet, opts sim.Options, batch bool) (sim.Result, error) {
+	run := func(t *testing.T, gn goldenNet, opts sim.Options) (sim.Result, error) {
 		t.Helper()
 		net, err := gn.build()
 		if err != nil {
 			t.Fatal(err)
 		}
 		wl := traffic.NewSynthetic(gn.w, gn.h, traffic.Random{}, rate, quota, 17)
-		if batch {
-			r := sim.RunBatch([]sim.BatchJob{{Net: net, WL: wl, Opts: opts}})[0]
-			return r.Res, r.Err
-		}
 		return sim.Run(net, wl, opts)
 	}
 	rows := []struct {
@@ -226,7 +222,7 @@ func TestGoldenIdleSkip(t *testing.T) {
 	}
 	for _, gn := range goldenNets() {
 		var gaps idleGaps
-		if _, err := run(t, gn, sim.Options{Observer: &gaps}, false); err != nil {
+		if _, err := run(t, gn, sim.Options{Observer: &gaps}); err != nil {
 			t.Fatal(err)
 		}
 		if gaps.longest < 32 {
@@ -235,22 +231,20 @@ func TestGoldenIdleSkip(t *testing.T) {
 		for _, row := range rows {
 			t.Run(gn.name+"/"+row.name, func(t *testing.T) {
 				opts := row.opts(&gaps)
-				skip, err := run(t, gn, opts, false)
+				skip, err := run(t, gn, opts)
 				if err != nil {
 					t.Fatalf("skip-armed run: %v", err)
 				}
 				row.want(t, skip, opts)
 				for _, ref := range []struct {
-					name  string
-					opts  sim.Options
-					batch bool
+					name string
+					opts sim.Options
 				}{
-					{"dense", sim.Options{Engine: sim.EngineDense}, false},
-					{"observed", sim.Options{Observer: telemetry.Base{}}, false},
-					{"batch-of-one", sim.Options{}, true},
+					{"dense", sim.Options{Engine: sim.EngineDense}},
+					{"observed", sim.Options{Observer: telemetry.Base{}}},
 				} {
 					ref.opts.MaxCycles, ref.opts.StallLimit = opts.MaxCycles, opts.StallLimit
-					got, err := run(t, gn, ref.opts, ref.batch)
+					got, err := run(t, gn, ref.opts)
 					if err != nil {
 						t.Fatalf("%s: %v", ref.name, err)
 					}

@@ -90,7 +90,7 @@ func runSharded(net noc.Network, wl Workload, opts Options) (Result, error) {
 	}
 	if s == 1 {
 		// One row: nothing to fan out.
-		return runOne(net, wl, opts)
+		return newEngine(net, wl, opts).run()
 	}
 
 	e := newEngine(net, wl, opts)

@@ -62,6 +62,21 @@ type ActiveSet interface {
 	ActivePEs(buf []int) []int
 }
 
+// EventWorkload is optionally implemented by workloads that can predict when
+// their next generation event fires (traffic.SynthView is the canonical
+// implementation: Bernoulli generation is open-loop, so the next arrival is
+// a pure function of workload state). Run uses it to fast-forward across
+// provably idle stretches — cycles where the workload has nothing queued,
+// nothing is in flight, and Tick cannot enqueue anything — instead of
+// stepping them one by one.
+type EventWorkload interface {
+	// NextEventCycle returns the earliest cycle > now at which Tick can
+	// enqueue new work, or math.MaxInt64 when generation is finished.
+	NextEventCycle(now int64) int64
+	// QueueEmpty reports that no PE currently holds a queued packet.
+	QueueEmpty() bool
+}
+
 // StableHead is a marker (never called) declared by workloads whose per-PE
 // source queue is strictly FIFO and dequeued only by Injected: once Pending(pe)
 // returns a packet it returns that packet, bit for bit, every later cycle until
@@ -313,17 +328,60 @@ func attachObserver(net noc.Network, wl Workload, obs telemetry.Observer) {
 
 // Run drives net against wl until the workload drains or a limit is hit.
 // With Options.Shards > 1 the network steps shard-parallel (see shard.go);
-// otherwise the run is a lockstep batch of one (see batch.go). The Result is
-// bit-exact either way.
+// otherwise one engine loop runs it on the calling goroutine (engine.run).
+// The Result is bit-exact either way.
 func Run(net noc.Network, wl Workload, opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	if opts.Shards > 1 {
 		return runSharded(net, wl, opts)
 	}
-	return runOne(net, wl, opts)
+	return newEngine(net, wl, opts).run()
 }
 
-// engine is one run's mutable state, shared by the lockstep and sharded
+// run is the sequential driver: engine.cycle once per cycle of the virtual
+// clock until the run ends.
+//
+// Idle fast-forward: when the workload is an EventWorkload and nothing needs
+// to see every cycle (no auditor, observer or convergence window, nor the
+// dense reference engine), an empty network with an empty source queue and an
+// undrained workload jumps straight to the next generation event (or the
+// cycle budget). Every skipped cycle would tick nothing, offer nothing, step
+// nothing (noc.Network.Step's idle contract) and reset the watchdog, so
+// lastProgress lands where the last no-op cycle would have left it. InFlight
+// is tested first: it is the cheapest probe and fails on almost every busy
+// cycle.
+func (e *engine) run() (Result, error) {
+	budget := e.opts.MaxCycles
+	ev, skip := e.wl.(EventWorkload)
+	skip = skip && e.opts.Engine == EngineSparse && e.aud == nil && e.obs == nil && e.opts.ConvergeWindow <= 0
+	for now := int64(0); ; {
+		if skip && e.net.InFlight() == 0 && ev.QueueEmpty() && !e.wl.Done() {
+			if target := min(ev.NextEventCycle(now), budget); target > now {
+				e.lastProgress = target - 1
+				now = target
+			}
+		}
+		if now >= budget {
+			return e.finish(now)
+		}
+		if err := e.pollCtx(); err != nil {
+			return e.res, err
+		}
+		cs, err := e.cycle(now)
+		if err != nil {
+			return e.res, err
+		}
+		if cs == cycleDrained {
+			return e.finish(now)
+		}
+		now++ // this cycle completed in full
+		if cs == cycleConverged || now >= budget {
+			return e.finish(now)
+		}
+	}
+}
+
+// engine is one run's mutable state, shared by the sequential and sharded
 // drivers. The per-cycle protocol is decomposed into phase methods —
 // tick/offer, step, inject feedback, deliver, cycle-end bookkeeping — so
 // the sharded driver can replace individual phases with fan-out versions
@@ -650,8 +708,7 @@ const (
 )
 
 // cycle runs the canonical per-cycle phase sequence once at time now: the
-// one body every instance of the lockstep driver (batch.go) executes, whether
-// it is a per-job Run or one of sixteen siblings.
+// body of the sequential driver (engine.run).
 func (e *engine) cycle(now int64) (cycleStatus, error) {
 	e.wl.Tick(now)
 	anyOffer := e.phaseOffer(now)

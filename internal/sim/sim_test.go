@@ -196,25 +196,18 @@ func (c *cancelOnTick) Tick(now int64) {
 // executed cycles it fires by the 4096th (with this seed the clock-keyed poll
 // needed 19353). JobTimeout and ftserve per-job deadlines depend on this.
 func TestCancelUnderIdleSkip(t *testing.T) {
-	for _, batch := range []bool{false, true} {
-		nw, err := hoplite.New(4, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		wl := &cancelOnTick{SynthView: traffic.NewSynthetic(4, 4, traffic.Random{}, 0.0005, 1000, 2), cancel: cancel}
-		opts := sim.Options{Context: ctx, MaxCycles: 1 << 40}
-		if batch {
-			err = sim.RunBatch([]sim.BatchJob{{Net: nw, WL: wl, Opts: opts}})[0].Err
-		} else {
-			_, err = sim.Run(nw, wl, opts)
-		}
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("batch=%v: err = %v, want context.Canceled", batch, err)
-		}
-		if wl.ticks > 4096 {
-			t.Errorf("batch=%v: cancellation noticed after %d executed cycles, want <= 4096", batch, wl.ticks)
-		}
+	nw, err := hoplite.New(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	wl := &cancelOnTick{SynthView: traffic.NewSynthetic(4, 4, traffic.Random{}, 0.0005, 1000, 2), cancel: cancel}
+	_, err = sim.Run(nw, wl, sim.Options{Context: ctx, MaxCycles: 1 << 40})
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if wl.ticks > 4096 {
+		t.Errorf("cancellation noticed after %d executed cycles, want <= 4096", wl.ticks)
 	}
 }

@@ -51,8 +51,9 @@ func (r *engineRecorder) OnCycleEnd(now int64, inFlight int) {
 // TestGoldenStandingOffers holds the standing-offer path (Kernel.Hold, taken
 // when the workload declares sim.StableHead) to the one-cycle path (the same
 // workload with the marker hidden): identical Results per job, sharded and
-// batched, with the auditor on, and — observed — identical event streams, so
-// OnInjectStall still fires once per refused PE per cycle in live-list order.
+// over a batch of four seeds, with the auditor on, and — observed — identical
+// event streams, so OnInjectStall still fires once per refused PE per cycle in
+// live-list order.
 func TestGoldenStandingOffers(t *testing.T) {
 	if _, ok := sim.Workload(oneCycle{}).(sim.StableHead); ok {
 		t.Fatal("oneCycle exposes the StableHead marker; it would not force the one-cycle path")
@@ -67,58 +68,42 @@ func TestGoldenStandingOffers(t *testing.T) {
 		res    []sim.Result
 		events [][]noctest.Event
 	}
-	// run drives one matrix cell; driver is "job", "shards" or "batch", check
-	// is "plain", "audit" or "observed".
+	// run drives one matrix cell; driver is "job" (one run), "shards" (one
+	// run on two shards) or "batch" (four jobs of consecutive seeds, run one
+	// by one as a sweep runs them); check is "plain", "audit" or "observed".
 	run := func(t *testing.T, cfg core.Config, pat traffic.Pattern, rate float64, driver, check string, standing bool) outcome {
 		t.Helper()
-		b := 1
+		jobs := 1
 		if driver == "batch" {
-			b = batch
+			jobs = batch
 		}
-		specs := make([]traffic.SynthSpec, b)
-		for i := range specs {
-			specs[i] = traffic.SynthSpec{Pattern: pat, Rate: rate, Quota: 32, Seed: 17 + uint64(i)}
-		}
-		tb := traffic.NewSyntheticBatch(cfg.N, cfg.N, specs)
-		jobs := make([]sim.BatchJob, b)
-		recs := make([]*engineRecorder, b)
-		for i := range jobs {
+		var out outcome
+		for i := 0; i < jobs; i++ {
 			net, err := cfg.Build()
 			if err != nil {
 				t.Fatal(err)
 			}
-			var wl sim.Workload = tb.View(i)
+			gen := traffic.NewSynthetic(cfg.N, cfg.N, pat, rate, 32, 17+uint64(i))
+			var wl sim.Workload = gen
 			if !standing {
-				wl = oneCycle{tb.View(i)}
+				wl = oneCycle{gen}
 			}
 			opts := sim.Options{CheckConservation: check == "audit"}
+			var rec *engineRecorder
 			if check == "observed" {
-				recs[i] = &engineRecorder{}
-				opts.Observer = recs[i]
+				rec = &engineRecorder{}
+				opts.Observer = rec
 			}
 			if driver == "shards" {
 				opts.Shards = 2
 			}
-			jobs[i] = sim.BatchJob{Net: net, WL: wl, Opts: opts}
-		}
-		var out outcome
-		if driver == "batch" {
-			for _, r := range sim.RunBatch(jobs) {
-				if r.Err != nil {
-					t.Fatal(r.Err)
-				}
-				out.res = append(out.res, r.Res)
-			}
-		} else {
-			res, err := sim.Run(jobs[0].Net, jobs[0].WL, jobs[0].Opts)
+			res, err := sim.Run(net, wl, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out.res = []sim.Result{res}
-		}
-		for _, r := range recs {
-			if r != nil {
-				out.events = append(out.events, r.Events)
+			out.res = append(out.res, res)
+			if rec != nil {
+				out.events = append(out.events, rec.Events)
 			}
 		}
 		return out

@@ -9,7 +9,7 @@ import (
 // straight-line per-cycle Bernoulli source, written for obviousness rather
 // than speed. Every cycle every PE under quota draws Bool(rate), probes Dest
 // on success and appends a full packet to an unbounded queue — no event
-// schedule, no shards, no batch. It shares only the pattern and RNG
+// schedule, no shards. It shares only the pattern and RNG
 // primitives with synthetic.go.
 type oracleGen struct {
 	w, h, quota int
@@ -20,10 +20,10 @@ type oracleGen struct {
 	generated   []int
 }
 
-func newOracle(w, h int, sp SynthSpec) *oracleGen {
-	o := &oracleGen{w: w, h: h, quota: sp.Quota, rate: sp.Rate, pattern: sp.Pattern,
+func newOracle(w, h int, pattern Pattern, rate float64, quota int, seed uint64) *oracleGen {
+	o := &oracleGen{w: w, h: h, quota: quota, rate: rate, pattern: pattern,
 		rngs: make([]*xrand.Rand, w*h), queues: make([][]noc.Packet, w*h), generated: make([]int, w*h)}
-	root := xrand.New(sp.Seed)
+	root := xrand.New(seed)
 	for pe := range o.rngs {
 		o.rngs[pe] = root.SplitBy(uint64(pe))
 	}

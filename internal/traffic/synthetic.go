@@ -10,16 +10,6 @@ import (
 // noNext marks a PE (or shard) with no future generation event.
 const noNext = math.MaxInt64
 
-// SynthSpec is one instance of a synthetic workload: the per-job parameters
-// of NewSynthetic. Instances in one batch share the fabric geometry but may
-// differ in everything else.
-type SynthSpec struct {
-	Pattern Pattern
-	Rate    float64
-	Quota   int
-	Seed    uint64
-}
-
 // qent is one queued source packet. Only the destination and generation
 // cycle vary per packet — the ID is a (source, sequence) pair reconstructed
 // at Pending time from the per-PE injected count, and Src is the PE — so the
@@ -48,10 +38,10 @@ func (q *srcQueue) push(e qent) {
 
 func (q *srcQueue) empty() bool { return q.head == len(q.buf) }
 
-// synthShard is one (instance, shard) slice of the generator's aggregate
-// state: a contiguous PE range plus every mutable word that summarizes it,
-// so shards ticked on different workers never touch a shared word. An
-// unpartitioned instance is the one-shard case of the same code.
+// synthShard is one shard's slice of the generator's aggregate state: a
+// contiguous PE range plus every mutable word that summarizes it, so shards
+// ticked on different workers never touch a shared word. An unpartitioned
+// generator is the one-shard case of the same code.
 type synthShard struct {
 	lo, hi  int // PE range [lo, hi)
 	pending int // packets queued across the range
@@ -59,8 +49,8 @@ type synthShard struct {
 
 	// minNext is the earliest pending generation event across the range
 	// (noNext when generation is finished): cycles before it cannot enqueue
-	// anything, so a tick returns immediately and the lockstep driver may
-	// fast-forward an otherwise-idle instance straight to it.
+	// anything, so a tick returns immediately and the engine may fast-forward
+	// an otherwise-idle run straight to it.
 	minNext int64
 
 	// live lists PEs with a non-empty source queue (inLive guards against
@@ -70,32 +60,11 @@ type synthShard struct {
 	live []int
 }
 
-// synthInst is one instance's parameters and its shard partition.
-type synthInst struct {
-	pattern Pattern
-	rate    float64
-	quota   int
-
-	sh []synthShard
-	// peShard maps a PE to its owning shard; nil while the instance has one
-	// shard, so Injected on a batched instance never pays the lookup.
-	peShard []int32
-}
-
-func (in *synthInst) shardOf(pe int) *synthShard {
-	if in.peShard == nil {
-		return &in.sh[0]
-	}
-	return &in.sh[in.peShard[pe]]
-}
-
-// SyntheticBatch is B independent synthetic workloads over one fabric
-// geometry. Every PE of every instance generates pattern traffic with
-// Bernoulli arrivals — a packet with probability Rate per cycle until Quota
-// packets — into an unbounded source queue, so measured latency includes
-// source queueing and saturated networks show the hockey-stick curves of
-// Fig 12. All per-(instance, PE) state lives in flat batch-major arrays
-// (index b*n + pe); the per-job workload is the batch of one (NewSynthetic).
+// SynthView is the synthetic workload over one w×h fabric. Every PE generates
+// pattern traffic with Bernoulli arrivals — a packet with probability rate per
+// cycle until quota packets — into an unbounded source queue, so measured
+// latency includes source queueing and saturated networks show the
+// hockey-stick curves of Fig 12.
 //
 // Generation is event-driven rather than per-cycle: Bernoulli arrivals are
 // open-loop (the draw sequence never depends on network state), so each PE's
@@ -105,14 +74,21 @@ func (in *synthInst) shardOf(pe int) *synthShard {
 // — ID, source, destination, generation cycle, order — are those of the
 // straight-line per-cycle generator kept as the oracle in oracle_test.go.
 //
-// Views implement sim.Workload, ActiveSet, StableHead, EventWorkload and
-// ShardableWorkload per instance. Ticks must visit cycles in ascending order
-// and may skip only cycles before NextEventCycle.
-type SyntheticBatch struct {
+// SynthView implements sim.Workload, ActiveSet, StableHead, EventWorkload and
+// ShardableWorkload. Ticks must visit cycles in ascending order and may skip
+// only cycles before NextEventCycle.
+type SynthView struct {
 	w, h, n int
-	insts   []synthInst
+	pattern Pattern
+	rate    float64
+	quota   int
 
-	// Flat per-(instance, PE) state; index = instance*n + pe.
+	sh []synthShard
+	// peShard maps a PE to its owning shard; nil while there is one shard,
+	// so Injected on an unpartitioned generator never pays the lookup.
+	peShard []int32
+
+	// Per-PE state, indexed by PE.
 	rngs      []xrand.Rand
 	nextCycle []int64     // cycle of the next committed generation event
 	nextDst   []noc.Coord // its destination
@@ -121,104 +97,80 @@ type SyntheticBatch struct {
 	silent    []bool // PEs the pattern never sources from
 	inLive    []bool
 	queues    []srcQueue
-
-	views []SynthView
 }
 
-// NewSynthetic builds a synthetic workload for a w×h network: the instance
-// view of a one-spec SyntheticBatch. rate is the per-PE injection probability
-// per cycle (the paper's "injection rate" axis); quota is packets per PE (the
-// paper uses 1000). seed fixes the random streams.
-func NewSynthetic(w, h int, pattern Pattern, rate float64, quota int, seed uint64) *SynthView {
-	return NewSyntheticBatch(w, h, []SynthSpec{{Pattern: pattern, Rate: rate, Quota: quota, Seed: seed}}).View(0)
-}
-
-// NewSyntheticBatch builds one workload instance per spec over a w×h fabric.
+// NewSynthetic builds a synthetic workload for a w×h network. rate is the
+// per-PE injection probability per cycle (the paper's "injection rate" axis);
+// quota is packets per PE (the paper uses 1000). seed fixes the random
+// streams.
 //
 // Whether a PE is permanently silent (e.g. the TRANSPOSE diagonal) is the
 // pattern's SilenceClassifier verdict, never a sampled Dest probe: a
 // stochastic pattern that returns !ok on one draw merely skips that cycle.
-func NewSyntheticBatch(w, h int, specs []SynthSpec) *SyntheticBatch {
+func NewSynthetic(w, h int, pattern Pattern, rate float64, quota int, seed uint64) *SynthView {
 	n := w * h
-	b := len(specs)
-	s := &SyntheticBatch{
+	v := &SynthView{
 		w: w, h: h, n: n,
-		insts:     make([]synthInst, b),
-		rngs:      make([]xrand.Rand, b*n),
-		nextCycle: make([]int64, b*n),
-		nextDst:   make([]noc.Coord, b*n),
-		generated: make([]int32, b*n),
-		injected:  make([]int32, b*n),
-		silent:    make([]bool, b*n),
-		inLive:    make([]bool, b*n),
-		queues:    make([]srcQueue, b*n),
-		views:     make([]SynthView, b),
+		pattern: pattern, rate: rate, quota: quota,
+		rngs:      make([]xrand.Rand, n),
+		nextCycle: make([]int64, n),
+		nextDst:   make([]noc.Coord, n),
+		generated: make([]int32, n),
+		injected:  make([]int32, n),
+		silent:    make([]bool, n),
+		inLive:    make([]bool, n),
+		queues:    make([]srcQueue, n),
 	}
-	for bi, spec := range specs {
-		in := &s.insts[bi]
-		in.pattern, in.rate, in.quota = spec.Pattern, spec.Rate, spec.Quota
-		root := xrand.New(spec.Seed)
-		base := bi * n
-		for pe := 0; pe < n; pe++ {
-			idx := base + pe
-			s.rngs[idx] = *root.SplitBy(uint64(pe))
-			s.silent[idx] = Silent(spec.Pattern, noc.PECoord(pe, w), w, h)
-			s.advance(bi, pe, -1)
-		}
-		s.views[bi] = SynthView{sb: s, b: bi, base: base}
-		s.views[bi].ConfigureShards([]int{0, n})
+	root := xrand.New(seed)
+	for pe := 0; pe < n; pe++ {
+		v.rngs[pe] = *root.SplitBy(uint64(pe))
+		v.silent[pe] = Silent(pattern, noc.PECoord(pe, w), w, h)
+		v.advance(pe, -1)
 	}
-	return s
+	v.ConfigureShards([]int{0, n})
+	return v
 }
 
-// advance replays PE (b, pe)'s RNG stream from cycle after+1 until the next
+// advance replays PE pe's RNG stream from cycle after+1 until the next
 // committed generation event, one cycle per iteration: one Bool(rate) draw
 // (which consumes nothing at rate ≥ 1 or ≤ 0), then a Dest probe on success,
 // with a !ok probe consuming its draws and skipping the cycle.
-func (s *SyntheticBatch) advance(b, pe int, after int64) {
-	idx := b*s.n + pe
-	in := &s.insts[b]
-	if s.silent[idx] || int(s.generated[idx]) >= in.quota || in.rate <= 0 {
-		s.nextCycle[idx] = noNext
+func (v *SynthView) advance(pe int, after int64) {
+	if v.silent[pe] || int(v.generated[pe]) >= v.quota || v.rate <= 0 {
+		v.nextCycle[pe] = noNext
 		return
 	}
-	rng := &s.rngs[idx]
-	src := noc.PECoord(pe, s.w)
+	rng := &v.rngs[pe]
+	src := noc.PECoord(pe, v.w)
 	for cyc := after + 1; ; cyc++ {
-		if !rng.Bool(in.rate) {
+		if !rng.Bool(v.rate) {
 			continue
 		}
-		dst, ok := in.pattern.Dest(src, s.w, s.h, rng)
+		dst, ok := v.pattern.Dest(src, v.w, v.h, rng)
 		if !ok {
 			continue
 		}
-		s.nextCycle[idx] = cyc
-		s.nextDst[idx] = dst
+		v.nextCycle[pe] = cyc
+		v.nextDst[pe] = dst
 		return
 	}
 }
 
-// View returns instance b's sim.Workload facade.
-func (s *SyntheticBatch) View(b int) *SynthView { return &s.views[b] }
-
-// SynthView is one SyntheticBatch instance as a workload. Obtain with
-// NewSynthetic or SyntheticBatch.View. Views of one batch share nothing
-// mutable, so siblings may be driven from different goroutines.
-type SynthView struct {
-	sb   *SyntheticBatch
-	b    int
-	base int
+func (v *SynthView) shardOf(pe int) *synthShard {
+	if v.peShard == nil {
+		return &v.sh[0]
+	}
+	return &v.sh[v.peShard[pe]]
 }
 
-// ConfigureShards implements sim.ShardableWorkload: repartition this
-// instance's PE space into len(bounds)-1 contiguous shards with shard k
-// owning PEs [bounds[k], bounds[k+1]). Aggregate state is redistributed to
-// the new owners; live-list insertion order is preserved per shard so an
-// active walk stays deterministic. Returns false (leaving the instance
-// untouched) if bounds do not partition [0, n).
+// ConfigureShards implements sim.ShardableWorkload: repartition the PE space
+// into len(bounds)-1 contiguous shards with shard k owning PEs
+// [bounds[k], bounds[k+1]). Aggregate state is redistributed to the new
+// owners; live-list insertion order is preserved per shard so an active walk
+// stays deterministic. Returns false (leaving the generator untouched) if
+// bounds do not partition [0, n).
 func (v *SynthView) ConfigureShards(bounds []int) bool {
-	s := v.sb
-	if len(bounds) < 2 || bounds[0] != 0 || bounds[len(bounds)-1] != s.n {
+	if len(bounds) < 2 || bounds[0] != 0 || bounds[len(bounds)-1] != v.n {
 		return false
 	}
 	for i := 1; i < len(bounds); i++ {
@@ -226,38 +178,36 @@ func (v *SynthView) ConfigureShards(bounds []int) bool {
 			return false
 		}
 	}
-	in := &s.insts[v.b]
 	var oldLive []int
-	for k := range in.sh {
-		oldLive = append(oldLive, in.sh[k].live...)
+	for k := range v.sh {
+		oldLive = append(oldLive, v.sh[k].live...)
 	}
-	in.sh, in.peShard = make([]synthShard, len(bounds)-1), nil
-	if len(in.sh) > 1 {
-		in.peShard = make([]int32, s.n)
+	v.sh, v.peShard = make([]synthShard, len(bounds)-1), nil
+	if len(v.sh) > 1 {
+		v.peShard = make([]int32, v.n)
 	}
-	for k := range in.sh {
-		sh := &in.sh[k]
+	for k := range v.sh {
+		sh := &v.sh[k]
 		sh.lo, sh.hi, sh.minNext = bounds[k], bounds[k+1], noNext
 		for pe := sh.lo; pe < sh.hi; pe++ {
-			idx := v.base + pe
-			if in.peShard != nil {
-				in.peShard[pe] = int32(k)
+			if v.peShard != nil {
+				v.peShard[pe] = int32(k)
 			}
-			if s.silent[idx] || int(s.generated[idx]) >= in.quota {
+			if v.silent[pe] || int(v.generated[pe]) >= v.quota {
 				sh.doneGen++
 			}
-			sh.pending += len(s.queues[idx].buf) - s.queues[idx].head
-			if nc := s.nextCycle[idx]; nc < sh.minNext {
+			sh.pending += len(v.queues[pe].buf) - v.queues[pe].head
+			if nc := v.nextCycle[pe]; nc < sh.minNext {
 				sh.minNext = nc
 			}
 		}
 	}
 	for _, pe := range oldLive {
-		if s.queues[v.base+pe].empty() {
-			s.inLive[v.base+pe] = false
+		if v.queues[pe].empty() {
+			v.inLive[pe] = false
 			continue
 		}
-		sh := in.shardOf(pe)
+		sh := v.shardOf(pe)
 		sh.live = append(sh.live, pe)
 	}
 	return true
@@ -266,17 +216,14 @@ func (v *SynthView) ConfigureShards(bounds []int) bool {
 // Tick implements sim.Workload: enqueue every PE whose precomputed event
 // fires this cycle.
 func (v *SynthView) Tick(now int64) {
-	sh := v.sb.insts[v.b].sh
-	for k := range sh {
-		v.tickShard(&sh[k], now)
+	for k := range v.sh {
+		v.tickShard(&v.sh[k], now)
 	}
 }
 
 // TickShard implements sim.ShardableWorkload: generation for shard k's PE
 // range only. Safe to call concurrently for distinct k.
-func (v *SynthView) TickShard(k int, now int64) {
-	v.tickShard(&v.sb.insts[v.b].sh[k], now)
-}
+func (v *SynthView) TickShard(k int, now int64) { v.tickShard(&v.sh[k], now) }
 
 // tickShard returns without touching per-PE state on cycles before the
 // shard's earliest event.
@@ -284,25 +231,22 @@ func (v *SynthView) tickShard(sh *synthShard, now int64) {
 	if now < sh.minNext {
 		return
 	}
-	s := v.sb
-	quota := s.insts[v.b].quota
 	min := int64(noNext)
 	for pe := sh.lo; pe < sh.hi; pe++ {
-		idx := v.base + pe
-		nc := s.nextCycle[idx]
+		nc := v.nextCycle[pe]
 		if nc == now {
-			s.queues[idx].push(qent{dst: s.nextDst[idx], gen: now})
+			v.queues[pe].push(qent{dst: v.nextDst[pe], gen: now})
 			sh.pending++
-			if !s.inLive[idx] {
-				s.inLive[idx] = true
+			if !v.inLive[pe] {
+				v.inLive[pe] = true
 				sh.live = append(sh.live, pe)
 			}
-			s.generated[idx]++
-			if int(s.generated[idx]) == quota {
+			v.generated[pe]++
+			if int(v.generated[pe]) == v.quota {
 				sh.doneGen++
 			}
-			s.advance(v.b, pe, now)
-			nc = s.nextCycle[idx]
+			v.advance(pe, now)
+			nc = v.nextCycle[pe]
 		}
 		if nc < min {
 			min = nc
@@ -319,16 +263,14 @@ func (v *SynthView) tickShard(sh *synthShard, now int64) {
 // FIFO, so the head is always the oldest uninjected sequence number). Quotas
 // are bounded well below 2^32.
 func (v *SynthView) Pending(pe int, _ int64) (noc.Packet, bool) {
-	s := v.sb
-	idx := v.base + pe
-	q := &s.queues[idx]
+	q := &v.queues[pe]
 	if q.empty() {
 		return noc.Packet{}, false
 	}
 	e := q.buf[q.head]
 	return noc.Packet{
-		ID:    (int64(pe)+1)<<32 | int64(s.injected[idx]+1),
-		Src:   noc.PECoord(pe, s.w),
+		ID:    (int64(pe)+1)<<32 | int64(v.injected[pe]+1),
+		Src:   noc.PECoord(pe, v.w),
 		Dst:   e.dst,
 		Gen:   e.gen,
 		Event: -1,
@@ -343,15 +285,13 @@ func (v *SynthView) StableHead() {}
 // distinct shards: the dequeue touches only per-PE state and the pending
 // count of the owning shard.
 func (v *SynthView) Injected(pe int, _ int64) {
-	s := v.sb
-	idx := v.base + pe
-	q := &s.queues[idx]
+	q := &v.queues[pe]
 	q.head++
 	if q.head == len(q.buf) {
 		q.buf, q.head = q.buf[:0], 0
 	}
-	s.injected[idx]++
-	s.insts[v.b].shardOf(pe).pending--
+	v.injected[pe]++
+	v.shardOf(pe).pending--
 }
 
 // Delivered implements sim.Workload (synthetic traffic has no dependencies).
@@ -359,7 +299,7 @@ func (v *SynthView) Delivered(noc.Packet, int64) {}
 
 // Done implements sim.Workload.
 func (v *SynthView) Done() bool {
-	for _, sh := range v.sb.insts[v.b].sh {
+	for _, sh := range v.sh {
 		if sh.doneGen != sh.hi-sh.lo || sh.pending != 0 {
 			return false
 		}
@@ -371,9 +311,8 @@ func (v *SynthView) Done() bool {
 // PEs are dropped here rather than in Injected, so the list walk doubles as
 // the compaction pass and Injected stays O(1).
 func (v *SynthView) ActivePEs(buf []int) []int {
-	sh := v.sb.insts[v.b].sh
-	for k := range sh {
-		buf = v.activeShard(&sh[k], buf)
+	for k := range v.sh {
+		buf = v.activeShard(&v.sh[k], buf)
 	}
 	return buf
 }
@@ -381,15 +320,14 @@ func (v *SynthView) ActivePEs(buf []int) []int {
 // ActiveShard implements sim.ShardableWorkload: live PEs of shard k only.
 // Safe to call concurrently for distinct k.
 func (v *SynthView) ActiveShard(k int, buf []int) []int {
-	return v.activeShard(&v.sb.insts[v.b].sh[k], buf)
+	return v.activeShard(&v.sh[k], buf)
 }
 
 func (v *SynthView) activeShard(sh *synthShard, buf []int) []int {
-	s := v.sb
 	kept := sh.live[:0]
 	for _, pe := range sh.live {
-		if s.queues[v.base+pe].empty() {
-			s.inLive[v.base+pe] = false
+		if v.queues[pe].empty() {
+			v.inLive[pe] = false
 			continue
 		}
 		kept = append(kept, pe)
@@ -403,7 +341,7 @@ func (v *SynthView) activeShard(sh *synthShard, buf []int) []int {
 // Tick can enqueue new work, or math.MaxInt64 when generation is finished.
 func (v *SynthView) NextEventCycle(int64) int64 {
 	min := int64(noNext)
-	for _, sh := range v.sb.insts[v.b].sh {
+	for _, sh := range v.sh {
 		if sh.minNext < min {
 			min = sh.minNext
 		}
@@ -411,10 +349,9 @@ func (v *SynthView) NextEventCycle(int64) int64 {
 	return min
 }
 
-// QueueEmpty implements sim.EventWorkload: no PE of this instance holds a
-// queued packet.
+// QueueEmpty implements sim.EventWorkload: no PE holds a queued packet.
 func (v *SynthView) QueueEmpty() bool {
-	for _, sh := range v.sb.insts[v.b].sh {
+	for _, sh := range v.sh {
 		if sh.pending != 0 {
 			return false
 		}
@@ -422,10 +359,10 @@ func (v *SynthView) QueueEmpty() bool {
 	return true
 }
 
-// Generated returns the total packets this instance has created so far.
+// Generated returns the total packets created so far.
 func (v *SynthView) Generated() int64 {
 	var total int64
-	for _, g := range v.sb.generated[v.base : v.base+v.sb.n] {
+	for _, g := range v.generated {
 		total += int64(g)
 	}
 	return total

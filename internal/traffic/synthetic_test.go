@@ -17,12 +17,11 @@ import (
 // ID, Src, Dst, Gen, order per PE, Done and the active set — under an
 // adversarial drain schedule that leaves queues non-empty across ticks, so
 // they grow, wrap and compact. The matrix crosses the four paper patterns
-// with B ∈ {1, 3} siblings sharing the flat arrays and with instance 0 either
-// unpartitioned or ticked as four shards (repartitioned mid-run, queues and
-// live lists in flight). Siblings are never partitioned and are held to
-// their own oracles, so ConfigureShards on one view cannot perturb another.
-// This pins the event-driven generator's claim that it replays the exact
-// per-PE RNG streams a per-cycle generator consumes.
+// with B ∈ {1, 3} generators of consecutive seeds, each held to its own
+// oracle, with generator 0 either unpartitioned or ticked as four shards
+// (repartitioned mid-run, queues and live lists in flight). This pins the
+// event-driven generator's claim that it replays the exact per-PE RNG streams
+// a per-cycle generator consumes.
 func TestSyntheticBatchStreamEquivalence(t *testing.T) {
 	for _, name := range []string{"RANDOM", "TRANSPOSE", "BITCOMPL", "LOCAL"} {
 		pat, err := ByName(name)
@@ -42,18 +41,17 @@ func TestSyntheticBatchStreamEquivalence(t *testing.T) {
 }
 
 // streamEquivalence is one cell of TestSyntheticBatchStreamEquivalence: b
-// instances against b oracles, instance 0 ticked as `shards` shards.
+// generators against b oracles, generator 0 ticked as `shards` shards.
 func streamEquivalence(t *testing.T, pat Pattern, b, shards int) {
 	const w, h, n, quota, seed = 4, 4, 16, 12, 9
 	const rate = 0.35
-	specs := make([]SynthSpec, b)
+	gens := make([]*SynthView, b)
 	oracles := make([]*oracleGen, b)
-	for i := range specs {
-		specs[i] = SynthSpec{Pattern: pat, Rate: rate, Quota: quota, Seed: seed + uint64(i)}
-		oracles[i] = newOracle(w, h, specs[i])
+	for i := range gens {
+		gens[i] = NewSynthetic(w, h, pat, rate, quota, seed+uint64(i))
+		oracles[i] = newOracle(w, h, pat, rate, quota, seed+uint64(i))
 	}
-	sb := NewSyntheticBatch(w, h, specs)
-	if shards > 1 && !sb.View(0).ConfigureShards([]int{0, 4, 8, 12, 16}) {
+	if shards > 1 && !gens[0].ConfigureShards([]int{0, 4, 8, 12, 16}) {
 		t.Fatal("ConfigureShards rejected a valid partition")
 	}
 	drain := xrand.New(4242)
@@ -61,50 +59,50 @@ func streamEquivalence(t *testing.T, pat Pattern, b, shards int) {
 		if now == 4000 {
 			t.Fatal("workloads did not drain within the test horizon")
 		}
-		if shards > 1 && now == 25 && !sb.View(0).ConfigureShards([]int{0, 3, 9, 10, 16}) {
+		if shards > 1 && now == 25 && !gens[0].ConfigureShards([]int{0, 3, 9, 10, 16}) {
 			t.Fatal("mid-run repartition rejected")
 		}
 		allDone := true
 		for i, ref := range oracles {
-			view := sb.View(i)
+			g := gens[i]
 			sharded := i == 0 && shards > 1
 			ref.Tick(now)
 			if sharded {
 				for k := 0; k < shards; k++ {
-					view.TickShard(k, now)
+					g.TickShard(k, now)
 				}
 			} else {
-				view.Tick(now)
+				g.Tick(now)
 			}
 			for pe := 0; pe < n; pe++ {
 				want, wantOK := ref.Pending(pe)
-				got, gotOK := view.Pending(pe, now)
+				got, gotOK := g.Pending(pe, now)
 				if wantOK != gotOK || want != got {
-					t.Fatalf("cycle %d instance %d pe %d: pending mismatch\noracle: %v %+v\ngot:    %v %+v", now, i, pe, wantOK, want, gotOK, got)
+					t.Fatalf("cycle %d generator %d pe %d: pending mismatch\noracle: %v %+v\ngot:    %v %+v", now, i, pe, wantOK, want, gotOK, got)
 				}
 				if wantOK && drain.Bool(0.6) {
 					ref.Injected(pe)
-					view.Injected(pe, now)
+					g.Injected(pe, now)
 				}
 			}
-			if ref.Done() != view.Done() {
-				t.Fatalf("cycle %d instance %d: Done mismatch oracle=%v got=%v", now, i, ref.Done(), view.Done())
+			if ref.Done() != g.Done() {
+				t.Fatalf("cycle %d generator %d: Done mismatch oracle=%v got=%v", now, i, ref.Done(), g.Done())
 			}
 			// The active set is a set: its order (insertion order,
 			// shard-major) is the generator's business.
 			var active []int
 			if sharded {
 				for k := 0; k < shards; k++ {
-					active = view.ActiveShard(k, active)
+					active = g.ActiveShard(k, active)
 				}
 			} else {
-				active = view.ActivePEs(nil)
+				active = g.ActivePEs(nil)
 			}
 			sort.Ints(active)
 			if !reflect.DeepEqual(active, ref.Active()) {
-				t.Fatalf("cycle %d instance %d: active set %v, oracle has queued packets at %v", now, i, active, ref.Active())
+				t.Fatalf("cycle %d generator %d: active set %v, oracle has queued packets at %v", now, i, active, ref.Active())
 			}
-			allDone = allDone && view.Done()
+			allDone = allDone && g.Done()
 		}
 		if allDone {
 			break
@@ -115,13 +113,13 @@ func streamEquivalence(t *testing.T, pat Pattern, b, shards int) {
 		for _, g := range ref.generated {
 			total += int64(g)
 		}
-		if got := sb.View(i).Generated(); got != total || total == 0 {
-			t.Fatalf("instance %d generated %d packets, oracle %d", i, got, total)
+		if got := gens[i].Generated(); got != total || total == 0 {
+			t.Fatalf("generator %d generated %d packets, oracle %d", i, got, total)
 		}
 	}
 }
 
-// TestSyntheticShardsConcurrent drives one instance's four shards from four
+// TestSyntheticShardsConcurrent drives one generator's four shards from four
 // goroutines with no barrier between them — each runs TickShard, ActiveShard,
 // Pending and Injected over its own PE range for the whole run — and requires
 // every shard's packet stream to equal the sequential single-goroutine
@@ -191,8 +189,7 @@ func TestSyntheticBatchNextEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb := NewSyntheticBatch(4, 4, []SynthSpec{{Pattern: pat, Rate: 0.02, Quota: 3, Seed: 5}})
-	v := sb.View(0)
+	v := NewSynthetic(4, 4, pat, 0.02, 3, 5)
 	if !v.QueueEmpty() {
 		t.Fatal("fresh workload must have empty queues")
 	}

@@ -9,7 +9,7 @@ GO ?= go
 # pass so the assertion is meaningful).
 SWEEP_CACHE ?= .ftcache-quick
 
-.PHONY: build fmt test vet race race-shards fuzz verify loc bench sweep-quick monitor-smoke serve-load serve-load-smoke trace-roundtrip metrics-lint
+.PHONY: build fmt test vet race fuzz verify loc bench sweep-quick monitor-smoke serve-load serve-load-smoke trace-roundtrip metrics-lint
 
 build:
 	$(GO) build ./...
@@ -26,16 +26,6 @@ fmt:
 
 race:
 	$(GO) test -race ./...
-
-# Shard-engine race stress: the equivalence suites step row-band shards on
-# real goroutines (noctest harness, golden sim matrix) and drive the
-# synthetic generator's shards from one goroutine each, so running them
-# under -race is the data-race gate for the parallel engine; -count=2
-# defeats test caching so the goroutine schedules re-roll. The standing-offer
-# suites ride along because shard workers call Kernel.Hold and Refuse
-# concurrently.
-race-shards:
-	$(GO) test -race -count=2 -run 'TestShardEquivalence|TestGoldenShardEquivalence|TestSharded|TestConfigureShards|TestSyntheticShard|TestStandingOffers|TestGoldenStandingOffers' ./internal/fabric/ ./internal/hoplite/ ./internal/fasttrack/ ./internal/sim/ ./internal/traffic/
 
 # Non-test Go lines per package and in total (benchmark/ and examples/
 # excluded): ROADMAP aim 2 makes net-negative diffs a deliverable, and this
@@ -139,4 +129,4 @@ monitor-smoke:
 	$(GO) run ./cmd/ftexp -quick -run fig11 -no-cache -span-trace .smoke.spans.trace.json > /dev/null
 	rm -f $(SMOKE_OUT)
 
-verify: build fmt vet test race race-shards sweep-quick trace-roundtrip monitor-smoke serve-load-smoke metrics-lint
+verify: build fmt vet test race sweep-quick trace-roundtrip monitor-smoke serve-load-smoke metrics-lint

@@ -28,7 +28,6 @@ import (
 func main() {
 	topo := cliflags.RegisterTopology(flag.CommandLine, cliflags.TopologyDefaults())
 	work := cliflags.RegisterWorkload(flag.CommandLine, cliflags.WorkloadDefaults())
-	eng := cliflags.RegisterEngine(flag.CommandLine)
 	flt := cliflags.RegisterFaults(flag.CommandLine)
 	telem := cliflags.RegisterTelemetry(flag.CommandLine)
 	mon := cliflags.RegisterMonitor(flag.CommandLine)
@@ -57,7 +56,6 @@ func main() {
 		MaxPacketAge:      *watchdog,
 	}
 	work.Apply(&opts)
-	eng.Apply(&opts)
 	flt.Apply(&opts)
 	ops, err := cliflags.BuildOps(telem, mon, topo.N, topo.N, nil)
 	if err != nil {

@@ -51,7 +51,6 @@ func main() {
 	d := flag.Int("d", 2, "FastTrack D for replay")
 	r := flag.Int("r", 1, "FastTrack R for replay")
 	seed := flag.Uint64("seed", 1, "seed for synthetic trace generation")
-	eng := cliflags.RegisterEngine(flag.CommandLine)
 	rep := cliflags.RegisterReplay(flag.CommandLine)
 	telem := cliflags.RegisterTelemetry(flag.CommandLine)
 	mon := cliflags.RegisterMonitor(flag.CommandLine)
@@ -97,7 +96,7 @@ func main() {
 			fatal(err)
 		}
 		defer closer.Close()
-		replayTrace(src, *nocKind, *n, *d, *r, eng, rep, telem, mon, logger)
+		replayTrace(src, *nocKind, *n, *d, *r, rep, telem, mon, logger)
 	default:
 		tr, err := generate(*suite, *bench, *n, *seed)
 		if err != nil {
@@ -198,7 +197,7 @@ func recordInto(f io.WriteSeeker, from, suite, bench string, n int, seed uint64)
 // replayTrace runs src on the selected NoC. A binary source replays
 // streaming (constant memory, -trace-window bounds residency); a text
 // source was read into memory and replays with the window off.
-func replayTrace(src trace.Source, nocKind string, n, d, r int, eng *cliflags.Engine, rep *cliflags.Replay, telem *cliflags.Telemetry, mon *cliflags.Monitor, logger *slog.Logger) {
+func replayTrace(src trace.Source, nocKind string, n, d, r int, rep *cliflags.Replay, telem *cliflags.Telemetry, mon *cliflags.Monitor, logger *slog.Logger) {
 	cfg := core.Hoplite(n)
 	if nocKind == "ft" {
 		cfg = core.FastTrack(n, d, r)
@@ -209,7 +208,6 @@ func replayTrace(src trace.Source, nocKind string, n, d, r int, eng *cliflags.En
 	}
 	ops.Log = logger
 	topts := core.TraceOptions{Observer: ops.Observer}
-	eng.ApplyTrace(&topts)
 	rep.Apply(&topts)
 	ctx := context.Background()
 	res, err := core.RunTrace(ctx, cfg, src, topts)

@@ -101,37 +101,10 @@ func (w *Workload) Apply(o *core.SyntheticOptions) {
 	o.Seed = w.Seed
 }
 
-// Engine is the execution-engine flag group (-shards). It controls how a
-// simulation runs, never what it computes: the sharded engine is bit-exact
-// with the sequential one (golden-tested), so these flags stay out of the
-// result cache keys.
-type Engine struct {
-	Shards int `json:"shards,omitempty"`
-}
-
-// EngineDefaults returns the default engine configuration (sequential).
-func EngineDefaults() Engine { return Engine{Shards: 1} }
-
-// RegisterEngine registers the engine flags on fs.
-func RegisterEngine(fs *flag.FlagSet) *Engine {
-	e := &Engine{}
-	def := EngineDefaults()
-	fs.IntVar(&e.Shards, "shards", def.Shards,
-		"row-band worker count for the parallel engine (1 = sequential; results are bit-exact either way)")
-	return e
-}
-
-// Apply copies the parsed engine flags into o.
-func (e *Engine) Apply(o *core.SyntheticOptions) { o.Shards = e.Shards }
-
-// ApplyTrace copies the parsed engine flags into o.
-func (e *Engine) ApplyTrace(o *core.TraceOptions) { o.Shards = e.Shards }
-
-// Replay is the trace-replay flag group (-trace-window). Unlike Engine,
-// an explicit window CAN change what the replay of a recorded (.ftt) trace
-// computes (a binding window delays injection — see
-// trace.StreamOptions.Window), so runner.TraceKey keys it whenever it is
-// set. A text trace is read into memory and goes through the same
+// Replay is the trace-replay flag group (-trace-window). An explicit window
+// can change what the replay of a recorded (.ftt) trace computes (a binding
+// window delays injection — see trace.StreamOptions.Window), so
+// runner.TraceKey keys it whenever it is set. A text trace is read into memory and goes through the same
 // trace.Stream with the window off, so the flag does not reach it.
 type Replay struct {
 	Window int

@@ -49,10 +49,6 @@ type JobSpec struct {
 	// starvation watchdog at this packet age.
 	Check    bool  `json:"check,omitempty"`
 	Watchdog int64 `json:"watchdog,omitempty"`
-	// Shards, when >1, runs each simulation on that many parallel row-band
-	// workers (bit-exact with the sequential engine; a wall-clock knob).
-	// Only the hoplite and ft fabrics support sharding.
-	Shards int `json:"shards,omitempty"`
 
 	// TimeoutMS is the job's wall-clock deadline in milliseconds; the
 	// daemon's -job-timeout caps it. 0 inherits the daemon default.
@@ -216,17 +212,6 @@ func (s *JobSpec) Validate() error {
 	if s.TimeoutMS < 0 {
 		return specErr("timeout_ms", "negative deadline")
 	}
-	if s.Shards < 0 || s.Shards > MaxSpecN {
-		return specErr("shards", "shard count %d out of range [0,%d]", s.Shards, MaxSpecN)
-	}
-	if s.Shards > 1 {
-		if s.Kind == "dse" {
-			return specErr("shards", "dse enumerates multichannel candidates, which do not shard; use shards=1")
-		}
-		if s.Topology.Kind == "multi" {
-			return specErr("shards", "the multichannel fabric does not shard; use shards=1")
-		}
-	}
 	return nil
 }
 
@@ -245,7 +230,6 @@ func (s *JobSpec) SimConfig(rate float64) (core.Config, core.SyntheticOptions, e
 		MaxPacketAge:      s.Watchdog,
 		ConvergeWindow:    s.ConvergeWindow,
 		ConvergeTol:       s.ConvergeTol,
-		Shards:            s.Shards,
 	}
 	s.Workload.Apply(&opts)
 	opts.Rate = rate

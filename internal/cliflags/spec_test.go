@@ -110,6 +110,17 @@ func TestDecodeJobSpecRejections(t *testing.T) {
 	}
 }
 
+// TestDecodeJobSpecRejectsShards: "shards" is not a spec field, so a spec
+// carrying it gets a structured 400 naming it instead of running with the
+// field silently ignored.
+func TestDecodeJobSpecRejectsShards(t *testing.T) {
+	_, err := decode(t, `{"kind":"sim","shards":2}`)
+	var se *SpecError
+	if !errors.As(err, &se) || !strings.Contains(se.Msg, `"shards"`) {
+		t.Fatalf("want a *SpecError naming shards, got %v", err)
+	}
+}
+
 // TestCanonicalKeyIdentity: two specs that differ only in JSON field order
 // or whitespace share a canonical key; materially different specs do not.
 func TestCanonicalKeyIdentity(t *testing.T) {

@@ -236,9 +236,9 @@ type SyntheticOptions struct {
 	// fixed-budget path bit-exact.
 	ConvergeWindow int64
 	ConvergeTol    float64
-	// Shards, when >1, steps the network on that many parallel row-band
-	// workers (sim.Options.Shards). Bit-exact with the sequential engine,
-	// so cache keys ignore it; a wall-clock knob only.
+	// Shards is ignored: every simulation runs on one goroutine. The field
+	// exists only because the benchmark's sim.shard2_speedup probe still
+	// sets it, and it leaves together with that probe.
 	Shards int
 	// Observer, when non-nil, receives cycle-level telemetry events; see
 	// internal/telemetry for the event vocabulary and ready-made observers
@@ -250,9 +250,6 @@ type SyntheticOptions struct {
 type TraceOptions struct {
 	// MaxCycles optionally bounds the replay; 0 means the engine default.
 	MaxCycles int64
-	// Shards, when >1, steps the network on that many parallel row-band
-	// workers (see SyntheticOptions.Shards).
-	Shards int
 	// Observer, when non-nil, receives cycle-level telemetry events.
 	Observer Observer
 	// StreamWindow caps resident events when the source is not an
@@ -307,7 +304,6 @@ func RunSynthetic(ctx context.Context, cfg Config, opts SyntheticOptions) (Resul
 		Context:           ctx,
 		ConvergeWindow:    opts.ConvergeWindow,
 		ConvergeTol:       opts.ConvergeTol,
-		Shards:            opts.Shards,
 		Observer:          opts.Observer,
 	})
 }
@@ -340,7 +336,6 @@ func RunTrace(ctx context.Context, cfg Config, src TraceSource, opts TraceOption
 	res, err := sim.Run(net, wl, sim.Options{
 		MaxCycles: opts.MaxCycles,
 		Context:   ctx,
-		Shards:    opts.Shards,
 		Observer:  opts.Observer,
 	})
 	// A failed replay reports Done to stop the engine; surface its error

@@ -1,8 +1,6 @@
 package fasttrack
 
 import (
-	"errors"
-
 	"fasttrack/internal/fabric"
 	"fasttrack/internal/noc"
 )
@@ -17,12 +15,11 @@ const (
 )
 
 // Network is an N×N FastTrack torus: the shared fabric kernel (register
-// planes, packet pool, occupancy-driven stepping, sharding — see
-// internal/fabric) with the FastTrack arbiter plugged in. The kernel's four
-// link-register planes are indexed by the input noc.Port (PortWSh, PortWEx,
-// PortNSh, PortNEx); express registers exist for every router but are only
-// ever populated at routers whose class carries the corresponding ports.
-// Create with New.
+// planes, packet pool, occupancy-driven stepping — see internal/fabric) with
+// the FastTrack arbiter plugged in. The kernel's four link-register planes
+// are indexed by the input noc.Port (PortWSh, PortWEx, PortNSh, PortNEx);
+// express registers exist for every router but are only ever populated at
+// routers whose class carries the corresponding ports. Create with New.
 type Network struct {
 	fabric.Kernel
 	cfg Config
@@ -75,15 +72,6 @@ func New(cfg Config) (*Network, error) {
 	}
 	nw.Init(fabric.Spec{W: n, H: n, Planes: 4, Stages: stages}, nw, post)
 	return nw, nil
-}
-
-// ConfigureShards implements noc.ShardedNetwork; the dense reference path
-// cannot shard.
-func (nw *Network) ConfigureShards(s int) (int, error) {
-	if nw.dense {
-		return 0, errors.New("fasttrack: dense reference path cannot shard")
-	}
-	return nw.Kernel.ConfigureShards(s)
 }
 
 // Config returns the network's configuration.
@@ -144,8 +132,7 @@ func shiftPipe[T any](pipe []T, in T) (out T) {
 // shifts router i's express pipelines one stage, latches any popped packet
 // onto the downstream express input, and asks to be kept alive while a stage
 // is occupied — such routers must keep shifting even when nothing routes
-// there. The downstream latch may cross a shard boundary, which is race-free
-// because router i is the express link's only driver.
+// there.
 func (nw *Network) pipeStep(sh *fabric.Shard, i int) (occupied bool) {
 	n, d, s := nw.n, nw.cfg.Topology.D, nw.cfg.ExpressPipeline
 	x, y := i%n, i/n

@@ -474,7 +474,7 @@ func (nw *Network) emitR(sh *fabric.Shard, out uint8, r int32, i, x, y int) {
 
 // injectAtR is injectAt over the pool: the offered packet is copied into
 // the pool only when an output is granted. The accepted flag is already false
-// here — the kernel cleared every flag the shard set last cycle.
+// here — the kernel cleared every flag set last cycle.
 func (nw *Network) injectAtR(sh *fabric.Shard, a *arb, i, x, y int, now int64) {
 	off := &nw.Offers[i]
 	if !off.OK {

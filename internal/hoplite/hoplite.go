@@ -17,7 +17,6 @@
 package hoplite
 
 import (
-	"errors"
 	"fmt"
 
 	"fasttrack/internal/fabric"
@@ -33,8 +32,8 @@ const (
 )
 
 // Network is a W×H Hoplite torus: the shared fabric kernel (register planes,
-// packet pool, occupancy-driven stepping, sharding — see internal/fabric)
-// with the Hoplite arbiter plugged in. Create with New; the zero value is
+// packet pool, occupancy-driven stepping — see internal/fabric) with the
+// Hoplite arbiter plugged in. Create with New; the zero value is
 // not usable.
 type Network struct {
 	fabric.Kernel
@@ -67,19 +66,6 @@ func New(w, h int) (*Network, error) {
 	nw := &Network{}
 	nw.Init(fabric.Spec{W: w, H: h, Planes: numPlanes}, nw, nil)
 	return nw, nil
-}
-
-// ConfigureShards implements noc.ShardedNetwork. The dense reference path
-// and exit-gated (multi-channel) instances cannot shard: the gate is shared
-// mutable state across routers.
-func (nw *Network) ConfigureShards(s int) (int, error) {
-	if nw.dense {
-		return 0, errors.New("hoplite: dense reference path cannot shard")
-	}
-	if nw.exitGate != nil {
-		return 0, errors.New("hoplite: exit-gated (multi-channel) network cannot shard")
-	}
-	return nw.Kernel.ConfigureShards(s)
 }
 
 // SetDense selects the reference stepping path: clear and route all N²
@@ -230,8 +216,8 @@ func (nw *Network) Route(sh *fabric.Shard, i, x, y int, now int64) {
 		}
 	}
 
-	// accepted[i] is already false here: the kernel cleared every flag the
-	// shard set last cycle before routing started.
+	// accepted[i] is already false here: the kernel cleared every flag set
+	// last cycle before routing started.
 	if off := &nw.Offers[i]; off.OK {
 		switch {
 		case off.P.Dst.X != x && !eTaken:

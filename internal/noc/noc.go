@@ -116,9 +116,7 @@ type Counters struct {
 	Delivered int64
 }
 
-// Add folds other into c field-wise. Sharded networks use it to merge
-// per-shard counters; integer addition is order-free, so the merged totals
-// are identical to sequential counting.
+// Add folds other into c field-wise, for totals over several runs.
 func (c *Counters) Add(other *Counters) {
 	c.ShortTraversals += other.ShortTraversals
 	c.ExpressTraversals += other.ExpressTraversals
@@ -189,41 +187,6 @@ type Network interface {
 	InFlight() int
 	// Counters exposes the event counters for measurement.
 	Counters() *Counters
-}
-
-// ShardedNetwork is implemented by networks whose Step can be split across
-// S row-band shards, each advanced on its own worker. The engine's sharded
-// cycle protocol is:
-//
-//  1. Offer packets as usual (concurrent offers are allowed for PEs owned
-//     by different shards).
-//  2. BeginCycle(now) once, on the coordinator: publishes every shard's
-//     pending activity marks into the cycle's working set.
-//  3. StepShard(k, now) for every shard, concurrently: routes the routers
-//     in ShardRange(k). Cross-shard boundary traffic is written into the
-//     next-cycle link registers, which is race-free because every register
-//     element has exactly one driving router.
-//  4. EndCycle(now) once, on the coordinator: latches the link registers
-//     (the two-phase barrier every network here already had) and merges
-//     per-shard delivery lists in ascending shard order, which reproduces
-//     the sequential engine's global delivery order exactly.
-//
-// ConfigureShards(1) restores plain sequential Step semantics.
-type ShardedNetwork interface {
-	Network
-	// ConfigureShards partitions the fabric into s row-band shards and
-	// returns the effective shard count (clamped to Height). It errors when
-	// the network variant cannot shard (and the network stays sequential).
-	ConfigureShards(s int) (int, error)
-	// ShardRange returns shard k's router index range [lo, hi).
-	ShardRange(k int) (lo, hi int)
-	// BeginCycle starts a sharded cycle on the coordinator.
-	BeginCycle(now int64)
-	// StepShard advances shard k's routers. Calls for distinct k may run
-	// concurrently between BeginCycle and EndCycle.
-	StepShard(k int, now int64)
-	// EndCycle latches links and merges per-shard results.
-	EndCycle(now int64)
 }
 
 // PEIndex converts a coordinate to the PE index used by Network.

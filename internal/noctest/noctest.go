@@ -1,18 +1,12 @@
-// Package noctest holds the shard-equivalence harness and the fabric suite
-// shared by the network packages' tests. The harness drives instances of one
-// network through an identical precomputed offer schedule — sequentially,
-// shard-parallel, and sharded but stepped through the sequential entry point
-// — and asserts that the delivered packet stream, event counters, telemetry
-// event log, and residual in-flight population are bit-identical.
-//
-// The shard-parallel run steps its shards on real goroutines behind a
-// WaitGroup, so running these tests under -race doubles as the data-race
-// gate for the shard protocol.
+// Package noctest holds the fabric suite shared by the network packages'
+// tests. Its harness drives instances of one network through an identical
+// precomputed offer schedule, presented in different styles, and asserts that
+// the delivered packet stream, event counters, telemetry event log, and
+// residual in-flight population are bit-identical.
 package noctest
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"fasttrack/internal/noc"
@@ -20,14 +14,13 @@ import (
 	"fasttrack/internal/xrand"
 )
 
-// Fabric is what the harness needs from a network under test: the sharded
-// stepping protocol, the kernel's standing-offer port, and both observer
-// attachment points.
+// Fabric is what the harness needs from a network under test: the network
+// protocol, the kernel's standing-offer port, and the observer attachment
+// point.
 type Fabric interface {
-	noc.ShardedNetwork
+	noc.Network
 	Hold(pe int, p noc.Packet)
 	telemetry.Observable
-	telemetry.ShardObservable
 }
 
 // Event is one recorded router-level telemetry event.
@@ -70,25 +63,13 @@ func (r *Recorder) OnExpressDenied(now int64, router int, in noc.Port, p *noc.Pa
 }
 
 // schedule is a precomputed offer plan: per-PE destination queues plus a
-// per-(cycle,PE) offer gate. A PE re-offers the head of its queue until the
-// network accepts it; style says how.
+// per-(cycle,PE) offer gate. An open gate starts the head of the PE's queue,
+// which stays outstanding until the network accepts it.
 type schedule struct {
 	cycles int
 	queues [][]noc.Coord
 	gates  []bool
-	style  offerStyle
 }
-
-// offerStyle selects what an open gate starts.
-type offerStyle int
-
-const (
-	gated offerStyle = iota // one Offer; a refused PE waits for its next open gate
-	retry                   // the same packet re-Offered every cycle until accepted
-	hold                    // a single Hold
-)
-
-func (sc schedule) styled(s offerStyle) schedule { sc.style = s; return sc }
 
 func newSchedule(w, h int, seed uint64, cycles int, rate float64) schedule {
 	n := w * h
@@ -110,15 +91,6 @@ func newSchedule(w, h int, seed uint64, cycles int, rate float64) schedule {
 	return schedule{cycles: cycles, queues: queues, gates: gates}
 }
 
-// mode selects how replay steps a network.
-type mode int
-
-const (
-	sequential mode = iota // one shard, Step, network observer
-	workers                // ConfigureShards, one goroutine per shard, per-shard observers
-	stepDriven             // ConfigureShards, Step, network observer
-)
-
 // accept is one (cycle, PE) at which the network took an offer.
 type accept struct {
 	now int64
@@ -134,46 +106,18 @@ type runResult struct {
 }
 
 // replay runs sc through nw — offered-traffic window, then a drain with no
-// new offers — and returns everything an equivalent run must reproduce.
-func replay(t *testing.T, nw Fabric, sc schedule, m mode, shards int) runResult {
+// new offers — and returns everything an equivalent run must reproduce. With
+// hold each packet is presented once as a standing offer; otherwise it is
+// re-Offered every cycle until accepted.
+func replay(t *testing.T, nw Fabric, sc schedule, hold bool) runResult {
 	t.Helper()
 	rec := &Recorder{}
-	var fan *telemetry.ShardFanIn
-	if m != sequential {
-		got, err := nw.ConfigureShards(shards)
-		if err != nil {
-			t.Fatalf("ConfigureShards(%d): %v", shards, err)
-		}
-		shards = got
-	}
-	if m == workers {
-		fan = telemetry.NewShardFanIn(rec, shards)
-		nw.SetShardObservers(fan.Observers())
-	} else {
-		nw.SetObserver(rec)
-	}
-	step := nw.Step
-	if m == workers {
-		step = func(now int64) {
-			nw.BeginCycle(now)
-			var wg sync.WaitGroup
-			for k := 0; k < shards; k++ {
-				wg.Add(1)
-				go func(k int) {
-					defer wg.Done()
-					nw.StepShard(k, now)
-				}(k)
-			}
-			wg.Wait()
-			nw.EndCycle(now)
-			fan.Flush()
-		}
-	}
+	nw.SetObserver(rec)
 
 	w, n := nw.Width(), nw.NumPEs()
 	qpos := make([]int, n)
-	// standing marks PEs whose retry/hold offer is still outstanding, head
-	// holds the packet; both outlive the offered window until accepted.
+	// standing marks PEs whose offer is still outstanding, head holds the
+	// packet; both outlive the offered window until accepted.
 	standing := make([]bool, n)
 	head := make([]noc.Packet, n)
 	outstanding := 0
@@ -187,7 +131,7 @@ func replay(t *testing.T, nw Fabric, sc schedule, m mode, shards int) runResult 
 		for pe := 0; pe < n; pe++ {
 			switch {
 			case standing[pe]:
-				if sc.style == retry {
+				if !hold {
 					nw.Offer(pe, head[pe])
 				}
 			case c < sc.cycles && qpos[pe] < len(sc.queues[pe]) && sc.gates[c*n+pe]:
@@ -197,28 +141,24 @@ func replay(t *testing.T, nw Fabric, sc schedule, m mode, shards int) runResult 
 					Dst: sc.queues[pe][qpos[pe]],
 					Gen: now,
 				}
-				if sc.style == hold {
+				if hold {
 					nw.Hold(pe, head[pe])
 				} else {
 					nw.Offer(pe, head[pe])
 				}
-				if sc.style != gated {
-					standing[pe] = true
-					outstanding++
-				}
+				standing[pe] = true
+				outstanding++
 			default:
 				continue
 			}
 			offered = append(offered, pe)
 		}
-		step(now)
+		nw.Step(now)
 		for _, pe := range offered {
 			if nw.Accepted(pe) {
 				qpos[pe]++
-				if standing[pe] {
-					standing[pe] = false
-					outstanding--
-				}
+				standing[pe] = false
+				outstanding--
 				accepts = append(accepts, accept{now, pe})
 			}
 		}
@@ -256,36 +196,17 @@ func requireEqual(t *testing.T, what string, want, got runResult) {
 	}
 }
 
-// reference is the sequential run every other run is compared against.
+// reference is the re-Offer run every other run is compared against.
 func reference(t *testing.T, nw Fabric, sc schedule) runResult {
 	t.Helper()
-	seq := replay(t, nw, sc, sequential, 1)
-	if seq.inFlight != 0 {
-		t.Fatalf("sequential run did not drain: %d in flight", seq.inFlight)
+	ref := replay(t, nw, sc, false)
+	if ref.inFlight != 0 {
+		t.Fatalf("reference run did not drain: %d in flight", ref.inFlight)
 	}
-	if len(seq.delivered) == 0 || len(seq.events) == 0 {
-		t.Fatal("sequential run delivered or recorded nothing; schedule too sparse")
+	if len(ref.delivered) == 0 || len(ref.events) == 0 {
+		t.Fatal("reference run delivered or recorded nothing; schedule too sparse")
 	}
-	return seq
-}
-
-// ShardEquivalence builds one network per run via mk, replays the same
-// Bernoulli(rate) offer schedule through each, and requires every sharded run
-// — stepped shard-parallel with per-shard observers, and stepped through
-// Step with only the network observer attached — to match the sequential run
-// exactly. cycles is the offered-traffic window.
-func ShardEquivalence(t *testing.T, mk func() Fabric, shardCounts []int, seed uint64, cycles int, rate float64) {
-	t.Helper()
-	probe := mk()
-	sc := newSchedule(probe.Width(), probe.Height(), seed, cycles, rate)
-	seq := reference(t, probe, sc)
-	for _, s := range shardCounts {
-		if s == 1 {
-			continue
-		}
-		requireEqual(t, "shard-parallel", seq, replay(t, mk(), sc, workers, s))
-		requireEqual(t, "Step-driven shards", seq, replay(t, mk(), sc, stepDriven, s))
-	}
+	return ref
 }
 
 // Saturate offers a packet at every PE for the given cycles, stepping

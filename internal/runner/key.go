@@ -26,11 +26,9 @@ func ConfigKey(cfg core.Config) string {
 
 // SyntheticKey is the cache key for core.RunSynthetic(ctx, cfg, o).
 //
-// Shards is deliberately excluded: the sequential and shard-parallel paths
-// are bit-exact (golden-tested), so either may be answered from the same
-// entry — sharding is a wall-clock knob, never a semantics knob. Observer presence IS keyed (append-only, so pre-telemetry
-// entries stay valid): a cached Result would silently skip the observer's
-// side effects, so observed runs never share entries with unobserved ones.
+// Observer presence is keyed (append-only, so pre-telemetry entries stay
+// valid): a cached Result would silently skip the observer's side effects,
+// so observed runs never share entries with unobserved ones.
 func SyntheticKey(cfg core.Config, o core.SyntheticOptions) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s|synthetic|%s|", sim.Version, ConfigKey(cfg))
@@ -53,10 +51,9 @@ func SyntheticKey(cfg core.Config, o core.SyntheticOptions) string {
 // TraceKey is the cache key for core.RunTrace(ctx, cfg, src, o): the trace
 // enters by content fingerprint, so regenerating an identical trace — or
 // replaying its FTT1 recording, whose header carries the same fingerprint
-// the streaming Writer computed — reuses the entry. Shards and Observer
-// follow the SyntheticKey rules (Shards excluded, Observer keyed
-// append-only), and MaxCycles enters only when set so pre-TraceOptions
-// entries stay valid.
+// the streaming Writer computed — reuses the entry. Observer follows the
+// SyntheticKey rule (keyed append-only), and MaxCycles enters only when set
+// so pre-TraceOptions entries stay valid.
 //
 // StreamWindow enters only when set: an explicitly bounded window may bind
 // and shift injection timing (see trace.StreamOptions.Window), so those

@@ -69,21 +69,19 @@ func TestBatchCacheKeyNeutral(t *testing.T) {
 }
 
 // TestDoSyntheticHitsAndMisses drives one call mixing a cache hit with
-// misses on two network families, one of them sharded. Hits come back inline
+// misses on two network families. Hits come back inline
 // with no span; each miss is one ForEach job with one span; every result
 // DeepEquals core.RunSynthetic's; and the cold pass leaves a cache from which
 // a warm pass executes nothing.
 func TestDoSyntheticHitsAndMisses(t *testing.T) {
 	cache := testCache(t)
 	hop, ft := core.Hoplite(4), core.FastTrack(4, 2, 1)
-	sharded := withSeed(quickOpts(), 77)
-	sharded.Shards = 2
 
 	jobs := []SyntheticJob{
 		{Cfg: hop, Opts: quickOpts()},
 		{Cfg: ft, Opts: quickOpts()},
 		{Cfg: hop, Opts: withSeed(quickOpts(), 6)},
-		{Cfg: hop, Opts: sharded},
+		{Cfg: hop, Opts: withSeed(quickOpts(), 77)},
 		{Cfg: ft, Opts: withRate(quickOpts(), 0.31)},
 	}
 

@@ -90,3 +90,46 @@ func TestContextCancellation(t *testing.T) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
+
+// TestConvergedNotTimedOut is the regression test for the result-flag bug:
+// a run that exits through the convergence test consumed its final cycle in
+// full, and the post-loop now >= MaxCycles comparison used to mislabel it
+// as timed out whenever convergence landed on the budget boundary. Converged
+// must imply !TimedOut.
+func TestConvergedNotTimedOut(t *testing.T) {
+	build := func() (Result, error) {
+		net, err := hoplite.New(8, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wl := traffic.NewSynthetic(8, 8, traffic.Random{}, 1.0, 100000, 17)
+		return Run(net, wl, Options{ConvergeWindow: 64, MaxCycles: 1 << 20})
+	}
+	first, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !first.Converged {
+		t.Fatal("saturated run with ConvergeWindow never converged; cannot stage the regression")
+	}
+
+	// Re-run with MaxCycles set exactly to the convergence cycle. The
+	// window length divides MaxCycles, so the stationarity test fires on
+	// the run's very last budgeted cycle — the boundary the old
+	// "now >= MaxCycles ⇒ TimedOut" logic mislabeled.
+	net, err := hoplite.New(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl := traffic.NewSynthetic(8, 8, traffic.Random{}, 1.0, 100000, 17)
+	res, err := Run(net, wl, Options{ConvergeWindow: 64, MaxCycles: first.Cycles})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatalf("run did not converge at cycle %d on replay", first.Cycles)
+	}
+	if res.TimedOut {
+		t.Errorf("Converged run labeled TimedOut (cycles=%d, max=%d): the flags must be mutually exclusive", res.Cycles, first.Cycles)
+	}
+}

@@ -97,28 +97,6 @@ type holder interface {
 	Hold(pe int, p noc.Packet)
 }
 
-// ShardableWorkload is optionally implemented by workloads whose generation
-// state can be partitioned by PE range, so the sharded engine can tick and
-// enumerate each shard's PEs on that shard's worker. The contract mirrors
-// ActiveSet's: the packets produced (contents, IDs, order per PE) must be
-// bit-identical to a sequential Tick, and Injected must be safe to call
-// concurrently for PEs owned by different shards. traffic.SynthView is the
-// canonical implementation.
-type ShardableWorkload interface {
-	Workload
-	ActiveSet
-	// ConfigureShards repartitions the PE space so shard k owns PEs
-	// [bounds[k], bounds[k+1]). It reports false — leaving the workload
-	// unchanged — if bounds is not a partition of [0, NumPEs).
-	ConfigureShards(bounds []int) bool
-	// TickShard runs shard k's share of Tick. Calls for distinct k may run
-	// concurrently.
-	TickShard(k int, now int64)
-	// ActiveShard appends shard k's live PEs to buf, like ActivePEs but
-	// range-restricted. Calls for distinct k may run concurrently.
-	ActiveShard(k int, buf []int) []int
-}
-
 // Result summarizes one simulation run.
 type Result struct {
 	// Cycles is the makespan: the cycle count until the last delivery (or
@@ -212,13 +190,6 @@ type Options struct {
 	// fall back to). The two are bit-exact; EngineDense exists for the golden
 	// equivalence tests and the BenchmarkSim*Reference speedup pairs.
 	Engine Engine
-	// Shards, when >1, partitions the torus into that many row-band shards
-	// and steps them on parallel workers (the network must implement
-	// noc.ShardedNetwork; EngineDense is incompatible). Results are bit-exact
-	// with the sequential engine — sharding is a wall-clock knob, never a
-	// semantics knob — so cache keys ignore it. 0 and 1 select the
-	// sequential path; values above the row count are clamped.
-	Shards int
 	// Observer, when non-nil, receives cycle-level telemetry events
 	// (injections, hops, deflections, deliveries — see internal/telemetry).
 	// Run attaches it to the network and to every layer of the workload
@@ -326,20 +297,14 @@ func attachObserver(net noc.Network, wl Workload, obs telemetry.Observer) {
 	}
 }
 
-// Run drives net against wl until the workload drains or a limit is hit.
-// With Options.Shards > 1 the network steps shard-parallel (see shard.go);
-// otherwise one engine loop runs it on the calling goroutine (engine.run).
-// The Result is bit-exact either way.
+// Run drives net against wl on the calling goroutine until the workload
+// drains or a limit is hit.
 func Run(net noc.Network, wl Workload, opts Options) (Result, error) {
-	opts = opts.withDefaults()
-	if opts.Shards > 1 {
-		return runSharded(net, wl, opts)
-	}
-	return newEngine(net, wl, opts).run()
+	return newEngine(net, wl, opts.withDefaults()).run()
 }
 
-// run is the sequential driver: engine.cycle once per cycle of the virtual
-// clock until the run ends.
+// run is the engine loop: engine.cycle once per cycle of the virtual clock until
+// the run ends.
 //
 // Idle fast-forward: when the workload is an EventWorkload and nothing needs
 // to see every cycle (no auditor, observer or convergence window, nor the
@@ -381,12 +346,10 @@ func (e *engine) run() (Result, error) {
 	}
 }
 
-// engine is one run's mutable state, shared by the sequential and sharded
-// drivers. The per-cycle protocol is decomposed into phase methods —
-// tick/offer, step, inject feedback, deliver, cycle-end bookkeeping — so
-// the sharded driver can replace individual phases with fan-out versions
-// while every scalar rule (watchdog, convergence, result finalization)
-// stays in exactly one place.
+// engine is one run's mutable state. engine.cycle spells the per-cycle
+// protocol out as phase methods — tick/offer, step, inject feedback,
+// deliver, cycle-end bookkeeping — and every scalar rule (watchdog,
+// convergence, result finalization) has one method of its own.
 type engine struct {
 	net  noc.Network
 	wl   Workload
@@ -412,9 +375,8 @@ type engine struct {
 	activeWL ActiveSet
 	live     []int
 
-	// latSum accumulates delivery latencies as an integer so per-shard
-	// partial sums merge to the exact sequential total (int64 addition is
-	// associative; float64 addition is not).
+	// latSum accumulates delivery latencies as an exact integer; AvgLatency
+	// is latSum over Delivered, so its bits depend on the sum never rounding.
 	latSum       int64
 	lastProgress int64
 	// executed counts cycles actually run, unlike the skippable virtual clock.
@@ -468,8 +430,7 @@ func (e *engine) pollCtx() error {
 }
 
 // offerPE presents pe's pending packet to the network; reports whether one
-// was offered. Touches only per-PE state, so the sharded driver calls it
-// concurrently for PEs owned by different shards.
+// was offered.
 func (e *engine) offerPE(pe int, now int64) bool {
 	if e.hold != nil && e.offered[pe] {
 		return true // refused last cycle and still latched in the network
@@ -513,11 +474,8 @@ func (e *engine) phaseOffer(now int64) bool {
 	return anyOffer
 }
 
-// injectPE consumes pe's offer if the network accepted it, reporting whether
-// an injection happened. The caller counts successes into Result.Injected —
-// kept out of here so the sharded driver can run this concurrently for PEs
-// of different shards (workload Injected is shard-safe by the
-// ShardableWorkload contract) and tally per shard.
+// injectPE consumes pe's offer if the network accepted it, counting it into
+// Result.Injected and reporting whether an injection happened.
 func (e *engine) injectPE(pe int, now int64) bool {
 	if !e.offered[pe] {
 		return false
@@ -529,6 +487,7 @@ func (e *engine) injectPE(pe int, now int64) bool {
 		return false
 	}
 	e.offered[pe] = false // releases a standing offer's latch
+	e.res.Injected++
 	e.wl.Injected(pe, now)
 	if e.aud != nil {
 		e.aud.onInject(e.offeredPkt[pe], now)
@@ -546,14 +505,12 @@ func (e *engine) phaseInjectFeedback(now int64) bool {
 	if e.fast {
 		for _, pe := range e.live {
 			if e.injectPE(pe, now) {
-				e.res.Injected++
 				progress = true
 			}
 		}
 	} else {
 		for pe := 0; pe < e.numPE; pe++ {
 			if e.injectPE(pe, now) {
-				e.res.Injected++
 				progress = true
 			}
 		}
@@ -645,14 +602,12 @@ func (e *engine) watchdog(now int64, anyOffer, progress bool) error {
 }
 
 // converged runs the windowed stationarity test (opt-in early exit); see
-// convergence for the criteria. latSum is the cumulative latency total so
-// far — passed in rather than read from e so the sharded driver can supply
-// the sum of its per-shard partials.
-func (e *engine) converged(now, latSum int64) bool {
+// convergence for the criteria.
+func (e *engine) converged(now int64) bool {
 	if !e.convWin.Boundary(now) {
 		return false
 	}
-	wp := e.convWin.Roll(now, e.res.Delivered, e.res.Injected, float64(latSum), 0)
+	wp := e.convWin.Roll(now, e.res.Delivered, e.res.Injected, float64(e.latSum), 0)
 	if !e.conv.observe(wp) {
 		return false
 	}
@@ -708,7 +663,7 @@ const (
 )
 
 // cycle runs the canonical per-cycle phase sequence once at time now: the
-// body of the sequential driver (engine.run).
+// body of engine.run.
 func (e *engine) cycle(now int64) (cycleStatus, error) {
 	e.wl.Tick(now)
 	anyOffer := e.phaseOffer(now)
@@ -730,7 +685,7 @@ func (e *engine) cycle(now int64) (cycleStatus, error) {
 	if err := e.watchdog(now, anyOffer, progress); err != nil {
 		return cycleRan, err
 	}
-	if e.converged(now, e.latSum) {
+	if e.converged(now) {
 		return cycleConverged, nil
 	}
 	return cycleRan, nil

@@ -23,17 +23,22 @@ import (
 // so a oneCycle workload is a SynthView the engine must drive with one-cycle
 // offers.
 type synthFace interface {
-	sim.ShardableWorkload
+	sim.Workload
+	sim.ActiveSet
 	sim.EventWorkload
 }
 
 type oneCycle struct{ synthFace }
 
 // engineRecorder records the engine-side packet events on top of the router
-// events and deliveries: who was injected, who stalled, and each cycle's
+// events: who was injected, who stalled, who was delivered, and each cycle's
 // closing population, in emission order.
 type engineRecorder struct {
-	deliverRecorder
+	noctest.Recorder
+}
+
+func (r *engineRecorder) OnDeliver(now int64, p *noc.Packet) {
+	r.Events = append(r.Events, noctest.Event{Kind: "deliver", Now: now, P: *p})
 }
 
 func (r *engineRecorder) OnInject(now int64, p *noc.Packet) {
@@ -50,8 +55,8 @@ func (r *engineRecorder) OnCycleEnd(now int64, inFlight int) {
 
 // TestGoldenStandingOffers holds the standing-offer path (Kernel.Hold, taken
 // when the workload declares sim.StableHead) to the one-cycle path (the same
-// workload with the marker hidden): identical Results per job, sharded and
-// over a batch of four seeds, with the auditor on, and — observed — identical
+// workload with the marker hidden): identical Results per job and over a
+// batch of four seeds, with the auditor on, and — observed — identical
 // event streams, so OnInjectStall still fires once per refused PE per cycle in
 // live-list order.
 func TestGoldenStandingOffers(t *testing.T) {
@@ -68,9 +73,9 @@ func TestGoldenStandingOffers(t *testing.T) {
 		res    []sim.Result
 		events [][]noctest.Event
 	}
-	// run drives one matrix cell; driver is "job" (one run), "shards" (one
-	// run on two shards) or "batch" (four jobs of consecutive seeds, run one
-	// by one as a sweep runs them); check is "plain", "audit" or "observed".
+	// run drives one matrix cell; driver is "job" (one run) or "batch" (four
+	// jobs of consecutive seeds, run one by one as a sweep runs them); check
+	// is "plain", "audit" or "observed".
 	run := func(t *testing.T, cfg core.Config, pat traffic.Pattern, rate float64, driver, check string, standing bool) outcome {
 		t.Helper()
 		jobs := 1
@@ -94,9 +99,6 @@ func TestGoldenStandingOffers(t *testing.T) {
 				rec = &engineRecorder{}
 				opts.Observer = rec
 			}
-			if driver == "shards" {
-				opts.Shards = 2
-			}
 			res, err := sim.Run(net, wl, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -111,7 +113,7 @@ func TestGoldenStandingOffers(t *testing.T) {
 	for _, cfg := range cfgs {
 		for _, pat := range []traffic.Pattern{traffic.Random{}, traffic.Transpose{}} {
 			for _, rate := range []float64{0.05, 1.0} {
-				for _, driver := range []string{"job", "shards", "batch"} {
+				for _, driver := range []string{"job", "batch"} {
 					for _, check := range []string{"plain", "audit", "observed"} {
 						name := fmt.Sprintf("%s/%s/%.2f/%s/%s", cfg, pat.Name(), rate, driver, check)
 						t.Run(name, func(t *testing.T) {

@@ -88,9 +88,8 @@ func (a *Accumulator) Merge(other *Accumulator) {
 // mirroring the log axis of the paper's Fig 16.
 //
 // The summary moments are kept as exact integers (count, sum, max) rather
-// than a floating-point accumulator, so merging per-shard histograms is
-// bit-identical to adding every sample into one histogram in any order —
-// the property the sharded engine's golden equivalence tests rely on.
+// than a floating-point accumulator, so merging histograms is bit-identical
+// to adding every sample into one histogram in any order.
 type Histogram struct {
 	bounds []int64 // upper inclusive bound per bucket
 	counts []int64

@@ -9,8 +9,7 @@ import (
 // straight-line per-cycle Bernoulli source, written for obviousness rather
 // than speed. Every cycle every PE under quota draws Bool(rate), probes Dest
 // on success and appends a full packet to an unbounded queue — no event
-// schedule, no shards. It shares only the pattern and RNG
-// primitives with synthetic.go.
+// schedule. It shares only the pattern and RNG primitives with synthetic.go.
 type oracleGen struct {
 	w, h, quota int
 	rate        float64

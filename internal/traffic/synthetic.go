@@ -7,7 +7,7 @@ import (
 	"fasttrack/internal/xrand"
 )
 
-// noNext marks a PE (or shard) with no future generation event.
+// noNext marks a PE (or the generator) with no future generation event.
 const noNext = math.MaxInt64
 
 // qent is one queued source packet. Only the destination and generation
@@ -38,28 +38,6 @@ func (q *srcQueue) push(e qent) {
 
 func (q *srcQueue) empty() bool { return q.head == len(q.buf) }
 
-// synthShard is one shard's slice of the generator's aggregate state: a
-// contiguous PE range plus every mutable word that summarizes it, so shards
-// ticked on different workers never touch a shared word. An unpartitioned
-// generator is the one-shard case of the same code.
-type synthShard struct {
-	lo, hi  int // PE range [lo, hi)
-	pending int // packets queued across the range
-	doneGen int // PEs in range that are silent or at quota
-
-	// minNext is the earliest pending generation event across the range
-	// (noNext when generation is finished): cycles before it cannot enqueue
-	// anything, so a tick returns immediately and the engine may fast-forward
-	// an otherwise-idle run straight to it.
-	minNext int64
-
-	// live lists PEs with a non-empty source queue (inLive guards against
-	// duplicates); it backs the sim.ActiveSet fast path. PEs are added when
-	// their queue first becomes non-empty and dropped lazily when the active
-	// walk finds them drained.
-	live []int
-}
-
 // SynthView is the synthetic workload over one w×h fabric. Every PE generates
 // pattern traffic with Bernoulli arrivals — a packet with probability rate per
 // cycle until quota packets — into an unbounded source queue, so measured
@@ -69,24 +47,34 @@ type synthShard struct {
 // Generation is event-driven rather than per-cycle: Bernoulli arrivals are
 // open-loop (the draw sequence never depends on network state), so each PE's
 // next generation event is precomputed by replaying its seed-split RNG stream
-// exactly as a per-cycle generator consumes it (see advance). A tick before a
-// shard's earliest event then touches no PE, and the packets that materialize
+// exactly as a per-cycle generator consumes it (see advance). A tick before
+// the earliest event then touches no PE, and the packets that materialize
 // — ID, source, destination, generation cycle, order — are those of the
 // straight-line per-cycle generator kept as the oracle in oracle_test.go.
 //
-// SynthView implements sim.Workload, ActiveSet, StableHead, EventWorkload and
-// ShardableWorkload. Ticks must visit cycles in ascending order and may skip
-// only cycles before NextEventCycle.
+// SynthView implements sim.Workload, ActiveSet, StableHead and
+// EventWorkload. Ticks must visit cycles in ascending order and may skip only
+// cycles before NextEventCycle.
 type SynthView struct {
 	w, h, n int
 	pattern Pattern
 	rate    float64
 	quota   int
 
-	sh []synthShard
-	// peShard maps a PE to its owning shard; nil while there is one shard,
-	// so Injected on an unpartitioned generator never pays the lookup.
-	peShard []int32
+	pending int // packets queued across all PEs
+	doneGen int // PEs that are silent or at quota
+
+	// minNext is the earliest pending generation event (noNext when
+	// generation is finished): cycles before it cannot enqueue anything, so
+	// a tick returns immediately and the engine may fast-forward an
+	// otherwise-idle run straight to it.
+	minNext int64
+
+	// live lists PEs with a non-empty source queue (inLive guards against
+	// duplicates); it backs the sim.ActiveSet fast path. PEs are added when
+	// their queue first becomes non-empty and dropped lazily when the active
+	// walk finds them drained.
+	live []int
 
 	// Per-PE state, indexed by PE.
 	rngs      []xrand.Rand
@@ -120,14 +108,18 @@ func NewSynthetic(w, h int, pattern Pattern, rate float64, quota int, seed uint6
 		silent:    make([]bool, n),
 		inLive:    make([]bool, n),
 		queues:    make([]srcQueue, n),
+		minNext:   noNext,
 	}
 	root := xrand.New(seed)
 	for pe := 0; pe < n; pe++ {
 		v.rngs[pe] = *root.SplitBy(uint64(pe))
 		v.silent[pe] = Silent(pattern, noc.PECoord(pe, w), w, h)
+		if v.silent[pe] || quota <= 0 {
+			v.doneGen++
+		}
 		v.advance(pe, -1)
+		v.minNext = min(v.minNext, v.nextCycle[pe])
 	}
-	v.ConfigureShards([]int{0, n})
 	return v
 }
 
@@ -156,94 +148,26 @@ func (v *SynthView) advance(pe int, after int64) {
 	}
 }
 
-func (v *SynthView) shardOf(pe int) *synthShard {
-	if v.peShard == nil {
-		return &v.sh[0]
-	}
-	return &v.sh[v.peShard[pe]]
-}
-
-// ConfigureShards implements sim.ShardableWorkload: repartition the PE space
-// into len(bounds)-1 contiguous shards with shard k owning PEs
-// [bounds[k], bounds[k+1]). Aggregate state is redistributed to the new
-// owners; live-list insertion order is preserved per shard so an active walk
-// stays deterministic. Returns false (leaving the generator untouched) if
-// bounds do not partition [0, n).
-func (v *SynthView) ConfigureShards(bounds []int) bool {
-	if len(bounds) < 2 || bounds[0] != 0 || bounds[len(bounds)-1] != v.n {
-		return false
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			return false
-		}
-	}
-	var oldLive []int
-	for k := range v.sh {
-		oldLive = append(oldLive, v.sh[k].live...)
-	}
-	v.sh, v.peShard = make([]synthShard, len(bounds)-1), nil
-	if len(v.sh) > 1 {
-		v.peShard = make([]int32, v.n)
-	}
-	for k := range v.sh {
-		sh := &v.sh[k]
-		sh.lo, sh.hi, sh.minNext = bounds[k], bounds[k+1], noNext
-		for pe := sh.lo; pe < sh.hi; pe++ {
-			if v.peShard != nil {
-				v.peShard[pe] = int32(k)
-			}
-			if v.silent[pe] || int(v.generated[pe]) >= v.quota {
-				sh.doneGen++
-			}
-			sh.pending += len(v.queues[pe].buf) - v.queues[pe].head
-			if nc := v.nextCycle[pe]; nc < sh.minNext {
-				sh.minNext = nc
-			}
-		}
-	}
-	for _, pe := range oldLive {
-		if v.queues[pe].empty() {
-			v.inLive[pe] = false
-			continue
-		}
-		sh := v.shardOf(pe)
-		sh.live = append(sh.live, pe)
-	}
-	return true
-}
-
 // Tick implements sim.Workload: enqueue every PE whose precomputed event
-// fires this cycle.
+// fires this cycle. It returns without touching per-PE state on cycles
+// before the earliest event.
 func (v *SynthView) Tick(now int64) {
-	for k := range v.sh {
-		v.tickShard(&v.sh[k], now)
-	}
-}
-
-// TickShard implements sim.ShardableWorkload: generation for shard k's PE
-// range only. Safe to call concurrently for distinct k.
-func (v *SynthView) TickShard(k int, now int64) { v.tickShard(&v.sh[k], now) }
-
-// tickShard returns without touching per-PE state on cycles before the
-// shard's earliest event.
-func (v *SynthView) tickShard(sh *synthShard, now int64) {
-	if now < sh.minNext {
+	if now < v.minNext {
 		return
 	}
 	min := int64(noNext)
-	for pe := sh.lo; pe < sh.hi; pe++ {
+	for pe := 0; pe < v.n; pe++ {
 		nc := v.nextCycle[pe]
 		if nc == now {
 			v.queues[pe].push(qent{dst: v.nextDst[pe], gen: now})
-			sh.pending++
+			v.pending++
 			if !v.inLive[pe] {
 				v.inLive[pe] = true
-				sh.live = append(sh.live, pe)
+				v.live = append(v.live, pe)
 			}
 			v.generated[pe]++
 			if int(v.generated[pe]) == v.quota {
-				sh.doneGen++
+				v.doneGen++
 			}
 			v.advance(pe, now)
 			nc = v.nextCycle[pe]
@@ -252,16 +176,15 @@ func (v *SynthView) tickShard(sh *synthShard, now int64) {
 			min = nc
 		}
 	}
-	sh.minNext = min
+	v.minNext = min
 }
 
 // Pending implements sim.Workload, materializing the head packet. IDs are a
-// per-PE (source, sequence) pair rather than a global counter, so the ID a
-// packet gets is independent of the order PEs are ticked in — shard-parallel
-// generation assigns the same IDs as a sequential pass; the sequence half is
-// the number of packets this PE has already injected plus one (queues are
-// FIFO, so the head is always the oldest uninjected sequence number). Quotas
-// are bounded well below 2^32.
+// per-PE (source, sequence) pair rather than a global counter: the sequence
+// half is the number of packets this PE has already injected plus one
+// (queues are FIFO, so the head is always the oldest uninjected sequence
+// number). Packet IDs reach every pinned digest, so the scheme stays fixed.
+// Quotas are bounded well below 2^32.
 func (v *SynthView) Pending(pe int, _ int64) (noc.Packet, bool) {
 	q := &v.queues[pe]
 	if q.empty() {
@@ -281,9 +204,7 @@ func (v *SynthView) Pending(pe int, _ int64) (noc.Packet, bool) {
 // Injected dequeues (or moves the ID's sequence half), so Pending is fixed.
 func (v *SynthView) StableHead() {}
 
-// Injected implements sim.Workload. Safe to call concurrently for PEs in
-// distinct shards: the dequeue touches only per-PE state and the pending
-// count of the owning shard.
+// Injected implements sim.Workload: dequeue pe's head packet.
 func (v *SynthView) Injected(pe int, _ int64) {
 	q := &v.queues[pe]
 	q.head++
@@ -291,41 +212,21 @@ func (v *SynthView) Injected(pe int, _ int64) {
 		q.buf, q.head = q.buf[:0], 0
 	}
 	v.injected[pe]++
-	v.shardOf(pe).pending--
+	v.pending--
 }
 
 // Delivered implements sim.Workload (synthetic traffic has no dependencies).
 func (v *SynthView) Delivered(noc.Packet, int64) {}
 
 // Done implements sim.Workload.
-func (v *SynthView) Done() bool {
-	for _, sh := range v.sh {
-		if sh.doneGen != sh.hi-sh.lo || sh.pending != 0 {
-			return false
-		}
-	}
-	return true
-}
+func (v *SynthView) Done() bool { return v.doneGen == v.n && v.pending == 0 }
 
 // ActivePEs implements sim.ActiveSet: the PEs with a queued packet. Drained
 // PEs are dropped here rather than in Injected, so the list walk doubles as
 // the compaction pass and Injected stays O(1).
 func (v *SynthView) ActivePEs(buf []int) []int {
-	for k := range v.sh {
-		buf = v.activeShard(&v.sh[k], buf)
-	}
-	return buf
-}
-
-// ActiveShard implements sim.ShardableWorkload: live PEs of shard k only.
-// Safe to call concurrently for distinct k.
-func (v *SynthView) ActiveShard(k int, buf []int) []int {
-	return v.activeShard(&v.sh[k], buf)
-}
-
-func (v *SynthView) activeShard(sh *synthShard, buf []int) []int {
-	kept := sh.live[:0]
-	for _, pe := range sh.live {
+	kept := v.live[:0]
+	for _, pe := range v.live {
 		if v.queues[pe].empty() {
 			v.inLive[pe] = false
 			continue
@@ -333,31 +234,16 @@ func (v *SynthView) activeShard(sh *synthShard, buf []int) []int {
 		kept = append(kept, pe)
 		buf = append(buf, pe)
 	}
-	sh.live = kept
+	v.live = kept
 	return buf
 }
 
 // NextEventCycle implements sim.EventWorkload: the earliest cycle at which
 // Tick can enqueue new work, or math.MaxInt64 when generation is finished.
-func (v *SynthView) NextEventCycle(int64) int64 {
-	min := int64(noNext)
-	for _, sh := range v.sh {
-		if sh.minNext < min {
-			min = sh.minNext
-		}
-	}
-	return min
-}
+func (v *SynthView) NextEventCycle(int64) int64 { return v.minNext }
 
 // QueueEmpty implements sim.EventWorkload: no PE holds a queued packet.
-func (v *SynthView) QueueEmpty() bool {
-	for _, sh := range v.sh {
-		if sh.pending != 0 {
-			return false
-		}
-	}
-	return true
-}
+func (v *SynthView) QueueEmpty() bool { return v.pending == 0 }
 
 // Generated returns the total packets created so far.
 func (v *SynthView) Generated() int64 {

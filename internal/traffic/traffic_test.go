@@ -247,66 +247,6 @@ func TestSyntheticStochasticNotOKIsNotSilence(t *testing.T) {
 	}
 }
 
-// TestSyntheticShardedTickMatchesSequential drives the same seed through the
-// single-shard path and through TickShard over four shards, asserting the
-// drained packet streams are identical — the workload half of the engine's
-// golden shard-equivalence gate.
-func TestSyntheticShardedTickMatchesSequential(t *testing.T) {
-	collect := func(shard bool) []noc.Packet {
-		s := NewSynthetic(4, 8, Random{}, 0.5, 20, 99)
-		if shard {
-			if !s.ConfigureShards([]int{0, 8, 16, 24, 32}) {
-				t.Fatal("ConfigureShards rejected a valid partition")
-			}
-		}
-		var out []noc.Packet
-		for c := int64(0); c < 500 && !s.Done(); c++ {
-			if shard {
-				for k := 0; k < 4; k++ {
-					s.TickShard(k, c)
-				}
-			} else {
-				s.Tick(c)
-			}
-			for pe := 0; pe < 32; pe++ {
-				for {
-					p, ok := s.Pending(pe, c)
-					if !ok {
-						break
-					}
-					out = append(out, p)
-					s.Injected(pe, c)
-				}
-			}
-		}
-		if !s.Done() {
-			t.Fatal("workload did not finish")
-		}
-		return out
-	}
-	seq, shd := collect(false), collect(true)
-	if len(seq) != len(shd) || len(seq) == 0 {
-		t.Fatalf("lengths differ: %d vs %d", len(seq), len(shd))
-	}
-	for i := range seq {
-		if seq[i] != shd[i] {
-			t.Fatalf("packet %d diverged: %+v vs %+v", i, seq[i], shd[i])
-		}
-	}
-}
-
-func TestSyntheticConfigureShardsRejectsBadBounds(t *testing.T) {
-	s := NewSynthetic(4, 4, Random{}, 0.5, 10, 1)
-	for _, bad := range [][]int{nil, {0}, {1, 16}, {0, 8}, {0, 8, 8, 16}, {0, 16, 8}} {
-		if s.ConfigureShards(bad) {
-			t.Errorf("ConfigureShards(%v) accepted a non-partition", bad)
-		}
-	}
-	if !s.ConfigureShards([]int{0, 16}) {
-		t.Error("trivial partition rejected")
-	}
-}
-
 func TestSyntheticDeterministicAcrossRuns(t *testing.T) {
 	collect := func() []noc.Packet {
 		s := NewSynthetic(4, 4, Random{}, 0.5, 20, 99)

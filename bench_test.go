@@ -368,13 +368,9 @@ func BenchmarkRouterStep(b *testing.B) {
 	}
 }
 
-// simBench runs one full hoplite 16×16 RANDOM simulation per iteration,
-// either on the optimized engine (sparse occupancy-driven stepping plus
-// ActiveSet PE iteration) or on the dense reference path (Engine =
-// EngineDense plus a full PE scan). The two are bit-exact — the golden
-// tests in internal/sim enforce it — so the pair measures pure hot-loop
-// speedup (end to end it is wall_s on the benchmark's engine-sat and
-// engine-idle workloads).
+// simBench runs one full hoplite 16×16 RANDOM simulation per iteration with
+// the given options (end to end, the engine's cost is wall_s on the
+// benchmark's engine-sat and engine-idle workloads).
 func simBench(b *testing.B, opts sim.Options, rate float64) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -390,14 +386,8 @@ func simBench(b *testing.B, opts sim.Options, rate float64) {
 	}
 }
 
-func BenchmarkSimLowRate(b *testing.B) { simBench(b, sim.Options{}, 0.05) }
-func BenchmarkSimLowRateReference(b *testing.B) {
-	simBench(b, sim.Options{Engine: sim.EngineDense}, 0.05)
-}
+func BenchmarkSimLowRate(b *testing.B)    { simBench(b, sim.Options{}, 0.05) }
 func BenchmarkSimSaturation(b *testing.B) { simBench(b, sim.Options{}, 1.0) }
-func BenchmarkSimSaturationReference(b *testing.B) {
-	simBench(b, sim.Options{Engine: sim.EngineDense}, 1.0)
-}
 
 // BenchmarkSimSaturationNopObserver is BenchmarkSimSaturation with a no-op
 // telemetry observer attached; comparing the pair bounds the cost of the

@@ -112,9 +112,11 @@ func New(w, h int, cfg Config) (*Network, error) {
 
 // SetDense selects the reference stepping path: snapshot and route all N²
 // routers every cycle instead of only occupied ones. The two paths are
-// bit-exact (the golden equivalence tests compare them); the dense path
-// exists as the straightforward baseline for those tests and for
-// benchmarking the sparse path's speedup. Select before the first Step.
+// bit-exact, and the golden suites in internal/sim call SetDense(true)
+// directly to hold the sparse path to this one. The bufferless families are
+// held to a paper-written oracle instead; this FIFO/credit mesh is an
+// extension the paper does not specify (DESIGN §5c ext-buffered), so its own
+// straight-line path stays its reference. Select before the first Step.
 func (nw *Network) SetDense(d bool) { nw.dense = d }
 
 // SetObserver attaches a telemetry observer (nil detaches). The mesh has no
@@ -191,7 +193,7 @@ func (nw *Network) neighbour(x, y, out int) (idx, inPort int) {
 // downstream floating-point accumulation, is bit-exact with SetDense(true).
 func (nw *Network) Step(now int64) {
 	if nw.dense {
-		nw.stepDense(now)
+		nw.stepReference(now)
 		return
 	}
 	nw.now = now
@@ -245,9 +247,9 @@ func (nw *Network) Step(now int64) {
 	nw.counters.Delivered += int64(len(nw.delivered))
 }
 
-// stepDense is the reference path: scan all offers, snapshot every router,
-// route every router.
-func (nw *Network) stepDense(now int64) {
+// stepReference is the reference path: scan all offers, snapshot every
+// router, route every router.
+func (nw *Network) stepReference(now int64) {
 	nw.now = now
 	nw.delivered = nw.delivered[:0]
 	nw.acceptedPEs = nw.acceptedPEs[:0]

@@ -25,9 +25,8 @@ import (
 // family may declare (FastTrack: W/N × short/express).
 const MaxPlanes = 4
 
-// Slot is a full-packet register with a valid bit: the client offer
-// registers, and the link registers of the families' dense reference paths.
-// Held marks an offer register that keeps OK across a refusal (see Hold).
+// Slot is a client offer register: a full packet with a valid bit. Held
+// marks an offer that keeps OK across a refusal (see Hold).
 type Slot struct {
 	P    noc.Packet
 	OK   bool
@@ -211,7 +210,13 @@ func (k *Kernel) Step(now int64) {
 	sh := &k.sh
 	k.curBits, sh.next = sh.next, k.curBits
 	clear(sh.next)
-	k.open(now)
+	// Stamp the cycle, and retract what the last one reported.
+	sh.Now, sh.Obs = now, k.obs
+	sh.delivered = sh.delivered[:0]
+	for _, pe := range sh.acceptedPEs {
+		k.accepted[pe] = false
+	}
+	sh.acceptedPEs = sh.acceptedPEs[:0]
 	w, router := k.W, k.router
 	for wd, b := range k.curBits {
 		for ; b != 0; b &= b - 1 {
@@ -232,25 +237,6 @@ func (k *Kernel) Step(now int64) {
 		}
 	}
 	k.Cur, k.Next = k.Next, k.Cur
-}
-
-// open starts a cycle: stamp it, and retract what it reported last cycle.
-func (k *Kernel) open(now int64) {
-	sh := &k.sh
-	sh.Now, sh.Obs = now, k.obs
-	sh.delivered = sh.delivered[:0]
-	for _, pe := range sh.acceptedPEs {
-		k.accepted[pe] = false
-	}
-	sh.acceptedPEs = sh.acceptedPEs[:0]
-}
-
-// BeginDense starts a cycle of a family's dense reference stepper, which
-// routes every router itself and uses only the kernel's bookkeeping.
-func (k *Kernel) BeginDense(now int64) *Shard {
-	k.open(now)
-	clear(k.sh.next)
-	return &k.sh
 }
 
 // Accept records that PE i's offer entered the network this cycle, and

@@ -3,7 +3,6 @@ package fasttrack
 import (
 	"testing"
 
-	"fasttrack/internal/fabric"
 	"fasttrack/internal/noc"
 	"fasttrack/internal/xrand"
 )
@@ -18,6 +17,12 @@ import (
 //   - at most one packet occupies each output;
 //   - the WEx input, having top priority, always receives the first entry
 //     of its preference list.
+//
+// Each trial is one production cycle: the input packets are seeded straight
+// into the router's link registers, a PE offer wakes the router (the arbiter
+// handles the PE port last, §IV-C, so it cannot change where the inputs go),
+// Kernel.Step routes it through Route, and the grants are read back from the
+// latched downstream registers and Delivered.
 func TestRouterArbitrationExhaustive(t *testing.T) {
 	configs := []struct {
 		name    string
@@ -33,6 +38,7 @@ func TestRouterArbitrationExhaustive(t *testing.T) {
 		{"white-full", 2, 2, VariantFull, 1, 1},
 		{"black-full-popoff", 3, 1, VariantFull, 3, 3}, // D does not divide N
 	}
+	const peID = 5 // the waking offer's packet
 	rng := xrand.New(4242)
 	for _, c := range configs {
 		top, err := NewTopology(8, c.d, c.r)
@@ -41,6 +47,17 @@ func TestRouterArbitrationExhaustive(t *testing.T) {
 		}
 		cfg := Config{Topology: top, Variant: c.variant}
 		hasX, hasY := top.HasXExpress(c.x), top.HasYExpress(c.y)
+		i := c.y*8 + c.x
+		// The downstream register each output latches into.
+		latched := [numOuts]struct {
+			plane noc.Port
+			j     int
+		}{
+			oESh: {noc.PortWSh, c.y*8 + (c.x+1)%8},
+			oEEx: {noc.PortWEx, c.y*8 + (c.x+c.d)%8},
+			oSSh: {noc.PortNSh, ((c.y+1)%8)*8 + c.x},
+			oSEx: {noc.PortNEx, ((c.y+c.d)%8)*8 + c.x},
+		}
 
 		// Enumerate all occupancy masks over (WSh, WEx, NSh, NEx), skipping
 		// express inputs the class does not have, with many random offsets.
@@ -55,10 +72,12 @@ func TestRouterArbitrationExhaustive(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				nw.SetDense(true)
-				i := c.y*8 + c.x
 				var want int
-				mk := func(id int64, express bool, dim byte) fabric.Slot {
+				// seed latches a packet onto input port in. It takes a pool
+				// slot from the top: the kernel hands slots out from index 0
+				// and injects at most one packet per router per cycle, so the
+				// waking offer cannot land on a seeded packet.
+				seed := func(in noc.Port, id int64, express bool, dim byte) noc.Packet {
 					// Express inputs must carry express-legal offsets: the
 					// simulator never produces a misaligned express packet
 					// except via documented pop-off paths, which arise from
@@ -83,36 +102,38 @@ func TestRouterArbitrationExhaustive(t *testing.T) {
 						dst.X = c.x // NEx with dx != 0 only via misroutes
 					}
 					want++
-					return fabric.Slot{P: noc.Packet{ID: id, Src: noc.Coord{X: 0, Y: 0}, Dst: dst}, OK: true}
+					slot := int32(len(nw.Pool) - want)
+					nw.Pool[slot] = noc.Packet{ID: id, Src: noc.Coord{X: 0, Y: 0}, Dst: dst}
+					nw.Cur[in][i] = slot
+					return nw.Pool[slot]
 				}
 				var wExPkt noc.Packet
 				if mask&1 != 0 {
-					nw.in[noc.PortWSh][i] = mk(1, false, 'x')
+					seed(noc.PortWSh, 1, false, 'x')
 				}
 				if useWEx {
-					nw.in[noc.PortWEx][i] = mk(2, true, 'x')
-					wExPkt = nw.in[noc.PortWEx][i].P
+					wExPkt = seed(noc.PortWEx, 2, true, 'x')
 				}
 				if mask&4 != 0 {
-					nw.in[noc.PortNSh][i] = mk(3, false, 'y')
+					seed(noc.PortNSh, 3, false, 'y')
 				}
 				if useNEx {
-					nw.in[noc.PortNEx][i] = mk(4, true, 'y')
+					seed(noc.PortNEx, 4, true, 'y')
 				}
-				s0 := nw.BeginDense(0)
-				s0.InFlight = want
-				nw.route(s0, c.x, c.y, 0) // panics on overcommit
+				nw.Offer(i, noc.Packet{ID: peID, Src: noc.Coord{X: c.x, Y: c.y},
+					Dst: noc.Coord{X: rng.Intn(8), Y: rng.Intn(8)}})
+				nw.Step(0) // panics on overcommit
 
 				// Collect placements.
 				got := 0
 				seen := map[int64]int{}
+				var onOut [numOuts]int64
 				for o := 0; o < numOuts; o++ {
-					s := nw.outs[o][i]
-					if !s.OK {
+					l := latched[o]
+					r := nw.Cur[l.plane][l.j]
+					if r < 0 {
 						continue
 					}
-					got++
-					seen[s.P.ID]++
 					switch uint8(o) {
 					case oEEx:
 						if !hasX {
@@ -123,21 +144,28 @@ func TestRouterArbitrationExhaustive(t *testing.T) {
 							t.Fatalf("%s mask %d: SEx driven on router without Y express", c.name, mask)
 						}
 					}
+					onOut[o] = nw.Pool[r].ID
+					seen[onOut[o]]++
 				}
 				for _, p := range nw.Delivered() {
-					got++
 					seen[p.ID]++
 					if p.Dst != (noc.Coord{X: c.x, Y: c.y}) {
 						t.Fatalf("%s mask %d: delivered packet %d not addressed here", c.name, mask, p.ID)
 					}
 				}
-				if got != want {
-					t.Fatalf("%s mask %d trial %d: %d packets in, %d out", c.name, mask, trial, want, got)
-				}
 				for id, n := range seen {
 					if n != 1 {
 						t.Fatalf("%s mask %d: packet %d appears %d times", c.name, mask, id, n)
 					}
+					if id != peID {
+						got++
+					}
+				}
+				if got != want {
+					t.Fatalf("%s mask %d trial %d: %d packets in, %d out", c.name, mask, trial, want, got)
+				}
+				if accepted := nw.Accepted(i); accepted != (seen[peID] == 1) {
+					t.Fatalf("%s mask %d: offer accepted=%v but placed %d times", c.name, mask, accepted, seen[peID])
 				}
 
 				// Priority check: WEx, processed first, must land on the
@@ -167,7 +195,7 @@ func TestRouterArbitrationExhaustive(t *testing.T) {
 						if !found {
 							t.Fatalf("%s mask %d: WEx exit not granted", c.name, mask)
 						}
-					} else if s := nw.outs[first.out][i]; !s.OK || s.P.ID != 2 {
+					} else if onOut[first.out] != 2 {
 						t.Fatalf("%s mask %d: WEx not on its first choice output %d", c.name, mask, first.out)
 					}
 				}
@@ -176,9 +204,9 @@ func TestRouterArbitrationExhaustive(t *testing.T) {
 	}
 }
 
-// TestRouteNeverPanicsUnderFuzz hammers route() through full network steps
+// TestRouteNeverPanicsUnderFuzz hammers Route through full network steps
 // with randomized multi-router traffic to exercise arbitration interleavings
-// (the place() panic is the assertion).
+// (the placeR panic is the assertion).
 func TestRouteNeverPanicsUnderFuzz(t *testing.T) {
 	rng := xrand.New(31337)
 	for trial := 0; trial < 30; trial++ {

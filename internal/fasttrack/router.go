@@ -42,74 +42,6 @@ type arb struct {
 	exists [numOuts]bool
 }
 
-// route arbitrates one router for the current cycle. Inputs are processed in
-// the paper's static priority order — WEx > NEx > WSh > NSh > PE — so
-// express turning traffic preempts everything, X-ring traffic preempts
-// Y-ring traffic, and client injection only uses ports left idle by
-// in-flight packets (§IV-C).
-func (nw *Network) route(s0 *fabric.Shard, x, y int, now int64) {
-	t := nw.cfg.Topology
-	i := y*nw.n + x
-	a := arb{exists: [numOuts]bool{
-		oESh: true,
-		oSSh: true,
-		oEEx: t.HasXExpress(x),
-		oSEx: t.HasYExpress(y),
-	}}
-
-	// Inputs are inspected through pointers: a slot is 80 bytes and most
-	// registers are empty most cycles, so value copies of the whole slot
-	// dominated the router profile.
-	if s := &nw.in[noc.PortWEx][i]; s.OK {
-		nw.place(s0, &a, i, noc.PortWEx, s.P, x, y)
-	}
-	if s := &nw.in[noc.PortNEx][i]; s.OK {
-		nw.place(s0, &a, i, noc.PortNEx, s.P, x, y)
-	}
-	if s := &nw.in[noc.PortWSh][i]; s.OK {
-		nw.place(s0, &a, i, noc.PortWSh, s.P, x, y)
-	}
-	if s := &nw.in[noc.PortNSh][i]; s.OK {
-		nw.place(s0, &a, i, noc.PortNSh, s.P, x, y)
-	}
-	nw.injectAt(s0, &a, i, x, y, now)
-}
-
-// place assigns one in-flight input packet to an output following its
-// preference list. Bufferless routers must never drop an in-flight packet;
-// the priority discipline plus the recoverable emergency tails make the
-// assignment total, so running out of ports is a router bug and panics.
-func (nw *Network) place(s0 *fabric.Shard, a *arb, i int, port noc.Port, p noc.Packet, x, y int) {
-	pr := nw.prefsFor(port, p.Dst, x, y)
-	for k := 0; k < pr.n; k++ {
-		c := pr.c[k]
-		if !a.exists[c.out] || a.taken[c.out] {
-			continue
-		}
-		a.taken[c.out] = true
-		if c.misroute {
-			s0.Counters.MisroutesByInput[port]++
-			p.Deflections++
-			if s0.Obs != nil {
-				s0.Obs.OnDeflect(s0.Now, i, port, &p)
-			}
-		} else if k > 0 {
-			s0.Counters.ExpressDeniedByInput[port]++
-			if s0.Obs != nil {
-				s0.Obs.OnExpressDenied(s0.Now, i, port, &p)
-			}
-		}
-		if c.deliver {
-			nw.Deliver(s0, p)
-		} else {
-			nw.outs[c.out][i] = fabric.Slot{P: p, OK: true}
-		}
-		return
-	}
-	panic(fmt.Sprintf("fasttrack: router (%d,%d) overcommitted: input %v packet %v->%v has no free output",
-		x, y, port, p.Src, p.Dst))
-}
-
 // prefsFor builds the output preference list for an in-flight packet bound
 // for dst on the given input port at router (x, y).
 //
@@ -286,85 +218,14 @@ func (nw *Network) prefsFor(port noc.Port, dst noc.Coord, x, y int) prefs {
 	return pr
 }
 
-// injectAt arbitrates the PE offer at router (x, y) after all in-flight
-// traffic has been placed. Injection never misroutes: if every acceptable
-// first-hop port is busy the client stalls and retries (§IV-C: the PE port
-// has the lowest priority because in-flight packets cannot wait).
-func (nw *Network) injectAt(s0 *fabric.Shard, a *arb, i, x, y int, now int64) {
-	off := &nw.Offers[i]
-	if !off.OK {
-		return
-	}
-
-	t := nw.cfg.Topology
-	p := off.P
-	dx := noc.RingDelta(x, p.Dst.X, nw.n)
-	dy := noc.RingDelta(y, p.Dst.Y, nw.n)
-
-	var pr prefs
-	switch {
-	case dx == 0 && dy == 0:
-		// Self-addressed packet: loops through the exit port.
-		pr.add(oSSh, true, false)
-	case nw.cfg.Variant == VariantInject:
-		if nw.cfg.injectEligible(t, x, y, dx, dy) {
-			// Lane choice is permanent in the Inject variant: express when
-			// the lane is free, else commit to the short lane.
-			if dx > 0 {
-				pr.add(oEEx, false, false)
-				pr.add(oESh, false, false)
-			} else {
-				pr.add(oSEx, false, false)
-				pr.add(oSSh, false, false)
-			}
-		} else if dx > 0 {
-			pr.add(oESh, false, false)
-		} else {
-			pr.add(oSSh, false, false)
-		}
-	default: // VariantFull
-		if dx > 0 {
-			if t.HasXExpress(x) && dx%t.D == 0 {
-				pr.add(oEEx, false, false)
-			}
-			pr.add(oESh, false, false)
-		} else {
-			if t.HasYExpress(y) && dy%t.D == 0 {
-				pr.add(oSEx, false, false)
-			}
-			pr.add(oSSh, false, false)
-		}
-	}
-
-	for k := 0; k < pr.n; k++ {
-		c := pr.c[k]
-		if !a.exists[c.out] || a.taken[c.out] {
-			continue
-		}
-		a.taken[c.out] = true
-		if k > 0 {
-			s0.Counters.ExpressDeniedByInput[noc.PortPE]++
-			if s0.Obs != nil {
-				s0.Obs.OnExpressDenied(now, i, noc.PortPE, &p)
-			}
-		}
-		p.Inject = now
-		nw.Accept(s0, i)
-		if c.deliver {
-			nw.Deliver(s0, p)
-		} else {
-			nw.outs[c.out][i] = fabric.Slot{P: p, OK: true}
-		}
-		return
-	}
-	nw.Refuse(s0, i)
-}
-
 // Route implements fabric.Router: the arbiter the kernel calls for each
-// active router. It makes the same decisions as the dense reference route,
-// but over pool indices — staying on a ring moves an int32 instead of copying
-// an 80-byte slot — and with the latch fused in: granting an output writes
-// the downstream next-cycle register directly (emitR).
+// active router. Inputs are processed in the paper's static priority order —
+// WEx > NEx > WSh > NSh > PE — so express turning traffic preempts
+// everything, X-ring traffic preempts Y-ring traffic, and client injection
+// only uses ports left idle by in-flight packets (§IV-C). It moves pool
+// indices — staying on a ring moves an int32 instead of copying an 80-byte
+// packet — with the latch fused in: granting an output writes the downstream
+// next-cycle register directly (emitR).
 func (nw *Network) Route(sh *fabric.Shard, i, x, y int, now int64) {
 	a := arb{exists: nw.tabs.exists[i]}
 
@@ -390,10 +251,11 @@ func (nw *Network) Route(sh *fabric.Shard, i, x, y int, now int64) {
 	nw.injectAtR(sh, &a, i, x, y, now)
 }
 
-// placeR is place over a pool index. It replays the memoized preference list
-// for (port, dx, dy) instead of rebuilding it per packet; the tables are
-// constructed by calling prefsFor itself (see tables.go), so it walks the
-// list the dense place builds.
+// placeR assigns the in-flight packet at pool index r an output, walking the
+// memoized preference list for (port, dx, dy) — prefsFor's list, built once
+// per key (tables.go). Bufferless routers must never drop an in-flight
+// packet; the priority discipline plus the recoverable emergency tails make
+// the assignment total, so running out of ports is a router bug and panics.
 func (nw *Network) placeR(sh *fabric.Shard, a *arb, i int, port noc.Port, r int32, x, y int) {
 	p := &nw.Pool[r]
 	pr := &nw.tabs.in[port][delta(y, p.Dst.Y, nw.n)*nw.n+delta(x, p.Dst.X, nw.n)]
@@ -426,10 +288,9 @@ func (nw *Network) placeR(sh *fabric.Shard, a *arb, i int, port noc.Port, r int3
 		x, y, port, nw.Pool[r].Src, nw.Pool[r].Dst))
 }
 
-// emitR latches pool index r onto the downstream register for output out.
-// The hop accounting the dense path does in its latch pass happens here, at
-// grant time — totals and per-packet values at delivery are identical. A
-// pipelined express grant parks in exPend/syPend for the pipe pass instead.
+// emitR latches pool index r onto the downstream register for output out and
+// accounts the hop there, at grant time. A pipelined express grant parks in
+// exPend/syPend for the pipe pass instead.
 func (nw *Network) emitR(sh *fabric.Shard, out uint8, r int32, i, x, y int) {
 	n, d := nw.n, nw.cfg.Topology.D
 	switch out {
@@ -472,8 +333,12 @@ func (nw *Network) emitR(sh *fabric.Shard, out uint8, r int32, i, x, y int) {
 	}
 }
 
-// injectAtR is injectAt over the pool: the offered packet is copied into
-// the pool only when an output is granted. The accepted flag is already false
+// injectAtR arbitrates the PE offer after all in-flight traffic has been
+// placed, walking the memoized injectPrefs list for the router's class. The
+// offered packet is copied into the pool only when an output is granted.
+// Injection never misroutes: if every acceptable first-hop port is busy the
+// client stalls and retries (§IV-C: the PE port has the lowest priority
+// because in-flight packets cannot wait). The accepted flag is already false
 // here — the kernel cleared every flag set last cycle.
 func (nw *Network) injectAtR(sh *fabric.Shard, a *arb, i, x, y int, now int64) {
 	off := &nw.Offers[i]

@@ -11,13 +11,13 @@ import (
 // port and the ring offsets to the destination), the injection preference
 // lists (a pure function of the ring offsets and the router's express-lane
 // class), and the per-router output-exists masks. The tables are built by
-// calling the list builders themselves — prefsFor, which the dense reference
-// router still runs per packet, and injectPrefs — once per key and replaying
-// the stored lists thereafter, so equality with the direct path holds by
-// construction (and is additionally asserted exhaustively by TestRouteTables
-// and, end to end, by the dense-vs-sparse golden suites).
+// calling the list builders themselves — prefsFor and injectPrefs — once per
+// key and replaying the stored lists thereafter; TestRouteTablesMatchUntabled
+// asserts exhaustively that the coordinate folding loses nothing. That the
+// lists are the paper's policy is checked end to end by the golden suites in
+// internal/sim, against an oracle written independently from the paper.
 //
-// Every network carries tables: the sparse arbiter has no other path. One
+// Every network carries tables: the arbiter has no other path. One
 // table set is shared by every instance built with the same (topology,
 // variant) key while it stays cached — it is immutable after construction.
 type routeTables struct {
@@ -57,10 +57,12 @@ var (
 
 // injectPrefs builds the injection preference list for an offer with ring
 // offsets (dx, dy) at a router with express-lane availability (hx, hy).
-// It is the switch the dense injectAt inlines, with the router coordinate
-// dependence reduced to the (hx, hy) class so the list can be memoized;
-// injectEligible's coordinate tests collapse the same way (dx > 0 implies the
-// X-express test, and the Y test is always taken).
+// The router coordinate enters only through the (hx, hy) class, so the list
+// can be memoized. Under the Inject variant the lane is chosen for the whole
+// flight — X ride, turn, Y ride and the express exit tap must all stay inside
+// the express network — and that eligibility folds into the class too: the
+// X ride needs X express ports here (dx > 0), and the turn router and exit
+// tap share this row's residue mod R (R | D), so the Y test is always taken.
 func (nw *Network) injectPrefs(dx, dy int, hx, hy bool) (pr prefs) {
 	t := nw.cfg.Topology
 	switch {

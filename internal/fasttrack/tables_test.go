@@ -9,7 +9,7 @@ import (
 )
 
 // TestRouteTablesMatchUntabled exhaustively checks the memoized route tables
-// against the list builders the dense reference path calls, at every router
+// against the list builders called per router coordinate, at every router
 // and for every destination offset — the tables claim prefsFor depends on its
 // router coordinate only through the ring offsets, and this is where that
 // claim is proven rather than assumed.
@@ -80,7 +80,7 @@ func TestRouteTablesMatchUntabled(t *testing.T) {
 								// injectPrefs folds injectEligible's coordinate
 								// tests into the (hx, hy) class; check against
 								// the original predicate directly.
-								elig := nw.cfg.injectEligible(top, x, y, dx, dy)
+								elig := injectEligible(top, x, y, dx, dy)
 								folded := dx%top.D == 0 && dy%top.D == 0 && (dx == 0 || hx) && hy
 								if elig != folded {
 									t.Fatalf("router (%d,%d) dx=%d dy=%d: injectEligible=%v folded=%v",
@@ -93,6 +93,23 @@ func TestRouteTablesMatchUntabled(t *testing.T) {
 			}
 		})
 	}
+}
+
+// injectEligible reports whether, under the Inject variant, a packet from
+// (x,y) with ring deltas (dx,dy) may be injected into the express plane,
+// stated over router coordinates: the whole flight — X ride, turn, Y ride,
+// and the express exit tap — must stay inside the express network.
+// injectPrefs folds it into the router's (hx, hy) class.
+func injectEligible(t Topology, x, y, dx, dy int) bool {
+	if dx%t.D != 0 || dy%t.D != 0 {
+		return false
+	}
+	if dx > 0 && !t.HasXExpress(x) {
+		return false
+	}
+	// The turn router and the exit tap share this packet's row/column
+	// residues; HasYExpress(y) covers them all (R | D).
+	return t.HasYExpress(y)
 }
 
 // TestTablesSharedAcrossNetworks checks that the per-job networks of one

@@ -198,21 +198,5 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// injectEligible reports whether, under the Inject variant, a packet from
-// (x,y) with ring deltas (dx,dy) may be injected into the express plane.
-// The whole flight — X ride, turn, Y ride, and the express exit tap — must
-// stay inside the express network.
-func (c Config) injectEligible(t Topology, x, y, dx, dy int) bool {
-	if dx%t.D != 0 || dy%t.D != 0 {
-		return false
-	}
-	if dx > 0 && !t.HasXExpress(x) {
-		return false
-	}
-	// The turn router and the exit tap share this packet's row/column
-	// residues; HasYExpress(y) covers them all (R | D).
-	return t.HasYExpress(y)
-}
-
 // peCoordOf converts a PE index to its coordinate for an N-wide torus.
 func peCoordOf(pe, n int) noc.Coord { return noc.PECoord(pe, n) }

@@ -191,14 +191,6 @@ func Wrap(inner noc.Network, cfg Config) (*Network, error) {
 	}, nil
 }
 
-// SetDense forwards the engine-path selection to the inner network when it
-// carries both stepping paths.
-func (nw *Network) SetDense(d bool) {
-	if sd, ok := nw.inner.(interface{ SetDense(bool) }); ok {
-		sd.SetDense(d)
-	}
-}
-
 // SetObserver attaches a telemetry observer to this wrapper and forwards it
 // to the inner network, so router-level events and fault-layer drops reach
 // the same observer.

@@ -78,14 +78,6 @@ func (nw *Network) NumPEs() int { return nw.w * nw.h }
 // Channels returns the channel count K.
 func (nw *Network) Channels() int { return nw.k }
 
-// SetDense selects the reference stepping path in every channel; see
-// hoplite.Network.SetDense.
-func (nw *Network) SetDense(d bool) {
-	for _, ch := range nw.channels {
-		ch.SetDense(d)
-	}
-}
-
 // SetObserver attaches a telemetry observer to every channel. All K channels
 // share one w×h geometry, so per-link counts aggregate per geometric link
 // across channels; the engine (not the channels) emits OnCycleEnd, so a

@@ -15,33 +15,64 @@ import (
 	"fasttrack/internal/traffic"
 )
 
-// goldenNet names one network construction in the equivalence matrix.
+// goldenNet names one network construction in the equivalence matrix and
+// the reference it is held to.
 type goldenNet struct {
 	name  string
 	build func() (noc.Network, error)
-	w, h  int
+	// ref builds the reference network: the paper oracle (oracle_test.go)
+	// for the bufferless families. The buffered mesh is an extension the
+	// paper does not specify (DESIGN §5c ext-buffered), so it is held to
+	// its own dense stepping path instead.
+	ref  func() (noc.Network, error)
+	w, h int
 }
 
 func goldenNets() []goldenNet {
-	cfg := func(c core.Config) func() (noc.Network, error) {
-		return func() (noc.Network, error) { return c.Build() }
+	cfg := func(name string, c core.Config) goldenNet {
+		return goldenNet{name, c.Build, oracleOf(c), c.N, c.N}
 	}
 	return []goldenNet{
-		{"hoplite-8x8", cfg(core.Hoplite(8)), 8, 8},
-		{"ft-full", cfg(core.FastTrack(8, 2, 1)), 8, 8},
-		{"ft-inject", cfg(core.FastTrack(8, 2, 1).WithVariant(core.VariantInject)), 8, 8},
-		{"ft-depop", cfg(core.FastTrack(8, 2, 2)), 8, 8},
-		{"ft-pipelined", cfg(core.FastTrack(8, 2, 1).WithPipeline(1)), 8, 8},
-		{"multichannel-2x", cfg(core.MultiChannel(8, 2)), 8, 8},
+		cfg("hoplite-8x8", core.Hoplite(8)),
+		cfg("ft-full", core.FastTrack(8, 2, 1)),
+		cfg("ft-inject", core.FastTrack(8, 2, 1).WithVariant(core.VariantInject)),
+		cfg("ft-depop", core.FastTrack(8, 2, 2)),
+		cfg("ft-pipelined", core.FastTrack(8, 2, 1).WithPipeline(1)),
+		cfg("multichannel-2x", core.MultiChannel(8, 2)),
 		{"buffered-8x8", func() (noc.Network, error) {
 			return buffered.New(8, 8, buffered.Config{Depth: 4})
+		}, func() (noc.Network, error) {
+			nw, err := buffered.New(8, 8, buffered.Config{Depth: 4})
+			if err == nil {
+				nw.SetDense(true)
+			}
+			return nw, err
 		}, 8, 8},
 	}
 }
 
-// runGolden executes one (network, pattern, rate) cell. reference selects
-// the dense network path plus the engine's full PE scan via
-// Options.Engine = EngineDense.
+// oracleOf returns a builder for the paper oracle configured as c.
+func oracleOf(c core.Config) func() (noc.Network, error) {
+	s := oracleSpec{W: c.N, H: c.N}
+	switch c.Kind {
+	case core.KindFastTrack:
+		s.D, s.R, s.Stages = c.D, c.R, c.ExpressPipeline
+		s.Inject = c.Variant == core.VariantInject
+	case core.KindMultiChannel:
+		s.Channels = c.Channels
+	}
+	return func() (noc.Network, error) { return newOracle(s), nil }
+}
+
+// fullScan hides every optional interface of the workload it wraps
+// (sim.ActiveSet, sim.StableHead, sim.EventWorkload), so Run polls Pending
+// on every PE every cycle, offers one cycle at a time and never skips an
+// idle cycle: the engine's reference path.
+type fullScan struct{ sim.Workload }
+
+// runGolden executes one (network, pattern, rate) cell. reference runs the
+// golden net's reference network under the engine's reference path
+// (fullScan).
 func runGolden(t *testing.T, gn goldenNet, pat traffic.Pattern, rate float64, reference bool) sim.Result {
 	t.Helper()
 	return runGoldenObserved(t, gn, pat, rate, reference, nil)
@@ -50,25 +81,25 @@ func runGolden(t *testing.T, gn goldenNet, pat traffic.Pattern, rate float64, re
 // runGoldenObserved is runGolden with a telemetry observer attached.
 func runGoldenObserved(t *testing.T, gn goldenNet, pat traffic.Pattern, rate float64, reference bool, obs telemetry.Observer) sim.Result {
 	t.Helper()
-	net, err := gn.build()
+	build, wl := gn.build, sim.Workload(traffic.NewSynthetic(gn.w, gn.h, pat, rate, 120, 17))
+	if reference {
+		build, wl = gn.ref, fullScan{wl}
+	}
+	net, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := sim.EngineSparse
-	if reference {
-		engine = sim.EngineDense
-	}
-	wl := traffic.NewSynthetic(gn.w, gn.h, pat, rate, 120, 17)
-	res, err := sim.Run(net, wl, sim.Options{Engine: engine, Observer: obs})
+	res, err := sim.Run(net, wl, sim.Options{Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
-// TestGoldenObserverNeutral holds both engine paths to bit-identical
-// sim.Results with a no-op telemetry observer attached: the hooks may watch
-// the simulation but never steer it. Covers hoplite and FastTrack on RANDOM
+// TestGoldenObserverNeutral holds a run with a no-op telemetry observer
+// attached to bit-identical sim.Results: the hooks may watch the simulation
+// but never steer it. The ref=false rows compare it with the bare run, the
+// ref=true rows with the paper oracle. Covers hoplite and FastTrack on RANDOM
 // and TRANSPOSE at both sweep extremes.
 func TestGoldenObserverNeutral(t *testing.T) {
 	nets := []goldenNet{goldenNets()[0], goldenNets()[1]} // hoplite-8x8, ft-full
@@ -79,10 +110,10 @@ func TestGoldenObserverNeutral(t *testing.T) {
 				for _, reference := range []bool{false, true} {
 					name := fmt.Sprintf("%s/%s/%.2f/ref=%v", gn.name, pat.Name(), rate, reference)
 					t.Run(name, func(t *testing.T) {
-						bare := runGolden(t, gn, pat, rate, reference)
-						obs := runGoldenObserved(t, gn, pat, rate, reference, telemetry.Base{})
-						if !reflect.DeepEqual(bare, obs) {
-							t.Errorf("no-op observer changed the result:\nbare:     %+v\nobserved: %+v", bare, obs)
+						want := runGolden(t, gn, pat, rate, reference)
+						obs := runGoldenObserved(t, gn, pat, rate, false, telemetry.Base{})
+						if !reflect.DeepEqual(want, obs) {
+							t.Errorf("no-op observer changed the result:\nwant:     %+v\nobserved: %+v", want, obs)
 						}
 					})
 				}
@@ -91,12 +122,13 @@ func TestGoldenObserverNeutral(t *testing.T) {
 	}
 }
 
-// TestGoldenEquivalence holds the optimized hot path (sparse router
-// stepping + ActiveSet PE iteration) to byte-identical sim.Results against
-// the reference path (dense stepping + full PE scan) across every network
+// TestGoldenEquivalence holds the production path (sparse router stepping,
+// ActiveSet PE iteration, standing offers) to byte-identical sim.Results
+// against the paper oracle under a full PE scan, across every network
 // family, two patterns, and both sweep extremes. Bit-exactness — including
 // the float latency accumulators, which are sensitive to delivery order —
-// is the contract that makes the fast path safe for the paper sweeps.
+// is the contract: it checks the routing policy itself, not only the
+// kernel's bookkeeping.
 func TestGoldenEquivalence(t *testing.T) {
 	pats := []traffic.Pattern{traffic.Random{}, traffic.Transpose{}}
 	rates := []float64{0.05, 1.0}
@@ -119,7 +151,8 @@ func TestGoldenEquivalence(t *testing.T) {
 // TestGoldenEquivalenceNonPow2 covers a 6×6 torus, where router indices do
 // not align with the 64-bit occupancy words the sparse path iterates.
 func TestGoldenEquivalenceNonPow2(t *testing.T) {
-	gn := goldenNet{"hoplite-6x6", func() (noc.Network, error) { return hoplite.New(6, 6) }, 6, 6}
+	gn := goldenNet{"hoplite-6x6", func() (noc.Network, error) { return hoplite.New(6, 6) },
+		func() (noc.Network, error) { return newOracle(oracleSpec{W: 6, H: 6}), nil }, 6, 6}
 	for _, rate := range []float64{0.05, 1.0} {
 		ref := runGolden(t, gn, traffic.Random{}, rate, true)
 		opt := runGolden(t, gn, traffic.Random{}, rate, false)
@@ -146,7 +179,7 @@ func TestCrossFamilyDeterminism(t *testing.T) {
 			Seed: 11, DropRate: 0.02,
 			Stuck: []faults.Window{{PE: 3, From: 50, Until: 200}},
 		})
-	}, 8, 8})
+	}, nil, 8, 8})
 	for _, gn := range nets {
 		t.Run(gn.name, func(t *testing.T) {
 			a := runGolden(t, gn, traffic.Random{}, 0.2, false)
@@ -177,21 +210,24 @@ func (g *idleGaps) OnCycleEnd(now int64, inFlight int) {
 
 // TestGoldenIdleSkip checks the idle fast-forward at the level it lives: a
 // per-job Run of an EventWorkload at a rate that actually idles must be
-// bit-identical to the two paths that never skip — (a) EngineDense, (b) the
-// same run observed — on every network family, since Run arms the skip for
-// all of them (multichannel's
+// bit-identical to the two paths that never skip — (a) the reference network
+// under a full PE scan, (b) the same run observed — on every network family,
+// since Run arms the skip for all of them (multichannel's
 // rotating service order is the one piece of network state an idle Step could
 // have advanced). The edge rows aim the cycle budget and the stall limit at
 // the longest idle stretch of the run, located by the observed pass.
 func TestGoldenIdleSkip(t *testing.T) {
 	const rate, quota = 0.002, 16
-	run := func(t *testing.T, gn goldenNet, opts sim.Options) (sim.Result, error) {
+	run := func(t *testing.T, gn goldenNet, reference bool, opts sim.Options) (sim.Result, error) {
 		t.Helper()
-		net, err := gn.build()
+		build, wl := gn.build, sim.Workload(traffic.NewSynthetic(gn.w, gn.h, traffic.Random{}, rate, quota, 17))
+		if reference {
+			build, wl = gn.ref, fullScan{wl}
+		}
+		net, err := build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		wl := traffic.NewSynthetic(gn.w, gn.h, traffic.Random{}, rate, quota, 17)
 		return sim.Run(net, wl, opts)
 	}
 	rows := []struct {
@@ -222,7 +258,7 @@ func TestGoldenIdleSkip(t *testing.T) {
 	}
 	for _, gn := range goldenNets() {
 		var gaps idleGaps
-		if _, err := run(t, gn, sim.Options{Observer: &gaps}); err != nil {
+		if _, err := run(t, gn, false, sim.Options{Observer: &gaps}); err != nil {
 			t.Fatal(err)
 		}
 		if gaps.longest < 32 {
@@ -231,20 +267,21 @@ func TestGoldenIdleSkip(t *testing.T) {
 		for _, row := range rows {
 			t.Run(gn.name+"/"+row.name, func(t *testing.T) {
 				opts := row.opts(&gaps)
-				skip, err := run(t, gn, opts)
+				skip, err := run(t, gn, false, opts)
 				if err != nil {
 					t.Fatalf("skip-armed run: %v", err)
 				}
 				row.want(t, skip, opts)
 				for _, ref := range []struct {
-					name string
-					opts sim.Options
+					name      string
+					reference bool
+					opts      sim.Options
 				}{
-					{"dense", sim.Options{Engine: sim.EngineDense}},
-					{"observed", sim.Options{Observer: telemetry.Base{}}},
+					{"oracle", true, sim.Options{}},
+					{"observed", false, sim.Options{Observer: telemetry.Base{}}},
 				} {
 					ref.opts.MaxCycles, ref.opts.StallLimit = opts.MaxCycles, opts.StallLimit
-					got, err := run(t, gn, ref.opts)
+					got, err := run(t, gn, ref.reference, ref.opts)
 					if err != nil {
 						t.Fatalf("%s: %v", ref.name, err)
 					}

@@ -47,64 +47,62 @@ func (c *countingObserver) OnCycleEnd(now int64, inFlight int) {
 }
 
 // TestObserverEventTotals holds the observer event stream to the network's
-// own counters on both engine paths: every wire traversal, deflection, and
-// express denial the counters record must arrive as exactly one callback.
+// own counters: every wire traversal, deflection, and express denial the
+// counters record must arrive as exactly one callback.
 func TestObserverEventTotals(t *testing.T) {
 	cfgs := []core.Config{core.Hoplite(8), core.FastTrack(8, 2, 1)}
 	for _, cfg := range cfgs {
-		for _, engine := range []sim.Engine{sim.EngineSparse, sim.EngineDense} {
-			t.Run(fmt.Sprintf("%s/%s", cfg, engine), func(t *testing.T) {
-				net, err := cfg.Build()
-				if err != nil {
-					t.Fatal(err)
-				}
-				obs := &countingObserver{}
-				wl := traffic.NewSynthetic(8, 8, traffic.Random{}, 0.3, 100, 17)
-				res, err := sim.Run(net, wl, sim.Options{Engine: engine, Observer: obs})
-				if err != nil {
-					t.Fatal(err)
-				}
-				c := net.Counters()
-				if obs.injects != res.Injected {
-					t.Errorf("OnInject = %d, injected = %d", obs.injects, res.Injected)
-				}
-				if obs.stalls != c.InjectionStalls {
-					t.Errorf("OnInjectStall = %d, injection stalls = %d", obs.stalls, c.InjectionStalls)
-				}
-				if obs.delivers != res.Delivered {
-					t.Errorf("OnDeliver = %d, delivered = %d", obs.delivers, res.Delivered)
-				}
-				if obs.hops != c.ShortTraversals {
-					t.Errorf("OnHop = %d, short traversals = %d", obs.hops, c.ShortTraversals)
-				}
-				if obs.expressHops != c.ExpressTraversals {
-					t.Errorf("OnExpressHop = %d, express traversals = %d", obs.expressHops, c.ExpressTraversals)
-				}
-				var misroutes, denied int64
-				for p := range c.MisroutesByInput {
-					misroutes += c.MisroutesByInput[p]
-					denied += c.ExpressDeniedByInput[p]
-				}
-				if obs.deflects != misroutes {
-					t.Errorf("OnDeflect = %d, misroutes = %d", obs.deflects, misroutes)
-				}
-				if obs.denied != denied {
-					t.Errorf("OnExpressDenied = %d, denied = %d", obs.denied, denied)
-				}
-				if obs.cycles != res.Cycles {
-					t.Errorf("OnCycleEnd fired %d times over %d cycles", obs.cycles, res.Cycles)
-				}
-				if obs.lastInFlight != 0 {
-					t.Errorf("final in-flight = %d, want 0 (workload drains)", obs.lastInFlight)
-				}
-				// Per-packet hop counts seen at delivery must also sum to the
-				// link totals: nothing is left in flight.
-				if obs.deliveredShort != c.ShortTraversals || obs.deliveredExpress != c.ExpressTraversals {
-					t.Errorf("per-packet hops (%d, %d) != link totals (%d, %d)",
-						obs.deliveredShort, obs.deliveredExpress, c.ShortTraversals, c.ExpressTraversals)
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("%s/sparse", cfg), func(t *testing.T) {
+			net, err := cfg.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			obs := &countingObserver{}
+			wl := traffic.NewSynthetic(8, 8, traffic.Random{}, 0.3, 100, 17)
+			res, err := sim.Run(net, wl, sim.Options{Observer: obs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := net.Counters()
+			if obs.injects != res.Injected {
+				t.Errorf("OnInject = %d, injected = %d", obs.injects, res.Injected)
+			}
+			if obs.stalls != c.InjectionStalls {
+				t.Errorf("OnInjectStall = %d, injection stalls = %d", obs.stalls, c.InjectionStalls)
+			}
+			if obs.delivers != res.Delivered {
+				t.Errorf("OnDeliver = %d, delivered = %d", obs.delivers, res.Delivered)
+			}
+			if obs.hops != c.ShortTraversals {
+				t.Errorf("OnHop = %d, short traversals = %d", obs.hops, c.ShortTraversals)
+			}
+			if obs.expressHops != c.ExpressTraversals {
+				t.Errorf("OnExpressHop = %d, express traversals = %d", obs.expressHops, c.ExpressTraversals)
+			}
+			var misroutes, denied int64
+			for p := range c.MisroutesByInput {
+				misroutes += c.MisroutesByInput[p]
+				denied += c.ExpressDeniedByInput[p]
+			}
+			if obs.deflects != misroutes {
+				t.Errorf("OnDeflect = %d, misroutes = %d", obs.deflects, misroutes)
+			}
+			if obs.denied != denied {
+				t.Errorf("OnExpressDenied = %d, denied = %d", obs.denied, denied)
+			}
+			if obs.cycles != res.Cycles {
+				t.Errorf("OnCycleEnd fired %d times over %d cycles", obs.cycles, res.Cycles)
+			}
+			if obs.lastInFlight != 0 {
+				t.Errorf("final in-flight = %d, want 0 (workload drains)", obs.lastInFlight)
+			}
+			// Per-packet hop counts seen at delivery must also sum to the
+			// link totals: nothing is left in flight.
+			if obs.deliveredShort != c.ShortTraversals || obs.deliveredExpress != c.ExpressTraversals {
+				t.Errorf("per-packet hops (%d, %d) != link totals (%d, %d)",
+					obs.deliveredShort, obs.deliveredExpress, c.ShortTraversals, c.ExpressTraversals)
+			}
+		})
 	}
 }
 

@@ -29,7 +29,7 @@ func TestGoldenShardEquivalence(t *testing.T) {
 	}
 	pats := []traffic.Pattern{traffic.Random{}, traffic.Transpose{}}
 	for _, c := range cfgs {
-		gn := goldenNet{c.name, c.cfg.Build, 8, 8}
+		gn := goldenNet{c.name, c.cfg.Build, nil, 8, 8}
 		for _, pat := range pats {
 			for _, rate := range []float64{0.05, 1.0} {
 				seq := runGolden(t, gn, pat, rate, false)

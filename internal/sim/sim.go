@@ -54,9 +54,9 @@ type Workload interface {
 // appear in the returned set (a superset is fine, duplicates are not), and
 // the enumeration must be a deterministic function of the workload's
 // history so repeated runs replay identically. The fast path is bit-exact
-// with the full scan because per-PE offer operations are independent;
-// Options.Engine = EngineDense selects the reference scan for equivalence
-// testing.
+// with the full scan because per-PE offer operations are independent; a
+// workload without ActiveSet gets the full scan, which the golden suites run
+// as the reference.
 type ActiveSet interface {
 	// ActivePEs appends the live PE indices to buf and returns it.
 	ActivePEs(buf []int) []int
@@ -135,36 +135,6 @@ type Result struct {
 	Recovery stats.RecoveryCounts
 }
 
-// Engine selects which of the two bit-exact simulation paths a run uses.
-type Engine uint8
-
-const (
-	// EngineSparse is the optimized production path: occupancy-bitset router
-	// stepping inside the networks plus the ActiveSet offer fast path in the
-	// engine. It is the zero value and the default.
-	EngineSparse Engine = iota
-	// EngineDense is the straight-line reference path: dense array stepping
-	// inside the networks (every router input examined every cycle) and a
-	// full Pending scan over all PEs. The golden equivalence tests hold the
-	// two engines to byte-identical Results.
-	EngineDense
-)
-
-// String returns the engine name used in logs and cache keys.
-func (e Engine) String() string {
-	if e == EngineDense {
-		return "dense"
-	}
-	return "sparse"
-}
-
-// denseSelectable is implemented by networks that carry both stepping paths.
-// Run switches the network to match Options.Engine; networks without the
-// knob (external implementations) always run their only path.
-type denseSelectable interface {
-	SetDense(bool)
-}
-
 // Options configures a run.
 type Options struct {
 	// MaxCycles bounds the run; 0 means a generous default.
@@ -185,11 +155,6 @@ type Options struct {
 	// fast with ErrStarvation and a diagnostic snapshot if any packet stays
 	// in flight longer than this many cycles. 0 disables the watchdog.
 	MaxPacketAge int64
-	// Engine selects the simulation path: EngineSparse (default, optimized)
-	// or EngineDense (the straight-line reference both networks and engine
-	// fall back to). The two are bit-exact; EngineDense exists for the golden
-	// equivalence tests and the BenchmarkSim*Reference speedup pairs.
-	Engine Engine
 	// Observer, when non-nil, receives cycle-level telemetry events
 	// (injections, hops, deflections, deliveries — see internal/telemetry).
 	// Run attaches it to the network and to every layer of the workload
@@ -307,10 +272,10 @@ func Run(net noc.Network, wl Workload, opts Options) (Result, error) {
 // the run ends.
 //
 // Idle fast-forward: when the workload is an EventWorkload and nothing needs
-// to see every cycle (no auditor, observer or convergence window, nor the
-// dense reference engine), an empty network with an empty source queue and an
-// undrained workload jumps straight to the next generation event (or the
-// cycle budget). Every skipped cycle would tick nothing, offer nothing, step
+// to see every cycle (no auditor, observer or convergence window), an empty
+// network with an empty source queue and an undrained workload jumps
+// straight to the next generation event (or the cycle budget). Every skipped
+// cycle would tick nothing, offer nothing, step
 // nothing (noc.Network.Step's idle contract) and reset the watchdog, so
 // lastProgress lands where the last no-op cycle would have left it. InFlight
 // is tested first: it is the cheapest probe and fails on almost every busy
@@ -318,7 +283,7 @@ func Run(net noc.Network, wl Workload, opts Options) (Result, error) {
 func (e *engine) run() (Result, error) {
 	budget := e.opts.MaxCycles
 	ev, skip := e.wl.(EventWorkload)
-	skip = skip && e.opts.Engine == EngineSparse && e.aud == nil && e.obs == nil && e.opts.ConvergeWindow <= 0
+	skip = skip && e.aud == nil && e.obs == nil && e.opts.ConvergeWindow <= 0
 	for now := int64(0); ; {
 		if skip && e.net.InFlight() == 0 && ev.QueueEmpty() && !e.wl.Done() {
 			if target := min(ev.NextEventCycle(now), budget); target > now {
@@ -362,7 +327,7 @@ type engine struct {
 	offered    []bool
 	offeredPkt []noc.Packet
 	// hold is set when the network is a holder and the workload StableHead;
-	// nil (always, under EngineDense: the reference) keeps offers one-cycle.
+	// nil keeps offers one-cycle.
 	// A standing offer keeps offered[pe] and offeredPkt[pe] set from the cycle
 	// it is presented until injectPE sees it accepted.
 	hold holder
@@ -404,13 +369,8 @@ func newEngine(net noc.Network, wl Workload, opts Options) *engine {
 	if e.obs != nil {
 		attachObserver(net, wl, e.obs)
 	}
-	if sd, ok := net.(denseSelectable); ok {
-		sd.SetDense(opts.Engine == EngineDense)
-	}
 	e.activeWL, e.fast = wl.(ActiveSet)
-	if opts.Engine == EngineDense {
-		e.fast = false
-	} else if _, ok := wl.(StableHead); ok {
+	if _, ok := wl.(StableHead); ok {
 		e.hold, _ = net.(holder)
 	}
 	e.track = e.aud != nil || e.obs != nil

@@ -13,11 +13,9 @@
 // them beyond the call — the pointee is engine- or router-owned memory that
 // is mutated or recycled on later cycles.
 //
-// Event ordering within a cycle depends on the engine path (the sparse
-// router stepping fuses hops into the routing pass while the dense
-// reference emits them in its latch pass), but event *totals* are
-// engine-independent and match the network's noc.Counters; the golden tests
-// in internal/sim hold an attached no-op observer to bit-exact Results.
+// Routers emit hops at grant time, inside the routing pass, and event
+// totals match the network's noc.Counters; the golden tests in internal/sim
+// hold an attached no-op observer to bit-exact Results.
 package telemetry
 
 import (

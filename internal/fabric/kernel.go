@@ -1,13 +1,13 @@
-// Package fabric is the sparse torus kernel shared by the bufferless router
+// Package fabric is the sparse torus state shared by the bufferless router
 // families (hoplite, fasttrack, and multichannel through hoplite). It owns
 // everything about a cycle that is not a routing decision: the
 // double-buffered link-register planes, the packet pool, the occupancy
-// bitset that makes Step visit only active routers, client offers and their
-// accepted flags, the event counters and delivery list, and the Step loop. A
-// family embeds a Kernel and plugs in two hooks: its arbiter, called once per
-// active router per cycle, and an optional post-route pass for state that
-// must advance even at routers nothing was routed through (FastTrack's
-// express-link pipelines).
+// bitset that lets a cycle visit only active routers, client offers and
+// their accepted flags, the event counters and delivery list. It calls
+// nothing back: a family embeds a Kernel, and its Step opens the cycle with
+// Begin, walks the returned working set calling its own arbiter directly,
+// runs any pass of its own (FastTrack's express-link pipelines), and closes
+// the cycle with End.
 //
 // The buffered mesh (internal/buffered) does not ride this kernel: its state
 // is FIFOs and credits, not single link registers, and its routers hold
@@ -15,8 +15,6 @@
 package fabric
 
 import (
-	"math/bits"
-
 	"fasttrack/internal/noc"
 	"fasttrack/internal/telemetry"
 )
@@ -53,44 +51,6 @@ func PoolBound(planes, stages, routers int) int {
 	return (planes+2*stages+1)*routers + 64
 }
 
-// Router is a family's arbiter. Route arbitrates router i = (x, y) for cycle
-// now: consume the inputs in Cur, latch grants into Next (marking the
-// downstream router), and resolve the offer. (An interface rather than a func
-// field: a bound method value costs a second call through its wrapper on
-// every active router.)
-type Router interface {
-	Route(sh *Shard, i, x, y int, now int64)
-}
-
-// PostFunc runs after routing for every router that routed this cycle or
-// asked to be kept alive, and reports whether it must run again next cycle
-// even if nothing is routed there.
-type PostFunc func(sh *Shard, i int) (keepAlive bool)
-
-// Shard is the arbiter's view of the cycle being stepped: the activity marks
-// for the next cycle, the event counters, the in-flight population and the
-// observer. A kernel has exactly one.
-type Shard struct {
-	// next collects activity marks for the following cycle; Step swaps it
-	// in as the working set.
-	next []uint64
-
-	// Counters, InFlight, Obs and Now are the arbiter's working set. Obs
-	// receives the router events of the current cycle and is nil when
-	// telemetry is off; every emission site guards it with a single nil
-	// check.
-	Counters noc.Counters
-	InFlight int
-	Obs      telemetry.Observer
-	Now      int64
-
-	delivered   []noc.Packet
-	acceptedPEs []int
-}
-
-// Mark queues router i for routing on the next cycle.
-func (sh *Shard) Mark(i int) { sh.next[i>>6] |= 1 << (uint(i) & 63) }
-
 // Kernel is the shared fabric state; embed it in a family's Network and call
 // Init. The exported fields are the arbiter's working set.
 type Kernel struct {
@@ -116,23 +76,26 @@ type Kernel struct {
 	Offers   []Slot
 	accepted []bool
 
-	sh Shard
+	// Tally counts the network's events. Obs receives the router events of
+	// the current cycle and is nil when telemetry is off; every emission
+	// site guards it with a single nil check. Now is the cycle being
+	// stepped.
+	Tally noc.Counters
+	Obs   telemetry.Observer
+	Now   int64
 
-	// curBits is the occupancy set the current cycle iterates: routers with
-	// a latched input or a pending offer. It double-buffers sh.next.
-	curBits []uint64
-	// keep marks routers whose PostFunc asked to run again; nil without a
-	// post hook.
-	keep []uint64
+	// active is the occupancy set the current cycle walks: routers with a
+	// latched input or a pending offer. Mark collects the next cycle's in
+	// next; Begin swaps the two.
+	active, next []uint64
 
-	obs telemetry.Observer
-
-	router Router
-	post   PostFunc
+	inFlight    int
+	delivered   []noc.Packet
+	acceptedPEs []int
 }
 
 // Init builds the idle kernel state for spec.
-func (k *Kernel) Init(spec Spec, router Router, post PostFunc) {
+func (k *Kernel) Init(spec Spec) {
 	n := spec.W * spec.H
 	words := (n + 63) / 64
 	*k = Kernel{
@@ -140,12 +103,8 @@ func (k *Kernel) Init(spec Spec, router Router, post PostFunc) {
 		Pool:     make([]noc.Packet, PoolBound(spec.Planes, spec.Stages, n)),
 		Offers:   make([]Slot, n),
 		accepted: make([]bool, n),
-		sh:       Shard{next: make([]uint64, words)},
-		curBits:  make([]uint64, words),
-		router:   router, post: post,
-	}
-	if post != nil {
-		k.keep = make([]uint64, words)
+		active:   make([]uint64, words),
+		next:     make([]uint64, words),
 	}
 	for p := 0; p < spec.Planes; p++ {
 		k.Cur[p], k.Next[p] = make([]int32, n), make([]int32, n)
@@ -162,8 +121,8 @@ func Fill(regs []int32, v int32) {
 }
 
 // SetObserver attaches the network observer (nil detaches): it receives the
-// router events of every cycle Step drives.
-func (k *Kernel) SetObserver(o telemetry.Observer) { k.obs = o }
+// router events of every cycle stepped.
+func (k *Kernel) SetObserver(o telemetry.Observer) { k.Obs = o }
 
 // Width returns the number of router columns.
 func (k *Kernel) Width() int { return k.W }
@@ -185,76 +144,60 @@ func (k *Kernel) Hold(pe int, p noc.Packet) { k.offer(pe, Slot{P: p, OK: true, H
 
 func (k *Kernel) offer(pe int, s Slot) {
 	k.Offers[pe] = s
-	k.sh.Mark(pe)
+	k.Mark(pe)
 }
+
+// Mark queues router i for routing on the next cycle.
+func (k *Kernel) Mark(i int) { k.next[i>>6] |= 1 << (uint(i) & 63) }
 
 // Accepted reports whether the offer at pe was injected in the last cycle.
 func (k *Kernel) Accepted(pe int) bool { return k.accepted[pe] }
 
 // Delivered returns packets delivered in the last cycle; the slice is reused.
-func (k *Kernel) Delivered() []noc.Packet { return k.sh.delivered }
+func (k *Kernel) Delivered() []noc.Packet { return k.delivered }
 
 // InFlight returns the number of packets inside the network.
-func (k *Kernel) InFlight() int { return k.sh.InFlight }
+func (k *Kernel) InFlight() int { return k.inFlight }
 
 // Counters returns the network-wide event counters.
-func (k *Kernel) Counters() *noc.Counters { return &k.sh.Counters }
+func (k *Kernel) Counters() *noc.Counters { return &k.Tally }
 
-// Step advances the network one cycle: the pending activity marks become the
-// working set, every active router routes its inputs in ascending router
-// index — the order delivery lists, event streams, and with them every
-// downstream floating-point accumulation depend on — the post hook runs, and
-// the links latch (the consumed Cur side is all -1 again, so it becomes the
-// next write side).
-func (k *Kernel) Step(now int64) {
-	sh := &k.sh
-	k.curBits, sh.next = sh.next, k.curBits
-	clear(sh.next)
-	// Stamp the cycle, and retract what the last one reported.
-	sh.Now, sh.Obs = now, k.obs
-	sh.delivered = sh.delivered[:0]
-	for _, pe := range sh.acceptedPEs {
+// Begin opens cycle now and returns its working set, the pending activity
+// marks; it retracts what the last cycle reported. The family routes the set
+// in ascending router index — the order delivery lists, event streams, and
+// every downstream floating-point sum depend on — then calls End.
+func (k *Kernel) Begin(now int64) []uint64 {
+	k.active, k.next = k.next, k.active
+	clear(k.next)
+	k.Now = now
+	k.delivered = k.delivered[:0]
+	for _, pe := range k.acceptedPEs {
 		k.accepted[pe] = false
 	}
-	sh.acceptedPEs = sh.acceptedPEs[:0]
-	w, router := k.W, k.router
-	for wd, b := range k.curBits {
-		for ; b != 0; b &= b - 1 {
-			i := wd<<6 + bits.TrailingZeros64(b)
-			router.Route(sh, i, i%w, i/w, now)
-		}
-	}
-	if k.post != nil {
-		for wd, b := range k.curBits {
-			for b |= k.keep[wd]; b != 0; b &= b - 1 {
-				bit := b & -b
-				if k.post(sh, wd<<6+bits.TrailingZeros64(b)) {
-					k.keep[wd] |= bit
-				} else {
-					k.keep[wd] &^= bit
-				}
-			}
-		}
-	}
-	k.Cur, k.Next = k.Next, k.Cur
+	k.acceptedPEs = k.acceptedPEs[:0]
+	return k.active
 }
+
+// End closes the cycle: the links latch (the consumed Cur side is all -1
+// again, so it becomes the next write side).
+func (k *Kernel) End() { k.Cur, k.Next = k.Next, k.Cur }
 
 // Accept records that PE i's offer entered the network this cycle, and
 // retires the offer register (its packet stays readable for Inject).
-func (k *Kernel) Accept(sh *Shard, i int) {
-	sh.InFlight++
+func (k *Kernel) Accept(i int) {
+	k.inFlight++
 	k.Offers[i].OK = false
 	k.accepted[i] = true
-	sh.acceptedPEs = append(sh.acceptedPEs, i)
+	k.acceptedPEs = append(k.acceptedPEs, i)
 }
 
 // Refuse records that PE i's offer found no free output this cycle (§IV-C:
 // the client stalls). A one-cycle offer is forgotten; a standing one stays
 // latched, and marking its router keeps it in the working set.
-func (k *Kernel) Refuse(sh *Shard, i int) {
-	sh.Counters.InjectionStalls++
+func (k *Kernel) Refuse(i int) {
+	k.Tally.InjectionStalls++
 	if off := &k.Offers[i]; off.Held {
-		sh.Mark(i)
+		k.Mark(i)
 	} else {
 		off.OK = false
 	}
@@ -263,8 +206,8 @@ func (k *Kernel) Refuse(sh *Shard, i int) {
 // Inject accepts PE i's offer, copies it into the pool stamped with the
 // injection cycle, and returns its pool index. Freed slots are reused LIFO,
 // so the assignment is deterministic.
-func (k *Kernel) Inject(sh *Shard, i int, now int64) int32 {
-	k.Accept(sh, i)
+func (k *Kernel) Inject(i int, now int64) int32 {
+	k.Accept(i)
 	var r int32
 	if n := len(k.free); n > 0 {
 		r = k.free[n-1]
@@ -282,14 +225,14 @@ func (k *Kernel) Inject(sh *Shard, i int, now int64) int32 {
 }
 
 // Deliver hands p to the client.
-func (k *Kernel) Deliver(sh *Shard, p noc.Packet) {
-	sh.InFlight--
-	sh.Counters.Delivered++
-	sh.delivered = append(sh.delivered, p)
+func (k *Kernel) Deliver(p noc.Packet) {
+	k.inFlight--
+	k.Tally.Delivered++
+	k.delivered = append(k.delivered, p)
 }
 
 // DeliverIdx delivers the pooled packet at r and recycles the slot.
-func (k *Kernel) DeliverIdx(sh *Shard, r int32) {
-	k.Deliver(sh, k.Pool[r])
+func (k *Kernel) DeliverIdx(r int32) {
+	k.Deliver(k.Pool[r])
 	k.free = append(k.free, r)
 }

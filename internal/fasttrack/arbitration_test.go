@@ -21,7 +21,7 @@ import (
 // Each trial is one production cycle: the input packets are seeded straight
 // into the router's link registers, a PE offer wakes the router (the arbiter
 // handles the PE port last, §IV-C, so it cannot change where the inputs go),
-// Kernel.Step routes it through Route, and the grants are read back from the
+// Step routes it through route, and the grants are read back from the
 // latched downstream registers and Delivered.
 func TestRouterArbitrationExhaustive(t *testing.T) {
 	configs := []struct {
@@ -204,7 +204,7 @@ func TestRouterArbitrationExhaustive(t *testing.T) {
 	}
 }
 
-// TestRouteNeverPanicsUnderFuzz hammers Route through full network steps
+// TestRouteNeverPanicsUnderFuzz hammers route through full network steps
 // with randomized multi-router traffic to exercise arbitration interleavings
 // (the placeR panic is the assertion).
 func TestRouteNeverPanicsUnderFuzz(t *testing.T) {

@@ -1,6 +1,8 @@
 package fasttrack
 
 import (
+	"math/bits"
+
 	"fasttrack/internal/fabric"
 	"fasttrack/internal/noc"
 )
@@ -15,11 +17,11 @@ const (
 )
 
 // Network is an N×N FastTrack torus: the shared fabric kernel (register
-// planes, packet pool, occupancy-driven stepping — see internal/fabric) with
-// the FastTrack arbiter plugged in. The kernel's four link-register planes
-// are indexed by the input noc.Port (PortWSh, PortWEx, PortNSh, PortNEx);
-// express registers exist for every router but are only ever populated at
-// routers whose class carries the corresponding ports. Create with New.
+// planes, packet pool, occupancy bitset — see internal/fabric) stepped by the
+// FastTrack arbiter. The kernel's four link-register planes are indexed by
+// the input noc.Port (PortWSh, PortWEx, PortNSh, PortNEx); express registers
+// exist for every router but are only ever populated at routers whose class
+// carries the corresponding ports. Create with New.
 type Network struct {
 	fabric.Kernel
 	cfg Config
@@ -29,10 +31,11 @@ type Network struct {
 	// xPipeR[i*stages:(i+1)*stages] are the extra register stages of the X
 	// express link leaving router i, oldest first; likewise yPipeR for Y
 	// links. A pipelined express grant cannot latch downstream immediately,
-	// so it parks in exPend/syPend and the kernel's post-route pass
-	// (pipeStep) shifts it through the stages.
+	// so it parks in exPend/syPend and Step's pipeline pass (pipeStep)
+	// shifts it through the stages.
 	xPipeR, yPipeR []int32
 	exPend, syPend []int32
+	keep           []uint64 // routers whose pipelines still hold a packet
 
 	// tabs holds the memoized routing-decision tables the arbiter replays,
 	// shared by instances with the same (topology, variant); see tables.go.
@@ -51,17 +54,42 @@ func New(cfg Config) (*Network, error) {
 	sz := n * n
 	nw := &Network{cfg: cfg, n: n}
 	nw.tabs = nw.sharedTables()
-	var post fabric.PostFunc
 	if stages > 0 {
 		regs := make([]int32, (2*stages+2)*sz)
 		fabric.Fill(regs, -1)
 		nw.xPipeR, regs = regs[:stages*sz], regs[stages*sz:]
 		nw.yPipeR, regs = regs[:stages*sz], regs[stages*sz:]
 		nw.exPend, nw.syPend = regs[:sz], regs[sz:]
-		post = nw.pipeStep
+		nw.keep = make([]uint64, (sz+63)/64)
 	}
-	nw.Init(fabric.Spec{W: n, H: n, Planes: 4, Stages: stages}, nw, post)
+	nw.Init(fabric.Spec{W: n, H: n, Planes: 4, Stages: stages})
 	return nw, nil
+}
+
+// Step advances the network one cycle: every active router routes its inputs
+// in ascending router index (fabric.Kernel.Begin); on pipelined
+// configurations the pipeline pass then runs, ascending over the routers
+// that routed or still hold a pipelined packet; then the links latch.
+func (nw *Network) Step(now int64) {
+	active := nw.Begin(now)
+	for wd, b := range active {
+		for ; b != 0; b &= b - 1 {
+			i := wd<<6 + bits.TrailingZeros64(b)
+			nw.route(i, i%nw.n, i/nw.n, now)
+		}
+	}
+	if nw.keep != nil {
+		for wd, b := range active {
+			for b |= nw.keep[wd]; b != 0; b &= b - 1 {
+				bit := b & -b
+				nw.keep[wd] &^= bit
+				if nw.pipeStep(wd<<6 + bits.TrailingZeros64(b)) {
+					nw.keep[wd] |= bit
+				}
+			}
+		}
+	}
+	nw.End()
 }
 
 // Config returns the network's configuration.
@@ -76,22 +104,21 @@ func shiftPipe(pipe []int32, in int32) (out int32) {
 	return out
 }
 
-// pipeStep is the kernel's post-route hook on pipelined configurations: it
-// shifts router i's express pipelines one stage, latches any popped packet
-// onto the downstream express input, and asks to be kept alive while a stage
-// is occupied — such routers must keep shifting even when nothing routes
+// pipeStep shifts router i's express pipelines one stage, latches any popped
+// packet onto the downstream express input, and reports whether a stage is
+// still occupied — such routers must keep shifting even when nothing routes
 // there.
-func (nw *Network) pipeStep(sh *fabric.Shard, i int) (occupied bool) {
+func (nw *Network) pipeStep(i int) (occupied bool) {
 	n, d, s := nw.n, nw.cfg.Topology.D, nw.cfg.ExpressPipeline
 	x, y := i%n, i/n
 	ex := shiftPipe(nw.xPipeR[i*s:(i+1)*s], nw.exPend[i])
 	sy := shiftPipe(nw.yPipeR[i*s:(i+1)*s], nw.syPend[i])
 	nw.exPend[i], nw.syPend[i] = -1, -1
 	if ex >= 0 {
-		nw.latchR(sh, noc.PortWEx, y*n+(x+d)%n, ex)
+		nw.latchR(noc.PortWEx, y*n+(x+d)%n, ex)
 	}
 	if sy >= 0 {
-		nw.latchR(sh, noc.PortNEx, ((y+d)%n)*n+x, sy)
+		nw.latchR(noc.PortNEx, ((y+d)%n)*n+x, sy)
 	}
 	for k := i * s; k < (i+1)*s; k++ {
 		if nw.xPipeR[k] >= 0 || nw.yPipeR[k] >= 0 {
@@ -103,7 +130,7 @@ func (nw *Network) pipeStep(sh *fabric.Shard, i int) (occupied bool) {
 
 // latchR writes pool index r onto router j's next-cycle input register for
 // the given input port and wakes j.
-func (nw *Network) latchR(sh *fabric.Shard, in noc.Port, j int, r int32) {
+func (nw *Network) latchR(in noc.Port, j int, r int32) {
 	nw.Next[in][j] = r
-	sh.Mark(j)
+	nw.Mark(j)
 }

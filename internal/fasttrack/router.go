@@ -3,7 +3,6 @@ package fasttrack
 import (
 	"fmt"
 
-	"fasttrack/internal/fabric"
 	"fasttrack/internal/noc"
 )
 
@@ -218,15 +217,15 @@ func (nw *Network) prefsFor(port noc.Port, dst noc.Coord, x, y int) prefs {
 	return pr
 }
 
-// Route implements fabric.Router: the arbiter the kernel calls for each
-// active router. Inputs are processed in the paper's static priority order —
-// WEx > NEx > WSh > NSh > PE — so express turning traffic preempts
-// everything, X-ring traffic preempts Y-ring traffic, and client injection
-// only uses ports left idle by in-flight packets (§IV-C). It moves pool
-// indices — staying on a ring moves an int32 instead of copying an 80-byte
-// packet — with the latch fused in: granting an output writes the downstream
-// next-cycle register directly (emitR).
-func (nw *Network) Route(sh *fabric.Shard, i, x, y int, now int64) {
+// route arbitrates router i = (x, y) for cycle now. Inputs are processed in
+// the paper's static priority order — WEx > NEx > WSh > NSh > PE — so
+// express turning traffic preempts everything, X-ring traffic preempts
+// Y-ring traffic, and client injection only uses ports left idle by
+// in-flight packets (§IV-C). It moves pool indices — staying on a ring moves
+// an int32 instead of copying an 80-byte packet — with the latch fused in:
+// granting an output writes the downstream next-cycle register directly
+// (emitR).
+func (nw *Network) route(i, x, y int, now int64) {
 	a := arb{exists: nw.tabs.exists[i]}
 
 	// Inputs are consumed in the static priority order, and cleared as they
@@ -234,21 +233,21 @@ func (nw *Network) Route(sh *fabric.Shard, i, x, y int, now int64) {
 	// better than a loop over the four.
 	if r := nw.Cur[noc.PortWEx][i]; r >= 0 {
 		nw.Cur[noc.PortWEx][i] = -1
-		nw.placeR(sh, &a, i, noc.PortWEx, r, x, y)
+		nw.placeR(&a, i, noc.PortWEx, r, x, y)
 	}
 	if r := nw.Cur[noc.PortNEx][i]; r >= 0 {
 		nw.Cur[noc.PortNEx][i] = -1
-		nw.placeR(sh, &a, i, noc.PortNEx, r, x, y)
+		nw.placeR(&a, i, noc.PortNEx, r, x, y)
 	}
 	if r := nw.Cur[noc.PortWSh][i]; r >= 0 {
 		nw.Cur[noc.PortWSh][i] = -1
-		nw.placeR(sh, &a, i, noc.PortWSh, r, x, y)
+		nw.placeR(&a, i, noc.PortWSh, r, x, y)
 	}
 	if r := nw.Cur[noc.PortNSh][i]; r >= 0 {
 		nw.Cur[noc.PortNSh][i] = -1
-		nw.placeR(sh, &a, i, noc.PortNSh, r, x, y)
+		nw.placeR(&a, i, noc.PortNSh, r, x, y)
 	}
-	nw.injectAtR(sh, &a, i, x, y, now)
+	nw.injectAtR(&a, i, x, y, now)
 }
 
 // placeR assigns the in-flight packet at pool index r an output, walking the
@@ -256,7 +255,7 @@ func (nw *Network) Route(sh *fabric.Shard, i, x, y int, now int64) {
 // per key (tables.go). Bufferless routers must never drop an in-flight
 // packet; the priority discipline plus the recoverable emergency tails make
 // the assignment total, so running out of ports is a router bug and panics.
-func (nw *Network) placeR(sh *fabric.Shard, a *arb, i int, port noc.Port, r int32, x, y int) {
+func (nw *Network) placeR(a *arb, i int, port noc.Port, r int32, x, y int) {
 	p := &nw.Pool[r]
 	pr := &nw.tabs.in[port][delta(y, p.Dst.Y, nw.n)*nw.n+delta(x, p.Dst.X, nw.n)]
 	for k := 0; k < pr.n; k++ {
@@ -266,21 +265,21 @@ func (nw *Network) placeR(sh *fabric.Shard, a *arb, i int, port noc.Port, r int3
 		}
 		a.taken[c.out] = true
 		if c.misroute {
-			sh.Counters.MisroutesByInput[port]++
+			nw.Tally.MisroutesByInput[port]++
 			p.Deflections++
-			if sh.Obs != nil {
-				sh.Obs.OnDeflect(sh.Now, i, port, p)
+			if nw.Obs != nil {
+				nw.Obs.OnDeflect(nw.Now, i, port, p)
 			}
 		} else if k > 0 {
-			sh.Counters.ExpressDeniedByInput[port]++
-			if sh.Obs != nil {
-				sh.Obs.OnExpressDenied(sh.Now, i, port, p)
+			nw.Tally.ExpressDeniedByInput[port]++
+			if nw.Obs != nil {
+				nw.Obs.OnExpressDenied(nw.Now, i, port, p)
 			}
 		}
 		if c.deliver {
-			nw.DeliverIdx(sh, r)
+			nw.DeliverIdx(r)
 		} else {
-			nw.emitR(sh, c.out, r, i, x, y)
+			nw.emitR(c.out, r, i, x, y)
 		}
 		return
 	}
@@ -291,44 +290,44 @@ func (nw *Network) placeR(sh *fabric.Shard, a *arb, i int, port noc.Port, r int3
 // emitR latches pool index r onto the downstream register for output out and
 // accounts the hop there, at grant time. A pipelined express grant parks in
 // exPend/syPend for the pipe pass instead.
-func (nw *Network) emitR(sh *fabric.Shard, out uint8, r int32, i, x, y int) {
+func (nw *Network) emitR(out uint8, r int32, i, x, y int) {
 	n, d := nw.n, nw.cfg.Topology.D
 	switch out {
 	case oESh:
 		nw.Pool[r].ShortHops++
-		sh.Counters.ShortTraversals++
-		if sh.Obs != nil {
-			sh.Obs.OnHop(sh.Now, i, noc.PortESh, &nw.Pool[r])
+		nw.Tally.ShortTraversals++
+		if nw.Obs != nil {
+			nw.Obs.OnHop(nw.Now, i, noc.PortESh, &nw.Pool[r])
 		}
-		nw.latchR(sh, noc.PortWSh, y*n+(x+1)%n, r)
+		nw.latchR(noc.PortWSh, y*n+(x+1)%n, r)
 	case oSSh:
 		nw.Pool[r].ShortHops++
-		sh.Counters.ShortTraversals++
-		if sh.Obs != nil {
-			sh.Obs.OnHop(sh.Now, i, noc.PortSSh, &nw.Pool[r])
+		nw.Tally.ShortTraversals++
+		if nw.Obs != nil {
+			nw.Obs.OnHop(nw.Now, i, noc.PortSSh, &nw.Pool[r])
 		}
-		nw.latchR(sh, noc.PortNSh, ((y+1)%n)*n+x, r)
+		nw.latchR(noc.PortNSh, ((y+1)%n)*n+x, r)
 	case oEEx:
 		nw.Pool[r].ExpressHops++
-		sh.Counters.ExpressTraversals++
-		if sh.Obs != nil {
-			sh.Obs.OnExpressHop(sh.Now, i, noc.PortEEx, &nw.Pool[r])
+		nw.Tally.ExpressTraversals++
+		if nw.Obs != nil {
+			nw.Obs.OnExpressHop(nw.Now, i, noc.PortEEx, &nw.Pool[r])
 		}
 		if nw.exPend != nil {
 			nw.exPend[i] = r
 		} else {
-			nw.latchR(sh, noc.PortWEx, y*n+(x+d)%n, r)
+			nw.latchR(noc.PortWEx, y*n+(x+d)%n, r)
 		}
 	case oSEx:
 		nw.Pool[r].ExpressHops++
-		sh.Counters.ExpressTraversals++
-		if sh.Obs != nil {
-			sh.Obs.OnExpressHop(sh.Now, i, noc.PortSEx, &nw.Pool[r])
+		nw.Tally.ExpressTraversals++
+		if nw.Obs != nil {
+			nw.Obs.OnExpressHop(nw.Now, i, noc.PortSEx, &nw.Pool[r])
 		}
 		if nw.syPend != nil {
 			nw.syPend[i] = r
 		} else {
-			nw.latchR(sh, noc.PortNEx, ((y+d)%n)*n+x, r)
+			nw.latchR(noc.PortNEx, ((y+d)%n)*n+x, r)
 		}
 	}
 }
@@ -339,8 +338,8 @@ func (nw *Network) emitR(sh *fabric.Shard, out uint8, r int32, i, x, y int) {
 // Injection never misroutes: if every acceptable first-hop port is busy the
 // client stalls and retries (§IV-C: the PE port has the lowest priority
 // because in-flight packets cannot wait). The accepted flag is already false
-// here — the kernel cleared every flag set last cycle.
-func (nw *Network) injectAtR(sh *fabric.Shard, a *arb, i, x, y int, now int64) {
+// here — Begin cleared every flag set last cycle.
+func (nw *Network) injectAtR(a *arb, i, x, y int, now int64) {
 	off := &nw.Offers[i]
 	if !off.OK {
 		return
@@ -357,20 +356,20 @@ func (nw *Network) injectAtR(sh *fabric.Shard, a *arb, i, x, y int, now int64) {
 		}
 		a.taken[c.out] = true
 		if k > 0 {
-			sh.Counters.ExpressDeniedByInput[noc.PortPE]++
-			if sh.Obs != nil {
-				sh.Obs.OnExpressDenied(now, i, noc.PortPE, &off.P)
+			nw.Tally.ExpressDeniedByInput[noc.PortPE]++
+			if nw.Obs != nil {
+				nw.Obs.OnExpressDenied(now, i, noc.PortPE, &off.P)
 			}
 		}
 		if c.deliver {
 			p := off.P
 			p.Inject = now
-			nw.Accept(sh, i)
-			nw.Deliver(sh, p)
+			nw.Accept(i)
+			nw.Deliver(p)
 		} else {
-			nw.emitR(sh, c.out, nw.Inject(sh, i, now), i, x, y)
+			nw.emitR(c.out, nw.Inject(i, now), i, x, y)
 		}
 		return
 	}
-	nw.Refuse(sh, i)
+	nw.Refuse(i)
 }

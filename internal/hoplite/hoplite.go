@@ -18,6 +18,7 @@ package hoplite
 
 import (
 	"fmt"
+	"math/bits"
 
 	"fasttrack/internal/fabric"
 	"fasttrack/internal/noc"
@@ -32,23 +33,18 @@ const (
 )
 
 // Network is a W×H Hoplite torus: the shared fabric kernel (register planes,
-// packet pool, occupancy-driven stepping — see internal/fabric) with the
-// Hoplite arbiter plugged in. Create with New; the zero value is
-// not usable.
+// packet pool, occupancy bitset — see internal/fabric) stepped by the Hoplite
+// arbiter. Create with New; the zero value is not usable.
 type Network struct {
 	fabric.Kernel
 
-	// exitGate, when non-nil, is consulted before delivering at PE pe; a
-	// false return blocks the exit for this cycle and the packet deflects.
-	// Multi-channel wrappers use it to share one client port across
-	// channels.
-	exitGate func(pe int) bool
+	// ExitBusy, when non-nil, marks client ports already used this cycle; a
+	// packet at a busy exit deflects. Multi-channel wrappers share one mask
+	// across channels so each PE accepts one delivery per cycle.
+	ExitBusy []bool
 }
 
-// SetExitGate installs an exit arbiter; see the exitGate field.
-func (nw *Network) SetExitGate(gate func(pe int) bool) { nw.exitGate = gate }
-
-func (nw *Network) canExit(pe int) bool { return nw.exitGate == nil || nw.exitGate(pe) }
+func (nw *Network) canExit(pe int) bool { return nw.ExitBusy == nil || !nw.ExitBusy[pe] }
 
 // New returns an idle W×H Hoplite network. Both dimensions must be at
 // least 2 (a 1-wide ring has no distinct neighbour registers).
@@ -57,42 +53,54 @@ func New(w, h int) (*Network, error) {
 		return nil, fmt.Errorf("hoplite: dimensions %dx%d too small (need at least 2x2)", w, h)
 	}
 	nw := &Network{}
-	nw.Init(fabric.Spec{W: w, H: h, Planes: numPlanes}, nw, nil)
+	nw.Init(fabric.Spec{W: w, H: h, Planes: numPlanes})
 	return nw, nil
+}
+
+// Step advances the network one cycle: every active router routes its inputs
+// in ascending router index (fabric.Kernel.Begin), then the links latch.
+func (nw *Network) Step(now int64) {
+	for wd, b := range nw.Begin(now) {
+		for ; b != 0; b &= b - 1 {
+			i := wd<<6 + bits.TrailingZeros64(b)
+			nw.route(i, i%nw.W, i/nw.W, now)
+		}
+	}
+	nw.End()
 }
 
 // fwdE and fwdS latch pool index r onto the downstream router's next-cycle
 // input register and account the hop there, at forward time.
-func (nw *Network) fwdE(sh *fabric.Shard, r int32, x, y int) {
+func (nw *Network) fwdE(r int32, x, y int) {
 	nw.Pool[r].ShortHops++
-	sh.Counters.ShortTraversals++
+	nw.Tally.ShortTraversals++
 	j := y*nw.W + (x+1)%nw.W
 	nw.Next[planeW][j] = r
-	sh.Mark(j)
+	nw.Mark(j)
 }
 
-func (nw *Network) fwdS(sh *fabric.Shard, r int32, x, y int) {
+func (nw *Network) fwdS(r int32, x, y int) {
 	nw.Pool[r].ShortHops++
-	sh.Counters.ShortTraversals++
+	nw.Tally.ShortTraversals++
 	j := ((y+1)%nw.H)*nw.W + x
 	nw.Next[planeN][j] = r
-	sh.Mark(j)
+	nw.Mark(j)
 }
 
 // obsHop reports the short-hop grant for pool slot r at router i. It is a
 // separate method, invoked behind the caller's nil check, so fwdE/fwdS stay
 // small enough to inline — the forwarders are the hottest functions of the
 // router and must not pay for telemetry when it is off.
-func (nw *Network) obsHop(sh *fabric.Shard, i int, out noc.Port, r int32) {
-	sh.Obs.OnHop(sh.Now, i, out, &nw.Pool[r])
+func (nw *Network) obsHop(i int, out noc.Port, r int32) {
+	nw.Obs.OnHop(nw.Now, i, out, &nw.Pool[r])
 }
 
-// Route implements fabric.Router: the arbiter the kernel calls for each
-// active router. It moves pool indices — staying on the ring costs an int32
-// move, not an 80-byte packet copy — with the latch fused in: granting an
-// output writes the downstream next-cycle register directly. The static
-// priorities are the package doc's.
-func (nw *Network) Route(sh *fabric.Shard, i, x, y int, now int64) {
+// route arbitrates router i = (x, y) for cycle now: it consumes the inputs in
+// Cur, latches grants into Next and resolves the offer. It moves pool
+// indices — staying on the ring costs an int32 move, not an 80-byte packet
+// copy — with the latch fused in: granting an output writes the downstream
+// next-cycle register directly. The static priorities are the package doc's.
+func (nw *Network) route(i, x, y int, now int64) {
 	var eTaken, sTaken bool
 
 	// Inputs are consumed (and cleared, so a router that goes idle does not
@@ -104,29 +112,29 @@ func (nw *Network) Route(sh *fabric.Shard, i, x, y int, now int64) {
 		case p.Dst.X == x && p.Dst.Y == y:
 			if nw.canExit(i) {
 				sTaken = true
-				nw.DeliverIdx(sh, r)
+				nw.DeliverIdx(r)
 			} else {
 				p.Deflections++
-				sh.Counters.MisroutesByInput[noc.PortWSh]++
-				if sh.Obs != nil {
-					sh.Obs.OnDeflect(sh.Now, i, noc.PortWSh, p)
+				nw.Tally.MisroutesByInput[noc.PortWSh]++
+				if nw.Obs != nil {
+					nw.Obs.OnDeflect(nw.Now, i, noc.PortWSh, p)
 				}
-				nw.fwdE(sh, r, x, y)
-				if sh.Obs != nil {
-					nw.obsHop(sh, i, noc.PortESh, r)
+				nw.fwdE(r, x, y)
+				if nw.Obs != nil {
+					nw.obsHop(i, noc.PortESh, r)
 				}
 				eTaken = true
 			}
 		case p.Dst.X != x:
-			nw.fwdE(sh, r, x, y)
-			if sh.Obs != nil {
-				nw.obsHop(sh, i, noc.PortESh, r)
+			nw.fwdE(r, x, y)
+			if nw.Obs != nil {
+				nw.obsHop(i, noc.PortESh, r)
 			}
 			eTaken = true
 		default:
-			nw.fwdS(sh, r, x, y)
-			if sh.Obs != nil {
-				nw.obsHop(sh, i, noc.PortSSh, r)
+			nw.fwdS(r, x, y)
+			if nw.Obs != nil {
+				nw.obsHop(i, noc.PortSSh, r)
 			}
 			sTaken = true
 		}
@@ -138,74 +146,74 @@ func (nw *Network) Route(sh *fabric.Shard, i, x, y int, now int64) {
 		atDst := p.Dst.X == x && p.Dst.Y == y
 		if atDst && !nw.canExit(i) {
 			p.Deflections++
-			sh.Counters.MisroutesByInput[noc.PortNSh]++
-			if sh.Obs != nil {
-				sh.Obs.OnDeflect(sh.Now, i, noc.PortNSh, p)
+			nw.Tally.MisroutesByInput[noc.PortNSh]++
+			if nw.Obs != nil {
+				nw.Obs.OnDeflect(nw.Now, i, noc.PortNSh, p)
 			}
 			if !eTaken {
-				nw.fwdE(sh, r, x, y)
-				if sh.Obs != nil {
-					nw.obsHop(sh, i, noc.PortESh, r)
+				nw.fwdE(r, x, y)
+				if nw.Obs != nil {
+					nw.obsHop(i, noc.PortESh, r)
 				}
 				eTaken = true
 			} else {
-				nw.fwdS(sh, r, x, y)
-				if sh.Obs != nil {
-					nw.obsHop(sh, i, noc.PortSSh, r)
+				nw.fwdS(r, x, y)
+				if nw.Obs != nil {
+					nw.obsHop(i, noc.PortSSh, r)
 				}
 				sTaken = true
 			}
 		} else if !sTaken {
 			sTaken = true
 			if atDst {
-				nw.DeliverIdx(sh, r)
+				nw.DeliverIdx(r)
 			} else {
-				nw.fwdS(sh, r, x, y)
-				if sh.Obs != nil {
-					nw.obsHop(sh, i, noc.PortSSh, r)
+				nw.fwdS(r, x, y)
+				if nw.Obs != nil {
+					nw.obsHop(i, noc.PortSSh, r)
 				}
 			}
 		} else {
 			p.Deflections++
-			sh.Counters.MisroutesByInput[noc.PortNSh]++
-			if sh.Obs != nil {
-				sh.Obs.OnDeflect(sh.Now, i, noc.PortNSh, p)
+			nw.Tally.MisroutesByInput[noc.PortNSh]++
+			if nw.Obs != nil {
+				nw.Obs.OnDeflect(nw.Now, i, noc.PortNSh, p)
 			}
-			nw.fwdE(sh, r, x, y)
-			if sh.Obs != nil {
-				nw.obsHop(sh, i, noc.PortESh, r)
+			nw.fwdE(r, x, y)
+			if nw.Obs != nil {
+				nw.obsHop(i, noc.PortESh, r)
 			}
 			eTaken = true
 		}
 	}
 
-	// accepted[i] is already false here: the kernel cleared every flag set
-	// last cycle before routing started.
+	// accepted[i] is already false here: Begin cleared every flag set last
+	// cycle before routing started.
 	if off := &nw.Offers[i]; off.OK {
 		switch {
 		case off.P.Dst.X != x && !eTaken:
-			r := nw.Inject(sh, i, now)
-			nw.fwdE(sh, r, x, y)
-			if sh.Obs != nil {
-				nw.obsHop(sh, i, noc.PortESh, r)
+			r := nw.Inject(i, now)
+			nw.fwdE(r, x, y)
+			if nw.Obs != nil {
+				nw.obsHop(i, noc.PortESh, r)
 			}
 		case off.P.Dst.X == x && off.P.Dst.Y == y:
 			if !sTaken && nw.canExit(i) {
 				p := off.P
 				p.Inject = now
-				nw.Accept(sh, i)
-				nw.Deliver(sh, p)
+				nw.Accept(i)
+				nw.Deliver(p)
 			} else {
-				nw.Refuse(sh, i)
+				nw.Refuse(i)
 			}
 		case off.P.Dst.X == x && !sTaken:
-			r := nw.Inject(sh, i, now)
-			nw.fwdS(sh, r, x, y)
-			if sh.Obs != nil {
-				nw.obsHop(sh, i, noc.PortSSh, r)
+			r := nw.Inject(i, now)
+			nw.fwdS(r, x, y)
+			if nw.Obs != nil {
+				nw.obsHop(i, noc.PortSSh, r)
 			}
 		default:
-			nw.Refuse(sh, i)
+			nw.Refuse(i)
 		}
 	}
 }

@@ -213,16 +213,21 @@ func TestConservation(t *testing.T) {
 	}
 }
 
-// TestExitGateDeflectsDeliveries verifies the multi-channel sharing hook:
-// with the client port gated shut, packets at their destination circle the
-// rings instead of delivering, and complete once the gate opens.
+// TestExitGateDeflectsDeliveries verifies the multi-channel sharing mask:
+// with every client port marked busy, packets at their destination circle
+// the rings instead of delivering, and complete once the ports free up.
 func TestExitGateDeflectsDeliveries(t *testing.T) {
 	nw, err := New(4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	open := false
-	nw.SetExitGate(func(pe int) bool { return open })
+	nw.ExitBusy = make([]bool, nw.NumPEs())
+	gate := func(open bool) {
+		for pe := range nw.ExitBusy {
+			nw.ExitBusy[pe] = !open
+		}
+	}
+	gate(false)
 	p := noc.Packet{ID: 1, Src: noc.Coord{X: 0, Y: 0}, Dst: noc.Coord{X: 2, Y: 2}}
 	inject(t, nw, p, 0)
 	for c := int64(1); c < 30; c++ {
@@ -234,14 +239,14 @@ func TestExitGateDeflectsDeliveries(t *testing.T) {
 	if nw.InFlight() != 1 {
 		t.Fatalf("packet lost while gated: in-flight %d", nw.InFlight())
 	}
-	open = true
+	gate(true)
 	out := drain(t, nw, 50)
 	if len(out) != 1 || out[0].Deflections == 0 {
 		t.Fatalf("gated packet should deliver with deflections after opening: %+v", out)
 	}
 
 	// Gated self-injection must stall, not vanish.
-	open = false
+	gate(false)
 	self := noc.Coord{X: 1, Y: 1}
 	nw.Offer(noc.PEIndex(self, 4), noc.Packet{ID: 2, Src: self, Dst: self})
 	nw.Step(100)

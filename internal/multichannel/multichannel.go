@@ -6,7 +6,8 @@
 // each PE may inject at most one packet per cycle — into exactly one channel
 // — and accepts at most one delivery per cycle. A channel that completes a
 // packet while the shared client port is busy must deflect it (bufferless
-// channels cannot hold packets), implemented with the channels' exit gates.
+// channels cannot hold packets), implemented with one exit-busy mask the
+// channels share.
 // Channel service order rotates every cycle so no channel starves.
 package multichannel
 
@@ -46,22 +47,23 @@ func New(w, h, k int) (*Network, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("multichannel: need at least 1 channel, got %d", k)
 	}
-	nw := &Network{w: w, h: h, k: k}
+	n := w * h
+	nw := &Network{w: w, h: h, k: k,
+		nextChan: make([]int, n),
+		offered:  make([]int, n),
+		accepted: make([]bool, n),
+		exitBusy: make([]bool, n),
+	}
+	for i := range nw.offered {
+		nw.offered[i] = -1
+	}
 	for c := 0; c < k; c++ {
 		ch, err := hoplite.New(w, h)
 		if err != nil {
 			return nil, err
 		}
-		ch.SetExitGate(func(pe int) bool { return !nw.exitBusy[pe] })
+		ch.ExitBusy = nw.exitBusy
 		nw.channels = append(nw.channels, ch)
-	}
-	n := w * h
-	nw.nextChan = make([]int, n)
-	nw.offered = make([]int, n)
-	nw.accepted = make([]bool, n)
-	nw.exitBusy = make([]bool, n)
-	for i := range nw.offered {
-		nw.offered[i] = -1
 	}
 	return nw, nil
 }
@@ -161,18 +163,9 @@ func (nw *Network) InFlight() int {
 
 // Counters returns aggregated event counters across all channels.
 func (nw *Network) Counters() *noc.Counters {
-	agg := noc.Counters{}
+	nw.counters = noc.Counters{}
 	for _, ch := range nw.channels {
-		c := ch.Counters()
-		agg.ShortTraversals += c.ShortTraversals
-		agg.ExpressTraversals += c.ExpressTraversals
-		agg.InjectionStalls += c.InjectionStalls
-		agg.Delivered += c.Delivered
-		for p := range c.MisroutesByInput {
-			agg.MisroutesByInput[p] += c.MisroutesByInput[p]
-			agg.ExpressDeniedByInput[p] += c.ExpressDeniedByInput[p]
-		}
+		nw.counters.Add(ch.Counters())
 	}
-	nw.counters = agg
 	return &nw.counters
 }

@@ -335,8 +335,10 @@ type engine struct {
 	obs  telemetry.Observer
 	// track mirrors accepted offers for the auditor and the observer;
 	// without either consumer the copy is skipped in the hot loop.
-	track    bool
-	fast     bool
+	track bool
+	// live lists the PEs the offer and feedback phases visit: refilled from
+	// activeWL every cycle, or fixed to 0..N-1 for a workload without
+	// ActiveSet.
 	activeWL ActiveSet
 	live     []int
 
@@ -369,7 +371,14 @@ func newEngine(net noc.Network, wl Workload, opts Options) *engine {
 	if e.obs != nil {
 		attachObserver(net, wl, e.obs)
 	}
-	e.activeWL, e.fast = wl.(ActiveSet)
+	if a, ok := wl.(ActiveSet); ok {
+		e.activeWL = a
+	} else {
+		e.live = make([]int, e.numPE)
+		for pe := range e.live {
+			e.live[pe] = pe
+		}
+	}
 	if _, ok := wl.(StableHead); ok {
 		e.hold, _ = net.(holder)
 	}
@@ -411,24 +420,17 @@ func (e *engine) offerPE(pe int, now int64) bool {
 	return true
 }
 
-// phaseOffer gathers this cycle's offers, via the ActiveSet fast path when
-// available. Per-PE offer operations are independent, so the fast path is
-// bit-exact with the full scan (golden_test.go holds the two to
-// byte-identical Results).
+// phaseOffer gathers this cycle's offers from the live PEs. Per-PE offer
+// operations are independent, so the ActiveSet list is bit-exact with the
+// full 0..N-1 one (golden_test.go holds the two to byte-identical Results).
 func (e *engine) phaseOffer(now int64) bool {
-	anyOffer := false
-	if e.fast {
+	if e.activeWL != nil {
 		e.live = e.activeWL.ActivePEs(e.live[:0])
-		for _, pe := range e.live {
-			if e.offerPE(pe, now) {
-				anyOffer = true
-			}
-		}
-	} else {
-		for pe := 0; pe < e.numPE; pe++ {
-			if e.offerPE(pe, now) {
-				anyOffer = true
-			}
+	}
+	anyOffer := false
+	for _, pe := range e.live {
+		if e.offerPE(pe, now) {
+			anyOffer = true
 		}
 	}
 	return anyOffer
@@ -462,17 +464,9 @@ func (e *engine) injectPE(pe int, now int64) bool {
 // workload for every PE that offered this cycle.
 func (e *engine) phaseInjectFeedback(now int64) bool {
 	progress := false
-	if e.fast {
-		for _, pe := range e.live {
-			if e.injectPE(pe, now) {
-				progress = true
-			}
-		}
-	} else {
-		for pe := 0; pe < e.numPE; pe++ {
-			if e.injectPE(pe, now) {
-				progress = true
-			}
+	for _, pe := range e.live {
+		if e.injectPE(pe, now) {
+			progress = true
 		}
 	}
 	return progress

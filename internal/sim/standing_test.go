@@ -10,10 +10,10 @@ import (
 	"fasttrack/internal/hoplite"
 	"fasttrack/internal/multichannel"
 	"fasttrack/internal/noc"
-	"fasttrack/internal/noctest"
 	"fasttrack/internal/regulate"
 	"fasttrack/internal/reliability"
 	"fasttrack/internal/sim"
+	"fasttrack/internal/telemetry"
 	"fasttrack/internal/trace"
 	"fasttrack/internal/traffic"
 )
@@ -30,27 +30,55 @@ type synthFace interface {
 
 type oneCycle struct{ synthFace }
 
-// engineRecorder records the engine-side packet events on top of the router
-// events: who was injected, who stalled, who was delivered, and each cycle's
-// closing population, in emission order.
+// event is one recorded telemetry event, router- or engine-level.
+type event struct {
+	Kind   string
+	Now    int64
+	Router int
+	Port   noc.Port
+	P      noc.Packet
+}
+
+// engineRecorder records the router events (hops, deflections, express
+// denials) and the engine-side packet events (who was injected, who stalled,
+// who was delivered, and each cycle's closing population), in emission order.
 type engineRecorder struct {
-	noctest.Recorder
+	telemetry.Base
+	Events []event
+}
+
+func (r *engineRecorder) add(e event) { r.Events = append(r.Events, e) }
+
+func (r *engineRecorder) OnHop(now int64, router int, out noc.Port, p *noc.Packet) {
+	r.add(event{Kind: "hop", Now: now, Router: router, Port: out, P: *p})
+}
+
+func (r *engineRecorder) OnExpressHop(now int64, router int, out noc.Port, p *noc.Packet) {
+	r.add(event{Kind: "exhop", Now: now, Router: router, Port: out, P: *p})
+}
+
+func (r *engineRecorder) OnDeflect(now int64, router int, in noc.Port, p *noc.Packet) {
+	r.add(event{Kind: "deflect", Now: now, Router: router, Port: in, P: *p})
+}
+
+func (r *engineRecorder) OnExpressDenied(now int64, router int, in noc.Port, p *noc.Packet) {
+	r.add(event{Kind: "denied", Now: now, Router: router, Port: in, P: *p})
 }
 
 func (r *engineRecorder) OnDeliver(now int64, p *noc.Packet) {
-	r.Events = append(r.Events, noctest.Event{Kind: "deliver", Now: now, P: *p})
+	r.add(event{Kind: "deliver", Now: now, P: *p})
 }
 
 func (r *engineRecorder) OnInject(now int64, p *noc.Packet) {
-	r.Events = append(r.Events, noctest.Event{Kind: "inject", Now: now, P: *p})
+	r.add(event{Kind: "inject", Now: now, P: *p})
 }
 
 func (r *engineRecorder) OnInjectStall(now int64, pe int) {
-	r.Events = append(r.Events, noctest.Event{Kind: "stall", Now: now, Router: pe})
+	r.add(event{Kind: "stall", Now: now, Router: pe})
 }
 
 func (r *engineRecorder) OnCycleEnd(now int64, inFlight int) {
-	r.Events = append(r.Events, noctest.Event{Kind: "cycle", Now: now, Router: inFlight})
+	r.add(event{Kind: "cycle", Now: now, Router: inFlight})
 }
 
 // TestGoldenStandingOffers holds the standing-offer path (Kernel.Hold, taken
@@ -71,7 +99,7 @@ func TestGoldenStandingOffers(t *testing.T) {
 	const batch = 4
 	type outcome struct {
 		res    []sim.Result
-		events [][]noctest.Event
+		events [][]event
 	}
 	// run drives one matrix cell; driver is "job" (one run) or "batch" (four
 	// jobs of consecutive seeds, run one by one as a sweep runs them); check

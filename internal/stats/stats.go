@@ -60,36 +60,14 @@ func (a *Accumulator) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
 
-// Merge folds other into a.
-func (a *Accumulator) Merge(other *Accumulator) {
-	if other.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *other
-		return
-	}
-	n := a.n + other.n
-	d := other.mean - a.mean
-	a.m2 += other.m2 + d*d*float64(a.n)*float64(other.n)/float64(n)
-	a.mean += d * float64(other.n) / float64(n)
-	if other.min < a.min {
-		a.min = other.min
-	}
-	if other.max > a.max {
-		a.max = other.max
-	}
-	a.n = n
-}
-
 // Histogram is a fixed-bucket histogram over non-negative integer samples
 // (packet latencies in cycles). Buckets grow geometrically so that both a
 // 3-cycle delivery and a 10 000-cycle pathological deflection are resolved,
 // mirroring the log axis of the paper's Fig 16.
 //
 // The summary moments are kept as exact integers (count, sum, max) rather
-// than a floating-point accumulator, so merging histograms is bit-identical
-// to adding every sample into one histogram in any order.
+// than a floating-point accumulator, so the mean does not depend on the
+// order samples arrive in.
 type Histogram struct {
 	bounds []int64 // upper inclusive bound per bucket
 	counts []int64
@@ -258,25 +236,6 @@ func (h *Histogram) Buckets(fn func(upper int64, count int64)) {
 	}
 	if h.over > 0 {
 		fn(-1, h.over)
-	}
-}
-
-// Merge folds other into h. The two histograms must share bucket geometry
-// (same constructor arguments); Merge panics otherwise. Because the summary
-// moments are exact integers, merging is associative and commutative: any
-// partition of a sample stream merges back to the identical histogram.
-func (h *Histogram) Merge(other *Histogram) {
-	if len(h.bounds) != len(other.bounds) {
-		panic("stats: merging histograms with different geometry")
-	}
-	for i := range h.counts {
-		h.counts[i] += other.counts[i]
-	}
-	h.over += other.over
-	h.n += other.n
-	h.sum += other.sum
-	if other.max > h.max {
-		h.max = other.max
 	}
 }
 

@@ -61,32 +61,6 @@ func TestAccumulatorMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestAccumulatorMerge(t *testing.T) {
-	var a, b, all Accumulator
-	for i := 0; i < 50; i++ {
-		x := float64(i*i%37) - 11
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-		all.Add(x)
-	}
-	a.Merge(&b)
-	if a.Count() != all.Count() {
-		t.Fatalf("merged count %d vs %d", a.Count(), all.Count())
-	}
-	if math.Abs(a.Mean()-all.Mean()) > 1e-9 {
-		t.Errorf("merged mean %v vs %v", a.Mean(), all.Mean())
-	}
-	if math.Abs(a.Variance()-all.Variance()) > 1e-9 {
-		t.Errorf("merged variance %v vs %v", a.Variance(), all.Variance())
-	}
-	if a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Errorf("merged min/max")
-	}
-}
-
 func TestHistogramQuantilesAndBuckets(t *testing.T) {
 	h := NewLatencyHistogram(1 << 16)
 	for i := int64(1); i <= 1000; i++ {
@@ -172,24 +146,6 @@ func TestHistogramOverflow(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewLatencyHistogram(1000), NewLatencyHistogram(1000)
-	for i := int64(1); i < 100; i++ {
-		a.Add(i)
-		b.Add(i * 3)
-	}
-	a.Merge(b)
-	if a.Count() != 198 {
-		t.Errorf("merged count %d", a.Count())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("merging mismatched geometry should panic")
-		}
-	}()
-	a.Merge(NewLatencyHistogram(10))
-}
-
 func TestQuantilesExact(t *testing.T) {
 	xs := []int64{9, 1, 8, 2, 7, 3, 6, 4, 5}
 	qs := Quantiles(xs, 0, 0.5, 1)
@@ -250,25 +206,6 @@ func TestRatio(t *testing.T) {
 	}
 	if Ratio(1, 0) != "inf" {
 		t.Errorf("Ratio by zero = %q", Ratio(1, 0))
-	}
-}
-
-func TestAccumulatorMergeEdgeCases(t *testing.T) {
-	var empty, one Accumulator
-	one.Add(5)
-	// Merging an empty accumulator is a no-op.
-	snapshot := one
-	one.Merge(&empty)
-	if one != snapshot {
-		t.Error("merging empty changed the receiver")
-	}
-	// Merging into an empty receiver copies the argument.
-	empty.Merge(&one)
-	if empty.Count() != 1 || empty.Mean() != 5 {
-		t.Errorf("merge into empty: %+v", empty)
-	}
-	if empty.StdDev() != 0 {
-		t.Errorf("single sample stddev %v", empty.StdDev())
 	}
 }
 

@@ -3,14 +3,20 @@ package runner
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"os"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
+	"fasttrack/internal/analysis"
 	"fasttrack/internal/core"
 	"fasttrack/internal/sim"
+	"fasttrack/internal/stats"
+	"fasttrack/internal/trace"
 )
 
 func testCache(t testing.TB) *Cache {
@@ -98,15 +104,29 @@ func withSeed(o core.SyntheticOptions, s uint64) core.SyntheticOptions {
 	return o
 }
 
-// TestCacheCorruptFileTolerance: truncated or garbage entries behave as
-// misses, heal (the file is removed), and the slot is rewritable.
+// TestCacheCorruptFileTolerance: truncated, over-long, non-minimally spelled
+// or garbage entries behave as misses, heal (the file is removed), and the
+// slot is rewritable.
 func TestCacheCorruptFileTolerance(t *testing.T) {
 	c := testCache(t)
 	const key = "corruption-probe"
 	if err := c.Put(key, sim.Result{Cycles: 7}); err != nil {
 		t.Fatal(err)
 	}
-	for _, garbage := range [][]byte{{}, []byte("not gob"), {0x0e, 0xff, 0x81}} {
+	entry, err := os.ReadFile(c.Path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := 1 + len(key) // the format tag, after the key's length and bytes
+	if entry[at] != entryFormat {
+		t.Fatalf("format tag not at byte %d of %x", at, entry)
+	}
+	for _, garbage := range [][]byte{
+		{}, []byte("not gob"), {0x0e, 0xff, 0x81},
+		entry[:len(entry)-1],
+		append(entry[:len(entry):len(entry)], 0),
+		append(append(entry[:at:at], entryFormat|0x80, 0), entry[at+1:]...), // the tag in two bytes
+	} {
 		if err := os.WriteFile(c.Path(key), garbage, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -204,13 +224,19 @@ func TestCachedSweepThroughForEach(t *testing.T) {
 	}
 }
 
-// The entry format before the Format tag, kept here only to write stale
-// entries: a header with just the key, and stats values that each nest a
-// whole gob stream (one compiled decoder per PE — the cost the flat blobs in
-// internal/stats/gob.go removed). The mirror structs carry sim.Result's
-// field names, which is all gob matches on.
+// The gob entry formats, kept here only to write stale entries. Format 0 had
+// a header with just the key, and stats values that each nested a whole gob
+// stream (one compiled decoder per PE — the cost the flat blobs in
+// internal/stats/wire.go removed). The mirror structs carry sim.Result's
+// field names, which is all gob matches on. Format 2 added the Format tag to
+// the header and gob-encoded sim.Result itself, its stats values as flat
+// blobs.
 type (
 	oldEntryHeader struct{ Key string }
+	gobEntryHeader struct {
+		Key    string
+		Format int
+	}
 	oldAccumulator struct {
 		N              int64
 		Mean, M2       float64
@@ -243,11 +269,17 @@ func (h *oldHistogram) GobEncode() ([]byte, error) {
 	return nestedGob(wire(*h))
 }
 
-func writeOldEntry(t testing.TB, c *Cache, key string, v any) {
+// writeOldEntry writes v under key as a gob entry of the given format (0 or
+// 2).
+func writeOldEntry(t testing.TB, c *Cache, key string, format int, v any) {
 	t.Helper()
+	var hdr any = oldEntryHeader{Key: key}
+	if format != 0 {
+		hdr = gobEntryHeader{Key: key, Format: format}
+	}
 	var buf bytes.Buffer
 	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(oldEntryHeader{Key: key}); err != nil {
+	if err := enc.Encode(hdr); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Encode(v); err != nil {
@@ -258,28 +290,32 @@ func writeOldEntry(t testing.TB, c *Cache, key string, v any) {
 	}
 }
 
-// TestCacheOldFormatEntryHeals: an entry written by a binary from before the
-// Format tag is a deterministic miss — also when its value holds no stats
-// blob and would decode cleanly — that is removed, re-simulated once and
-// rewritten in the current format.
+// TestCacheOldFormatEntryHeals: an entry written by an older binary — a gob
+// stream from before the Format tag, also when its value holds no stats blob
+// and would decode cleanly, or a format-2 gob entry — is a deterministic miss
+// that is removed, re-simulated once and rewritten in the current format.
 func TestCacheOldFormatEntryHeals(t *testing.T) {
 	cfg, opts := core.FastTrack(4, 2, 1), quickOpts()
 	fresh, err := core.RunSynthetic(context.Background(), cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, old := range map[string]any{
-		"nested stats blobs": oldResult{
+	for name, old := range map[string]struct {
+		format int
+		value  any
+	}{
+		"nested stats blobs": {0, oldResult{
 			Cycles:    fresh.Cycles,
 			Latency:   &oldHistogram{Bounds: []int64{1, 2}, Counts: []int64{3, 0}, N: 3, Sum: 3, MaxVal: 1},
 			PerSource: []oldAccumulator{{N: 2, Mean: 4, M2: 2, MinVal: 3, MaxVal: 5}, {}},
-		},
-		"no stats blobs": oldResult{Cycles: fresh.Cycles},
+		}},
+		"no stats blobs": {0, oldResult{Cycles: fresh.Cycles}},
+		"format 2 gob":   {2, fresh},
 	} {
 		t.Run(name, func(t *testing.T) {
 			o := &Orchestrator{Cache: testCache(t)}
 			key := SyntheticKey(cfg, opts)
-			writeOldEntry(t, o.Cache, key, old)
+			writeOldEntry(t, o.Cache, key, old.format, old.value)
 			var got sim.Result
 			if o.Cache.Get(key, &got) {
 				t.Fatal("old-format entry must read as a miss")
@@ -287,7 +323,7 @@ func TestCacheOldFormatEntryHeals(t *testing.T) {
 			if _, err := os.Stat(o.Cache.Path(key)); !os.IsNotExist(err) {
 				t.Fatal("old-format entry should be removed")
 			}
-			writeOldEntry(t, o.Cache, key, old)
+			writeOldEntry(t, o.Cache, key, old.format, old.value)
 			runs := 0
 			res, err := Do(context.Background(), o, key, func() (sim.Result, error) {
 				runs++
@@ -304,12 +340,202 @@ func TestCacheOldFormatEntryHeals(t *testing.T) {
 	}
 }
 
+// fill sets everything reachable from v through exported fields to distinct
+// non-zero values; the self-coded stats types get real samples through their
+// own API.
+func fill(v reflect.Value, next *int64) {
+	*next++
+	x := *next
+	switch v.Interface().(type) {
+	case stats.Accumulator:
+		var a stats.Accumulator
+		a.Add(float64(x))
+		a.Add(float64(x) + 0.25)
+		v.Set(reflect.ValueOf(a))
+		return
+	case stats.Histogram:
+		h := stats.NewLatencyHistogram(1 << 10)
+		h.Add(x)
+		h.Add(x + 5000) // past the last bound
+		v.Set(reflect.ValueOf(h).Elem())
+		return
+	}
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(-x)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(uint64(x))
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(float64(x) + 0.5)
+	case reflect.String:
+		v.SetString(fmt.Sprint("s", x))
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fill(v.Index(i), next)
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			fill(v.Index(i), next)
+		}
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fill(v.Elem(), next)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fill(v.Field(i), next)
+		}
+	}
+}
+
+// TestCacheRoundTripEveryField: every type the repo caches, with every
+// exported field set, comes back DeepEqual — Faults, Recovery, TimedOut and
+// Converged included, and nil and empty PerSource and a nil Latency kept
+// apart.
+func TestCacheRoundTripEveryField(t *testing.T) {
+	type cachelineRun struct { // the shape of experiments.cachelineRun
+		Res     sim.Result
+		Lines   int64
+		LatMean float64
+	}
+	filled := func(zero any) any {
+		v := reflect.New(reflect.TypeOf(zero)).Elem()
+		var next int64
+		fill(v, &next)
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).IsZero() {
+				t.Fatalf("fill left %T.%s zero", zero, v.Type().Field(i).Name)
+			}
+		}
+		return v.Interface()
+	}
+	full := filled(sim.Result{}).(sim.Result)
+	emptyNil, nilSrc := full, full
+	emptyNil.PerSource, emptyNil.Latency = []stats.Accumulator{}, nil
+	nilSrc.PerSource = nil
+	c := testCache(t)
+	for name, v := range map[string]any{
+		"sim.Result": full,
+		"sim.Result, empty PerSource, nil Latency": emptyNil,
+		"sim.Result, nil PerSource":                nilSrc,
+		"trace.Header":                             filled(trace.Header{}),
+		"analysis.ZeroLoad":                        filled(analysis.ZeroLoad{}),
+		"cachelineRun":                             filled(cachelineRun{}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if err := c.Put(name, v); err != nil {
+				t.Fatal(err)
+			}
+			got := reflect.New(reflect.TypeOf(v))
+			if !c.Get(name, got.Interface()) {
+				t.Fatal("entry vanished")
+			}
+			if !reflect.DeepEqual(got.Elem().Interface(), v) {
+				t.Fatalf("round trip changed the value:\nput: %+v\ngot: %+v", v, got.Elem().Interface())
+			}
+		})
+	}
+}
+
+// TestCacheShapeChangeHeals: an entry read into a type that has since gained,
+// lost, renamed or retyped a field is a miss, and its file is removed; the
+// fingerprint is of the shape, so a same-shaped twin type still hits.
+func TestCacheShapeChangeHeals(t *testing.T) {
+	type written struct{ A int64 }
+	c := testCache(t)
+	for name, out := range map[string]any{
+		"gained a field":  &struct{ A, B int64 }{},
+		"lost a field":    &struct{}{},
+		"renamed a field": &struct{ Z int64 }{},
+		"retyped a field": &struct{ A int32 }{},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if err := c.Put(name, written{A: 7}); err != nil {
+				t.Fatal(err)
+			}
+			if c.Get(name, out) {
+				t.Fatalf("entry of %T read into %T", written{}, out)
+			}
+			if _, err := os.Stat(c.Path(name)); !os.IsNotExist(err) {
+				t.Fatal("reshaped entry should be removed")
+			}
+		})
+	}
+	if err := c.Put("twin", written{A: 7}); err != nil {
+		t.Fatal(err)
+	}
+	var twin struct{ A int64 }
+	if !c.Get("twin", &twin) || twin.A != 7 {
+		t.Fatal("a same-shaped type must hit")
+	}
+}
+
+// TestCacheConcurrentFirstUse: goroutines that build one type's codec at
+// once, then Put and Get values of it, each read back what they wrote.
+func TestCacheConcurrentFirstUse(t *testing.T) {
+	type fresh struct {
+		A   int64
+		Acc []stats.Accumulator
+	}
+	c := testCache(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			key := fmt.Sprint("concurrent-", g)
+			want := fresh{A: int64(g), Acc: make([]stats.Accumulator, g)}
+			if err := c.Put(key, want); err != nil {
+				t.Error(err)
+				return
+			}
+			var got fresh
+			if !c.Get(key, &got) || !reflect.DeepEqual(got, want) {
+				t.Errorf("goroutine %d read back %+v", g, got)
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestCachePutUnsupported: a value the codec cannot write whole is an error
+// from Put, and nothing — no entry, no temp file — is left in the cache dir.
+func TestCachePutUnsupported(t *testing.T) {
+	type unexported struct{ A, b int64 }
+	c := testCache(t)
+	for name, v := range map[string]any{
+		"map":              struct{ M map[string]int }{M: map[string]int{"a": 1}},
+		"map in a slice":   struct{ S []map[int]int }{},
+		"unexported field": unexported{A: 1, b: 2},
+		"interface":        struct{ V any }{V: 1},
+		"func":             struct{ F func() }{},
+		"chan":             struct{ C chan int }{},
+		"nil":              nil,
+	} {
+		t.Run(name, func(t *testing.T) {
+			if err := c.Put(name, v); err == nil {
+				t.Fatalf("Put accepted a %T", v)
+			}
+		})
+	}
+	left, err := os.ReadDir(c.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("refused Put left %s behind", e.Name())
+	}
+}
+
 // TestCacheGetAllocs gates the decode cost of a hit, in the style of
 // sim's TestDeliveryDoesNotAllocate: a 16x16 FastTrack Result holds 256
-// per-PE accumulators, and a decoder that opens a gob stream per value
-// (the pre-Format-tag codec: several thousand allocations here) cannot come
-// back under this bound. What remains is gob compiling one engine for
-// sim.Result per Decoder, which does not grow with the PE count.
+// per-PE accumulators, which the flat record decodes in place. What a hit
+// allocates is the file read, its path, the histogram and the PerSource
+// slice, none of it per PE. Gob took 388 here, rebuilding its decoder from
+// the type descriptors every entry repeated; the nested gob stream per
+// value before that, several thousand.
 func TestCacheGetAllocs(t *testing.T) {
 	cfg := core.FastTrack(16, 2, 1)
 	opts := core.SyntheticOptions{Pattern: "RANDOM", Rate: 0.2, PacketsPerPE: 5, Seed: 3}
@@ -331,7 +557,7 @@ func TestCacheGetAllocs(t *testing.T) {
 			t.Fatal("entry vanished")
 		}
 	})
-	const bound = 600
+	const bound = 64
 	if allocs > bound {
 		t.Fatalf("Cache.Get of a 256-PE result: %.0f allocations, want <= %d", allocs, bound)
 	}
@@ -339,10 +565,11 @@ func TestCacheGetAllocs(t *testing.T) {
 }
 
 // FuzzCacheGet: whatever bytes sit where an entry should be, Get neither
-// panics nor reports a hit nor allocates beyond a small multiple of the file
-// (plus gob's fixed message chunk), and the file is gone afterwards. The seeds are real entries (current and
-// old format) written under another key, so no mutation of them is a
-// legitimate hit.
+// panics nor allocates beyond a small multiple of the file. A miss removes
+// the file and leaves the output zero; a hit must be a record the codec
+// itself writes, so encoding the decoded value gives back the input byte for
+// byte. The seeds are entries under the fuzzed key — current (#0, #7), stale
+// gob (#2, #8) and one whose PerSource count claims 2^62 (#9) — and garbage.
 func FuzzCacheGet(f *testing.F) {
 	cfg, opts := core.Hoplite(2), core.SyntheticOptions{Pattern: "RANDOM", Rate: 0.5, PacketsPerPE: 4, Seed: 1}
 	res, err := core.RunSynthetic(context.Background(), cfg, opts)
@@ -350,26 +577,39 @@ func FuzzCacheGet(f *testing.F) {
 		f.Fatal(err)
 	}
 	c := testCache(f)
-	const seedKey, key = "seed entries live under this key", "FuzzCacheGet asks for a different, longer key"
-	if err := c.Put(seedKey, res); err != nil {
-		f.Fatal(err)
+	const key = "FuzzCacheGet reads this key"
+	read := func() []byte {
+		b, err := os.ReadFile(c.Path(key))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
 	}
-	entry, err := os.ReadFile(c.Path(seedKey))
-	if err != nil {
-		f.Fatal(err)
+	entry := func(v sim.Result) []byte {
+		if err := c.Put(key, v); err != nil {
+			f.Fatal(err)
+		}
+		return read()
 	}
-	writeOldEntry(f, c, seedKey, oldResult{Cycles: 9, PerSource: []oldAccumulator{{N: 1}}})
-	oldEntry, err := os.ReadFile(c.Path(seedKey))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(entry)
-	f.Add(entry[:len(entry)/2])
-	f.Add(oldEntry)
+	current := entry(res)
+	writeOldEntry(f, c, key, 0, oldResult{Cycles: 9, PerSource: []oldAccumulator{{N: 1}}})
+	f.Add(current)
+	f.Add(current[:len(current)/2])
+	f.Add(read())
 	f.Add([]byte{})
 	f.Add([]byte("not gob"))
-	f.Add([]byte{0xf8, 0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}) // a message claiming 2^63 bytes
+	f.Add([]byte{0xf8, 0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}) // a gob message claiming 2^63 bytes
 	f.Add([]byte{0xfd, 0x98, 0x96, 0x7f, 0x00})                         // ... and one claiming 10 MB
+	f.Add(entry(sim.Result{Cycles: 3, PerSource: []stats.Accumulator{}, TimedOut: true, Faults: stats.FaultCounts{Dropped: 1}}))
+	writeOldEntry(f, c, key, 2, res)
+	f.Add(read())
+	// Nil and empty PerSource differ only in its count byte (0 vs 1).
+	nilSrc, emptySrc := entry(sim.Result{}), entry(sim.Result{PerSource: []stats.Accumulator{}})
+	i := 0
+	for nilSrc[i] == emptySrc[i] {
+		i++
+	}
+	f.Add(append(binary.AppendUvarint(nilSrc[:i:i], 1<<62+1), nilSrc[i+1:]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(c.Path(key), data, 0o644); err != nil {
 			t.Fatal(err)
@@ -379,19 +619,24 @@ func FuzzCacheGet(f *testing.F) {
 		var got sim.Result
 		hit := c.Get(key, &got)
 		runtime.ReadMemStats(&after)
-		if hit {
-			t.Fatal("arbitrary bytes read as a hit")
-		}
-		if _, err := os.Stat(c.Path(key)); !os.IsNotExist(err) {
-			t.Fatal("bad entry was not removed")
-		}
 		// 64 covers the widest element a claimed slice length can buy
-		// (40-byte accumulators, one input byte each). The constant is
-		// encoding/gob's, not ours: it allocates a message's claimed
-		// length before reading it, capped at one 10 MB chunk whatever the
-		// claim, and compiles an engine for sim.Result per Decoder.
-		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+11<<20); grew > limit {
+		// (40-byte accumulators, at least 41 input bytes each); the constant
+		// is one histogram's small-value table (16 KB), built the first time a
+		// geometry is seen, and the file read's slack.
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+64<<10); grew > limit {
 			t.Fatalf("Get of a %d-byte file allocated %d bytes, limit %d", len(data), grew, limit)
+		}
+		if !hit {
+			if _, err := os.Stat(c.Path(key)); !os.IsNotExist(err) {
+				t.Fatal("bad entry was not removed")
+			}
+			if !reflect.DeepEqual(got, sim.Result{}) {
+				t.Fatalf("a miss left a partial value: %+v", got)
+			}
+			return
+		}
+		if again, err := encodeEntry(key, got); err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("a hit on %x re-encodes to %x (err %v)", data, again, err)
 		}
 	})
 }

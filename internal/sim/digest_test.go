@@ -51,13 +51,13 @@ func writeResult(t *testing.T, h hash.Hash, res sim.Result) {
 		math.Float64bits(res.SustainedRate), math.Float64bits(res.AvgLatency),
 		res.WorstLatency, res.P50, res.P99, res.TimedOut, res.Converged,
 		res.Counters, res.Faults, res.Recovery)
-	blob, err := res.Latency.GobEncode()
+	blob, err := res.Latency.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.Write(blob)
 	for _, a := range res.PerSource {
-		blob, err := a.GobEncode()
+		blob, err := a.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}

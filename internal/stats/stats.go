@@ -81,7 +81,7 @@ type Histogram struct {
 	// far below smallBucketCap), turning the per-delivery bucket lookup
 	// into one load. Derived from bounds — rebuilt on decode, never
 	// serialized, and identical for identical geometry, so it is invisible
-	// to gob bytes and DeepEqual alike.
+	// to wire bytes and DeepEqual alike.
 	small []int32
 }
 
@@ -140,7 +140,8 @@ func NewLatencyHistogram(max int64) *Histogram {
 	return &Histogram{bounds: bounds, counts: make([]int64, len(bounds)), small: smallIndex(bounds)}
 }
 
-// latencyBounds is NewLatencyHistogram's geometry (GobDecode checks blobs by it).
+// latencyBounds is NewLatencyHistogram's geometry; UnmarshalBinary checks
+// blobs by it.
 func latencyBounds(max int64) []int64 {
 	var bounds []int64
 	b := int64(1)

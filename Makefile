@@ -47,9 +47,10 @@ loc:
 bench:
 	$(GO) run ./benchmark -sets 1 -out benchmark/out/bench.json
 
-# Warm-cache round trip: the quick sweep runs cold into a fresh cache and
-# re-runs with -assert-cached, which exits non-zero if any simulation had to
-# execute — proving repeated sweeps are answered entirely from disk. The two
+# Warm-cache round trip: the quick sweep of every experiment, the paper's and
+# the ext- extensions, runs cold into a fresh cache and re-runs with
+# -assert-cached, which exits non-zero if any simulation had to execute —
+# proving repeated sweeps are answered entirely from disk. The two
 # renders must then match byte for byte once SWEEP_FIGS drops the wall-clock
 # "(… completed in …)" lines and the "N simulated, M from cache" tally: the
 # per-job cold path and the cache render identical figures.
@@ -57,8 +58,8 @@ SWEEP_OUT ?= .sweep-quick
 SWEEP_FIGS = grep -vE '^\(.* completed in .*\)$$|^[0-9]+ simulated, [0-9]+ from cache$$'
 sweep-quick:
 	rm -rf $(SWEEP_CACHE) $(SWEEP_OUT) && mkdir -p $(SWEEP_OUT)
-	$(GO) run ./cmd/ftexp -quick -run paper -cache-dir $(SWEEP_CACHE) > $(SWEEP_OUT)/cold.txt
-	$(GO) run ./cmd/ftexp -quick -run paper -cache-dir $(SWEEP_CACHE) -assert-cached > $(SWEEP_OUT)/warm.txt
+	$(GO) run ./cmd/ftexp -quick -run all -cache-dir $(SWEEP_CACHE) > $(SWEEP_OUT)/cold.txt
+	$(GO) run ./cmd/ftexp -quick -run all -cache-dir $(SWEEP_CACHE) -assert-cached > $(SWEEP_OUT)/warm.txt
 	$(SWEEP_FIGS) $(SWEEP_OUT)/cold.txt > $(SWEEP_OUT)/cold.figs
 	$(SWEEP_FIGS) $(SWEEP_OUT)/warm.txt | cmp - $(SWEEP_OUT)/cold.figs
 	rm -rf $(SWEEP_CACHE) $(SWEEP_OUT)

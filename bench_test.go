@@ -29,11 +29,21 @@ func benchScale() experiments.Scale {
 	}
 }
 
-func BenchmarkTable1RouterCosts(b *testing.B) {
-	var rows []experiments.Table1Row
+// figureRows regenerates f's rows b.N times and returns the last ones.
+func figureRows[R any](b *testing.B, f *experiments.Figure[R], sc experiments.Scale) []R {
+	b.Helper()
+	var rows []R
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Table1Data()
+		var err error
+		if rows, err = f.Rows(sc); err != nil {
+			b.Fatal(err)
+		}
 	}
+	return rows
+}
+
+func BenchmarkTable1RouterCosts(b *testing.B) {
+	rows := figureRows(b, experiments.Table1, experiments.Scale{})
 	for _, r := range rows {
 		if r.Modeled && strings.HasPrefix(r.Name, "Hoplite") {
 			b.ReportMetric(float64(r.LUTs), "hoplite-LUTs/32b")
@@ -45,10 +55,7 @@ func BenchmarkTable1RouterCosts(b *testing.B) {
 }
 
 func BenchmarkFig1AreaBandwidth(b *testing.B) {
-	var pts []experiments.Fig1Point
-	for i := 0; i < b.N; i++ {
-		pts = experiments.Fig1Data()
-	}
+	pts := figureRows(b, experiments.Fig1, experiments.Scale{})
 	for _, p := range pts {
 		if p.Name == "FastTrack" {
 			b.ReportMetric(p.BandwidthPktNS, "ft-pkt/ns")
@@ -57,10 +64,7 @@ func BenchmarkFig1AreaBandwidth(b *testing.B) {
 }
 
 func BenchmarkFig4VirtualExpress(b *testing.B) {
-	var pts []experiments.WirePoint
-	for i := 0; i < b.N; i++ {
-		pts = experiments.Fig4Data()
-	}
+	pts := figureRows(b, experiments.Fig4, experiments.Scale{})
 	for _, p := range pts {
 		if p.Distance == 256 && p.Hops == 0 {
 			b.ReportMetric(p.MHz, "d256-h0-MHz")
@@ -69,10 +73,7 @@ func BenchmarkFig4VirtualExpress(b *testing.B) {
 }
 
 func BenchmarkFig6PhysicalExpress(b *testing.B) {
-	var pts []experiments.WirePoint
-	for i := 0; i < b.N; i++ {
-		pts = experiments.Fig6Data()
-	}
+	pts := figureRows(b, experiments.Fig6, experiments.Scale{})
 	for _, p := range pts {
 		if p.Distance == 8 && p.Hops == 8 {
 			b.ReportMetric(p.MHz, "bypass8x8-MHz")
@@ -81,10 +82,7 @@ func BenchmarkFig6PhysicalExpress(b *testing.B) {
 }
 
 func BenchmarkTable2Resources(b *testing.B) {
-	var rows []experiments.Table2Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Table2Data()
-	}
+	rows := figureRows(b, experiments.Table2, experiments.Scale{})
 	for _, r := range rows {
 		if r.Config == "FT(64,2,1)" {
 			b.ReportMetric(float64(r.LUTs), "ft221-LUTs")
@@ -94,10 +92,7 @@ func BenchmarkTable2Resources(b *testing.B) {
 }
 
 func BenchmarkFig10Routability(b *testing.B) {
-	var cells []experiments.Fig10Cell
-	for i := 0; i < b.N; i++ {
-		cells = experiments.Fig10Data()
-	}
+	cells := figureRows(b, experiments.Fig10, experiments.Scale{})
 	feasible := 0
 	for _, c := range cells {
 		if c.MHz > 0 {
@@ -114,7 +109,7 @@ func syntheticRatio(b *testing.B, pattern string) {
 	sc := benchScale()
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Fig11Data(sc)
+		pts, err := experiments.Fig11.Rows(sc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,7 +137,7 @@ func BenchmarkFig12AvgLatency(b *testing.B) {
 	sc := benchScale()
 	var ft, hop float64
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Fig11Data(sc)
+		pts, err := experiments.Fig11.Rows(sc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -164,7 +159,7 @@ func BenchmarkFig13IsoWiring(b *testing.B) {
 	sc := benchScale()
 	var ft, h3 float64
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Fig13Data(sc)
+		pts, err := experiments.Fig13.Rows(sc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -184,14 +179,7 @@ func BenchmarkFig13IsoWiring(b *testing.B) {
 
 func BenchmarkFig14CostAware(b *testing.B) {
 	sc := benchScale()
-	var pts []experiments.CostPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Fig14Data(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	pts := figureRows(b, experiments.Fig14, sc)
 	for _, p := range pts {
 		if p.Config == "FT(64,2,1)" {
 			b.ReportMetric(p.ThroughputMPPS, "ft221-Mpkt/s")
@@ -200,17 +188,9 @@ func BenchmarkFig14CostAware(b *testing.B) {
 }
 
 // traceSuite reports the geometric-mean speedup of a Fig 15 suite.
-func traceSuite(b *testing.B, run func(experiments.Scale) ([]experiments.SpeedupPoint, error)) {
+func traceSuite(b *testing.B, suite *experiments.Figure[experiments.SpeedupPoint]) {
 	b.Helper()
-	sc := benchScale()
-	var pts []experiments.SpeedupPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = run(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	pts := figureRows(b, suite, benchScale())
 	prod, n := 1.0, 0
 	var best float64
 	for _, p := range pts {
@@ -227,31 +207,24 @@ func traceSuite(b *testing.B, run func(experiments.Scale) ([]experiments.Speedup
 }
 
 func BenchmarkFig15aSpMV(b *testing.B) {
-	traceSuite(b, experiments.Fig15aData)
+	traceSuite(b, experiments.Fig15a)
 }
 
 func BenchmarkFig15bGraph(b *testing.B) {
-	traceSuite(b, experiments.Fig15bData)
+	traceSuite(b, experiments.Fig15b)
 }
 
 func BenchmarkFig15cDataflow(b *testing.B) {
-	traceSuite(b, experiments.Fig15cData)
+	traceSuite(b, experiments.Fig15c)
 }
 
 func BenchmarkFig15dOverlay(b *testing.B) {
-	traceSuite(b, experiments.Fig15dData)
+	traceSuite(b, experiments.Fig15d)
 }
 
 func BenchmarkFig16LatencyHistogram(b *testing.B) {
 	sc := benchScale()
-	var res []experiments.Fig16Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.Fig16Data(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := figureRows(b, experiments.Fig16, sc)
 	worst := map[string]int64{}
 	for _, r := range res {
 		worst[r.Config] = r.WorstLatency
@@ -263,14 +236,7 @@ func BenchmarkFig16LatencyHistogram(b *testing.B) {
 
 func BenchmarkFig17VaryD(b *testing.B) {
 	sc := benchScale()
-	var pts []experiments.Fig17Point
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Fig17Data(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	pts := figureRows(b, experiments.Fig17, sc)
 	for _, p := range pts {
 		if p.PEs == 64 && p.D == 2 && !p.RExtreme {
 			b.ReportMetric(p.SustainedRate, "d2-rate")
@@ -283,14 +249,7 @@ func BenchmarkFig17VaryD(b *testing.B) {
 
 func BenchmarkFig18aLinkUsage(b *testing.B) {
 	sc := benchScale()
-	var res []experiments.Fig18Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.Fig18Data(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := figureRows(b, experiments.Fig18, sc)
 	for _, r := range res {
 		if r.Config == "FT(64,2,1)" {
 			b.ReportMetric(float64(r.ExpressHops), "express-hops")
@@ -300,14 +259,7 @@ func BenchmarkFig18aLinkUsage(b *testing.B) {
 
 func BenchmarkFig18bDeflections(b *testing.B) {
 	sc := benchScale()
-	var res []experiments.Fig18Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.Fig18Data(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := figureRows(b, experiments.Fig18, sc)
 	total := func(r experiments.Fig18Result) float64 {
 		var t int64
 		for _, v := range r.Misroutes {
@@ -331,14 +283,7 @@ func BenchmarkFig18bDeflections(b *testing.B) {
 
 func BenchmarkFig19Energy(b *testing.B) {
 	sc := benchScale()
-	var pts []experiments.CostPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Fig14Data(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	pts := figureRows(b, experiments.Fig14, sc)
 	var ftE, hopE float64
 	for _, p := range pts {
 		switch p.Config {
@@ -411,14 +356,7 @@ func BenchmarkWireModel(b *testing.B) {
 // with one express pipeline stage relative to none.
 func BenchmarkExtPipeline(b *testing.B) {
 	sc := benchScale()
-	var pts []experiments.PipelinePoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.ExtPipelineData(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	pts := figureRows(b, experiments.ExtPipeline, sc)
 	if len(pts) >= 2 && pts[0].ThroughputMPPS > 0 {
 		b.ReportMetric(pts[1].ThroughputMPPS/pts[0].ThroughputMPPS, "stage1-gain")
 	}
@@ -428,14 +366,7 @@ func BenchmarkExtPipeline(b *testing.B) {
 // FastTrack over the buffered mesh.
 func BenchmarkExtBuffered(b *testing.B) {
 	sc := benchScale()
-	var pts []experiments.BufferedPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.ExtBufferedData(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	pts := figureRows(b, experiments.ExtBuffered, sc)
 	var buf, ft float64
 	for _, p := range pts {
 		switch p.Config {

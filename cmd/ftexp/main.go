@@ -4,18 +4,21 @@
 //
 //	ftexp -list
 //	ftexp -run fig11            # one experiment
-//	ftexp -run all              # everything, paper order
+//	ftexp -run paper            # every paper table and figure, paper order
+//	ftexp -run all              # the paper's, then the ext- extensions
 //	ftexp -run fig15a -quick    # CI-sized sweep
+//
+// Each experiment is one declarative figure value in internal/experiments:
+// the simulations it reads, how their results become rows, and the columns
+// printed.
 //
 // Every simulation goes through the sweep orchestrator (internal/runner):
 // independent runs fan out across -workers, and each consults the
 // content-addressed result cache under -cache-dir first, so a re-run after
 // an interrupted or repeated sweep only simulates what is missing (disable
-// with -no-cache). -adaptive replaces the dense injection-rate grids of the
-// rate-sweep figures with a bisection search on the saturation knee, cutting
-// the simulation count per curve severalfold. -assert-cached exits non-zero
-// if any simulation had to execute — CI uses it to prove a warm cache
-// answers an entire sweep from disk.
+// with -no-cache). -assert-cached exits non-zero if any simulation had to
+// execute — CI uses it to prove a warm cache answers an entire sweep from
+// disk.
 package main
 
 import (
@@ -37,7 +40,6 @@ func main() {
 	sweep := cliflags.RegisterSweep(flag.CommandLine)
 	mon := cliflags.RegisterMonitor(flag.CommandLine)
 	logf := cliflags.RegisterLogging(flag.CommandLine, "warn")
-	adaptive := flag.Bool("adaptive", false, "adaptive saturation search instead of dense rate grids (figs 11-13)")
 	progress := flag.Bool("progress", false, "live job progress/ETA on stderr")
 	assertCached := flag.Bool("assert-cached", false, "exit 1 if any simulation executed (warm-cache check)")
 	flag.Parse()
@@ -61,7 +63,6 @@ func main() {
 		sc = experiments.QuickScale()
 	}
 	sc.Seed = *seed
-	sc.AdaptiveRates = *adaptive
 
 	orch, err := sweep.Orchestrator()
 	if err != nil {

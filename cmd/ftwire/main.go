@@ -49,12 +49,12 @@ func main() {
 			dev.PhysicalExpressMHz(*distance, *hops), dev.PhysicalExpressPath(*distance, *hops))
 	default:
 		sc := experiments.FullScale()
-		if err := experiments.RunFig4(os.Stdout, sc); err != nil {
+		if err := experiments.Fig4.Run(os.Stdout, sc); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		fmt.Println()
-		if err := experiments.RunFig6(os.Stdout, sc); err != nil {
+		if err := experiments.Fig6.Run(os.Stdout, sc); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -2,11 +2,8 @@ package experiments
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
-
-	"fasttrack/internal/core"
 )
 
 // testScale is small enough for CI but big enough that the paper's
@@ -59,7 +56,7 @@ func findRate(pts []RatePoint, config, patternPrefix string, rate float64) RateP
 // saturation FastTrack R=1 beats Hoplite by ≥2× on RANDOM, the
 // depopulated NoC sits in between, and nobody wins below 10% injection.
 func TestFig11Shapes(t *testing.T) {
-	pts, err := Fig11Data(testScale())
+	pts, err := Fig11.Rows(testScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +92,7 @@ func TestFig11Shapes(t *testing.T) {
 // fully-populated FastTrack ≪ depopulated ≪ Hoplite (the paper reports 7×
 // and 3× reductions).
 func TestFig16WorstCaseLatency(t *testing.T) {
-	res, err := Fig16Data(testScale())
+	res, err := Fig16.Rows(testScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +112,7 @@ func TestFig16WorstCaseLatency(t *testing.T) {
 // D=4 (too-long links exclude short transfers), and depopulation (R=D)
 // reduces throughput versus R=1.
 func TestFig17DSweep(t *testing.T) {
-	pts, err := Fig17Data(testScale())
+	pts, err := Fig17.Rows(testScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +136,7 @@ func TestFig17DSweep(t *testing.T) {
 // TestFig13IsoWiring asserts FastTrack uses wires better than replicated
 // Hoplite: FT(64,2,1) ≥ Hoplite-3x sustained rate at saturation.
 func TestFig13IsoWiring(t *testing.T) {
-	pts, err := Fig13Data(testScale())
+	pts, err := Fig13.Rows(testScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +154,7 @@ func TestFig13IsoWiring(t *testing.T) {
 // TestFig14CostAware asserts FastTrack needs fewer LUTs than the
 // multi-channel alternatives while delivering more throughput than 3x.
 func TestFig14CostAware(t *testing.T) {
-	pts, err := Fig14Data(testScale())
+	pts, err := Fig14.Rows(testScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +184,7 @@ func TestFig14CostAware(t *testing.T) {
 // TestFig18ExpressLinksReduceDeflections asserts the Fig 18 accounting:
 // FastTrack shifts traffic onto express links and cuts total misroutes.
 func TestFig18ExpressLinksReduceDeflections(t *testing.T) {
-	res, err := Fig18Data(testScale())
+	res, err := Fig18.Rows(testScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +219,7 @@ func TestFig15Shapes(t *testing.T) {
 	sc := testScale()
 	sc.TraceBenchmarks = 0 // need named benchmarks
 
-	a, err := Fig15aData(Scale{Quota: sc.Quota, MaxN: 8, TraceBenchmarks: 3, Seed: 1})
+	a, err := Fig15a.Rows(Scale{Quota: sc.Quota, MaxN: 8, TraceBenchmarks: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +229,7 @@ func TestFig15Shapes(t *testing.T) {
 		}
 	}
 
-	c, err := Fig15cData(Scale{Quota: sc.Quota, MaxN: 8, TraceBenchmarks: 2, Seed: 1})
+	c, err := Fig15c.Rows(Scale{Quota: sc.Quota, MaxN: 8, TraceBenchmarks: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +240,7 @@ func TestFig15Shapes(t *testing.T) {
 		}
 	}
 
-	d, err := Fig15dData(Scale{Quota: sc.Quota, MaxN: 8, TraceBenchmarks: 0, Seed: 1})
+	d, err := Fig15d.Rows(Scale{Quota: sc.Quota, MaxN: 8, TraceBenchmarks: 0, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,55 +259,6 @@ func TestFig15Shapes(t *testing.T) {
 	if freqmine > 0.8*best {
 		t.Errorf("freqmine (local traffic, %.2fx) should gain much less than the best (%.2fx)",
 			freqmine, best)
-	}
-}
-
-// TestAdaptiveSweepMatchesDense asserts the bisection-driven sweep agrees
-// with the dense grid on what the figures report — each curve's saturation
-// throughput — while evaluating fewer points per curve.
-func TestAdaptiveSweepMatchesDense(t *testing.T) {
-	sc := Scale{
-		Quota: 300,
-		Rates: []float64{0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.75, 1.0},
-		MaxN:  4,
-		Seed:  1,
-	}
-	configs := []core.Config{core.Hoplite(4), core.FastTrack(4, 2, 1)}
-	patterns := []string{"RANDOM"}
-
-	dense, err := sweepSynthetic(sc, configs, patterns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	asc := sc
-	asc.AdaptiveRates = true
-	adaptive, err := sweepSynthetic(asc, configs, patterns)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	maxRate := func(pts []RatePoint, cfg string) float64 {
-		var m float64
-		for _, p := range pts {
-			if p.Config == cfg && p.SustainedRate > m {
-				m = p.SustainedRate
-			}
-		}
-		return m
-	}
-	for _, cfg := range configs {
-		d, a := maxRate(dense, cfg.String()), maxRate(adaptive, cfg.String())
-		if d == 0 {
-			t.Fatalf("%s: dense sweep found no throughput", cfg)
-		}
-		if rel := math.Abs(a-d) / d; rel > 0.08 {
-			t.Errorf("%s: adaptive saturation %.4f deviates %.1f%% from dense %.4f",
-				cfg, a, 100*rel, d)
-		}
-	}
-	if len(adaptive) >= len(dense) {
-		t.Errorf("adaptive sweep ran %d points, no cheaper than the dense grid's %d",
-			len(adaptive), len(dense))
 	}
 }
 
@@ -339,7 +287,7 @@ func TestRunAllRendersAtQuickScale(t *testing.T) {
 func TestExtensionShapes(t *testing.T) {
 	sc := testScale()
 
-	vp, err := ExtVariantsData(sc)
+	vp, err := ExtVariants.Rows(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +310,7 @@ func TestExtensionShapes(t *testing.T) {
 		t.Errorf("Full (%.3f) should out-sustain Inject (%.3f)", fullRate, injRate)
 	}
 
-	pp, err := ExtPipelineData(sc)
+	pp, err := ExtPipeline.Rows(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +323,7 @@ func TestExtensionShapes(t *testing.T) {
 			pp[1].ThroughputMPPS, pp[0].ThroughputMPPS)
 	}
 
-	fp, err := ExtFairnessData(sc)
+	fp, err := ExtFairness.Rows(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +333,7 @@ func TestExtensionShapes(t *testing.T) {
 		}
 	}
 
-	cp, err := ExtCachelineData(Scale{Quota: 100, Seed: 1})
+	cp, err := ExtCacheline.Rows(Scale{Quota: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +363,7 @@ func TestExtensionShapes(t *testing.T) {
 // mesh wins on packets/cycle over Hoplite, but FastTrack wins on packets/ns
 // at a fraction of the buffered router's LUT cost.
 func TestExtBufferedShapes(t *testing.T) {
-	pts, err := ExtBufferedData(testScale())
+	pts, err := ExtBuffered.Rows(testScale())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,18 +21,6 @@ import (
 	"fasttrack/internal/traffic"
 )
 
-// Extensions returns the beyond-the-paper experiments.
-func Extensions() []Experiment {
-	return []Experiment{
-		{ID: "ext-variants", Title: "Ablation: FT(Full) vs FTlite(Inject) router microarchitecture", Run: RunExtVariants},
-		{ID: "ext-pipeline", Title: "Ablation: Hyperflex-style express link pipelining (paper §VII)", Run: RunExtPipeline},
-		{ID: "ext-zeroload", Title: "Zero-load latency profile and provable Hoplite bounds", Run: RunExtZeroLoad},
-		{ID: "ext-fairness", Title: "Per-source latency fairness (Jain index) under saturation", Run: RunExtFairness},
-		{ID: "ext-cacheline", Title: "Cacheline serialization vs datapath width (§VI-B)", Run: RunExtCacheline},
-		{ID: "ext-buffered", Title: "Buffered mesh vs bufferless NoCs (simulated Fig 1)", Run: RunExtBuffered},
-	}
-}
-
 // VariantPoint compares the two router microarchitectures at one rate.
 type VariantPoint struct {
 	Variant       string
@@ -42,48 +30,32 @@ type VariantPoint struct {
 	LUTs          int
 }
 
-// ExtVariantsData measures the cost/performance gap between the Full and
-// Inject routers on an 8×8 FT(64,2,1) under RANDOM traffic.
-func ExtVariantsData(sc Scale) ([]VariantPoint, error) {
-	n := sc.capN(8)
-	var pts []VariantPoint
-	for _, v := range []core.Variant{core.VariantFull, core.VariantInject} {
-		cfg := core.FastTrack(n, 2, 1).WithVariant(v)
-		spec, err := cfg.Spec()
+// ExtVariants measures the cost/performance gap between the Full and Inject
+// routers on an 8×8 FT(64,2,1) under RANDOM traffic.
+var ExtVariants = &Figure[VariantPoint]{
+	ID: "ext-variants", Title: "Ablation: FT(Full) vs FTlite(Inject) router microarchitecture",
+	Heading: "FT(Full) vs FTlite(Inject), 64-PE RANDOM traffic",
+	Jobs: func(sc Scale) []runner.SyntheticJob {
+		ft := core.FastTrack(sc.capN(8), 2, 1)
+		return sc.sweep(random, sc.Rates, ft.WithVariant(core.VariantFull), ft.WithVariant(core.VariantInject))
+	},
+	Reduce: each(func(j runner.SyntheticJob, res sim.Result) (VariantPoint, error) {
+		spec, err := j.Cfg.Spec()
 		if err != nil {
-			return nil, err
+			return VariantPoint{}, err
 		}
 		luts, _ := spec.Resources()
-		for _, rate := range sc.Rates {
-			res, err := sc.runSynthetic(context.Background(), cfg, core.SyntheticOptions{
-				Pattern: "RANDOM", Rate: rate, PacketsPerPE: sc.Quota, Seed: sc.Seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			pts = append(pts, VariantPoint{
-				Variant: v.String(), InjectionRate: rate,
-				SustainedRate: res.SustainedRate, AvgLatency: res.AvgLatency,
-				LUTs: luts,
-			})
-		}
-	}
-	return pts, nil
-}
-
-// RunExtVariants renders the variant ablation.
-func RunExtVariants(w io.Writer, sc Scale) error {
-	header(w, "ext-variants", "FT(Full) vs FTlite(Inject), 64-PE RANDOM traffic")
-	pts, err := ExtVariantsData(sc)
-	if err != nil {
-		return err
-	}
-	t := newTable(w, "Variant", "LUTs", "InjRate", "Sustained", "AvgLatency")
-	for _, p := range pts {
-		t.row(p.Variant, p.LUTs, fmt.Sprintf("%.2f", p.InjectionRate),
-			fmt.Sprintf("%.4f", p.SustainedRate), fmt.Sprintf("%.1f", p.AvgLatency))
-	}
-	return t.flush()
+		return VariantPoint{
+			Variant: j.Cfg.Variant.String(), InjectionRate: j.Opts.Rate,
+			SustainedRate: res.SustainedRate, AvgLatency: res.AvgLatency,
+			LUTs: luts,
+		}, nil
+	}),
+	Columns: []string{"Variant", "LUTs", "InjRate", "Sustained", "AvgLatency"},
+	Row: func(p VariantPoint) []any {
+		return []any{p.Variant, p.LUTs, fmt.Sprintf("%.2f", p.InjectionRate),
+			fmt.Sprintf("%.4f", p.SustainedRate), fmt.Sprintf("%.1f", p.AvgLatency)}
+	},
 }
 
 // PipelinePoint is one express-pipelining depth sample.
@@ -96,84 +68,78 @@ type PipelinePoint struct {
 	ThroughputMPPS float64
 }
 
-// ExtPipelineData sweeps express pipeline depth on an FT(64,4,1) — the
+// ExtPipeline sweeps express pipeline depth on an FT(64,4,1) — the
 // configuration whose long express wires limit the clock — quantifying the
 // §VII tradeoff: pipelining restores frequency but adds cycles per express
 // hop.
-func ExtPipelineData(sc Scale) ([]PipelinePoint, error) {
-	dev := core.Virtex7()
-	n := sc.capN(8)
-	var pts []PipelinePoint
-	for stages := 0; stages <= 3; stages++ {
-		cfg := core.FastTrack(n, 4, 1).WithPipeline(stages).WithWidth(128)
-		spec, err := cfg.Spec()
-		if err != nil {
-			return nil, err
+var ExtPipeline = &Figure[PipelinePoint]{
+	ID: "ext-pipeline", Title: "Ablation: Hyperflex-style express link pipelining (paper §VII)",
+	Heading: "Express link pipelining on FT(64,4,1) @128b, RANDOM saturation",
+	Jobs: func(sc Scale) []runner.SyntheticJob {
+		var cfgs []core.Config
+		for stages := 0; stages <= 3; stages++ {
+			cfgs = append(cfgs, core.FastTrack(sc.capN(8), 4, 1).WithPipeline(stages).WithWidth(128))
 		}
-		mhz := spec.ClockMHz(dev)
-		res, err := sc.runSynthetic(context.Background(), cfg, core.SyntheticOptions{
-			Pattern: "RANDOM", Rate: 1.0, PacketsPerPE: sc.Quota, Seed: sc.Seed,
-		})
+		return sc.sweep(random, saturated, cfgs...)
+	},
+	Reduce: each(func(j runner.SyntheticJob, res sim.Result) (PipelinePoint, error) {
+		spec, err := j.Cfg.Spec()
 		if err != nil {
-			return nil, err
+			return PipelinePoint{}, err
 		}
-		pts = append(pts, PipelinePoint{
-			Stages:         stages,
+		mhz := spec.ClockMHz(core.Virtex7())
+		return PipelinePoint{
+			Stages:         j.Cfg.ExpressPipeline,
 			ClockMHz:       mhz,
 			SustainedRate:  res.SustainedRate,
 			AvgLatencyCyc:  res.AvgLatency,
 			AvgLatencyNS:   res.AvgLatency / mhz * 1000,
-			ThroughputMPPS: res.SustainedRate * float64(n*n) * mhz,
-		})
-	}
-	return pts, nil
+			ThroughputMPPS: res.SustainedRate * float64(j.Cfg.N*j.Cfg.N) * mhz,
+		}, nil
+	}),
+	Columns: []string{"Stages", "MHz", "Sustained", "AvgLat(cyc)", "AvgLat(ns)", "Mpkt/s"},
+	Row: func(p PipelinePoint) []any {
+		return []any{p.Stages, fmt.Sprintf("%.0f", p.ClockMHz), fmt.Sprintf("%.4f", p.SustainedRate),
+			fmt.Sprintf("%.1f", p.AvgLatencyCyc), fmt.Sprintf("%.1f", p.AvgLatencyNS), fmt.Sprintf("%.0f", p.ThroughputMPPS)}
+	},
 }
 
-// RunExtPipeline renders the pipelining ablation.
-func RunExtPipeline(w io.Writer, sc Scale) error {
-	header(w, "ext-pipeline", "Express link pipelining on FT(64,4,1) @128b, RANDOM saturation")
-	pts, err := ExtPipelineData(sc)
-	if err != nil {
-		return err
-	}
-	t := newTable(w, "Stages", "MHz", "Sustained", "AvgLat(cyc)", "AvgLat(ns)", "Mpkt/s")
-	for _, p := range pts {
-		t.row(p.Stages, fmt.Sprintf("%.0f", p.ClockMHz),
-			fmt.Sprintf("%.4f", p.SustainedRate),
-			fmt.Sprintf("%.1f", p.AvgLatencyCyc),
-			fmt.Sprintf("%.1f", p.AvgLatencyNS),
-			fmt.Sprintf("%.0f", p.ThroughputMPPS))
-	}
-	return t.flush()
-}
-
-// RunExtZeroLoad renders exact zero-load latency profiles plus the provable
-// Hoplite in-flight bound.
-func RunExtZeroLoad(w io.Writer, sc Scale) error {
-	n := sc.capN(8)
-	header(w, "ext-zeroload", fmt.Sprintf("Zero-load latency over all PE pairs, %dx%d", n, n))
-	t := newTable(w, "Config", "MeanLat", "MaxLat", "ExpressShare")
-	for _, cfg := range []core.Config{
-		core.Hoplite(n),
-		core.FastTrack(n, 2, 2),
-		core.FastTrack(n, 2, 1),
-		core.FastTrack(n, 2, 1).WithVariant(core.VariantInject),
-	} {
-		cfg := cfg
-		zl, err := runner.Do(context.Background(), sc.orch(), runner.RawKey("zeroload", runner.ConfigKey(cfg)),
-			func() (analysis.ZeroLoad, error) { return analysis.ZeroLoadProfile(cfg) })
-		if err != nil {
+// ExtZeroLoad computes exact zero-load latency profiles over all PE pairs,
+// rendered with the provable Hoplite in-flight bound.
+var ExtZeroLoad = &Figure[analysis.ZeroLoad]{
+	ID: "ext-zeroload", Title: "Zero-load latency profile and provable Hoplite bounds",
+	Data: func(sc Scale) ([]analysis.ZeroLoad, error) {
+		n := sc.capN(8)
+		var zls []analysis.ZeroLoad
+		for _, cfg := range []core.Config{
+			core.Hoplite(n),
+			core.FastTrack(n, 2, 2),
+			core.FastTrack(n, 2, 1),
+			core.FastTrack(n, 2, 1).WithVariant(core.VariantInject),
+		} {
+			zl, err := runner.Do(context.Background(), sc.orch(), runner.RawKey("zeroload", runner.ConfigKey(cfg)),
+				func() (analysis.ZeroLoad, error) { return analysis.ZeroLoadProfile(cfg) })
+			if err != nil {
+				return nil, err
+			}
+			zls = append(zls, zl)
+		}
+		return zls, nil
+	},
+	// The heading names the scale's width, so Render prints it.
+	Render: func(w io.Writer, sc Scale, zls []analysis.ZeroLoad) error {
+		n := sc.capN(8)
+		fmt.Fprintf(w, "== ext-zeroload: Zero-load latency over all PE pairs, %dx%d ==\n", n, n)
+		t := newTable(w, "Config", "MeanLat", "MaxLat", "ExpressShare")
+		for _, zl := range zls {
+			t.row(zl.Config, fmt.Sprintf("%.2f", zl.Mean), zl.Max, fmt.Sprintf("%.0f%%", 100*zl.ExpressShare))
+		}
+		if err := t.flush(); err != nil {
 			return err
 		}
-		t.row(zl.Config, fmt.Sprintf("%.2f", zl.Mean), zl.Max,
-			fmt.Sprintf("%.0f%%", 100*zl.ExpressShare))
-	}
-	if err := t.flush(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "provable Hoplite in-flight bound (worst pair): %d cycles\n",
-		analysis.HopliteNetworkBound(n))
-	return nil
+		fmt.Fprintf(w, "provable Hoplite in-flight bound (worst pair): %d cycles\n", analysis.HopliteNetworkBound(n))
+		return nil
+	},
 }
 
 // FairnessPoint summarizes per-source latency dispersion for one config.
@@ -184,19 +150,16 @@ type FairnessPoint struct {
 	WorstMean   float64
 }
 
-// ExtFairnessData measures how evenly saturated RANDOM latency is
-// distributed across source PEs. Deflection NoCs favour some positions;
-// express links shorten the unlucky paths and raise the Jain index.
-func ExtFairnessData(sc Scale) ([]FairnessPoint, error) {
-	n := sc.capN(8)
-	var pts []FairnessPoint
-	for _, cfg := range fig11Configs(n) {
-		res, err := sc.runSynthetic(context.Background(), cfg, core.SyntheticOptions{
-			Pattern: "RANDOM", Rate: 1.0, PacketsPerPE: sc.Quota, Seed: sc.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
+// ExtFairness measures how evenly saturated RANDOM latency is distributed
+// across source PEs. Deflection NoCs favour some positions; express links
+// shorten the unlucky paths and raise the Jain index.
+var ExtFairness = &Figure[FairnessPoint]{
+	ID: "ext-fairness", Title: "Per-source latency fairness (Jain index) under saturation",
+	Heading: "Per-source latency fairness, 64-PE RANDOM at saturation",
+	Jobs: func(sc Scale) []runner.SyntheticJob {
+		return sc.sweep(random, saturated, fig11Configs(sc.capN(8))...)
+	},
+	Reduce: each(func(j runner.SyntheticJob, res sim.Result) (FairnessPoint, error) {
 		means := make([]float64, 0, len(res.PerSource))
 		var sum, worst float64
 		for i := range res.PerSource {
@@ -206,32 +169,18 @@ func ExtFairnessData(sc Scale) ([]FairnessPoint, error) {
 			m := res.PerSource[i].Mean()
 			means = append(means, m)
 			sum += m
-			if m > worst {
-				worst = m
-			}
+			worst = max(worst, m)
 		}
-		pt := FairnessPoint{Config: cfg.String(), JainIndex: stats.JainIndex(means), WorstMean: worst}
+		pt := FairnessPoint{Config: j.Cfg.String(), JainIndex: stats.JainIndex(means), WorstMean: worst}
 		if len(means) > 0 {
 			pt.MeanOfMeans = sum / float64(len(means))
 		}
-		pts = append(pts, pt)
-	}
-	return pts, nil
-}
-
-// RunExtFairness renders the fairness ablation.
-func RunExtFairness(w io.Writer, sc Scale) error {
-	header(w, "ext-fairness", "Per-source latency fairness, 64-PE RANDOM at saturation")
-	pts, err := ExtFairnessData(sc)
-	if err != nil {
-		return err
-	}
-	t := newTable(w, "Config", "JainIndex", "MeanLat", "WorstSourceMean")
-	for _, p := range pts {
-		t.row(p.Config, fmt.Sprintf("%.4f", p.JainIndex),
-			fmt.Sprintf("%.1f", p.MeanOfMeans), fmt.Sprintf("%.1f", p.WorstMean))
-	}
-	return t.flush()
+		return pt, nil
+	}),
+	Columns: []string{"Config", "JainIndex", "MeanLat", "WorstSourceMean"},
+	Row: func(p FairnessPoint) []any {
+		return []any{p.Config, fmt.Sprintf("%.4f", p.JainIndex), fmt.Sprintf("%.1f", p.MeanOfMeans), fmt.Sprintf("%.1f", p.WorstMean)}
+	},
 }
 
 // CachelinePoint measures 512-bit cacheline transfer efficiency at one
@@ -246,10 +195,24 @@ type CachelinePoint struct {
 	Routable     bool
 }
 
-// ExtCachelineData transfers 512-bit cachelines over a 4×4 FT(16,2,1) and
-// Hoplite at datapath widths from 64 to 512 bits. Wide datapaths move a
+// ExtCacheline transfers 512-bit cachelines over a 4×4 FT(16,2,1) and
+// Hoplite at datapath widths from 64 to 1024 bits. Wide datapaths move a
 // line per packet but clock lower and may not route; narrow ones serialize.
-func ExtCachelineData(sc Scale) ([]CachelinePoint, error) {
+var ExtCacheline = &Figure[CachelinePoint]{
+	ID: "ext-cacheline", Title: "Cacheline serialization vs datapath width (§VI-B)",
+	Heading: "512-bit cacheline transfers on a 4x4 NoC vs datapath width",
+	Data:    cachelinePoints,
+	Columns: []string{"Config", "Width", "Flits/line", "MHz", "Mlines/s", "AvgLat(ns)"},
+	Row: func(p CachelinePoint) []any {
+		if !p.Routable {
+			return []any{p.Config, p.WidthBits, p.FlitsPerLine, "NA", "NA", "NA"}
+		}
+		return []any{p.Config, p.WidthBits, p.FlitsPerLine, fmt.Sprintf("%.0f", p.ClockMHz),
+			fmt.Sprintf("%.1f", p.LinesPerSec), fmt.Sprintf("%.0f", p.AvgLatencyNS)}
+	},
+}
+
+func cachelinePoints(sc Scale) ([]CachelinePoint, error) {
 	dev := core.Virtex7()
 	const n, lineBits = 4, 512
 	var pts []CachelinePoint
@@ -311,27 +274,6 @@ func runCachelines(cfg core.Config, lineBits, width int, sc Scale) (cachelineRun
 	})
 }
 
-// RunExtCacheline renders the serialization study.
-func RunExtCacheline(w io.Writer, sc Scale) error {
-	header(w, "ext-cacheline", "512-bit cacheline transfers on a 4x4 NoC vs datapath width")
-	pts, err := ExtCachelineData(sc)
-	if err != nil {
-		return err
-	}
-	t := newTable(w, "Config", "Width", "Flits/line", "MHz", "Mlines/s", "AvgLat(ns)")
-	for _, p := range pts {
-		if !p.Routable {
-			t.row(p.Config, p.WidthBits, p.FlitsPerLine, "NA", "NA", "NA")
-			continue
-		}
-		t.row(p.Config, p.WidthBits, p.FlitsPerLine,
-			fmt.Sprintf("%.0f", p.ClockMHz),
-			fmt.Sprintf("%.1f", p.LinesPerSec),
-			fmt.Sprintf("%.0f", p.AvgLatencyNS))
-	}
-	return t.flush()
-}
-
 // BufferedPoint compares router families on the Fig 1 axes, with the
 // buffered design simulated rather than quoted from the literature.
 type BufferedPoint struct {
@@ -343,19 +285,53 @@ type BufferedPoint struct {
 	AvgLatencyNS  float64
 }
 
-// ExtBufferedData runs saturated RANDOM traffic through the buffered mesh,
+// ExtBuffered runs saturated RANDOM traffic through the buffered mesh,
 // baseline Hoplite and FT(64,2,1) at 32-bit width, converting cycles to
 // wall-clock with each design's modeled frequency — Fig 1's area-bandwidth
 // tradeoff reproduced end-to-end from simulation.
-func ExtBufferedData(sc Scale) ([]BufferedPoint, error) {
-	dev := core.Virtex7()
-	n := sc.capN(8)
-	var pts []BufferedPoint
+var ExtBuffered = &Figure[BufferedPoint]{
+	ID: "ext-buffered", Title: "Buffered mesh vs bufferless NoCs (simulated Fig 1)",
+	Heading: "Buffered mesh vs bufferless NoCs, 32b, RANDOM saturation (simulated Fig 1)",
+	Data:    bufferedPoints,
+	Columns: []string{"Config", "LUTs/router", "MHz", "pkt/cyc/PE", "pkt/ns", "AvgLat(ns)"},
+	Row: func(p BufferedPoint) []any {
+		return []any{p.Config, p.LUTsPerRouter, fmt.Sprintf("%.0f", p.ClockMHz),
+			fmt.Sprintf("%.4f", p.SustainedRate), fmt.Sprintf("%.2f", p.PktPerNS), fmt.Sprintf("%.0f", p.AvgLatencyNS)}
+	},
+}
 
-	run := func(name string, build func() (core.Network, error), luts int, mhz float64) error {
-		key := runner.RawKey("extbuffered", name, n, sc.Quota, sc.Seed)
+func bufferedPoints(sc Scale) ([]BufferedPoint, error) {
+	const width = 32
+	dev, n := core.Virtex7(), sc.capN(8)
+	type design struct {
+		name  string
+		build func() (core.Network, error)
+		luts  int // per router
+		mhz   float64
+	}
+	bl, _ := fpga.BufferedRouterCost(width, 4)
+	designs := []design{{"BufferedMesh(d=4)", func() (core.Network, error) {
+		return buffered.New(n, n, buffered.Config{Depth: 4})
+	}, bl, dev.BufferedMeshClockMHz(n, width)}}
+	// A design's name is part of its cache key, so FT(64,2,1) keeps its
+	// name when the scale caps n below 8.
+	for _, d := range []struct {
+		name string
+		cfg  core.Config
+	}{{"Hoplite", core.Hoplite(n)}, {"FT(64,2,1)", core.FastTrack(n, 2, 1)}} {
+		cfg := d.cfg.WithWidth(width)
+		spec, err := cfg.Spec()
+		if err != nil {
+			return nil, err
+		}
+		luts, _ := spec.Resources()
+		designs = append(designs, design{d.name, cfg.Build, luts / (n * n), spec.ClockMHz(dev)})
+	}
+	var pts []BufferedPoint
+	for _, d := range designs {
+		key := runner.RawKey("extbuffered", d.name, n, sc.Quota, sc.Seed)
 		res, err := runner.Do(context.Background(), sc.orch(), key, func() (sim.Result, error) {
-			net, err := build()
+			net, err := d.build()
 			if err != nil {
 				return sim.Result{}, err
 			}
@@ -363,63 +339,16 @@ func ExtBufferedData(sc Scale) ([]BufferedPoint, error) {
 			return sim.Run(net, wl, sim.Options{})
 		})
 		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+			return nil, fmt.Errorf("%s: %w", d.name, err)
 		}
 		pts = append(pts, BufferedPoint{
-			Config:        name,
-			LUTsPerRouter: luts,
-			ClockMHz:      mhz,
+			Config:        d.name,
+			LUTsPerRouter: d.luts,
+			ClockMHz:      d.mhz,
 			SustainedRate: res.SustainedRate,
-			PktPerNS:      res.SustainedRate * float64(n*n) * mhz / 1000,
-			AvgLatencyNS:  res.AvgLatency / mhz * 1000,
+			PktPerNS:      res.SustainedRate * float64(n*n) * d.mhz / 1000,
+			AvgLatencyNS:  res.AvgLatency / d.mhz * 1000,
 		})
-		return nil
-	}
-
-	const width = 32
-	bl, _ := fpga.BufferedRouterCost(width, 4)
-	if err := run("BufferedMesh(d=4)", func() (core.Network, error) {
-		return buffered.New(n, n, buffered.Config{Depth: 4})
-	}, bl, dev.BufferedMeshClockMHz(n, width)); err != nil {
-		return nil, err
-	}
-
-	hop := core.Hoplite(n).WithWidth(width)
-	hs, err := hop.Spec()
-	if err != nil {
-		return nil, err
-	}
-	hl, _ := hs.Resources()
-	if err := run("Hoplite", func() (core.Network, error) { return hop.Build() },
-		hl/(n*n), hs.ClockMHz(dev)); err != nil {
-		return nil, err
-	}
-
-	ft := core.FastTrack(n, 2, 1).WithWidth(width)
-	fs, err := ft.Spec()
-	if err != nil {
-		return nil, err
-	}
-	fl, _ := fs.Resources()
-	if err := run("FT(64,2,1)", func() (core.Network, error) { return ft.Build() },
-		fl/(n*n), fs.ClockMHz(dev)); err != nil {
-		return nil, err
 	}
 	return pts, nil
-}
-
-// RunExtBuffered renders the simulated Fig 1 comparison.
-func RunExtBuffered(w io.Writer, sc Scale) error {
-	header(w, "ext-buffered", "Buffered mesh vs bufferless NoCs, 32b, RANDOM saturation (simulated Fig 1)")
-	pts, err := ExtBufferedData(sc)
-	if err != nil {
-		return err
-	}
-	t := newTable(w, "Config", "LUTs/router", "MHz", "pkt/cyc/PE", "pkt/ns", "AvgLat(ns)")
-	for _, p := range pts {
-		t.row(p.Config, p.LUTsPerRouter, fmt.Sprintf("%.0f", p.ClockMHz),
-			fmt.Sprintf("%.4f", p.SustainedRate), fmt.Sprintf("%.2f", p.PktPerNS),
-			fmt.Sprintf("%.0f", p.AvgLatencyNS))
-	}
-	return t.flush()
 }

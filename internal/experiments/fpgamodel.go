@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"fasttrack/internal/core"
 	"fasttrack/internal/fpga"
@@ -23,15 +24,13 @@ type LiteratureRouter struct {
 	PortsPerCycle float64
 }
 
-// LiteratureRouters returns the non-Hoplite rows of Table I.
-func LiteratureRouters() []LiteratureRouter {
-	return []LiteratureRouter{
-		{Name: "OpenSMART 4VC 1-deep", Device: "Virtex-7 VX690T", LUTs: 3700, FFs: 1700, PeriodNS: 5, PortsPerCycle: 4},
-		{Name: "BLESS (no buffers)", Device: "Virtex-2 Pro", LUTs: 1090, FFs: 335, PeriodNS: 13.2, PortsPerCycle: 4},
-		{Name: "CONNECT 2VC 16-deep", Device: "Virtex-6 LX240T", LUTs: 1562, FFs: 635, PeriodNS: 9.6, PortsPerCycle: 4},
-		{Name: "Split-Merge DOR", Device: "Virtex-6 LX240T", LUTs: 1785, FFs: 541, PeriodNS: 4.5, PortsPerCycle: 2},
-		{Name: "Altera Qsys", Device: "Stratix IV C2", LUTs: 1673, FFs: 0, PeriodNS: 3.1, PortsPerCycle: 2},
-	}
+// literatureRouters are the non-Hoplite rows of Table I.
+var literatureRouters = []LiteratureRouter{
+	{Name: "OpenSMART 4VC 1-deep", Device: "Virtex-7 VX690T", LUTs: 3700, FFs: 1700, PeriodNS: 5, PortsPerCycle: 4},
+	{Name: "BLESS (no buffers)", Device: "Virtex-2 Pro", LUTs: 1090, FFs: 335, PeriodNS: 13.2, PortsPerCycle: 4},
+	{Name: "CONNECT 2VC 16-deep", Device: "Virtex-6 LX240T", LUTs: 1562, FFs: 635, PeriodNS: 9.6, PortsPerCycle: 4},
+	{Name: "Split-Merge DOR", Device: "Virtex-6 LX240T", LUTs: 1785, FFs: 541, PeriodNS: 4.5, PortsPerCycle: 2},
+	{Name: "Altera Qsys", Device: "Stratix IV C2", LUTs: 1673, FFs: 0, PeriodNS: 3.1, PortsPerCycle: 2},
 }
 
 // Table1Row is one row of the regenerated Table I.
@@ -44,50 +43,48 @@ type Table1Row struct {
 	Modeled  bool // produced by this repo's cost model vs quoted
 }
 
-// Table1Data regenerates Table I: literature rows plus our modeled Hoplite
-// and FastTrack rows at 32-bit width on the Virtex-7 485T.
-func Table1Data() []Table1Row {
-	dev := fpga.Virtex7_485T()
-	var rows []Table1Row
-	for _, lr := range LiteratureRouters() {
-		rows = append(rows, Table1Row{Name: lr.Name, Device: lr.Device,
-			LUTs: lr.LUTs, FFs: lr.FFs, PeriodNS: lr.PeriodNS})
-	}
-	hop := fpga.HopliteSpec(8, 32, 1)
-	hl, hf := hop.Resources()
-	n := 8 * 8
-	rows = append(rows, Table1Row{
-		Name: "Hoplite (modeled)", Device: dev.Name,
-		LUTs: hl / n, FFs: hf / n,
-		PeriodNS: 1000 / hop.ClockMHz(dev), Modeled: true,
-	})
-	for _, v := range []core.Variant{core.VariantInject, core.VariantFull} {
-		ft, err := fpga.FastTrackSpec(8, 2, 1, 32, v)
-		if err != nil {
-			panic(err)
+// Table1 regenerates Table I: literature rows plus our modeled Hoplite and
+// FastTrack rows at 32-bit width on the Virtex-7 485T.
+var Table1 = &Figure[Table1Row]{
+	ID: "table1", Title: "FPGA implementations of 32b NoC routers",
+	Heading: "FPGA implementations of 32b NoC routers",
+	Data: func(Scale) ([]Table1Row, error) {
+		dev := fpga.Virtex7_485T()
+		var rows []Table1Row
+		for _, lr := range literatureRouters {
+			rows = append(rows, Table1Row{Name: lr.Name, Device: lr.Device,
+				LUTs: lr.LUTs, FFs: lr.FFs, PeriodNS: lr.PeriodNS})
 		}
-		fl, ff := ft.Resources()
+		hop := fpga.HopliteSpec(8, 32, 1)
+		hl, hf := hop.Resources()
+		n := 8 * 8
 		rows = append(rows, Table1Row{
-			Name: fmt.Sprintf("FastTrack %v (modeled)", v), Device: dev.Name,
-			LUTs: fl / n, FFs: ff / n,
-			PeriodNS: 1000 / ft.ClockMHz(dev), Modeled: true,
+			Name: "Hoplite (modeled)", Device: dev.Name,
+			LUTs: hl / n, FFs: hf / n,
+			PeriodNS: 1000 / hop.ClockMHz(dev), Modeled: true,
 		})
-	}
-	return rows
-}
-
-// RunTable1 renders Table I.
-func RunTable1(w io.Writer, _ Scale) error {
-	header(w, "table1", "FPGA implementations of 32b NoC routers")
-	t := newTable(w, "Router", "Device", "LUTs", "FFs", "Period(ns)", "Source")
-	for _, r := range Table1Data() {
+		for _, v := range []core.Variant{core.VariantInject, core.VariantFull} {
+			ft, err := fpga.FastTrackSpec(8, 2, 1, 32, v)
+			if err != nil {
+				return nil, err
+			}
+			fl, ff := ft.Resources()
+			rows = append(rows, Table1Row{
+				Name: fmt.Sprintf("FastTrack %v (modeled)", v), Device: dev.Name,
+				LUTs: fl / n, FFs: ff / n,
+				PeriodNS: 1000 / ft.ClockMHz(dev), Modeled: true,
+			})
+		}
+		return rows, nil
+	},
+	Columns: []string{"Router", "Device", "LUTs", "FFs", "Period(ns)", "Source"},
+	Row: func(r Table1Row) []any {
 		src := "paper (quoted)"
 		if r.Modeled {
 			src = "this repo"
 		}
-		t.row(r.Name, r.Device, r.LUTs, r.FFs, fmt.Sprintf("%.1f", r.PeriodNS), src)
-	}
-	return t.flush()
+		return []any{r.Name, r.Device, r.LUTs, r.FFs, fmt.Sprintf("%.1f", r.PeriodNS), src}
+	},
 }
 
 // Fig1Point is one scatter point of Fig 1: switch cost vs peak bandwidth.
@@ -99,37 +96,32 @@ type Fig1Point struct {
 	BandwidthPktNS float64
 }
 
-// Fig1Data regenerates the Fig 1 scatter.
-func Fig1Data() []Fig1Point {
-	dev := fpga.Virtex7_485T()
-	var pts []Fig1Point
-	for _, lr := range LiteratureRouters() {
-		cost := lr.LUTs
-		if lr.FFs > cost {
-			cost = lr.FFs
+// Fig1 regenerates the Fig 1 scatter.
+var Fig1 = &Figure[Fig1Point]{
+	ID: "fig1", Title: "Area-bandwidth tradeoffs of FPGA NoCs",
+	Heading: "Area-bandwidth tradeoffs in implementing NoCs on FPGAs",
+	Data: func(Scale) ([]Fig1Point, error) {
+		dev := fpga.Virtex7_485T()
+		var pts []Fig1Point
+		for _, lr := range literatureRouters {
+			pts = append(pts, Fig1Point{Name: lr.Name, Cost: max(lr.LUTs, lr.FFs),
+				BandwidthPktNS: lr.PortsPerCycle / lr.PeriodNS})
 		}
-		pts = append(pts, Fig1Point{Name: lr.Name, Cost: cost,
-			BandwidthPktNS: lr.PortsPerCycle / lr.PeriodNS})
-	}
-	hop := fpga.HopliteSpec(8, 32, 1)
-	hl, hf := hop.Resources()
-	pts = append(pts, Fig1Point{Name: "Hoplite", Cost: max(hl, hf) / 64,
-		BandwidthPktNS: hop.PeakBandwidth(dev)})
-	ft, _ := fpga.FastTrackSpec(8, 2, 1, 32, core.VariantFull)
-	fl, ff := ft.Resources()
-	pts = append(pts, Fig1Point{Name: "FastTrack", Cost: max(fl, ff) / 64,
-		BandwidthPktNS: ft.PeakBandwidth(dev)})
-	return pts
-}
-
-// RunFig1 renders the Fig 1 scatter data.
-func RunFig1(w io.Writer, _ Scale) error {
-	header(w, "fig1", "Area-bandwidth tradeoffs in implementing NoCs on FPGAs")
-	t := newTable(w, "NoC", "CostPerSwitch max(LUTs,FFs)", "PeakBW (pkt/ns)")
-	for _, p := range Fig1Data() {
-		t.row(p.Name, p.Cost, fmt.Sprintf("%.2f", p.BandwidthPktNS))
-	}
-	return t.flush()
+		hop := fpga.HopliteSpec(8, 32, 1)
+		hl, hf := hop.Resources()
+		pts = append(pts, Fig1Point{Name: "Hoplite", Cost: max(hl, hf) / 64,
+			BandwidthPktNS: hop.PeakBandwidth(dev)})
+		ft, err := fpga.FastTrackSpec(8, 2, 1, 32, core.VariantFull)
+		if err != nil {
+			return nil, err
+		}
+		fl, ff := ft.Resources()
+		pts = append(pts, Fig1Point{Name: "FastTrack", Cost: max(fl, ff) / 64,
+			BandwidthPktNS: ft.PeakBandwidth(dev)})
+		return pts, nil
+	},
+	Columns: []string{"NoC", "CostPerSwitch max(LUTs,FFs)", "PeakBW (pkt/ns)"},
+	Row:     func(p Fig1Point) []any { return []any{p.Name, p.Cost, fmt.Sprintf("%.2f", p.BandwidthPktNS)} },
 }
 
 // WirePoint is one (distance, hops) sample of the §III characterization.
@@ -138,63 +130,45 @@ type WirePoint struct {
 	MHz            float64
 }
 
-// Fig4Data sweeps the virtual-express experiment of Fig 4.
-func Fig4Data() []WirePoint {
-	dev := fpga.Virtex7_485T()
-	var pts []WirePoint
-	for _, h := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8} {
-		for d := 1; d <= 256; d *= 2 {
-			pts = append(pts, WirePoint{Distance: d, Hops: h,
-				MHz: dev.VirtualExpressMHz(d, h)})
-		}
+// wireFigure is a §III wire experiment: the clock mhz(distance, hops) allows
+// over 0-8 hops and distances 1-256, rendered as a hops × distance pivot.
+func wireFigure(id, title, heading string, mhz func(dev *fpga.Device, distance, hops int) float64) *Figure[WirePoint] {
+	return &Figure[WirePoint]{
+		ID: id, Title: title, Heading: heading,
+		Data: func(Scale) ([]WirePoint, error) {
+			dev := fpga.Virtex7_485T()
+			var pts []WirePoint
+			for h := 0; h <= 8; h++ {
+				for d := 1; d <= 256; d *= 2 {
+					pts = append(pts, WirePoint{Distance: d, Hops: h, MHz: mhz(dev, d, h)})
+				}
+			}
+			return pts, nil
+		},
+		Render: func(w io.Writer, _ Scale, pts []WirePoint) error {
+			t := newTable(w, "Hops\\Dist", "1", "2", "4", "8", "16", "32", "64", "128", "256")
+			for len(pts) > 0 {
+				h := pts[0].Hops
+				cells := []any{h}
+				for len(pts) > 0 && pts[0].Hops == h {
+					cells = append(cells, fmt.Sprintf("%.0f", pts[0].MHz))
+					pts = pts[1:]
+				}
+				t.row(cells...)
+			}
+			return t.flush()
+		},
 	}
-	return pts
 }
 
-// Fig6Data sweeps the physical-express experiment of Fig 6.
-func Fig6Data() []WirePoint {
-	dev := fpga.Virtex7_485T()
-	var pts []WirePoint
-	for _, h := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8} {
-		for d := 1; d <= 256; d *= 2 {
-			pts = append(pts, WirePoint{Distance: d, Hops: h,
-				MHz: dev.PhysicalExpressMHz(d, h)})
-		}
-	}
-	return pts
-}
-
-func renderWire(w io.Writer, pts []WirePoint) error {
-	t := newTable(w, "Hops\\Dist", "1", "2", "4", "8", "16", "32", "64", "128", "256")
-	byHop := map[int][]WirePoint{}
-	var hops []int
-	for _, p := range pts {
-		if _, ok := byHop[p.Hops]; !ok {
-			hops = append(hops, p.Hops)
-		}
-		byHop[p.Hops] = append(byHop[p.Hops], p)
-	}
-	for _, h := range hops {
-		cells := []any{h}
-		for _, p := range byHop[h] {
-			cells = append(cells, fmt.Sprintf("%.0f", p.MHz))
-		}
-		t.row(cells...)
-	}
-	return t.flush()
-}
-
-// RunFig4 renders Fig 4 (frequency in MHz per distance column).
-func RunFig4(w io.Writer, _ Scale) error {
-	header(w, "fig4", "Virtual express links: registered wire with N LUT hops")
-	return renderWire(w, Fig4Data())
-}
-
-// RunFig6 renders Fig 6.
-func RunFig6(w io.Writer, _ Scale) error {
-	header(w, "fig6", "Physical express links: bypass wire over N LUT-FF stages")
-	return renderWire(w, Fig6Data())
-}
+// Fig4 sweeps the virtual-express experiment (frequency in MHz per distance
+// column) and Fig6 the physical-express one.
+var (
+	Fig4 = wireFigure("fig4", "Virtual express links: frequency vs distance and LUT hops",
+		"Virtual express links: registered wire with N LUT hops", (*fpga.Device).VirtualExpressMHz)
+	Fig6 = wireFigure("fig6", "Physical express links: frequency vs distance and bypassed hops",
+		"Physical express links: bypass wire over N LUT-FF stages", (*fpga.Device).PhysicalExpressMHz)
+)
 
 // Table2Row is one configuration row of Table II.
 type Table2Row struct {
@@ -203,40 +177,41 @@ type Table2Row struct {
 	MHz, Watts float64
 }
 
-// Table2Data regenerates Table II (8×8, 256-bit, Virtex-7 485T).
-func Table2Data() []Table2Row {
-	dev := fpga.Virtex7_485T()
-	specs := []fpga.NoCSpec{fpga.HopliteSpec(8, 256, 1)}
-	for _, dr := range [][2]int{{2, 1}, {2, 2}} {
-		s, err := fpga.FastTrackSpec(8, dr[0], dr[1], 256, core.VariantFull)
-		if err != nil {
-			panic(err)
+// Table2 regenerates Table II (8×8, 256-bit, Virtex-7 485T), each row with
+// its ratios against baseline Hoplite, the first.
+var Table2 = &Figure[Table2Row]{
+	ID: "table2", Title: "Resource usage and frequency of an 8x8 256b NoC",
+	Heading: "Resource usage and frequency of an 8x8 NoC (256b) on Virtex-7 485T",
+	Data: func(Scale) ([]Table2Row, error) {
+		dev := fpga.Virtex7_485T()
+		specs := []fpga.NoCSpec{fpga.HopliteSpec(8, 256, 1)}
+		for _, r := range []int{1, 2} {
+			s, err := fpga.FastTrackSpec(8, 2, r, 256, core.VariantFull)
+			if err != nil {
+				return nil, err
+			}
+			specs = append(specs, s)
 		}
-		specs = append(specs, s)
-	}
-	var rows []Table2Row
-	for _, s := range specs {
-		l, f := s.Resources()
-		rows = append(rows, Table2Row{Config: s.Name, LUTs: l, FFs: f,
-			MHz: s.ClockMHz(dev), Watts: s.PowerW(dev)})
-	}
-	return rows
-}
-
-// RunTable2 renders Table II with ratios against baseline Hoplite.
-func RunTable2(w io.Writer, _ Scale) error {
-	header(w, "table2", "Resource usage and frequency of an 8x8 NoC (256b) on Virtex-7 485T")
-	rows := Table2Data()
-	base := rows[0]
-	t := newTable(w, "Config", "LUTs", "FFs", "MHz", "Power(W)")
-	for _, r := range rows {
-		t.row(r.Config,
-			fmt.Sprintf("%dK (%.1fx)", r.LUTs/1000, float64(r.LUTs)/float64(base.LUTs)),
-			fmt.Sprintf("%dK (%.1fx)", r.FFs/1000, float64(r.FFs)/float64(base.FFs)),
-			fmt.Sprintf("%.0f (%.2fx)", r.MHz, r.MHz/base.MHz),
-			fmt.Sprintf("%.1f (%.1fx)", r.Watts, r.Watts/base.Watts))
-	}
-	return t.flush()
+		var rows []Table2Row
+		for _, s := range specs {
+			l, f := s.Resources()
+			rows = append(rows, Table2Row{Config: s.Name, LUTs: l, FFs: f,
+				MHz: s.ClockMHz(dev), Watts: s.PowerW(dev)})
+		}
+		return rows, nil
+	},
+	Render: func(w io.Writer, _ Scale, rows []Table2Row) error {
+		base := rows[0]
+		t := newTable(w, "Config", "LUTs", "FFs", "MHz", "Power(W)")
+		for _, r := range rows {
+			t.row(r.Config,
+				fmt.Sprintf("%dK (%.1fx)", r.LUTs/1000, float64(r.LUTs)/float64(base.LUTs)),
+				fmt.Sprintf("%dK (%.1fx)", r.FFs/1000, float64(r.FFs)/float64(base.FFs)),
+				fmt.Sprintf("%.0f (%.2fx)", r.MHz, r.MHz/base.MHz),
+				fmt.Sprintf("%.1f (%.1fx)", r.Watts, r.Watts/base.Watts))
+		}
+		return t.flush()
+	},
 }
 
 // Fig10Cell is one grid cell of the routability study.
@@ -246,69 +221,65 @@ type Fig10Cell struct {
 	MHz       float64 // 0 = NA (does not fit)
 }
 
-// fig10Specs returns the configuration columns of the Fig 10 grid.
-func fig10Specs() []fpga.NoCSpec {
-	var specs []fpga.NoCSpec
-	for _, n := range []int{4, 8, 16} {
-		specs = append(specs, fpga.HopliteSpec(n, 0, 1))
-		for _, dr := range [][2]int{{2, 1}, {2, 2}} {
-			s, err := fpga.FastTrackSpec(n, dr[0], dr[1], 0, core.VariantFull)
-			if err != nil {
-				panic(err)
+// fig10Widths lists the datawidth rows of the grid.
+var fig10Widths = []int{8, 16, 32, 48, 64, 96, 128, 192, 256, 384, 512, 1024}
+
+// Fig10 evaluates peak frequency (or NA: did not fit the device) per
+// (config, width) cell and renders it as a width × config grid.
+var Fig10 = &Figure[Fig10Cell]{
+	ID: "fig10", Title: "Peak frequency of FastTrack NoCs of varying datawidths",
+	Heading: "Peak frequency (MHz) of NoCs of varying datawidths on Virtex-7 485T",
+	Data: func(Scale) ([]Fig10Cell, error) {
+		dev := fpga.Virtex7_485T()
+		var cells []Fig10Cell
+		for _, n := range []int{4, 8, 16} {
+			specs := []fpga.NoCSpec{fpga.HopliteSpec(n, 0, 1)}
+			for _, r := range []int{1, 2} {
+				s, err := fpga.FastTrackSpec(n, 2, r, 0, core.VariantFull)
+				if err != nil {
+					return nil, err
+				}
+				s.Name = fmt.Sprintf("%s@%dx%d", s.Name, n, n)
+				specs = append(specs, s)
 			}
-			s.Name = fmt.Sprintf("%s@%dx%d", s.Name, n, n)
-			specs = append(specs, s)
-		}
-	}
-	return specs
-}
-
-// Fig10Widths lists the datawidth rows of the grid.
-func Fig10Widths() []int { return []int{8, 16, 32, 48, 64, 96, 128, 192, 256, 384, 512, 1024} }
-
-// Fig10Data evaluates peak frequency (or NA) per (config, width) cell.
-func Fig10Data() []Fig10Cell {
-	dev := fpga.Virtex7_485T()
-	var cells []Fig10Cell
-	for _, spec := range fig10Specs() {
-		for _, wbits := range Fig10Widths() {
-			s := spec
-			s.WidthBits = wbits
-			mhz := 0.0
-			if s.Routable(dev) {
-				mhz = s.ClockMHz(dev)
-			}
-			cells = append(cells, Fig10Cell{Config: spec.Name, WidthBits: wbits, MHz: mhz})
-		}
-	}
-	return cells
-}
-
-// RunFig10 renders the routability grid (NA cells did not fit the device).
-func RunFig10(w io.Writer, _ Scale) error {
-	header(w, "fig10", "Peak frequency (MHz) of NoCs of varying datawidths on Virtex-7 485T")
-	cells := Fig10Data()
-	cols := map[string][]Fig10Cell{}
-	var names []string
-	for _, c := range cells {
-		if _, ok := cols[c.Config]; !ok {
-			names = append(names, c.Config)
-		}
-		cols[c.Config] = append(cols[c.Config], c)
-	}
-	headers := append([]string{"Width\\Config"}, names...)
-	t := newTable(w, headers...)
-	for i, wbits := range Fig10Widths() {
-		row := []any{wbits}
-		for _, n := range names {
-			c := cols[n][i]
-			if c.MHz == 0 {
-				row = append(row, "NA")
-			} else {
-				row = append(row, fmt.Sprintf("%.0f", c.MHz))
+			for _, spec := range specs {
+				for _, wbits := range fig10Widths {
+					s := spec
+					s.WidthBits = wbits
+					mhz := 0.0
+					if s.Routable(dev) {
+						mhz = s.ClockMHz(dev)
+					}
+					cells = append(cells, Fig10Cell{Config: s.Name, WidthBits: wbits, MHz: mhz})
+				}
 			}
 		}
-		t.row(row...)
-	}
-	return t.flush()
+		return cells, nil
+	},
+	Render: func(w io.Writer, _ Scale, cells []Fig10Cell) error {
+		// cells run config-major, len(fig10Widths) per config. A column is
+		// a config name's first run: the three Hoplite specs share the
+		// name "Hoplite", so only the 4x4 one is shown.
+		headers := []string{"Width\\Config"}
+		var cols []int
+		for c := 0; c < len(cells); c += len(fig10Widths) {
+			if !slices.Contains(headers, cells[c].Config) {
+				headers = append(headers, cells[c].Config)
+				cols = append(cols, c)
+			}
+		}
+		t := newTable(w, headers...)
+		for i, wbits := range fig10Widths {
+			row := []any{wbits}
+			for _, c := range cols {
+				if mhz := cells[c+i].MHz; mhz == 0 {
+					row = append(row, "NA")
+				} else {
+					row = append(row, fmt.Sprintf("%.0f", mhz))
+				}
+			}
+			t.row(row...)
+		}
+		return t.flush()
+	},
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
 	"fasttrack/internal/core"
@@ -46,29 +45,6 @@ func traceConfigs(n int) []core.Config {
 	return cands
 }
 
-// traceSpeedup measures one benchmark trace, known by its header, on every
-// traceConfigs replay. Replays are cached by the header's content fingerprint
-// (so a recorded FTT1 trace shares entries with the in-memory generation of
-// the same trace); src runs only for a replay the cache misses.
-func traceSpeedup(ctx context.Context, sc Scale, hdr trace.Header, n int, src func() (trace.Source, error)) (SpeedupPoint, error) {
-	cfgs := traceConfigs(n)
-	res := make([]sim.Result, len(cfgs))
-	for i, cfg := range cfgs {
-		var err error
-		res[i], err = runner.Do(ctx, sc.orch(), runner.TraceHeaderKey(cfg, hdr, core.TraceOptions{}), func() (sim.Result, error) {
-			tr, err := src()
-			if err != nil {
-				return sim.Result{}, err
-			}
-			return core.RunTrace(ctx, cfg, tr, core.TraceOptions{})
-		})
-		if err != nil {
-			return SpeedupPoint{}, fmt.Errorf("%s on %s %dx%d: %w", hdr.Name, cfg, n, n, err)
-		}
-	}
-	return speedupPoint(hdr.Name, n, cfgs, res), nil
-}
-
 // speedupPoint is the Fig 15 bar of one trace: res[i] replayed it on cfgs[i],
 // in traceConfigs order, and the fastest FastTrack replay is set against
 // Hoplite's.
@@ -81,26 +57,6 @@ func speedupPoint(name string, n int, cfgs []core.Config, res []sim.Result) Spee
 	}
 	pt.Speedup = float64(pt.HopliteCycles) / float64(pt.BestFTCycles)
 	return pt
-}
-
-func renderSpeedups(w io.Writer, pts []SpeedupPoint) error {
-	t := newTable(w, "Benchmark", "PEs", "HopliteCycles", "BestFT", "FTCycles", "Speedup")
-	for _, p := range pts {
-		t.row(p.Benchmark, p.PEs, p.HopliteCycles, p.BestFTConfig, p.BestFTCycles,
-			fmt.Sprintf("%.2fx", p.Speedup))
-	}
-	return t.flush()
-}
-
-// fig15Sizes filters the torus widths a suite sweeps by the scale cap.
-func fig15Sizes(sc Scale, sizes ...int) []int {
-	var out []int
-	for _, n := range sizes {
-		if sc.MaxN == 0 || n <= sc.MaxN {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // traceJob generates one benchmark trace for one system size. gen may
@@ -128,7 +84,7 @@ func runTraceJobs(sc Scale, jobs []traceJob) ([]SpeedupPoint, error) {
 			misses = append(misses, i)
 		}
 	}
-	err := sc.forEachParallel(len(misses), func(ctx context.Context, m int) error {
+	err := sc.orch().ForEach(context.Background(), len(misses), func(ctx context.Context, m int) error {
 		i := misses[m]
 		var err error
 		pts[i], err = sc.runTraceJob(ctx, jobs[i])
@@ -173,11 +129,14 @@ func (s Scale) cachedTraceJob(job traceJob) (SpeedupPoint, bool) {
 // errStaleMemo: the generated trace is not the one the memoized header named.
 var errStaleMemo = errors.New("experiments: stale trace-header memo")
 
-// runTraceJob keys one job's replays by its trace header and generates the
-// trace (once) only when a replay has to run. The header is the cache's
-// `tracehdr` memo (DESIGN.md §9; plain Get/Put — a header is no simulation for
-// runner.Do to count) or, without one, comes from generating first. A
-// generated trace that contradicts the memo rewrites it and re-keys the job.
+// runTraceJob replays one job's trace on every traceConfigs system, keyed by
+// the trace's header: its content fingerprint, so a recorded FTT1 trace
+// shares entries with the in-memory generation of the same trace. The trace
+// is generated (once) only when a replay has to run. The header is the
+// cache's `tracehdr` memo (DESIGN.md §9; plain Get/Put — a header is no
+// simulation for runner.Do to count) or, without one, comes from generating
+// first. A generated trace that contradicts the memo rewrites it and re-keys
+// the job.
 func (s Scale) runTraceJob(ctx context.Context, job traceJob) (SpeedupPoint, error) {
 	var genHdr trace.Header
 	generate := sync.OnceValues(func() (trace.Source, error) {
@@ -188,6 +147,8 @@ func (s Scale) runTraceJob(ctx context.Context, job traceJob) (SpeedupPoint, err
 		return src, err
 	})
 	cache, memoKey := s.orch().Cache, s.memoKey(job)
+	cfgs := traceConfigs(job.n)
+	res := make([]sim.Result, len(cfgs))
 	var hdr trace.Header
 	for memo := memoKey != "" && cache.Get(memoKey, &hdr); ; memo = false {
 		if !memo {
@@ -198,15 +159,28 @@ func (s Scale) runTraceJob(ctx context.Context, job traceJob) (SpeedupPoint, err
 				_ = cache.Put(memoKey, hdr) // best-effort, like runner.Do's result writes
 			}
 		}
-		pt, err := traceSpeedup(ctx, s, hdr, job.n, func() (trace.Source, error) {
-			src, err := generate()
-			if err == nil && genHdr != hdr {
-				err = errStaleMemo
+		var err error
+		for i, cfg := range cfgs {
+			res[i], err = runner.Do(ctx, s.orch(), runner.TraceHeaderKey(cfg, hdr, core.TraceOptions{}), func() (sim.Result, error) {
+				src, err := generate()
+				if err == nil && genHdr != hdr {
+					err = errStaleMemo
+				}
+				if err != nil {
+					return sim.Result{}, err
+				}
+				return core.RunTrace(ctx, cfg, src, core.TraceOptions{})
+			})
+			if err != nil {
+				err = fmt.Errorf("%s on %s %dx%d: %w", hdr.Name, cfg, job.n, job.n, err)
+				break
 			}
-			return src, err
-		})
+		}
+		if err == nil {
+			return speedupPoint(hdr.Name, job.n, cfgs, res), nil
+		}
 		if !memo || !errors.Is(err, errStaleMemo) {
-			return pt, err
+			return SpeedupPoint{}, err
 		}
 	}
 }
@@ -220,114 +194,85 @@ var (
 	dataflowInputs = sync.OnceValue(dataflow.Benchmarks)
 )
 
-// Fig15aData runs the SpMV suite across PE counts.
-func Fig15aData(sc Scale) ([]SpeedupPoint, error) {
+// traceFigure is one Fig 15 suite: a row per job, its trace's speedup.
+func traceFigure(id, title, heading string, jobs func(sc Scale) []traceJob) *Figure[SpeedupPoint] {
+	return &Figure[SpeedupPoint]{
+		ID: id, Title: title, Heading: heading,
+		Traces:  jobs,
+		Data:    func(sc Scale) ([]SpeedupPoint, error) { return runTraceJobs(sc, jobs(sc)) },
+		Columns: []string{"Benchmark", "PEs", "HopliteCycles", "BestFT", "FTCycles", "Speedup"},
+		Row: func(p SpeedupPoint) []any {
+			return []any{p.Benchmark, p.PEs, p.HopliteCycles, p.BestFTConfig, p.BestFTCycles, fmt.Sprintf("%.2fx", p.Speedup)}
+		},
+	}
+}
+
+// The four Fig 15 trace suites.
+var (
+	Fig15a = traceFigure("fig15a", "SpMV accelerator trace speedups",
+		"Sparse matrix-vector multiplication trace speedups", spmvJobs)
+	Fig15b = traceFigure("fig15b", "Graph analytics trace speedups",
+		"Graph analytics trace speedups", graphJobs)
+	Fig15c = traceFigure("fig15c", "Token LU dataflow trace speedups",
+		"Token LU factorization dataflow trace speedups", dataflowJobs)
+	Fig15d = traceFigure("fig15d", "Multiprocessor overlay trace speedups",
+		"Multiprocessor overlay (PARSEC-like) trace speedups, 32 threads", overlayJobs)
+)
+
+// spmvJobs lists the SpMV suite across PE counts.
+func spmvJobs(sc Scale) []traceJob {
 	mats := spmvInputs()
-	mats = mats[:sc.capBenchmarks(len(mats))]
 	var jobs []traceJob
-	for _, m := range mats {
-		m := m
-		for _, n := range fig15Sizes(sc, 2, 4, 8, 16) {
-			n := n
+	for _, m := range mats[:sc.capBenchmarks(len(mats))] {
+		for _, n := range sc.sizes(2, 4, 8, 16) {
 			jobs = append(jobs, traceJob{n: n, spec: spmv.Spec(m, n, n, spmv.Options{}), gen: func() (trace.Source, error) {
 				return spmv.Trace(m, n, n, spmv.Options{})
 			}})
 		}
 	}
-	return runTraceJobs(sc, jobs)
+	return jobs
 }
 
-// RunFig15a renders the SpMV speedups.
-func RunFig15a(w io.Writer, sc Scale) error {
-	header(w, "fig15a", "Sparse matrix-vector multiplication trace speedups")
-	pts, err := Fig15aData(sc)
-	if err != nil {
-		return err
-	}
-	return renderSpeedups(w, pts)
-}
-
-// Fig15bData runs the graph analytics suite.
-func Fig15bData(sc Scale) ([]SpeedupPoint, error) {
+// graphJobs lists the graph analytics suite.
+func graphJobs(sc Scale) []traceJob {
 	benches := graphInputs()
-	benches = benches[:sc.capBenchmarks(len(benches))]
 	var jobs []traceJob
-	for _, b := range benches {
-		b := b
-		for _, n := range fig15Sizes(sc, 4, 8, 16) {
-			n := n
+	for _, b := range benches[:sc.capBenchmarks(len(benches))] {
+		for _, n := range sc.sizes(4, 8, 16) {
 			part := b.PartitionFor(n * n)
 			jobs = append(jobs, traceJob{n: n, spec: graphwl.Spec(b.Graph, part, n, n, graphwl.Options{}), gen: func() (trace.Source, error) {
 				return graphwl.Trace(b.Graph, part, n, n, graphwl.Options{})
 			}})
 		}
 	}
-	return runTraceJobs(sc, jobs)
+	return jobs
 }
 
-// RunFig15b renders the graph analytics speedups.
-func RunFig15b(w io.Writer, sc Scale) error {
-	header(w, "fig15b", "Graph analytics trace speedups")
-	pts, err := Fig15bData(sc)
-	if err != nil {
-		return err
-	}
-	return renderSpeedups(w, pts)
-}
-
-// Fig15cData runs the Token LU dataflow suite (latency-bound).
-func Fig15cData(sc Scale) ([]SpeedupPoint, error) {
+// dataflowJobs lists the Token LU dataflow suite (latency-bound).
+func dataflowJobs(sc Scale) []traceJob {
 	mats := dataflowInputs()
-	mats = mats[:sc.capBenchmarks(len(mats))]
 	var jobs []traceJob
-	for _, m := range mats {
-		m := m
-		for _, n := range fig15Sizes(sc, 8, 16) {
-			n := n
+	for _, m := range mats[:sc.capBenchmarks(len(mats))] {
+		for _, n := range sc.sizes(8, 16) {
 			jobs = append(jobs, traceJob{n: n, spec: dataflow.Spec(m, n, n, dataflow.Options{}), gen: func() (trace.Source, error) {
 				return dataflow.Trace(m, n, n, dataflow.Options{})
 			}})
 		}
 	}
-	return runTraceJobs(sc, jobs)
+	return jobs
 }
 
-// RunFig15c renders the LU dataflow speedups.
-func RunFig15c(w io.Writer, sc Scale) error {
-	header(w, "fig15c", "Token LU factorization dataflow trace speedups")
-	pts, err := Fig15cData(sc)
-	if err != nil {
-		return err
-	}
-	return renderSpeedups(w, pts)
-}
-
-// Fig15dData runs the multiprocessor overlay suite: 32 active threads
+// overlayJobs lists the multiprocessor overlay suite: 32 active threads
 // mapped onto the lower half of an 8×8 overlay NoC.
-func Fig15dData(sc Scale) ([]SpeedupPoint, error) {
+func overlayJobs(sc Scale) []traceJob {
 	benches := overlay.Benchmarks()
-	benches = benches[:sc.capBenchmarks(len(benches))]
 	n := sc.capN(8)
-	active := 32
-	if n*n/2 < active {
-		active = n * n / 2
-	}
+	active := min(32, n*n/2)
 	var jobs []traceJob
-	for _, b := range benches {
-		b := b
+	for _, b := range benches[:sc.capBenchmarks(len(benches))] {
 		jobs = append(jobs, traceJob{n: n, pes: active, spec: overlay.Spec(b, n, n, active, sc.Seed), gen: func() (trace.Source, error) {
 			return overlay.Trace(b, n, n, active, sc.Seed)
 		}})
 	}
-	return runTraceJobs(sc, jobs)
-}
-
-// RunFig15d renders the overlay speedups.
-func RunFig15d(w io.Writer, sc Scale) error {
-	header(w, "fig15d", "Multiprocessor overlay (PARSEC-like) trace speedups, 32 threads")
-	pts, err := Fig15dData(sc)
-	if err != nil {
-		return err
-	}
-	return renderSpeedups(w, pts)
+	return jobs
 }

@@ -1,8 +1,7 @@
 // Package runner is the sweep orchestration layer shared by ftexp, ftdse and
 // ftserve: the paper's evaluation is thousands of independent cycle-accurate
-// simulations, and this package schedules them across workers, memoizes their
-// results in a content-addressed on-disk cache, and replaces dense
-// injection-rate grids with an adaptive bisection on the throughput knee.
+// simulations, and this package schedules them across workers and memoizes
+// their results in a content-addressed on-disk cache.
 //
 // The contract with the simulator is strict determinism: a run is a pure
 // function of its resolved configuration, workload parameters, seed and

@@ -1,8 +1,8 @@
 // Sweep span tracing: every job an Orchestrator schedules can be recorded
 // as a span (queued → running → done, with worker id, cache-hit flag and
 // cache key) and exported as Chrome trace-event JSON through obs's one
-// writer, so one Perfetto timeline shows workers, cache hits and bisection
-// steps of a whole sweep beside the packet tracer's output.
+// writer, so one Perfetto timeline shows the workers and cache hits of a
+// whole sweep beside the packet tracer's output.
 package runner
 
 import (

@@ -5,6 +5,8 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"fasttrack/internal/core"
@@ -48,5 +50,30 @@ func TestTracerGoldenBytes(t *testing.T) {
 			t.Errorf("%s: %d bytes, sha256 %s, want %d bytes, sha256 %s, prefix %q; got prefix %q",
 				c.name, len(c.got), sum, c.size, c.sum, c.prefix, c.got[:min(len(c.got), len(c.prefix)+40)])
 		}
+	}
+}
+
+// TestLinkStatsGoldenBytes pins the -link-stats CSV for one seeded 4×4
+// FastTrack run at saturation, whose routers deflect both local and express
+// inputs and deny express links to in-flight and injected packets: the
+// per-router wire-class counts, the deflection and denial columns and the
+// utilization formatting must all come out byte for byte.
+func TestLinkStatsGoldenBytes(t *testing.T) {
+	l := telemetry.NewLinkStats(4, 4)
+	if _, err := core.RunSynthetic(context.Background(), core.FastTrack(4, 2, 1), core.SyntheticOptions{
+		Pattern: "RANDOM", Rate: 1.0, PacketsPerPE: 8, Seed: 7, Observer: l,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := l.WriteCSV(&got); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "links.golden.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("link-stats CSV differs from testdata/links.golden.csv:\n got:\n%s\nwant:\n%s", got.Bytes(), want)
 	}
 }

@@ -120,14 +120,15 @@ metrics-lint:
 # Observability smoke: a short run with the ops server, flight recorder,
 # packet tracer (both encodings), link stats and windowed metrics all armed
 # on one observer stack, and a sweep with span tracing, must still exit
-# cleanly (the e2e HTTP assertions live in internal/monitor's tests; this
-# catches CLI wiring rot).
+# cleanly and leave every output file non-empty (the e2e HTTP assertions
+# live in internal/monitor's tests; this catches CLI wiring rot).
 SMOKE_OUT = .smoke.trace.json .smoke.events.jsonl .smoke.links.csv .smoke.metrics.csv .smoke.spans.trace.json
 monitor-smoke:
 	$(GO) run ./cmd/ftsim -n 4 -packets 100 -http 127.0.0.1:0 -flight-recorder 64 \
 		-trace-out .smoke.trace.json -trace-jsonl .smoke.events.jsonl \
 		-link-stats .smoke.links.csv -metrics-out .smoke.metrics.csv > /dev/null
 	$(GO) run ./cmd/ftexp -quick -run fig11 -no-cache -span-trace .smoke.spans.trace.json > /dev/null
+	for f in $(SMOKE_OUT); do test -s $$f || { echo "monitor-smoke: $$f is empty or missing"; exit 1; }; done
 	rm -f $(SMOKE_OUT)
 
 verify: build fmt vet test race sweep-quick trace-roundtrip monitor-smoke serve-load-smoke metrics-lint

@@ -331,7 +331,7 @@ func (nw *Network) routeOne(x, y int) {
 					if out == pN || out == pS {
 						port = noc.PortSSh
 					}
-					nw.obs.OnHop(nw.now, i, port, &head)
+					nw.obs.OnHop(nw.now, i, port, telemetry.HopLocal, &head)
 				}
 				nw.push(nidx, nport, head)
 			}

@@ -194,7 +194,7 @@ type event struct {
 	p      noc.Packet
 }
 
-// recorder captures the four router-level events for order comparison.
+// recorder captures the router-level events for order comparison.
 type recorder struct {
 	telemetry.Base
 	events []event
@@ -204,20 +204,11 @@ func (r *recorder) add(kind string, now int64, router int, port noc.Port, p *noc
 	r.events = append(r.events, event{kind, now, router, port, *p})
 }
 
-func (r *recorder) OnHop(now int64, router int, out noc.Port, p *noc.Packet) {
-	r.add("hop", now, router, out, p)
-}
+// kindNames are the recorded kind strings, indexed by telemetry.HopKind.
+var kindNames = [...]string{"hop", "exhop", "deflect", "denied"}
 
-func (r *recorder) OnExpressHop(now int64, router int, out noc.Port, p *noc.Packet) {
-	r.add("exhop", now, router, out, p)
-}
-
-func (r *recorder) OnDeflect(now int64, router int, in noc.Port, p *noc.Packet) {
-	r.add("deflect", now, router, in, p)
-}
-
-func (r *recorder) OnExpressDenied(now int64, router int, in noc.Port, p *noc.Packet) {
-	r.add("denied", now, router, in, p)
+func (r *recorder) OnHop(now int64, router int, port noc.Port, kind telemetry.HopKind, p *noc.Packet) {
+	r.add(kindNames[kind], now, router, port, p)
 }
 
 // schedule is a precomputed offer plan: per-PE destination queues plus a

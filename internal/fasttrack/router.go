@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"fasttrack/internal/noc"
+	"fasttrack/internal/telemetry"
 )
 
 // cand is one entry in an input's output-port preference list.
@@ -267,14 +268,10 @@ func (nw *Network) placeR(a *arb, i int, port noc.Port, r int32, x, y int) {
 		if c.misroute {
 			nw.Tally.MisroutesByInput[port]++
 			p.Deflections++
-			if nw.Obs != nil {
-				nw.Obs.OnDeflect(nw.Now, i, port, p)
-			}
+			nw.Hop(i, port, telemetry.HopDeflect, p)
 		} else if k > 0 {
 			nw.Tally.ExpressDeniedByInput[port]++
-			if nw.Obs != nil {
-				nw.Obs.OnExpressDenied(nw.Now, i, port, p)
-			}
+			nw.Hop(i, port, telemetry.HopDenied, p)
 		}
 		if c.deliver {
 			nw.DeliverIdx(r)
@@ -292,38 +289,31 @@ func (nw *Network) placeR(a *arb, i int, port noc.Port, r int32, x, y int) {
 // exPend/syPend for the pipe pass instead.
 func (nw *Network) emitR(out uint8, r int32, i, x, y int) {
 	n, d := nw.n, nw.cfg.Topology.D
+	p := &nw.Pool[r]
 	switch out {
 	case oESh:
-		nw.Pool[r].ShortHops++
+		p.ShortHops++
 		nw.Tally.ShortTraversals++
-		if nw.Obs != nil {
-			nw.Obs.OnHop(nw.Now, i, noc.PortESh, &nw.Pool[r])
-		}
+		nw.Hop(i, noc.PortESh, telemetry.HopLocal, p)
 		nw.latchR(noc.PortWSh, y*n+(x+1)%n, r)
 	case oSSh:
-		nw.Pool[r].ShortHops++
+		p.ShortHops++
 		nw.Tally.ShortTraversals++
-		if nw.Obs != nil {
-			nw.Obs.OnHop(nw.Now, i, noc.PortSSh, &nw.Pool[r])
-		}
+		nw.Hop(i, noc.PortSSh, telemetry.HopLocal, p)
 		nw.latchR(noc.PortNSh, ((y+1)%n)*n+x, r)
 	case oEEx:
-		nw.Pool[r].ExpressHops++
+		p.ExpressHops++
 		nw.Tally.ExpressTraversals++
-		if nw.Obs != nil {
-			nw.Obs.OnExpressHop(nw.Now, i, noc.PortEEx, &nw.Pool[r])
-		}
+		nw.Hop(i, noc.PortEEx, telemetry.HopExpress, p)
 		if nw.exPend != nil {
 			nw.exPend[i] = r
 		} else {
 			nw.latchR(noc.PortWEx, y*n+(x+d)%n, r)
 		}
 	case oSEx:
-		nw.Pool[r].ExpressHops++
+		p.ExpressHops++
 		nw.Tally.ExpressTraversals++
-		if nw.Obs != nil {
-			nw.Obs.OnExpressHop(nw.Now, i, noc.PortSEx, &nw.Pool[r])
-		}
+		nw.Hop(i, noc.PortSEx, telemetry.HopExpress, p)
 		if nw.syPend != nil {
 			nw.syPend[i] = r
 		} else {
@@ -357,9 +347,7 @@ func (nw *Network) injectAtR(a *arb, i, x, y int, now int64) {
 		a.taken[c.out] = true
 		if k > 0 {
 			nw.Tally.ExpressDeniedByInput[noc.PortPE]++
-			if nw.Obs != nil {
-				nw.Obs.OnExpressDenied(now, i, noc.PortPE, &off.P)
-			}
+			nw.Hop(i, noc.PortPE, telemetry.HopDenied, &off.P)
 		}
 		if c.deliver {
 			p := off.P

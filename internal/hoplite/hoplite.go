@@ -22,6 +22,7 @@ import (
 
 	"fasttrack/internal/fabric"
 	"fasttrack/internal/noc"
+	"fasttrack/internal/telemetry"
 )
 
 // Link-register planes of the fabric kernel: what arrives on the W input
@@ -87,14 +88,6 @@ func (nw *Network) fwdS(r int32, x, y int) {
 	nw.Mark(j)
 }
 
-// obsHop reports the short-hop grant for pool slot r at router i. It is a
-// separate method, invoked behind the caller's nil check, so fwdE/fwdS stay
-// small enough to inline — the forwarders are the hottest functions of the
-// router and must not pay for telemetry when it is off.
-func (nw *Network) obsHop(i int, out noc.Port, r int32) {
-	nw.Obs.OnHop(nw.Now, i, out, &nw.Pool[r])
-}
-
 // route arbitrates router i = (x, y) for cycle now: it consumes the inputs in
 // Cur, latches grants into Next and resolves the offer. It moves pool
 // indices — staying on the ring costs an int32 move, not an 80-byte packet
@@ -116,26 +109,18 @@ func (nw *Network) route(i, x, y int, now int64) {
 			} else {
 				p.Deflections++
 				nw.Tally.MisroutesByInput[noc.PortWSh]++
-				if nw.Obs != nil {
-					nw.Obs.OnDeflect(nw.Now, i, noc.PortWSh, p)
-				}
+				nw.Hop(i, noc.PortWSh, telemetry.HopDeflect, p)
 				nw.fwdE(r, x, y)
-				if nw.Obs != nil {
-					nw.obsHop(i, noc.PortESh, r)
-				}
+				nw.Hop(i, noc.PortESh, telemetry.HopLocal, p)
 				eTaken = true
 			}
 		case p.Dst.X != x:
 			nw.fwdE(r, x, y)
-			if nw.Obs != nil {
-				nw.obsHop(i, noc.PortESh, r)
-			}
+			nw.Hop(i, noc.PortESh, telemetry.HopLocal, p)
 			eTaken = true
 		default:
 			nw.fwdS(r, x, y)
-			if nw.Obs != nil {
-				nw.obsHop(i, noc.PortSSh, r)
-			}
+			nw.Hop(i, noc.PortSSh, telemetry.HopLocal, p)
 			sTaken = true
 		}
 	}
@@ -147,20 +132,14 @@ func (nw *Network) route(i, x, y int, now int64) {
 		if atDst && !nw.canExit(i) {
 			p.Deflections++
 			nw.Tally.MisroutesByInput[noc.PortNSh]++
-			if nw.Obs != nil {
-				nw.Obs.OnDeflect(nw.Now, i, noc.PortNSh, p)
-			}
+			nw.Hop(i, noc.PortNSh, telemetry.HopDeflect, p)
 			if !eTaken {
 				nw.fwdE(r, x, y)
-				if nw.Obs != nil {
-					nw.obsHop(i, noc.PortESh, r)
-				}
+				nw.Hop(i, noc.PortESh, telemetry.HopLocal, p)
 				eTaken = true
 			} else {
 				nw.fwdS(r, x, y)
-				if nw.Obs != nil {
-					nw.obsHop(i, noc.PortSSh, r)
-				}
+				nw.Hop(i, noc.PortSSh, telemetry.HopLocal, p)
 				sTaken = true
 			}
 		} else if !sTaken {
@@ -169,20 +148,14 @@ func (nw *Network) route(i, x, y int, now int64) {
 				nw.DeliverIdx(r)
 			} else {
 				nw.fwdS(r, x, y)
-				if nw.Obs != nil {
-					nw.obsHop(i, noc.PortSSh, r)
-				}
+				nw.Hop(i, noc.PortSSh, telemetry.HopLocal, p)
 			}
 		} else {
 			p.Deflections++
 			nw.Tally.MisroutesByInput[noc.PortNSh]++
-			if nw.Obs != nil {
-				nw.Obs.OnDeflect(nw.Now, i, noc.PortNSh, p)
-			}
+			nw.Hop(i, noc.PortNSh, telemetry.HopDeflect, p)
 			nw.fwdE(r, x, y)
-			if nw.Obs != nil {
-				nw.obsHop(i, noc.PortESh, r)
-			}
+			nw.Hop(i, noc.PortESh, telemetry.HopLocal, p)
 			eTaken = true
 		}
 	}
@@ -194,9 +167,7 @@ func (nw *Network) route(i, x, y int, now int64) {
 		case off.P.Dst.X != x && !eTaken:
 			r := nw.Inject(i, now)
 			nw.fwdE(r, x, y)
-			if nw.Obs != nil {
-				nw.obsHop(i, noc.PortESh, r)
-			}
+			nw.Hop(i, noc.PortESh, telemetry.HopLocal, &nw.Pool[r])
 		case off.P.Dst.X == x && off.P.Dst.Y == y:
 			if !sTaken && nw.canExit(i) {
 				p := off.P
@@ -209,9 +180,7 @@ func (nw *Network) route(i, x, y int, now int64) {
 		case off.P.Dst.X == x && !sTaken:
 			r := nw.Inject(i, now)
 			nw.fwdS(r, x, y)
-			if nw.Obs != nil {
-				nw.obsHop(i, noc.PortSSh, r)
-			}
+			nw.Hop(i, noc.PortSSh, telemetry.HopLocal, &nw.Pool[r])
 		default:
 			nw.Refuse(i)
 		}

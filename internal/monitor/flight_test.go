@@ -7,6 +7,7 @@ import (
 
 	"fasttrack/internal/core"
 	"fasttrack/internal/monitor"
+	"fasttrack/internal/telemetry"
 )
 
 // TestFlightRecorderForensics runs a saturated FastTrack sim with a small
@@ -59,7 +60,7 @@ func TestFlightRecorderForensics(t *testing.T) {
 		// deflection counters unless truncated.
 		var defl int32
 		for _, h := range r.Hops {
-			if h.Kind == monitor.HopDeflect {
+			if h.Kind == telemetry.HopDeflect {
 				defl++
 			}
 		}

@@ -144,3 +144,57 @@ func TestSnapshotDoesNotPerturbConvergence(t *testing.T) {
 		t.Errorf("collector delivered = %d, run delivered %d", snap.Delivered, res.Delivered)
 	}
 }
+
+// TestCollectorSumsConcurrentRuns: two runs sharing one Collector, the way a
+// sweep job's rates do, end with the sum of their cycles and deliveries, and
+// the cycle count a concurrent reader sees never goes backwards.
+func TestCollectorSumsConcurrentRuns(t *testing.T) {
+	col := monitor.NewCollector(8, 8)
+	var res [2]core.Result
+	var errs [2]error
+	var runs sync.WaitGroup
+	for i, rate := range []float64{0.2, 0.6} {
+		runs.Add(1)
+		go func() {
+			defer runs.Done()
+			opts := core.SyntheticOptions{Pattern: "RANDOM", Rate: rate, PacketsPerPE: 100, Seed: 3, Observer: col}
+			res[i], errs[i] = core.RunSynthetic(context.Background(), core.FastTrack(8, 2, 1), opts)
+		}()
+	}
+	stop := make(chan struct{})
+	backwards := make(chan [2]int64, 1)
+	go func() {
+		defer close(backwards)
+		var last int64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			c := col.Snapshot().Cycles
+			if c < last {
+				backwards <- [2]int64{last, c}
+				return
+			}
+			last = c
+		}
+	}()
+	runs.Wait()
+	close(stop)
+	if b, ok := <-backwards; ok {
+		t.Errorf("cycle counter went backwards: %d then %d", b[0], b[1])
+	}
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := col.Snapshot()
+	if want := res[0].Cycles + res[1].Cycles; snap.Cycles != want {
+		t.Errorf("cycles = %d, want %d + %d = %d", snap.Cycles, res[0].Cycles, res[1].Cycles, want)
+	}
+	if want := res[0].Delivered + res[1].Delivered; snap.Delivered != want {
+		t.Errorf("delivered = %d, want %d", snap.Delivered, want)
+	}
+}

@@ -278,33 +278,23 @@ type liveEvent struct {
 
 // makeLiveEvent computes the windowed view between two snapshots.
 func makeLiveEvent(prev, cur Snapshot) liveEvent {
-	ev := liveEvent{Snapshot: cur, MeanLatency: cur.MeanLatency()}
-	dCycles := cur.Cycles - prev.Cycles
-	dWall := cur.WallMS - prev.WallMS
-	if dWall > 0 {
-		ev.CyclesPerSecW = float64(dCycles) / (float64(dWall) / 1000)
+	win := cur.Since(prev)
+	ev := liveEvent{
+		Snapshot: cur, MeanLatency: cur.MeanLatency(),
+		CyclesPerSecW: win.CyclesPerSec, ThroughputW: win.RatePerPE, MeanLatencyW: win.MeanLatency,
+		Heat:        make([]float64, len(cur.LinkLocal)),
+		HeatExpress: make([]float64, len(cur.LinkExpress)),
 	}
-	ev.Heat = make([]float64, len(cur.LinkLocal))
-	ev.HeatExpress = make([]float64, len(cur.LinkExpress))
-	if dCycles > 0 {
-		numPE := cur.W * cur.H
-		ev.ThroughputW = float64(cur.Delivered-prev.Delivered) / float64(dCycles) / float64(numPE)
-		// prev may be the zero Snapshot on the first frame (no link slices).
-		at := func(s []int64, i int) int64 {
-			if i < len(s) {
-				return s[i]
-			}
-			return 0
-		}
+	if win.Cycles > 0 {
 		for i := range ev.Heat {
-			local := cur.LinkLocal[i] - at(prev.LinkLocal, i)
-			express := cur.LinkExpress[i] - at(prev.LinkExpress, i)
-			ev.Heat[i] = float64(local+express) / float64(dCycles)
-			ev.HeatExpress[i] = float64(express) / float64(dCycles)
+			local, express := cur.LinkLocal[i], cur.LinkExpress[i]
+			if i < len(prev.LinkLocal) { // prev is the zero Snapshot on the first frame
+				local -= prev.LinkLocal[i]
+				express -= prev.LinkExpress[i]
+			}
+			ev.Heat[i] = float64(local+express) / float64(win.Cycles)
+			ev.HeatExpress[i] = float64(express) / float64(win.Cycles)
 		}
-	}
-	if d := cur.Delivered - prev.Delivered; d > 0 {
-		ev.MeanLatencyW = float64(cur.LatSum-prev.LatSum) / float64(d)
 	}
 	return ev
 }

@@ -152,8 +152,10 @@ func (s *Server) effectiveTimeout(want time.Duration) time.Duration {
 
 // finishJob classifies the outcome, records the end-to-end span and
 // histogram sample (before the terminal transition, so a client that sees
-// the final status frame scrapes consistent /metrics), records the terminal
-// state, and retires the job from the in-flight dedup index.
+// the final status frame scrapes consistent /metrics), retires the job from
+// the in-flight dedup index, records the terminal state, and only then
+// applies retention. The dedup key goes first: a client that sees the final
+// status and re-submits at once must start a new job, not join this one.
 func (s *Server) finishJob(j *Job, result any, cached bool, err error) {
 	state := StateDone
 	var failure *Failure
@@ -196,8 +198,9 @@ func (s *Server) finishJob(j *Job, result any, cached bool, err error) {
 	}
 	j.trace.Add(e2e)
 	s.histE2E.Observe(e2e.Dur())
+	s.releaseKey(j)
 	j.finish(state, cached, result, failure)
-	s.finishRegistration(j)
+	s.retain(j)
 }
 
 // sampleMetrics streams windowed metrics frames from col to the job's SSE
@@ -213,20 +216,16 @@ func (s *Server) sampleMetrics(j *Job, col *monitor.Collector, stop <-chan struc
 		case <-t.C:
 		}
 		snap := col.Snapshot()
-		f := metricsFrame{
+		win := snap.Since(prev)
+		prev = snap
+		j.publish("metrics", metricsFrame{
 			Cycles: snap.Cycles, Injected: snap.Injected,
 			Delivered: snap.Delivered, InFlight: snap.InFlight,
-			WindowCycles:    snap.Cycles - prev.Cycles,
-			WindowDelivered: snap.Delivered - prev.Delivered,
-			CyclesPerSec:    snap.CyclesPerSec(),
-			MeanLatency:     snap.MeanLatency(),
-			P50:             snap.P50, P99: snap.P99,
-		}
-		if pes := snap.W * snap.H; pes > 0 && f.WindowCycles > 0 {
-			f.WindowRate = float64(f.WindowDelivered) / float64(f.WindowCycles) / float64(pes)
-		}
-		prev = snap
-		j.publish("metrics", f)
+			WindowCycles: win.Cycles, WindowDelivered: win.Delivered, WindowRate: win.RatePerPE,
+			CyclesPerSec: snap.CyclesPerSec(),
+			MeanLatency:  snap.MeanLatency(),
+			P50:          snap.P50, P99: snap.P99,
+		})
 	}
 }
 

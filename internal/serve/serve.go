@@ -396,14 +396,20 @@ func (s *Server) Job(id string) *Job {
 	return s.jobs[id]
 }
 
-// finishRegistration moves a terminal job out of the dedup index and
-// applies the bounded retention policy.
-func (s *Server) finishRegistration(j *Job) {
+// releaseKey removes a finishing job from the dedup index, so admissions of
+// its spec start a new job.
+func (s *Server) releaseKey(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.byKey[j.Key] == j {
 		delete(s.byKey, j.Key)
 	}
+}
+
+// retain applies the bounded retention policy to a terminal job.
+func (s *Server) retain(j *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.doneOrder = append(s.doneOrder, j.ID)
 	for len(s.doneOrder) > s.opts.retainJobs() {
 		old := s.doneOrder[0]

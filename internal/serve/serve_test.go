@@ -134,6 +134,45 @@ func TestCacheDedup(t *testing.T) {
 	}
 }
 
+// TestReadmitAfterTerminal: a spec re-submitted the moment its job turns
+// terminal starts a new job and never joins the finished one. The job leaves
+// the dedup index before it is marked terminal, so no round may race it;
+// every round after the first is answered from the cache.
+func TestReadmitAfterTerminal(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1})
+	spec := fastSpec(t, 5)
+	for round := 0; round < 200; round++ {
+		j, dedup, rej := s.Admit(spec, "c1", "")
+		if rej != nil || dedup {
+			t.Fatalf("round %d: dedup=%v rej=%v, want a new job", round, dedup, rej)
+		}
+		if st := waitTerminal(t, j, 10*time.Second); st.State != StateDone {
+			t.Fatalf("round %d: %s (%+v)", round, st.State, st.Error)
+		}
+	}
+}
+
+// TestDedupKeyReleasedBeforeTerminal pins the order TestReadmitAfterTerminal
+// relies on without depending on scheduling: while the test holds the
+// server's lock the finishing job cannot leave the dedup index, so it must
+// not turn terminal either.
+func TestDedupKeyReleasedBeforeTerminal(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1})
+	j, _, rej := s.Admit(fastSpec(t, 6), "c1", "")
+	if rej != nil {
+		t.Fatal(rej)
+	}
+	s.mu.Lock()
+	select {
+	case <-j.Done():
+		s.mu.Unlock()
+		t.Fatal("job turned terminal while still in the dedup index")
+	case <-time.After(250 * time.Millisecond):
+	}
+	s.mu.Unlock()
+	waitTerminal(t, j, 10*time.Second)
+}
+
 // TestQueueFullRejects: admissions past the queue bound answer 429
 // queue_full with Retry-After, and the rejection is counted.
 func TestQueueFullRejects(t *testing.T) {

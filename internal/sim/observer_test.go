@@ -29,17 +29,17 @@ func (c *countingObserver) OnDeliver(now int64, p *noc.Packet) {
 	c.deliveredShort += int64(p.ShortHops)
 	c.deliveredExpress += int64(p.ExpressHops)
 }
-func (c *countingObserver) OnHop(now int64, router int, out noc.Port, p *noc.Packet) {
-	c.hops++
-}
-func (c *countingObserver) OnExpressHop(now int64, router int, out noc.Port, p *noc.Packet) {
-	c.expressHops++
-}
-func (c *countingObserver) OnDeflect(now int64, router int, in noc.Port, p *noc.Packet) {
-	c.deflects++
-}
-func (c *countingObserver) OnExpressDenied(now int64, router int, in noc.Port, p *noc.Packet) {
-	c.denied++
+func (c *countingObserver) OnHop(now int64, router int, port noc.Port, kind telemetry.HopKind, p *noc.Packet) {
+	switch kind {
+	case telemetry.HopLocal:
+		c.hops++
+	case telemetry.HopExpress:
+		c.expressHops++
+	case telemetry.HopDeflect:
+		c.deflects++
+	case telemetry.HopDenied:
+		c.denied++
+	}
 }
 func (c *countingObserver) OnCycleEnd(now int64, inFlight int) {
 	c.cycles++
@@ -74,10 +74,10 @@ func TestObserverEventTotals(t *testing.T) {
 				t.Errorf("OnDeliver = %d, delivered = %d", obs.delivers, res.Delivered)
 			}
 			if obs.hops != c.ShortTraversals {
-				t.Errorf("OnHop = %d, short traversals = %d", obs.hops, c.ShortTraversals)
+				t.Errorf("OnHop(HopLocal) = %d, short traversals = %d", obs.hops, c.ShortTraversals)
 			}
 			if obs.expressHops != c.ExpressTraversals {
-				t.Errorf("OnExpressHop = %d, express traversals = %d", obs.expressHops, c.ExpressTraversals)
+				t.Errorf("OnHop(HopExpress) = %d, express traversals = %d", obs.expressHops, c.ExpressTraversals)
 			}
 			var misroutes, denied int64
 			for p := range c.MisroutesByInput {
@@ -85,10 +85,10 @@ func TestObserverEventTotals(t *testing.T) {
 				denied += c.ExpressDeniedByInput[p]
 			}
 			if obs.deflects != misroutes {
-				t.Errorf("OnDeflect = %d, misroutes = %d", obs.deflects, misroutes)
+				t.Errorf("OnHop(HopDeflect) = %d, misroutes = %d", obs.deflects, misroutes)
 			}
 			if obs.denied != denied {
-				t.Errorf("OnExpressDenied = %d, denied = %d", obs.denied, denied)
+				t.Errorf("OnHop(HopDenied) = %d, denied = %d", obs.denied, denied)
 			}
 			if obs.cycles != res.Cycles {
 				t.Errorf("OnCycleEnd fired %d times over %d cycles", obs.cycles, res.Cycles)

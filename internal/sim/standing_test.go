@@ -49,20 +49,11 @@ type engineRecorder struct {
 
 func (r *engineRecorder) add(e event) { r.Events = append(r.Events, e) }
 
-func (r *engineRecorder) OnHop(now int64, router int, out noc.Port, p *noc.Packet) {
-	r.add(event{Kind: "hop", Now: now, Router: router, Port: out, P: *p})
-}
+// hopKindNames are the recorded kind strings, indexed by telemetry.HopKind.
+var hopKindNames = [...]string{"hop", "exhop", "deflect", "denied"}
 
-func (r *engineRecorder) OnExpressHop(now int64, router int, out noc.Port, p *noc.Packet) {
-	r.add(event{Kind: "exhop", Now: now, Router: router, Port: out, P: *p})
-}
-
-func (r *engineRecorder) OnDeflect(now int64, router int, in noc.Port, p *noc.Packet) {
-	r.add(event{Kind: "deflect", Now: now, Router: router, Port: in, P: *p})
-}
-
-func (r *engineRecorder) OnExpressDenied(now int64, router int, in noc.Port, p *noc.Packet) {
-	r.add(event{Kind: "denied", Now: now, Router: router, Port: in, P: *p})
+func (r *engineRecorder) OnHop(now int64, router int, port noc.Port, kind telemetry.HopKind, p *noc.Packet) {
+	r.add(event{Kind: hopKindNames[kind], Now: now, Router: router, Port: port, P: *p})
 }
 
 func (r *engineRecorder) OnDeliver(now int64, p *noc.Packet) {

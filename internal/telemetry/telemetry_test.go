@@ -176,14 +176,14 @@ func TestLinkStats(t *testing.T) {
 	l := telemetry.NewLinkStats(2, 2)
 	p := pkt(1, 0, 0, 1, 1, 0)
 
-	l.OnHop(0, 0, noc.PortESh, &p)
-	l.OnHop(0, 0, noc.PortESh, &p)
-	l.OnHop(1, 3, noc.PortSSh, &p)
-	l.OnExpressHop(1, 1, noc.PortEEx, &p)
-	l.OnExpressHop(2, 2, noc.PortSEx, &p)
-	l.OnExpressHop(2, 2, noc.PortSEx, &p)
-	l.OnDeflect(3, 3, noc.PortWSh, &p)
-	l.OnExpressDenied(3, 1, noc.PortPE, &p)
+	l.OnHop(0, 0, noc.PortESh, telemetry.HopLocal, &p)
+	l.OnHop(0, 0, noc.PortESh, telemetry.HopLocal, &p)
+	l.OnHop(1, 3, noc.PortSSh, telemetry.HopLocal, &p)
+	l.OnHop(1, 1, noc.PortEEx, telemetry.HopExpress, &p)
+	l.OnHop(2, 2, noc.PortSEx, telemetry.HopExpress, &p)
+	l.OnHop(2, 2, noc.PortSEx, telemetry.HopExpress, &p)
+	l.OnHop(3, 3, noc.PortWSh, telemetry.HopDeflect, &p)
+	l.OnHop(3, 1, noc.PortPE, telemetry.HopDenied, &p)
 	for now := int64(0); now < 4; now++ {
 		l.OnCycleEnd(now, 0)
 	}
@@ -235,10 +235,10 @@ func TestTracerJSONL(t *testing.T) {
 
 	p := pkt(7, 0, 0, 2, 1, 0)
 	tr.OnInject(0, &p)
-	tr.OnHop(1, 1, noc.PortESh, &p)
-	tr.OnExpressHop(2, 2, noc.PortEEx, &p)
-	tr.OnDeflect(3, 6, noc.PortWSh, &p)
-	tr.OnExpressDenied(4, 6, noc.PortPE, &p)
+	tr.OnHop(1, 1, noc.PortESh, telemetry.HopLocal, &p)
+	tr.OnHop(2, 2, noc.PortEEx, telemetry.HopExpress, &p)
+	tr.OnHop(3, 6, noc.PortWSh, telemetry.HopDeflect, &p)
+	tr.OnHop(4, 6, noc.PortPE, telemetry.HopDenied, &p)
 	p.ShortHops, p.ExpressHops, p.Deflections = 2, 1, 1
 	tr.OnDeliver(5, &p)
 	if err := tr.Close(); err != nil {
@@ -293,9 +293,9 @@ func TestTracerChromeTrace(t *testing.T) {
 	a, b := pkt(1, 0, 0, 2, 1, 0), pkt(2, 1, 1, 3, 0, 0)
 	tr.OnInject(0, &a)
 	tr.OnInject(0, &b)
-	tr.OnHop(1, 1, noc.PortESh, &a)
-	tr.OnExpressHop(1, 5, noc.PortSEx, &b)
-	tr.OnDeflect(2, 2, noc.PortWSh, &a)
+	tr.OnHop(1, 1, noc.PortESh, telemetry.HopLocal, &a)
+	tr.OnHop(1, 5, noc.PortSEx, telemetry.HopExpress, &b)
+	tr.OnHop(2, 2, noc.PortWSh, telemetry.HopDeflect, &a)
 	a.Deflections = 1
 	tr.OnDeliver(3, &a)
 	tr.OnDrop(4, &b)
@@ -374,7 +374,7 @@ func TestMultiFanOut(t *testing.T) {
 	b := telemetry.NewMetrics(4, 4)
 	m := telemetry.Multi(a, b)
 	p := pkt(1, 0, 0, 1, 0, 0)
-	m.OnHop(0, 0, noc.PortESh, &p)
+	m.OnHop(0, 0, noc.PortESh, telemetry.HopLocal, &p)
 	m.OnInject(0, &p)
 	m.OnCycleEnd(0, 1)
 	if local, _ := a.Totals(); local != 1 {

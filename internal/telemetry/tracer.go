@@ -123,7 +123,7 @@ func (t *Tracer) ensureBegin(now int64, p *noc.Packet) {
 
 func coords(c noc.Coord) []int { return []int{c.X, c.Y} }
 
-// routerEvent is the shared JSONL shape of router-level events.
+// routerEvent is the JSONL shape of hop events.
 type routerEvent struct {
 	Ev      string `json:"ev"`
 	Cycle   int64  `json:"cycle"`
@@ -133,18 +133,6 @@ type routerEvent struct {
 	Y       *int   `json:"y,omitempty"`
 	Port    string `json:"port"`
 	Express bool   `json:"express,omitempty"`
-}
-
-func (t *Tracer) routerEvent(ev string, now int64, router int, port noc.Port) routerEvent {
-	re := routerEvent{
-		Ev: ev, Cycle: now, Router: router,
-		Port: port.String(), Express: port.IsExpress(),
-	}
-	if t.width > 0 {
-		x, y := router%t.width, router/t.width
-		re.X, re.Y = &x, &y
-	}
-	return re
 }
 
 // OnInject implements Observer.
@@ -164,48 +152,29 @@ func (t *Tracer) OnInject(now int64, p *noc.Packet) {
 	t.ensureBegin(now, p)
 }
 
-// OnHop implements Observer.
-func (t *Tracer) OnHop(now int64, router int, out noc.Port, p *noc.Packet) {
-	t.hop(now, router, out, p)
-}
+// hopEvents are the JSONL event names of the hop kinds.
+var hopEvents = [...]string{"hop", "hop", "deflect", "xdenied"}
 
-// OnExpressHop implements Observer.
-func (t *Tracer) OnExpressHop(now int64, router int, out noc.Port, p *noc.Packet) {
-	t.hop(now, router, out, p)
-}
-
-func (t *Tracer) hop(now int64, router int, out noc.Port, p *noc.Packet) {
+// OnHop implements Observer: wire traversals are "hop" events, deflections
+// and denials are "deflect" and "xdenied" instants.
+func (t *Tracer) OnHop(now int64, router int, port noc.Port, kind HopKind, p *noc.Packet) {
 	if !t.keep(p) {
 		return
 	}
 	t.events++
-	re := t.routerEvent("hop", now, router, out)
-	re.ID = p.ID
-	t.emitJSONL(re)
-	t.ensureBegin(now, p)
-	t.emitChrome("n", now, router, p, map[string]any{"port": out.String(), "express": out.IsExpress()})
-}
-
-// OnDeflect implements Observer.
-func (t *Tracer) OnDeflect(now int64, router int, in noc.Port, p *noc.Packet) {
-	t.routerInstant("deflect", now, router, in, p)
-}
-
-// OnExpressDenied implements Observer.
-func (t *Tracer) OnExpressDenied(now int64, router int, in noc.Port, p *noc.Packet) {
-	t.routerInstant("xdenied", now, router, in, p)
-}
-
-func (t *Tracer) routerInstant(ev string, now int64, router int, in noc.Port, p *noc.Packet) {
-	if !t.keep(p) {
-		return
+	ev := hopEvents[kind]
+	re := routerEvent{Ev: ev, Cycle: now, ID: p.ID, Router: router, Port: port.String(), Express: port.IsExpress()}
+	if t.width > 0 {
+		x, y := router%t.width, router/t.width
+		re.X, re.Y = &x, &y
 	}
-	t.events++
-	re := t.routerEvent(ev, now, router, in)
-	re.ID = p.ID
 	t.emitJSONL(re)
 	t.ensureBegin(now, p)
-	t.emitChrome("n", now, router, p, map[string]any{"event": ev, "port": in.String()})
+	if kind == HopLocal || kind == HopExpress {
+		t.emitChrome("n", now, router, p, map[string]any{"port": port.String(), "express": port.IsExpress()})
+	} else {
+		t.emitChrome("n", now, router, p, map[string]any{"event": ev, "port": port.String()})
+	}
 }
 
 // OnDeliver implements Observer.

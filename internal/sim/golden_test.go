@@ -162,6 +162,38 @@ func TestGoldenEquivalenceNonPow2(t *testing.T) {
 	}
 }
 
+// TestGoldenEquivalenceExpressSpans covers the FastTrack spans goldenNets
+// leaves out (every cell there has D = 2 on 8×8). With D ∤ N — FT(8,3,1),
+// plain and pipelined — a packet deflected around a ring comes back
+// misaligned, so express pop-off and the "aligned after an east deflection"
+// test differ from plain alignment; FT(8,4,2) runs the Inject router at
+// D = 4 with depopulated routers. Kept out of goldenNets so that
+// TestResultDigest's pin does not move.
+func TestGoldenEquivalenceExpressSpans(t *testing.T) {
+	cfgs := []struct {
+		name string
+		c    core.Config
+	}{
+		{"ft-d3", core.FastTrack(8, 3, 1)},
+		{"ft-d3-pipelined", core.FastTrack(8, 3, 1).WithPipeline(1)},
+		{"ft-inject-d4-depop", core.FastTrack(8, 4, 2).WithVariant(core.VariantInject)},
+	}
+	for _, nc := range cfgs {
+		gn := goldenNet{nc.name, nc.c.Build, oracleOf(nc.c), nc.c.N, nc.c.N}
+		for _, pat := range []traffic.Pattern{traffic.Random{}, traffic.Transpose{}} {
+			for _, rate := range []float64{0.05, 1.0} {
+				t.Run(fmt.Sprintf("%s/%s/%.2f", gn.name, pat.Name(), rate), func(t *testing.T) {
+					ref := runGolden(t, gn, pat, rate, true)
+					opt := runGolden(t, gn, pat, rate, false)
+					if !reflect.DeepEqual(ref, opt) {
+						t.Errorf("optimized result diverges from reference:\nref: %+v\nopt: %+v", ref, opt)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestCrossFamilyDeterminism runs every family twice with the same seed and
 // config on the optimized path and requires identical sim.Results — the
 // occupancy bookkeeping must be a pure function of the simulation history.

@@ -96,8 +96,8 @@ func TestBatchMixedSpecs(t *testing.T) {
 
 // TestBatchReuseGolden reruns one SyntheticBatch three times on the same
 // jobs, with different jobs in between: nothing a run leaves behind —
-// including the route tables per-job FastTrack networks share — may change
-// a later result.
+// including the rule table every FastTrack network shares — may change a
+// later result.
 func TestBatchReuseGolden(t *testing.T) {
 	for _, cfg := range []core.Config{core.Hoplite(8), core.FastTrack(8, 2, 2)} {
 		cfg := cfg

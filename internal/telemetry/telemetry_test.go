@@ -211,6 +211,19 @@ func TestLinkStats(t *testing.T) {
 	if len(rows) != 1+2*2*4 {
 		t.Fatalf("CSV rows = %d, want %d", len(rows), 1+2*2*4)
 	}
+	// Each router's four rows are its output wires, noc.PortESh..PortSEx in
+	// order, labelled by the wire's direction and class.
+	for i, r := range rows[1:] {
+		port := noc.PortESh + noc.Port(i%4)
+		class := "local"
+		if port.IsExpress() {
+			class = "express"
+		}
+		if want := []string{port.String()[:1], class}; r[2] != want[0] || r[3] != want[1] {
+			t.Fatalf("row %d (%s,%s): (dir, class) = (%s, %s), want (%s, %s) for %v",
+				i+1, r[0], r[1], r[2], r[3], want[0], want[1], port)
+		}
+	}
 	classes := map[string]bool{}
 	var haveExpressRow bool
 	for _, r := range rows[1:] {

@@ -13,9 +13,11 @@ import (
 	"fasttrack/internal/core"
 	"fasttrack/internal/experiments"
 	"fasttrack/internal/fpga"
+	"fasttrack/internal/noc"
 	"fasttrack/internal/sim"
 	"fasttrack/internal/telemetry"
 	"fasttrack/internal/traffic"
+	"fasttrack/internal/xrand"
 )
 
 // benchScale sizes the sweeps for benchmark iterations.
@@ -298,18 +300,43 @@ func BenchmarkFig19Energy(b *testing.B) {
 	}
 }
 
-// BenchmarkRouterStep measures the raw simulator: cycles per second for an
-// 8×8 FastTrack network at saturation (engineering metric, not a paper
-// figure).
+// BenchmarkRouterStep measures one cycle of the FastTrack arbiter at
+// saturation: FT(256,2,1) with a standing RANDOM offer at every PE, each
+// refilled as soon as it is accepted (engineering metric, not a paper
+// figure). `go test -run '^$' -bench RouterStep -cpu 1 .` is a quick local
+// check of the per-cycle cost; a speed claim rests on the benchmark
+// harness's fasttrack.step_ns_per_cycle.
 func BenchmarkRouterStep(b *testing.B) {
-	cfg := core.FastTrack(8, 2, 1)
-	net, err := cfg.Build()
+	const n = 16
+	net, err := core.FastTrack(n, 2, 1).Build()
 	if err != nil {
 		b.Fatal(err)
 	}
+	hold := net.(interface{ Hold(pe int, p noc.Packet) })
+	rng := xrand.New(17)
+	var id int64
+	offer := func(pe int) {
+		id++
+		hold.Hold(pe, noc.Packet{ID: id, Src: noc.PECoord(pe, n), Dst: noc.PECoord(rng.Intn(n*n), n)})
+	}
+	for pe := 0; pe < n*n; pe++ {
+		offer(pe)
+	}
+	step := func(now int64) {
+		net.Step(now)
+		for pe := 0; pe < n*n; pe++ {
+			if net.Accepted(pe) {
+				offer(pe)
+			}
+		}
+	}
+	const warm = 1000 // fill the fabric to its steady state first
+	for now := int64(0); now < warm; now++ {
+		step(now)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Step(int64(i))
+		step(warm + int64(i))
 	}
 }
 

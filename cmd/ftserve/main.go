@@ -1,5 +1,5 @@
 // Command ftserve is the simulation-as-a-service daemon: a long-running
-// HTTP server where clients POST sim/sweep/DSE job specs as JSON, stream
+// HTTP server where clients POST sim/sweep job specs as JSON, stream
 // progress and windowed metrics over SSE, and fetch results — all deduped
 // through the shared content-addressed run cache.
 //

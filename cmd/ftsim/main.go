@@ -32,7 +32,6 @@ func main() {
 	telem := cliflags.RegisterTelemetry(flag.CommandLine)
 	mon := cliflags.RegisterMonitor(flag.CommandLine)
 	logf := cliflags.RegisterLogging(flag.CommandLine, "warn")
-	regulateRate := flag.Float64("regulate", 0, "token-bucket injection regulation rate (0 = off)")
 	heatmap := flag.Bool("heatmap", false, "render a per-source mean-latency heatmap")
 	watchdog := flag.Int64("watchdog", 0, "starvation watchdog: max in-flight packet age in cycles (0 = off)")
 	check := flag.Bool("check", false, "audit packet conservation and delivery identity every cycle")
@@ -51,7 +50,6 @@ func main() {
 	slog.SetDefault(logger)
 
 	opts := core.SyntheticOptions{
-		RegulateRate:      *regulateRate,
 		CheckConservation: *check,
 		MaxPacketAge:      *watchdog,
 	}

@@ -11,7 +11,7 @@
 //
 //   - Exact isolated (zero-load) latencies for any configuration, computed
 //     by replaying a single packet through the real router logic — a
-//     routing oracle used by tests and by the design-space explorer.
+//     routing oracle used by tests and by the ext-zeroload experiment.
 //
 // In-flight latency is measured from network entry to delivery; source
 // queueing is excluded, as in HopliteRT, because the PE port has the lowest

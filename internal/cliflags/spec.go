@@ -23,8 +23,6 @@ import (
 //
 //   - "sim":   one synthetic run (Topology + Workload [+ Faults]).
 //   - "sweep": the same network swept over Rates (Workload.Rate ignored).
-//   - "dse":   a design-space exploration at Topology.N (candidates are
-//     enumerated server-side; D/R/Variant/Channels are ignored).
 type JobSpec struct {
 	Kind     string    `json:"kind"`
 	Topology *Topology `json:"topology,omitempty"`
@@ -33,11 +31,6 @@ type JobSpec struct {
 
 	// Rates is the sweep grid for kind "sweep".
 	Rates []float64 `json:"rates,omitempty"`
-
-	// MaxChannels and Variants scope a "dse" exploration (0 = 3 channels,
-	// Full routers only).
-	MaxChannels int  `json:"max_channels,omitempty"`
-	Variants    bool `json:"variants,omitempty"`
 
 	// MaxCycles bounds each run; 0 means the engine default.
 	MaxCycles int64 `json:"max_cycles,omitempty"`
@@ -117,7 +110,9 @@ func DecodeJobSpec(r io.Reader) (*JobSpec, error) {
 	return &s, nil
 }
 
-// normalize fills nil groups with the flag defaults.
+// normalize fills nil groups with the flag defaults, and zero seeds with the
+// flags' default seed 1 (-seed, -faultseed), so a spec runs the same traffic
+// and fault schedule as the command line it mirrors.
 func (s *JobSpec) normalize() {
 	if s.Topology == nil {
 		def := TopologyDefaults()
@@ -130,17 +125,20 @@ func (s *JobSpec) normalize() {
 	if s.Workload.Seed == 0 {
 		s.Workload.Seed = 1
 	}
+	if s.Faults != nil && s.Faults.Seed == 0 {
+		s.Faults.Seed = 1
+	}
 }
 
 // Validate checks the spec against the admission bounds; errors are
 // *SpecError. The spec must be normalized (DecodeJobSpec does both).
 func (s *JobSpec) Validate() error {
 	switch s.Kind {
-	case "sim", "sweep", "dse":
+	case "sim", "sweep":
 	case "":
-		return specErr("kind", "required (sim|sweep|dse)")
+		return specErr("kind", "required (sim|sweep)")
 	default:
-		return specErr("kind", "unknown kind %q (sim|sweep|dse)", s.Kind)
+		return specErr("kind", "unknown kind %q (sim|sweep)", s.Kind)
 	}
 	t := s.Topology
 	if t.N < 2 || t.N > MaxSpecN {
@@ -150,12 +148,9 @@ func (s *JobSpec) Validate() error {
 		return specErr("topology", "negative parameter")
 	}
 	// Delegate kind/variant legality to the same builder the CLIs use, so a
-	// spec that decodes is a spec that builds (dse enumerates its own
-	// candidates and only needs N).
-	if s.Kind != "dse" {
-		if _, err := t.Config(); err != nil {
-			return specErr("topology", "%v", err)
-		}
+	// spec that decodes is a spec that builds.
+	if _, err := t.Config(); err != nil {
+		return specErr("topology", "%v", err)
 	}
 	w := s.Workload
 	if _, err := traffic.ByName(w.Pattern); err != nil {
@@ -187,10 +182,6 @@ func (s *JobSpec) Validate() error {
 			if !(r > 0 && r <= 1) || math.IsNaN(r) {
 				return specErr("rates", "rates[%d]=%v out of range (0,1]", i, r)
 			}
-		}
-	case "dse":
-		if s.MaxChannels < 0 || s.MaxChannels > 8 {
-			return specErr("max_channels", "channel bound %d out of range [0,8]", s.MaxChannels)
 		}
 	default:
 		if len(s.Rates) > 0 {

@@ -12,7 +12,7 @@ func FuzzDecodeJobSpec(f *testing.F) {
 	seeds := []string{
 		`{"kind":"sim"}`,
 		`{"kind":"sweep","rates":[0.1,0.5,1.0]}`,
-		`{"kind":"dse","topology":{"noc":"ft","n":4}}`,
+		`{"kind":"dse","topology":{"noc":"ft","n":4}}`, // a removed kind: rejected
 		`{"kind":"sim","topology":{"noc":"hoplite","n":16},"workload":{"pattern":"TRANSPOSE","rate":0.3,"packets":500,"seed":7}}`,
 		`{"kind":"sim","faults":{"faults":0.01,"misroute":0.001,"faultseed":3,"retry":64}}`,
 		`{"kind":"sim","max_cycles":1000,"converge_window":64,"converge_tol":0.05,"check":true,"watchdog":4096}`,
@@ -48,14 +48,12 @@ func FuzzDecodeJobSpec(f *testing.F) {
 		if s.Workload.PacketsPerPE < 1 || s.Workload.PacketsPerPE > MaxSpecPackets {
 			t.Fatalf("accepted out-of-bounds quota %d", s.Workload.PacketsPerPE)
 		}
-		if s.Kind != "dse" {
-			rate := s.Workload.Rate
-			if len(s.Rates) > 0 {
-				rate = s.Rates[0]
-			}
-			if _, _, err := s.SimConfig(rate); err != nil {
-				t.Fatalf("accepted spec fails to build: %v", err)
-			}
+		rate := s.Workload.Rate
+		if len(s.Rates) > 0 {
+			rate = s.Rates[0]
+		}
+		if _, _, err := s.SimConfig(rate); err != nil {
+			t.Fatalf("accepted spec fails to build: %v", err)
 		}
 		if _, err := s.CanonicalKey(); err != nil {
 			t.Fatalf("accepted spec has no canonical key: %v", err)

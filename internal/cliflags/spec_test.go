@@ -2,8 +2,12 @@ package cliflags
 
 import (
 	"errors"
+	"flag"
+	"reflect"
 	"strings"
 	"testing"
+
+	"fasttrack/internal/core"
 )
 
 func decode(t *testing.T, js string) (*JobSpec, error) {
@@ -35,6 +39,29 @@ func TestDecodeJobSpecDefaults(t *testing.T) {
 	}
 	if opts.Rate != 0.5 || opts.PacketsPerPE != 1000 || opts.Seed != 1 {
 		t.Fatalf("default options wrong: %+v", opts)
+	}
+
+	// A faults group without faultseed runs the schedule `-faults 0.02`
+	// runs, whose -faultseed defaults to 1.
+	s, err = decode(t, `{"kind":"sim","faults":{"faults":0.02}}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, opts, err = s.SimConfig(s.Workload.Rate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := flag.NewFlagSet("ftsim", flag.ContinueOnError)
+	work := RegisterWorkload(fs, WorkloadDefaults())
+	flt := RegisterFaults(fs)
+	if err := fs.Parse([]string{"-faults", "0.02"}); err != nil {
+		t.Fatal(err)
+	}
+	var cli core.SyntheticOptions
+	work.Apply(&cli)
+	flt.Apply(&cli)
+	if !reflect.DeepEqual(opts, cli) {
+		t.Fatalf("spec and flags disagree:\nspec %+v faults %+v\nflag %+v faults %+v", opts, opts.Faults, cli, cli.Faults)
 	}
 }
 
@@ -92,6 +119,9 @@ func TestDecodeJobSpecRejections(t *testing.T) {
 		{"rates on sim", `{"kind":"sim","rates":[0.5]}`, "rates"},
 		{"negative timeout", `{"kind":"sim","timeout_ms":-5}`, "timeout_ms"},
 		{"fault rate above one", `{"kind":"sim","faults":{"faults":1.5}}`, "faults"},
+		{"dse kind", `{"kind":"dse","topology":{"noc":"ft","n":4}}`, "kind"},
+		{"max_channels field", `{"kind":"sim","max_channels":3}`, ""},
+		{"variants field", `{"kind":"sim","variants":true}`, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

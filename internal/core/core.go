@@ -25,7 +25,6 @@ import (
 	"fasttrack/internal/multichannel"
 	"fasttrack/internal/noc"
 	"fasttrack/internal/obs"
-	"fasttrack/internal/regulate"
 	"fasttrack/internal/reliability"
 	"fasttrack/internal/sim"
 	"fasttrack/internal/telemetry"
@@ -212,11 +211,6 @@ type SyntheticOptions struct {
 	Seed uint64
 	// MaxCycles optionally bounds the run.
 	MaxCycles int64
-	// RegulateRate, when positive, throttles every PE with a HopliteRT-
-	// style token bucket to this injection rate (RegulateBurst packets of
-	// burst, default 1).
-	RegulateRate  float64
-	RegulateBurst float64
 	// Faults, when non-nil, wraps the network in the deterministic fault
 	// injector (internal/faults).
 	Faults *FaultConfig
@@ -290,12 +284,6 @@ func RunSynthetic(ctx context.Context, cfg Config, opts SyntheticOptions) (Resul
 	var wl sim.Workload = traffic.NewSynthetic(net.Width(), net.Height(), pat, opts.Rate, opts.PacketsPerPE, opts.Seed)
 	if opts.Retry != nil {
 		wl = reliability.Wrap(wl, net.Width(), *opts.Retry)
-	}
-	if opts.RegulateRate > 0 {
-		wl, err = regulate.New(wl, net.NumPEs(), opts.RegulateRate, opts.RegulateBurst)
-		if err != nil {
-			return Result{}, err
-		}
 	}
 	return sim.Run(net, wl, sim.Options{
 		MaxCycles:         opts.MaxCycles,

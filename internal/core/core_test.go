@@ -150,29 +150,6 @@ func fpgaLUTs(t *testing.T, cfg Config) int {
 	return l
 }
 
-func TestRunSyntheticRegulated(t *testing.T) {
-	res, err := RunSynthetic(context.Background(), Hoplite(4), SyntheticOptions{
-		Pattern: "RANDOM", Rate: 1.0, PacketsPerPE: 50, Seed: 2,
-		RegulateRate: 0.1, RegulateBurst: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if offered := float64(res.Injected) / (float64(res.Cycles) * 16); offered > 0.11 {
-		t.Errorf("regulated run injected at %.3f, above the 0.1 cap", offered)
-	}
-	// Non-positive rates mean "regulation off" (documented semantics).
-	off, err := RunSynthetic(context.Background(), Hoplite(4), SyntheticOptions{
-		Pattern: "RANDOM", Rate: 1, PacketsPerPE: 50, Seed: 2, RegulateRate: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.Injected <= res.Injected && off.Cycles >= res.Cycles {
-		t.Error("unregulated run should finish faster than the regulated one")
-	}
-}
-
 func TestRunTraceGeometryMismatch(t *testing.T) {
 	m := matrixgen.Circuit("t", 100, 4, 1)
 	tr, err := dataflow.Trace(m, 4, 4, dataflow.Options{})

@@ -141,11 +141,8 @@ func Wrap(inner sim.Workload, width int, cfg Config) *Workload {
 // RecoveryCounts implements sim.RecoveryReporter.
 func (w *Workload) RecoveryCounts() stats.RecoveryCounts { return w.counts }
 
-// Unwrap exposes the inner workload to the engine's interface discovery.
-func (w *Workload) Unwrap() sim.Workload { return w.inner }
-
 // SetObserver implements telemetry.Observable; sim.Run attaches
-// Options.Observer to every layer of the workload chain through this.
+// Options.Observer to the workload through this.
 func (w *Workload) SetObserver(o telemetry.Observer) { w.obs = o }
 
 // timeoutFor returns the (backed-off) deadline distance for a given attempt.

@@ -32,10 +32,9 @@ func ConfigKey(cfg core.Config) string {
 func SyntheticKey(cfg core.Config, o core.SyntheticOptions) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s|synthetic|%s|", sim.Version, ConfigKey(cfg))
-	fmt.Fprintf(&b, "pat=%s rate=%v quota=%d seed=%d maxcyc=%d reg=%v/%v check=%v age=%d conv=%d/%v",
+	fmt.Fprintf(&b, "pat=%s rate=%v quota=%d seed=%d maxcyc=%d check=%v age=%d conv=%d/%v",
 		o.Pattern, o.Rate, o.PacketsPerPE, o.Seed, o.MaxCycles,
-		o.RegulateRate, o.RegulateBurst, o.CheckConservation, o.MaxPacketAge,
-		o.ConvergeWindow, o.ConvergeTol)
+		o.CheckConservation, o.MaxPacketAge, o.ConvergeWindow, o.ConvergeTol)
 	if o.Faults != nil {
 		fmt.Fprintf(&b, " faults=%+v", *o.Faults)
 	}

@@ -1,4 +1,4 @@
-// Package runner is the sweep orchestration layer shared by ftexp, ftdse and
+// Package runner is the sweep orchestration layer shared by ftexp and
 // ftserve: the paper's evaluation is thousands of independent cycle-accurate
 // simulations, and this package schedules them across workers and memoizes
 // their results in a content-addressed on-disk cache.

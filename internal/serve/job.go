@@ -82,8 +82,8 @@ type Status struct {
 	Started  *time.Time `json:"started,omitempty"`
 	Finished *time.Time `json:"finished,omitempty"`
 	Error    *Failure   `json:"error,omitempty"`
-	// Result is kind-shaped: ResultSummary (sim), []ResultSummary (sweep)
-	// or DSEResult (dse); present only in terminal StateDone.
+	// Result is kind-shaped: ResultSummary (sim) or []ResultSummary
+	// (sweep); present only in terminal StateDone.
 	Result any `json:"result,omitempty"`
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"fasttrack/internal/core"
-	"fasttrack/internal/dse"
 	"fasttrack/internal/monitor"
 	"fasttrack/internal/obs"
 	"fasttrack/internal/runner"
@@ -39,28 +38,6 @@ type progressFrame struct {
 	Completed int           `json:"completed"`
 	Total     int           `json:"total"`
 	Point     ResultSummary `json:"point"`
-}
-
-// DSEResult is the client-facing design-space-exploration result: the
-// evaluated points plus the cache accounting.
-type DSEResult struct {
-	Points []DSEPoint `json:"points"`
-	// Simulated/Cached report how the exploration's runs were satisfied.
-	Simulated int64 `json:"simulated"`
-	Cached    int64 `json:"cached"`
-}
-
-// DSEPoint is one evaluated design.
-type DSEPoint struct {
-	Name           string  `json:"name"`
-	LUTs           int     `json:"luts"`
-	FFs            int     `json:"ffs"`
-	WireFactor     int     `json:"wire_factor"`
-	Routable       bool    `json:"routable"`
-	ClockMHz       float64 `json:"clock_mhz,omitempty"`
-	SustainedRate  float64 `json:"sustained_rate,omitempty"`
-	ThroughputMPPS float64 `json:"throughput_mpps,omitempty"`
-	Pareto         bool    `json:"pareto,omitempty"`
 }
 
 // panicFailure carries a recovered panic out of the execution closure.
@@ -120,8 +97,6 @@ func (s *Server) runJob(j *Job) {
 			return s.runSim(ctx, j)
 		case "sweep":
 			return s.runSweep(ctx, j)
-		case "dse":
-			return s.runDSE(ctx, j)
 		}
 		return nil, false, fmt.Errorf("unknown job kind %q", j.Spec.Kind)
 	}()
@@ -305,35 +280,4 @@ func (s *Server) runSweep(ctx context.Context, j *Job) (any, bool, error) {
 		return nil, false, err
 	}
 	return results, allCached, nil
-}
-
-func (s *Server) runDSE(ctx context.Context, j *Job) (any, bool, error) {
-	spec := j.Spec
-	// A private orchestrator (sharing the content-addressed cache) keeps the
-	// returned simulated/cached accounting scoped to this exploration rather
-	// than the daemon's lifetime totals.
-	pts, stats, err := dse.Explore(ctx, dse.Options{
-		N:            spec.Topology.N,
-		WidthBits:    spec.Topology.Width,
-		Pattern:      spec.Workload.Pattern,
-		Rate:         spec.Workload.Rate,
-		PacketsPerPE: spec.Workload.PacketsPerPE,
-		MaxChannels:  spec.MaxChannels,
-		Variants:     spec.Variants,
-		Seed:         spec.Workload.Seed,
-		Orch:         &runner.Orchestrator{Cache: s.cache, Workers: s.opts.SweepWorkers},
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	out := DSEResult{Simulated: stats.Simulated, Cached: stats.Cached}
-	for _, p := range pts {
-		out.Points = append(out.Points, DSEPoint{
-			Name: p.Name, LUTs: p.LUTs, FFs: p.FFs, WireFactor: p.WireFactor,
-			Routable: p.Routable, ClockMHz: p.ClockMHz,
-			SustainedRate: p.SustainedRate, ThroughputMPPS: p.ThroughputMPPS,
-			Pareto: p.Pareto,
-		})
-	}
-	return out, false, nil
 }

@@ -1,5 +1,5 @@
 // Package serve is the simulation-as-a-service front door: a long-running
-// daemon (cmd/ftserve) where clients POST sim/sweep/DSE job specs as JSON
+// daemon (cmd/ftserve) where clients POST sim/sweep job specs as JSON
 // (the cliflags.JobSpec codec — the same vocabulary as the CLI flag groups),
 // receive job IDs, stream progress and windowed metrics over SSE, and fetch
 // results. Identical jobs dedupe twice: in flight (a duplicate POST joins
@@ -46,8 +46,8 @@ type Options struct {
 	QueueDepth int
 	// Workers is the number of concurrent jobs (default NumCPU).
 	Workers int
-	// SweepWorkers bounds the per-job simulation fan-out inside sweep and
-	// DSE jobs (default NumCPU).
+	// SweepWorkers bounds the per-job simulation fan-out inside sweep jobs
+	// (default NumCPU).
 	SweepWorkers int
 	// RatePerSec, when positive, enforces a per-client token-bucket
 	// admission rate; Burst is the bucket size (default 8).

@@ -92,27 +92,6 @@ type RecoveryReporter interface {
 	RecoveryCounts() stats.RecoveryCounts
 }
 
-// WorkloadUnwrapper lets the engine discover optional interfaces (such as
-// RecoveryReporter) through decorating workloads like regulate.Workload.
-type WorkloadUnwrapper interface {
-	Unwrap() Workload
-}
-
-// findRecoveryReporter walks the workload decorator chain.
-func findRecoveryReporter(wl Workload) (RecoveryReporter, bool) {
-	for wl != nil {
-		if r, ok := wl.(RecoveryReporter); ok {
-			return r, true
-		}
-		u, ok := wl.(WorkloadUnwrapper)
-		if !ok {
-			break
-		}
-		wl = u.Unwrap()
-	}
-	return nil, false
-}
-
 // watchdogPeriod is how often (in cycles) the age watchdog scans the
 // in-flight set; a full scan every cycle would be O(in-flight) per cycle for
 // no extra precision beyond the period.

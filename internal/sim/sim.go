@@ -85,7 +85,7 @@ type EventWorkload interface {
 // event that becomes ready the same cycle — and it lets the engine present the
 // packet once, as a standing offer (holder), instead of rebuilding and
 // re-offering it every stalled cycle. Decorators that reorder, delay or
-// withdraw offers (regulate, reliability) must not declare it.
+// withdraw offers (reliability) must not declare it.
 type StableHead interface {
 	StableHead()
 }
@@ -157,8 +157,8 @@ type Options struct {
 	MaxPacketAge int64
 	// Observer, when non-nil, receives cycle-level telemetry events
 	// (injections, hops, deflections, deliveries — see internal/telemetry).
-	// Run attaches it to the network and to every layer of the workload
-	// decorator chain that implements telemetry.Observable. nil keeps every
+	// Run attaches it to the network and to the workload when either
+	// implements telemetry.Observable. nil keeps every
 	// emission site on its single-nil-check disabled path.
 	Observer telemetry.Observer
 	// Context, when non-nil, is polled every few thousand cycles so a sweep
@@ -244,21 +244,14 @@ func (c *convergence) observe(wp telemetry.WindowPoint) bool {
 	return c.streak >= convergePatience
 }
 
-// attachObserver hands obs to the network and to every layer of the workload
-// decorator chain that can hold one.
+// attachObserver hands obs to the network and to the workload when either
+// can hold one.
 func attachObserver(net noc.Network, wl Workload, obs telemetry.Observer) {
 	if o, ok := net.(telemetry.Observable); ok {
 		o.SetObserver(obs)
 	}
-	for wl != nil {
-		if o, ok := wl.(telemetry.Observable); ok {
-			o.SetObserver(obs)
-		}
-		u, ok := wl.(WorkloadUnwrapper)
-		if !ok {
-			break
-		}
-		wl = u.Unwrap()
+	if o, ok := wl.(telemetry.Observable); ok {
+		o.SetObserver(obs)
 	}
 }
 
@@ -579,7 +572,7 @@ func (e *engine) finish(now int64) (Result, error) {
 	if fn, ok := e.net.(FaultyNetwork); ok {
 		e.res.Faults = fn.FaultCounts()
 	}
-	if rr, ok := findRecoveryReporter(e.wl); ok {
+	if rr, ok := e.wl.(RecoveryReporter); ok {
 		e.res.Recovery = rr.RecoveryCounts()
 	}
 	if got := e.res.Delivered + e.res.Faults.Lost(); got != e.res.Injected && !e.res.TimedOut && !e.res.Converged {

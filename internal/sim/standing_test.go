@@ -10,7 +10,6 @@ import (
 	"fasttrack/internal/hoplite"
 	"fasttrack/internal/multichannel"
 	"fasttrack/internal/noc"
-	"fasttrack/internal/regulate"
 	"fasttrack/internal/reliability"
 	"fasttrack/internal/sim"
 	"fasttrack/internal/telemetry"
@@ -156,14 +155,14 @@ func TestGoldenStandingOffers(t *testing.T) {
 }
 
 // TestStandingOfferOptOuts pins who must stay on one-cycle offers. The
-// workload decorators reorder, delay or withdraw what their inner workload has
+// workload decorator reorders, delays or withdraws what its inner workload has
 // pending, and a trace head can be displaced (trace's
 // TestStreamHeadDisplacedAfterRefusal), so none may carry the StableHead
 // marker; the network wrappers gate or rewrite offers per cycle, so neither
-// may expose the kernel's Hold. All five keep their inner value in a named
+// may expose the kernel's Hold. All four keep their inner value in a named
 // field — this fails the day an embed starts inheriting the method silently.
 func TestStandingOfferOptOuts(t *testing.T) {
-	for _, wl := range []any{(*regulate.Workload)(nil), (*reliability.Workload)(nil), (*trace.Stream)(nil)} {
+	for _, wl := range []any{(*reliability.Workload)(nil), (*trace.Stream)(nil)} {
 		if _, ok := wl.(sim.StableHead); ok {
 			t.Errorf("%T declares sim.StableHead", wl)
 		}

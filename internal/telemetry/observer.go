@@ -87,8 +87,8 @@ type Observer interface {
 }
 
 // Observable is implemented by networks and workload wrappers that can
-// attach an observer. sim.Run discovers it on the network and on every
-// layer of the workload decorator chain.
+// attach an observer. sim.Run discovers it on the network and on the
+// workload.
 type Observable interface {
 	SetObserver(Observer)
 }

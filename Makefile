@@ -9,7 +9,7 @@ GO ?= go
 # pass so the assertion is meaningful).
 SWEEP_CACHE ?= .ftcache-quick
 
-.PHONY: build fmt test vet race fuzz verify loc bench sweep-quick monitor-smoke serve-load serve-load-smoke trace-roundtrip metrics-lint
+.PHONY: build fmt test vet race fuzz verify loc bench profile sweep-quick monitor-smoke serve-load serve-load-smoke trace-roundtrip metrics-lint
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,21 @@ loc:
 bench:
 	$(GO) run ./benchmark -sets 1 -out benchmark/out/bench.json
 
+# CPU profiles of the engine at saturation (BenchmarkSimSaturation: Hoplite
+# 16×16, RANDOM at rate 1.0) and of one FastTrack router cycle
+# (BenchmarkRouterStep), one thread each, written to PROFILE_DIR with the top
+# of each printed — the profile a Step-kernel or engine change quotes.
+PROFILE_DIR ?= .profile
+PROFILE_TOP = $(GO) tool pprof -top -nodecount 25
+profile:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run '^$$' -bench '^BenchmarkSimSaturation$$' -benchtime 3s -cpu 1 -o $(PROFILE_DIR)/bench.test \
+		-cpuprofile $(PROFILE_DIR)/sim-saturation.pprof .
+	$(PROFILE_TOP) $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/sim-saturation.pprof
+	$(GO) test -run '^$$' -bench '^BenchmarkRouterStep$$' -benchtime 3s -cpu 1 -o $(PROFILE_DIR)/bench.test \
+		-cpuprofile $(PROFILE_DIR)/router-step.pprof .
+	$(PROFILE_TOP) $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/router-step.pprof
+
 # Warm-cache round trip: the quick sweep of every experiment, the paper's and
 # the ext- extensions, runs cold into a fresh cache and re-runs with
 # -assert-cached, which exits non-zero if any simulation had to execute —
@@ -67,10 +82,11 @@ sweep-quick:
 # Short fuzz pass over the property fuzzers (noc.RingDelta, FastTrack
 # topology construction, the daemon's JSON job-spec decoder, the FTT1
 # binary trace decoder, the trace replay against its test-only oracle at
-# binding and non-binding windows, and a result-cache entry file of
-# arbitrary bytes); extend -fuzztime for deeper runs. FuzzCacheGet pays file
-# I/O per input, so its minimizer is capped or it would spend the whole pass
-# shrinking one.
+# binding and non-binding windows, a result-cache entry file of arbitrary
+# bytes, and the engine's change-driven offer path against the same workload
+# with its change report hidden); extend -fuzztime for deeper runs.
+# FuzzCacheGet pays file I/O per input, so its minimizer is capped or it would
+# spend the whole pass shrinking one.
 fuzz:
 	$(GO) test -fuzz FuzzRingDelta -fuzztime 10s ./internal/noc/
 	$(GO) test -fuzz FuzzTopology -fuzztime 10s ./internal/fasttrack/
@@ -78,6 +94,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadBinary -fuzztime 10s ./internal/trace/
 	$(GO) test -fuzz FuzzReplayVsOracle -fuzztime 10s ./internal/trace/
 	$(GO) test -fuzz FuzzCacheGet -fuzztime 10s -fuzzminimizetime 1s ./internal/runner/
+	$(GO) test -fuzz FuzzChangeReport -fuzztime 10s ./internal/sim/
 
 # Trace record/replay round trip through the fttrace CLI: generate a text
 # trace, record it to FTT1, decode the recording back to text (must be

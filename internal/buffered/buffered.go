@@ -78,9 +78,11 @@ type Network struct {
 	now int64
 }
 
+// slot is a PE's offer register: held keeps it across a refusal, and listed
+// marks it as on offeredPEs (a retracted slot stays listed until Step).
 type slot struct {
-	p  noc.Packet
-	ok bool
+	p                noc.Packet
+	ok, held, listed bool
 }
 
 // New builds an idle W×H buffered mesh.
@@ -135,15 +137,27 @@ func (nw *Network) Height() int { return nw.h }
 func (nw *Network) NumPEs() int { return nw.w * nw.h }
 
 // Offer presents p for injection at PE pe this cycle.
-func (nw *Network) Offer(pe int, p noc.Packet) {
-	if !nw.offers[pe].ok {
+func (nw *Network) Offer(pe int, p noc.Packet) { nw.present(pe, p, false) }
+
+// Hold presents p as a standing offer at PE pe (noc.Standing): a full
+// injection FIFO leaves it in its slot for the next Step.
+func (nw *Network) Hold(pe int, p noc.Packet) { nw.present(pe, p, true) }
+
+func (nw *Network) present(pe int, p noc.Packet, held bool) {
+	if !nw.offers[pe].listed {
 		nw.offeredPEs = append(nw.offeredPEs, pe)
 	}
-	nw.offers[pe] = slot{p: p, ok: true}
+	nw.offers[pe] = slot{p: p, ok: true, held: held, listed: true}
 }
+
+// Retract withdraws pe's offer.
+func (nw *Network) Retract(pe int) { nw.offers[pe].ok = false }
 
 // Accepted reports whether the offer at pe entered the injection FIFO.
 func (nw *Network) Accepted(pe int) bool { return nw.accepted[pe] }
+
+// AcceptedPEs lists the PEs accepted in the last Step; the slice is reused.
+func (nw *Network) AcceptedPEs() []int { return nw.acceptedPEs }
 
 // Delivered returns packets delivered in the last Step; the slice is reused.
 func (nw *Network) Delivered() []noc.Packet { return nw.delivered }
@@ -206,21 +220,13 @@ func (nw *Network) Step(now int64) {
 	// Accept injections into PE FIFOs first (they see last cycle's space).
 	// Per-PE injection touches only that PE's own queue, so processing the
 	// offered list in arrival order is equivalent to the dense scan.
+	kept := nw.offeredPEs[:0]
 	for _, pe := range nw.offeredPEs {
-		off := nw.offers[pe]
-		nw.offers[pe] = slot{}
-		if len(nw.queues[pe][pPE]) < nw.depth {
-			p := off.p
-			p.Inject = now
-			nw.push(pe, pPE, p)
-			nw.inFlight++
-			nw.accepted[pe] = true
-			nw.acceptedPEs = append(nw.acceptedPEs, pe)
-		} else {
-			nw.counters.InjectionStalls++
+		if nw.inject(pe, now) {
+			kept = append(kept, pe)
 		}
 	}
-	nw.offeredPEs = nw.offeredPEs[:0]
+	nw.offeredPEs = kept
 
 	// Refresh the credit snapshot where it went stale. pop keeps lens equal
 	// to the live queue length, so only routers that took a push since the
@@ -256,21 +262,9 @@ func (nw *Network) stepReference(now int64) {
 	nw.offeredPEs = nw.offeredPEs[:0]
 
 	// Accept injections into PE FIFOs first (they see last cycle's space).
-	for pe, off := range nw.offers {
+	for pe := range nw.offers {
 		nw.accepted[pe] = false
-		if !off.ok {
-			continue
-		}
-		nw.offers[pe] = slot{}
-		if len(nw.queues[pe][pPE]) < nw.depth {
-			p := off.p
-			p.Inject = now
-			nw.push(pe, pPE, p)
-			nw.inFlight++
-			nw.accepted[pe] = true
-		} else {
-			nw.counters.InjectionStalls++
-		}
+		nw.inject(pe, now)
 	}
 
 	// Snapshot occupancy for credit checks: a move this cycle is allowed
@@ -290,6 +284,29 @@ func (nw *Network) stepReference(now int64) {
 		}
 	}
 	nw.counters.Delivered += int64(len(nw.delivered))
+}
+
+// inject moves pe's offer into its injection FIFO if there is room, and
+// reports whether the offer stays: a refused standing offer keeps its slot.
+func (nw *Network) inject(pe int, now int64) (stays bool) {
+	off := &nw.offers[pe]
+	switch {
+	case !off.ok:
+	case len(nw.queues[pe][pPE]) < nw.depth:
+		p := off.p
+		p.Inject = now
+		nw.push(pe, pPE, p)
+		nw.inFlight++
+		nw.accepted[pe] = true
+		nw.acceptedPEs = append(nw.acceptedPEs, pe)
+	default:
+		nw.counters.InjectionStalls++
+		if off.held {
+			return true
+		}
+	}
+	*off = slot{}
+	return false
 }
 
 // routeOne runs the output arbiters of router (x, y). Each input port can

@@ -153,11 +153,15 @@ func (k *Kernel) NumPEs() int { return k.W * k.H }
 // Offer presents p for injection at PE pe this cycle.
 func (k *Kernel) Offer(pe int, p noc.Packet) { k.offer(pe, Slot{P: p, OK: true}) }
 
-// Hold presents p as a standing offer, the hardware's valid register: a
-// refusal leaves it latched and re-marks its router, so the arbiter sees it
-// again every cycle with no further call, until it is accepted or replaced
-// by another Offer or Hold at pe.
+// Hold presents p as a standing offer, the hardware's valid register
+// (noc.Standing): a refusal leaves it latched and re-marks its router, so the
+// arbiter sees it again every cycle with no further call, until it is
+// accepted, replaced by another Offer or Hold at pe, or retracted.
 func (k *Kernel) Hold(pe int, p noc.Packet) { k.offer(pe, Slot{P: p, OK: true, Held: true}) }
+
+// Retract withdraws pe's offer. Its router may still hold a mark; visiting a
+// router with nothing latched and nothing offered does nothing.
+func (k *Kernel) Retract(pe int) { k.Offers[pe].OK = false }
 
 func (k *Kernel) offer(pe int, s Slot) {
 	k.Offers[pe] = s
@@ -169,6 +173,10 @@ func (k *Kernel) Mark(i int) { k.next[i>>6] |= 1 << (uint(i) & 63) }
 
 // Accepted reports whether the offer at pe was injected in the last cycle.
 func (k *Kernel) Accepted(pe int) bool { return k.accepted[pe] }
+
+// AcceptedPEs lists the PEs accepted in the last cycle, in ascending router
+// order; the slice is reused.
+func (k *Kernel) AcceptedPEs() []int { return k.acceptedPEs }
 
 // Delivered returns packets delivered in the last cycle; the slice is reused.
 func (k *Kernel) Delivered() []noc.Packet { return k.delivered }

@@ -12,18 +12,16 @@ import (
 	"fasttrack/internal/xrand"
 )
 
-// The kernel is exercised through both router families: the suite drives
-// instances of one network through an identical precomputed offer schedule,
-// presented in different styles, and asserts that the delivered packet
-// stream, event counters, telemetry event log, and residual in-flight
-// population are bit-identical.
+// The kernel is exercised through both router families, and through
+// multichannel's K Hoplite kernels: the suite drives instances of one network
+// through an identical precomputed offer schedule, presented in different
+// styles, and asserts that the delivered packet stream, event counters,
+// telemetry event log, and residual in-flight population are bit-identical.
 
-// kernelNet is what the suite needs from a network under test: the network
-// protocol, the kernel's standing-offer port, and the observer attachment
-// point.
+// kernelNet is what the suite needs from a network under test: the
+// standing-offer protocol and the observer attachment point.
 type kernelNet interface {
-	noc.Network
-	Hold(pe int, p noc.Packet)
+	noc.Standing
 	telemetry.Observable
 }
 
@@ -46,6 +44,8 @@ var cases = []suiteCase{
 	fastTrackCase("full-d4r1/sat", 4, 1, fasttrack.VariantFull, 0, 0.9, 120),
 	fastTrackCase("inject-d4r4/sat", 4, 4, fasttrack.VariantInject, 0, 0.9, 120),
 	fastTrackCase("full-d2r2-pipe2/sat", 2, 2, fasttrack.VariantFull, 2, 0.9, 120),
+	{name: "multichannel/2x8x8/sat", seed: 0xCAFE, rate: 0.9, cycles: 120,
+		mk: func() (kernelNet, error) { return multichannel.New(8, 8, 2) }},
 }
 
 func hopliteCase(name string, w, h int, rate float64, cycles int) suiteCase {
@@ -134,6 +134,46 @@ func standingOffers(t *testing.T, c suiteCase) {
 	}
 	if entered != accepted {
 		t.Fatalf("%d replacing offers entered, %d were accepted in their one cycle", entered, accepted)
+	}
+}
+
+// TestRetract: a retracted standing offer is gone and is never accepted,
+// while the offers left standing still enter.
+func TestRetract(t *testing.T) {
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			const tag = int64(1) << 40
+			nw := c.build(t)
+			w, n := nw.Width(), nw.NumPEs()
+			now := saturate(nw, 0, 40)
+			for pe := 0; pe < n; pe++ {
+				nw.Hold(pe, noc.Packet{ID: tag | int64(pe), Src: noc.PECoord(pe, w), Dst: noc.PECoord((pe+n/2+1)%n, w), Gen: now})
+			}
+			nw.Step(now)
+			standing := 0
+			for pe := 0; pe < n; pe++ {
+				if !nw.Accepted(pe) && pe%2 == 0 {
+					nw.Retract(pe)
+				} else if !nw.Accepted(pe) {
+					standing++
+				}
+			}
+			if standing == 0 {
+				t.Fatal("every offer was accepted at once; nothing to retract")
+			}
+			for now++; nw.InFlight() > 0 || standing > 0; now++ {
+				if now > 10_000 {
+					t.Fatalf("%d standing offers never entered", standing)
+				}
+				nw.Step(now)
+				for _, pe := range nw.AcceptedPEs() {
+					if pe%2 == 0 {
+						t.Fatalf("cycle %d: retracted offer at PE %d was accepted", now, pe)
+					}
+					standing--
+				}
+			}
+		})
 	}
 }
 

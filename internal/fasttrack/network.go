@@ -43,6 +43,10 @@ type Network struct {
 	// express ports.
 	pol        *table
 	xcls, ycls []uint8
+	// offRow[i] is the PE-list row of router i's current offer, computed once
+	// when the offer is presented: a standing offer is refused cycle after
+	// cycle, and its row never changes.
+	offRow []uint8
 }
 
 // New builds an idle FastTrack network for the given configuration.
@@ -56,8 +60,9 @@ func New(cfg Config) (*Network, error) {
 	n, stages := cfg.Topology.N, cfg.ExpressPipeline
 	sz := n * n
 	nw := &Network{cfg: cfg, n: n, pol: &policy[cfg.Variant],
-		xcls: axisClasses(cfg.Topology, cX0, cXA, cXE, cHX),
-		ycls: axisClasses(cfg.Topology, cY0, cYA, 0, cHY),
+		xcls:   axisClasses(cfg.Topology, cX0, cXA, cXE, cHX),
+		ycls:   axisClasses(cfg.Topology, cY0, cYA, 0, cHY),
+		offRow: make([]uint8, n*n),
 	}
 	if stages > 0 {
 		regs := make([]int32, (2*stages+2)*sz)
@@ -95,6 +100,18 @@ func (nw *Network) Step(now int64) {
 		}
 	}
 	nw.End()
+}
+
+// Offer presents p for injection at PE pe this cycle.
+func (nw *Network) Offer(pe int, p noc.Packet) {
+	nw.Kernel.Offer(pe, p)
+	nw.offRow[pe] = nw.peRow(pe, p.Dst)
+}
+
+// Hold presents p as a standing offer at PE pe (fabric.Kernel.Hold).
+func (nw *Network) Hold(pe int, p noc.Packet) {
+	nw.Kernel.Hold(pe, p)
+	nw.offRow[pe] = nw.peRow(pe, p.Dst)
 }
 
 // Config returns the network's configuration.

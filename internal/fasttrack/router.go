@@ -46,7 +46,7 @@ func (nw *Network) route(i, x, y int, now int64) {
 		nw.Cur[noc.PortNSh][i] = -1
 		nw.placeR(&busy, i, noc.PortNSh, r, x, y)
 	}
-	nw.injectAtR(busy, rc, i, x, y, now)
+	nw.injectAtR(busy, i, x, y, now)
 }
 
 // placeR assigns the in-flight packet at pool index r an output, walking the
@@ -90,6 +90,13 @@ func (nw *Network) class(x, y int, dst noc.Coord) uint8 {
 	return (nw.xcls[delta(x, dst.X, nw.n)] | nw.ycls[delta(y, dst.Y, nw.n)]) & offsetBits
 }
 
+// peRow returns the PE-list row of an offer at router i bound for dst: its
+// offset class and the router's class.
+func (nw *Network) peRow(i int, dst noc.Coord) uint8 {
+	x, y := i%nw.n, i/nw.n
+	return nw.class(x, y, dst) | (nw.xcls[x]|nw.ycls[y])&routerBits
+}
+
 // emitR latches pool index r onto the downstream register for output out and
 // accounts the hop there, at grant time. A pipelined express grant parks in
 // exPend/syPend for the pipe pass instead.
@@ -129,19 +136,19 @@ func (nw *Network) emitR(out uint8, r int32, i, x, y int) {
 }
 
 // injectAtR arbitrates the PE offer after all in-flight traffic has been
-// placed, walking the policy's PE list for the offer's offset class and the
-// router's class rc. The offered packet is copied into the pool only when an
-// output is granted. Injection never misroutes: if every acceptable
-// first-hop port is busy the client stalls and retries (§IV-C: the PE port
-// has the lowest priority because in-flight packets cannot wait). The
-// accepted flag is already false here — Begin cleared every flag set last
-// cycle.
-func (nw *Network) injectAtR(busy, rc uint8, i, x, y int, now int64) {
+// placed, walking the policy's PE list for the offer's row (offRow: its
+// offset class and the router's class). The offered packet is copied into
+// the pool only when an output is granted. Injection never misroutes: if
+// every acceptable first-hop port is busy the client stalls and retries
+// (§IV-C: the PE port has the lowest priority because in-flight packets
+// cannot wait). The accepted flag is already false here — Begin cleared
+// every flag set last cycle.
+func (nw *Network) injectAtR(busy uint8, i, x, y int, now int64) {
 	off := &nw.Offers[i]
 	if !off.OK {
 		return
 	}
-	for k, c := range &nw.pol[noc.PortPE][nw.class(x, y, off.P.Dst)|rc] {
+	for k, c := range &nw.pol[noc.PortPE][nw.offRow[i]] {
 		if c == 0 {
 			break
 		}

@@ -145,12 +145,13 @@ type Network struct {
 	cfg   Config
 	w     int
 
-	offers    []slot
-	forwarded []bool
-	dropped   []bool
-	accepted  []bool
-	delivered []noc.Packet
-	held      []noc.Packet
+	offers      []slot
+	forwarded   []bool
+	dropped     []bool
+	accepted    []bool
+	acceptedPEs []int
+	delivered   []noc.Packet
+	held        []noc.Packet
 
 	// misrouted maps a corrupted packet's ID to its original destination
 	// while it is in flight.
@@ -165,9 +166,10 @@ type Network struct {
 	obs telemetry.Observer
 }
 
+// slot is a PE's offer register; held keeps it across a refusal.
 type slot struct {
-	p  noc.Packet
-	ok bool
+	p        noc.Packet
+	ok, held bool
 }
 
 // Wrap decorates inner with the fault schedule cfg.
@@ -220,9 +222,21 @@ func (nw *Network) InFlight() int { return nw.inner.InFlight() + len(nw.held) }
 // Offer presents p for injection at PE pe this cycle.
 func (nw *Network) Offer(pe int, p noc.Packet) { nw.offers[pe] = slot{p: p, ok: true} }
 
+// Hold presents p as a standing offer at PE pe (noc.Standing): its slot stays
+// set across refusals and is forwarded to the inner network every Step, so
+// it meets the same per-cycle faults a re-offered packet would.
+func (nw *Network) Hold(pe int, p noc.Packet) { nw.offers[pe] = slot{p: p, ok: true, held: true} }
+
+// Retract withdraws pe's offer.
+func (nw *Network) Retract(pe int) { nw.offers[pe].ok = false }
+
 // Accepted reports whether the offer at pe was injected in the last Step.
 // Packets consumed by a drop fault count as accepted: the link took them.
 func (nw *Network) Accepted(pe int) bool { return nw.accepted[pe] }
+
+// AcceptedPEs lists the PEs accepted in the last Step in ascending order; the
+// slice is reused.
+func (nw *Network) AcceptedPEs() []int { return nw.acceptedPEs }
 
 // Delivered returns packets delivered in the last Step; the slice is reused.
 func (nw *Network) Delivered() []noc.Packet { return nw.delivered }
@@ -284,7 +298,6 @@ func (nw *Network) Step(now int64) {
 		if !o.ok {
 			continue
 		}
-		nw.offers[pe].ok = false
 		if stuck, frozen := activeAt(nw.cfg.Stuck, pe, now), activeAt(nw.cfg.Freeze, pe, now); stuck || frozen {
 			k := KindStuck
 			if frozen {
@@ -320,6 +333,7 @@ func (nw *Network) Step(now int64) {
 
 	nw.inner.Step(now)
 
+	nw.acceptedPEs = nw.acceptedPEs[:0]
 	for pe := range nw.accepted {
 		switch {
 		case nw.dropped[pe]:
@@ -336,6 +350,12 @@ func (nw *Network) Step(now int64) {
 			}
 		default:
 			nw.accepted[pe] = false
+		}
+		if nw.accepted[pe] {
+			nw.acceptedPEs = append(nw.acceptedPEs, pe)
+			nw.offers[pe].ok = false
+		} else if !nw.offers[pe].held {
+			nw.offers[pe].ok = false
 		}
 	}
 

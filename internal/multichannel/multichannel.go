@@ -24,10 +24,11 @@ type Network struct {
 	w, h, k  int
 	channels []*hoplite.Network
 
-	// nextChan[pe] is the channel the PE will offer to next; it rotates when
-	// an offer stalls so a congested plane cannot starve the client.
+	// nextChan[pe] is the channel the PE offers to; it rotates when an offer
+	// stalls so a congested plane cannot starve the client. A PE's offer
+	// always sits on channel nextChan[pe], as a one-cycle channel offer.
 	nextChan []int
-	offered  []int // channel offered to this cycle, -1 if none
+	mode     []uint8 // the kind of pe's offer: offNone, offOnce, ...
 	accepted []bool
 
 	// exitBusy[pe] marks client ports already used this cycle.
@@ -42,6 +43,15 @@ type Network struct {
 	counters noc.Counters
 }
 
+// Offer kinds (Network.mode). A PE is on offeredPEs exactly while its mode
+// is not offNone.
+const (
+	offNone uint8 = iota
+	offOnce       // Offer: forgotten after the next Step
+	offHeld       // Hold: re-presented to the next channel when refused
+	offGone       // retracted; dropped from offeredPEs by the next Step
+)
+
 // New builds a W×H torus with k independent Hoplite channels (k >= 1).
 func New(w, h, k int) (*Network, error) {
 	if k < 1 {
@@ -50,12 +60,9 @@ func New(w, h, k int) (*Network, error) {
 	n := w * h
 	nw := &Network{w: w, h: h, k: k,
 		nextChan: make([]int, n),
-		offered:  make([]int, n),
+		mode:     make([]uint8, n),
 		accepted: make([]bool, n),
 		exitBusy: make([]bool, n),
-	}
-	for i := range nw.offered {
-		nw.offered[i] = -1
 	}
 	for c := 0; c < k; c++ {
 		ch, err := hoplite.New(w, h)
@@ -92,13 +99,27 @@ func (nw *Network) SetObserver(o telemetry.Observer) {
 
 // Offer presents p for injection at PE pe this cycle. The packet goes to a
 // single channel chosen by per-PE rotation.
-func (nw *Network) Offer(pe int, p noc.Packet) {
-	c := nw.nextChan[pe]
-	nw.channels[c].Offer(pe, p)
-	if nw.offered[pe] < 0 {
+func (nw *Network) Offer(pe int, p noc.Packet) { nw.present(pe, p, offOnce) }
+
+// Hold presents p as a standing offer at PE pe (noc.Standing): when a channel
+// refuses it, Step re-presents it to the next channel itself — the rotation a
+// client re-offering every cycle would see.
+func (nw *Network) Hold(pe int, p noc.Packet) { nw.present(pe, p, offHeld) }
+
+func (nw *Network) present(pe int, p noc.Packet, mode uint8) {
+	nw.channels[nw.nextChan[pe]].Offer(pe, p)
+	if nw.mode[pe] == offNone {
 		nw.offeredPEs = append(nw.offeredPEs, pe)
 	}
-	nw.offered[pe] = c
+	nw.mode[pe] = mode
+}
+
+// Retract withdraws pe's offer, if any.
+func (nw *Network) Retract(pe int) {
+	if nw.mode[pe] != offNone {
+		nw.channels[nw.nextChan[pe]].Retract(pe)
+		nw.mode[pe] = offGone
+	}
 }
 
 // Step advances all channels one cycle. Channels are serviced in rotating
@@ -126,27 +147,39 @@ func (nw *Network) Step(now int64) {
 		}
 	}
 
-	// Record offer outcomes and rotate stalled clients to the next channel.
+	// Record offer outcomes and rotate stalled clients to the next channel,
+	// carrying a standing offer along.
 	for _, pe := range nw.acceptedPEs {
 		nw.accepted[pe] = false
 	}
 	nw.acceptedPEs = nw.acceptedPEs[:0]
+	kept := nw.offeredPEs[:0]
 	for _, pe := range nw.offeredPEs {
-		c := nw.offered[pe]
-		ok := nw.channels[c].Accepted(pe)
-		nw.accepted[pe] = ok
-		if ok {
+		c := nw.nextChan[pe]
+		switch {
+		case nw.mode[pe] == offGone:
+		case nw.channels[c].Accepted(pe):
+			nw.accepted[pe] = true
 			nw.acceptedPEs = append(nw.acceptedPEs, pe)
-		} else {
-			nw.nextChan[pe] = (c + 1) % nw.k
+		default:
+			next := (c + 1) % nw.k
+			nw.nextChan[pe] = next
+			if nw.mode[pe] == offHeld {
+				nw.channels[next].Offer(pe, nw.channels[c].Offers[pe].P)
+				kept = append(kept, pe)
+				continue
+			}
 		}
-		nw.offered[pe] = -1
+		nw.mode[pe] = offNone
 	}
-	nw.offeredPEs = nw.offeredPEs[:0]
+	nw.offeredPEs = kept
 }
 
 // Accepted reports whether the offer at pe was injected in the last Step.
 func (nw *Network) Accepted(pe int) bool { return nw.accepted[pe] }
+
+// AcceptedPEs lists the PEs accepted in the last Step; the slice is reused.
+func (nw *Network) AcceptedPEs() []int { return nw.acceptedPEs }
 
 // Delivered returns packets handed to clients in the last Step; the slice
 // is reused between cycles.

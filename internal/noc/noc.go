@@ -148,8 +148,7 @@ func (c *Counters) TotalExpressDenied() int64 {
 	return t
 }
 
-// Network is a cycle-accurate NoC. The engine drives it with the following
-// per-cycle protocol:
+// Network is a cycle-accurate NoC. Its per-cycle protocol is:
 //
 //  1. Offer at most one packet per PE for injection.
 //  2. Step(now) routes all in-flight packets and decides which offers were
@@ -157,21 +156,19 @@ func (c *Counters) TotalExpressDenied() int64 {
 //  3. Read Accepted for each offering PE and Delivered for the packets that
 //     exited this cycle.
 //
-// Offers not accepted are forgotten; the client must offer again. That
-// one-cycle Offer is the whole contract: every Network honours it, and the
-// wrappers (faults, multichannel) and external drivers rely on nothing else.
-// A standing offer — presented once, latched until granted, like a hardware
-// valid register — is a capability of the bufferless fabric kernel
-// (fabric.Kernel.Hold) outside this interface; the engine opts into it when the
-// workload's pending packet cannot change under it (sim.StableHead), with
-// cycle-for-cycle identical results.
+// An Offer lasts one cycle: if it is not accepted it is forgotten and the
+// client must offer again. External drivers (the benchmark's phase loop)
+// rely on nothing else. The engine drives the Standing half instead, where
+// an offer is presented once and stays latched until it is accepted,
+// replaced or retracted, like a hardware valid register; every production
+// network implements it, and Latch adapts any other Network.
 type Network interface {
 	// Width and Height return the torus dimensions in routers.
 	Width() int
 	Height() int
 	// NumPEs returns Width*Height; PE i sits at (i%Width, i/Width).
 	NumPEs() int
-	// Offer presents a packet for injection at PE pe this cycle.
+	// Offer presents a packet for injection at PE pe this cycle only.
 	Offer(pe int, p Packet)
 	// Step advances the network one clock cycle. A Step with nothing in
 	// flight and nothing offered must leave no trace: the engine's idle
@@ -187,6 +184,68 @@ type Network interface {
 	InFlight() int
 	// Counters exposes the event counters for measurement.
 	Counters() *Counters
+}
+
+// Standing is the standing-offer port the engine drives (sim.Run): a PE's
+// offer is presented once and the network keeps it latched across refusals,
+// so a stalled client costs nothing until its offer changes.
+type Standing interface {
+	Network
+	// Hold latches p as pe's offer until it is accepted, replaced by another
+	// Hold or Offer at pe, or withdrawn by Retract. A refused standing offer
+	// counts one injection stall per cycle, exactly as if it were re-offered.
+	Hold(pe int, p Packet)
+	// Retract withdraws pe's offer, if any.
+	Retract(pe int)
+	// AcceptedPEs lists the PEs whose offers the latest Step accepted. The
+	// slice is reused between cycles; callers must not retain it.
+	AcceptedPEs() []int
+}
+
+// Latch returns net's standing-offer port: net itself when it implements
+// Standing, otherwise an adapter that re-offers every latched offer to net
+// before each Step (for one-cycle networks such as test oracles).
+func Latch(net Network) Standing {
+	if s, ok := net.(Standing); ok {
+		return s
+	}
+	n := net.NumPEs()
+	return &latched{Network: net, offers: make([]Packet, n), held: make([]bool, n)}
+}
+
+// latched emulates Standing over a one-cycle Network, scanning every PE
+// twice per Step.
+type latched struct {
+	Network
+	offers   []Packet
+	held     []bool
+	accepted []int
+}
+
+func (l *latched) Hold(pe int, p Packet) { l.offers[pe], l.held[pe] = p, true }
+func (l *latched) Retract(pe int)        { l.held[pe] = false }
+func (l *latched) AcceptedPEs() []int    { return l.accepted }
+
+// Offer presents a one-cycle offer, replacing a latched one.
+func (l *latched) Offer(pe int, p Packet) {
+	l.held[pe] = false
+	l.Network.Offer(pe, p)
+}
+
+func (l *latched) Step(now int64) {
+	for pe, ok := range l.held {
+		if ok {
+			l.Network.Offer(pe, l.offers[pe])
+		}
+	}
+	l.Network.Step(now)
+	l.accepted = l.accepted[:0]
+	for pe := range l.held {
+		if l.Network.Accepted(pe) {
+			l.held[pe] = false
+			l.accepted = append(l.accepted, pe)
+		}
+	}
 }
 
 // PEIndex converts a coordinate to the PE index used by Network.

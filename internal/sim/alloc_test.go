@@ -48,8 +48,8 @@ func TestDeliveryDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// mallocProbe is a SynthView (every optional interface and the StableHead
-// marker are promoted from the embedded pointer) that samples the process's
+// mallocProbe is a SynthView (every optional interface, the change report
+// included, is promoted from the embedded pointer) that samples the process's
 // malloc count on entry to two chosen cycles; after the second, window is the
 // number of mallocs between them.
 type mallocProbe struct {

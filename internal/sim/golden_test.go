@@ -65,7 +65,7 @@ func oracleOf(c core.Config) func() (noc.Network, error) {
 }
 
 // fullScan hides every optional interface of the workload it wraps
-// (sim.ActiveSet, sim.StableHead, sim.EventWorkload), so Run polls Pending
+// (sim.ActiveSet, sim.ChangeReporter, sim.EventWorkload), so Run polls Pending
 // on every PE every cycle, offers one cycle at a time and never skips an
 // idle cycle: the engine's reference path.
 type fullScan struct{ sim.Workload }

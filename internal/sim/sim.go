@@ -3,10 +3,10 @@
 // average and worst-case packet latency, latency histograms, link-usage and
 // deflection counters, and workload completion time.
 //
-// The engine's per-cycle protocol matches noc.Network: the workload offers
-// at most one packet per PE, the network steps, accepted offers are consumed
-// and deliveries are fed back to the workload (dependency-driven traces use
-// this to unlock later sends).
+// The engine's per-cycle protocol matches noc.Standing: the workload's
+// changed offers are presented (at most one standing offer per PE), the
+// network steps, accepted offers are consumed and deliveries are fed back to
+// the workload (dependency-driven traces use this to unlock later sends).
 package sim
 
 import (
@@ -45,18 +45,16 @@ type Workload interface {
 }
 
 // ActiveSet is optionally implemented by workloads that can cheaply
-// enumerate the PEs which may have a pending packet this cycle. When a
-// workload implements it, Run polls Pending only on those PEs instead of
-// scanning all N² every cycle — the dominant engine cost at the
-// low-injection-rate sweep points where almost every PE is idle.
+// enumerate the PEs which may have a pending packet this cycle; Run walks
+// that list instead of all N² PEs wherever it needs every live PE.
 //
 // The contract: after Tick, every PE for which Pending would return ok must
-// appear in the returned set (a superset is fine, duplicates are not), and
-// the enumeration must be a deterministic function of the workload's
-// history so repeated runs replay identically. The fast path is bit-exact
-// with the full scan because per-PE offer operations are independent; a
-// workload without ActiveSet gets the full scan, which the golden suites run
-// as the reference.
+// appear in the returned set (a superset is fine, duplicates are not), a PE
+// leaves it only after Injected or once Pending returned !ok for it, and the
+// enumeration must be a deterministic function of the workload's history so
+// repeated runs replay identically. The fast path is bit-exact with the full
+// scan, which the golden suites run as the reference, because per-PE offer
+// operations are independent.
 type ActiveSet interface {
 	// ActivePEs appends the live PE indices to buf and returns it.
 	ActivePEs(buf []int) []int
@@ -77,24 +75,18 @@ type EventWorkload interface {
 	QueueEmpty() bool
 }
 
-// StableHead is a marker (never called) declared by workloads whose per-PE
-// source queue is strictly FIFO and dequeued only by Injected: once Pending(pe)
-// returns a packet it returns that packet, bit for bit, every later cycle until
-// Injected(pe), and pe stays in the ActiveSet meanwhile. That is stronger than
-// Workload's retry rule — a trace.Stream head can be displaced by a lower-index
-// event that becomes ready the same cycle — and it lets the engine present the
-// packet once, as a standing offer (holder), instead of rebuilding and
-// re-offering it every stalled cycle. Decorators that reorder, delay or
-// withdraw offers (reliability) must not declare it.
-type StableHead interface {
-	StableHead()
-}
-
-// holder is the fabric kernel's standing-offer port (fabric.Kernel.Hold): the
-// offer stays latched across refusals until accepted. Wrappers that gate or
-// rewrite offers per cycle (faults, multichannel) deliberately lack it.
-type holder interface {
-	Hold(pe int, p noc.Packet)
+// ChangeReporter is optionally implemented by workloads that know which PEs'
+// offers changed: Run presents only those, as standing offers (noc.Standing)
+// the network keeps latched until accepted, replaced or retracted. A
+// workload without it is re-presented as every live PE every cycle.
+//
+// The contract: Changed is called once per cycle after Tick and appends to
+// buf every PE whose Pending may differ from what it returned when that PE
+// was last presented (the first call: every PE that may be pending). A
+// superset is fine and neither order nor duplicates matter; Injected must not
+// depend on the order of its calls either, which follow the accepted list.
+type ChangeReporter interface {
+	Changed(buf []int) []int
 }
 
 // Result summarizes one simulation run.
@@ -244,17 +236,6 @@ func (c *convergence) observe(wp telemetry.WindowPoint) bool {
 	return c.streak >= convergePatience
 }
 
-// attachObserver hands obs to the network and to the workload when either
-// can hold one.
-func attachObserver(net noc.Network, wl Workload, obs telemetry.Observer) {
-	if o, ok := net.(telemetry.Observable); ok {
-		o.SetObserver(obs)
-	}
-	if o, ok := wl.(telemetry.Observable); ok {
-		o.SetObserver(obs)
-	}
-}
-
 // Run drives net against wl on the calling goroutine until the workload
 // drains or a limit is hit.
 func Run(net noc.Network, wl Workload, opts Options) (Result, error) {
@@ -309,7 +290,7 @@ func (e *engine) run() (Result, error) {
 // deliver, cycle-end bookkeeping — and every scalar rule (watchdog,
 // convergence, result finalization) has one method of its own.
 type engine struct {
-	net  noc.Network
+	net  noc.Standing
 	wl   Workload
 	opts Options
 	res  Result
@@ -317,21 +298,21 @@ type engine struct {
 	numPE int
 	width int
 
-	offered    []bool
-	offeredPkt []noc.Packet
-	// hold is set when the network is a holder and the workload StableHead;
-	// nil keeps offers one-cycle.
-	// A standing offer keeps offered[pe] and offeredPkt[pe] set from the cycle
-	// it is presented until injectPE sees it accepted.
-	hold holder
-	aud  *auditor
-	obs  telemetry.Observer
-	// track mirrors accepted offers for the auditor and the observer;
-	// without either consumer the copy is skipped in the hot loop.
+	// offered[pe] marks a standing offer until injectPE sees it accepted or
+	// present retracts it; standing counts them.
+	offered  []bool
+	standing int
+	aud      *auditor
+	obs      telemetry.Observer
+	// track is set when the auditor or the observer needs every injected
+	// packet (pkt, re-read from Pending) and inject feedback in live order.
 	track bool
-	// live lists the PEs the offer and feedback phases visit: refilled from
-	// activeWL every cycle, or fixed to 0..N-1 for a workload without
-	// ActiveSet.
+	pkt   noc.Packet
+	// changes is the workload's change report (nil: present live instead).
+	changes ChangeReporter
+	changed []int
+	// live lists every PE that may be pending: refilled from activeWL when
+	// needed, or fixed to 0..N-1 for a workload without ActiveSet.
 	activeWL ActiveSet
 	live     []int
 
@@ -349,7 +330,7 @@ type engine struct {
 
 func newEngine(net noc.Network, wl Workload, opts Options) *engine {
 	e := &engine{
-		net: net, wl: wl, opts: opts,
+		net: noc.Latch(net), wl: wl, opts: opts,
 		res:     Result{Latency: stats.NewLatencyHistogram(opts.HistogramMax)},
 		numPE:   net.NumPEs(),
 		width:   net.Width(),
@@ -360,9 +341,12 @@ func newEngine(net noc.Network, wl Workload, opts Options) *engine {
 	}
 	e.res.PerSource = make([]stats.Accumulator, e.numPE)
 	e.offered = make([]bool, e.numPE)
-	e.offeredPkt = make([]noc.Packet, e.numPE)
 	if e.obs != nil {
-		attachObserver(net, wl, e.obs)
+		for _, x := range []any{net, wl} { // either may hold the observer
+			if o, ok := x.(telemetry.Observable); ok {
+				o.SetObserver(e.obs)
+			}
+		}
 	}
 	if a, ok := wl.(ActiveSet); ok {
 		e.activeWL = a
@@ -372,9 +356,7 @@ func newEngine(net noc.Network, wl Workload, opts Options) *engine {
 			e.live[pe] = pe
 		}
 	}
-	if _, ok := wl.(StableHead); ok {
-		e.hold, _ = net.(holder)
-	}
+	e.changes, _ = wl.(ChangeReporter)
 	e.track = e.aud != nil || e.obs != nil
 	return e
 }
@@ -391,42 +373,38 @@ func (e *engine) pollCtx() error {
 	return nil
 }
 
-// offerPE presents pe's pending packet to the network; reports whether one
-// was offered.
-func (e *engine) offerPE(pe int, now int64) bool {
-	if e.hold != nil && e.offered[pe] {
-		return true // refused last cycle and still latched in the network
+// present latches pe's pending packet as its standing offer, replacing any
+// earlier one, or retracts the offer when nothing is pending.
+func (e *engine) present(pe int, now int64) {
+	switch p, ok := e.wl.Pending(pe, now); {
+	case ok:
+		if !e.offered[pe] {
+			e.offered[pe] = true
+			e.standing++
+		}
+		e.net.Hold(pe, p)
+	case e.offered[pe]:
+		e.offered[pe] = false
+		e.standing--
+		e.net.Retract(pe)
 	}
-	p, ok := e.wl.Pending(pe, now)
-	e.offered[pe] = ok
-	if !ok {
-		return false
-	}
-	if e.track {
-		e.offeredPkt[pe] = p
-	}
-	if e.hold != nil {
-		e.hold.Hold(pe, p)
-	} else {
-		e.net.Offer(pe, p)
-	}
-	return true
 }
 
-// phaseOffer gathers this cycle's offers from the live PEs. Per-PE offer
-// operations are independent, so the ActiveSet list is bit-exact with the
-// full 0..N-1 one (golden_test.go holds the two to byte-identical Results).
-func (e *engine) phaseOffer(now int64) bool {
-	if e.activeWL != nil {
+// phaseOffer presents the workload's changed PEs, or every live PE. Per-PE
+// offer operations are independent, so both are bit-exact with the full
+// 0..N-1 scan (golden_test.go and standing_test.go).
+func (e *engine) phaseOffer(now int64) {
+	if e.activeWL != nil && (e.track || e.changes == nil) {
 		e.live = e.activeWL.ActivePEs(e.live[:0])
 	}
-	anyOffer := false
-	for _, pe := range e.live {
-		if e.offerPE(pe, now) {
-			anyOffer = true
-		}
+	pes := e.live
+	if e.changes != nil {
+		e.changed = e.changes.Changed(e.changed[:0])
+		pes = e.changed
 	}
-	return anyOffer
+	for _, pe := range pes {
+		e.present(pe, now)
+	}
 }
 
 // injectPE consumes pe's offer if the network accepted it, counting it into
@@ -441,23 +419,33 @@ func (e *engine) injectPE(pe int, now int64) bool {
 		}
 		return false
 	}
-	e.offered[pe] = false // releases a standing offer's latch
+	e.offered[pe] = false
+	e.standing--
 	e.res.Injected++
+	if e.track {
+		// Pending returns the accepted offer until Injected (Workload's rule).
+		e.pkt, _ = e.wl.Pending(pe, now)
+	}
 	e.wl.Injected(pe, now)
 	if e.aud != nil {
-		e.aud.onInject(e.offeredPkt[pe], now)
+		e.aud.onInject(e.pkt, now)
 	}
 	if e.obs != nil {
-		e.obs.OnInject(now, &e.offeredPkt[pe])
+		e.obs.OnInject(now, &e.pkt)
 	}
 	return true
 }
 
 // phaseInjectFeedback relays the network's accept decisions back to the
-// workload for every PE that offered this cycle.
+// workload: for a change-reporting workload nobody tracks, only the
+// accepted list; otherwise every live PE, in live-list order.
 func (e *engine) phaseInjectFeedback(now int64) bool {
+	pes := e.live
+	if e.changes != nil && !e.track {
+		pes = e.net.AcceptedPEs()
+	}
 	progress := false
-	for _, pe := range e.live {
+	for _, pe := range pes {
 		if e.injectPE(pe, now) {
 			progress = true
 		}
@@ -528,12 +516,12 @@ func (e *engine) phaseCycleEnd(now int64) error {
 
 // watchdog enforces the stall limit. A cycle counts toward it only when the
 // network could have made progress and did not: a packet is in flight or an
-// offer was presented (and, having produced no progress, was refused). A
+// offer stands (and, having produced no progress, was refused). A
 // deliberately idle workload — a trace in a long compute gap with nothing
 // pending and an empty network — is not a livelock and resets the window,
 // no matter how long the gap.
-func (e *engine) watchdog(now int64, anyOffer, progress bool) error {
-	if progress || (!anyOffer && e.net.InFlight() == 0) {
+func (e *engine) watchdog(now int64, progress bool) error {
+	if progress || (e.standing == 0 && e.net.InFlight() == 0) {
 		e.lastProgress = now
 		return nil
 	}
@@ -569,8 +557,8 @@ func (e *engine) finish(now int64) (Result, error) {
 	// purpose; even if that bumped now to MaxCycles it did not time out.
 	// (Converged and TimedOut are mutually exclusive by contract.)
 	e.res.TimedOut = now >= e.opts.MaxCycles && !e.res.Converged
-	if fn, ok := e.net.(FaultyNetwork); ok {
-		e.res.Faults = fn.FaultCounts()
+	if e.aud != nil && e.aud.faulty != nil {
+		e.res.Faults = e.aud.faulty.FaultCounts()
 	}
 	if rr, ok := e.wl.(RecoveryReporter); ok {
 		e.res.Recovery = rr.RecoveryCounts()
@@ -613,8 +601,8 @@ const (
 // body of engine.run.
 func (e *engine) cycle(now int64) (cycleStatus, error) {
 	e.wl.Tick(now)
-	anyOffer := e.phaseOffer(now)
-	if !anyOffer && e.wl.Done() && e.net.InFlight() == 0 {
+	e.phaseOffer(now)
+	if e.standing == 0 && e.wl.Done() && e.net.InFlight() == 0 {
 		return cycleDrained, nil
 	}
 
@@ -629,7 +617,7 @@ func (e *engine) cycle(now int64) (cycleStatus, error) {
 	if err := e.phaseCycleEnd(now); err != nil {
 		return cycleRan, err
 	}
-	if err := e.watchdog(now, anyOffer, progress); err != nil {
+	if err := e.watchdog(now, progress); err != nil {
 		return cycleRan, err
 	}
 	if e.converged(now) {

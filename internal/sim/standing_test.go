@@ -5,22 +5,23 @@ import (
 	"reflect"
 	"testing"
 
+	"fasttrack/internal/buffered"
 	"fasttrack/internal/core"
+	"fasttrack/internal/fasttrack"
 	"fasttrack/internal/faults"
 	"fasttrack/internal/hoplite"
 	"fasttrack/internal/multichannel"
 	"fasttrack/internal/noc"
-	"fasttrack/internal/reliability"
 	"fasttrack/internal/sim"
 	"fasttrack/internal/telemetry"
 	"fasttrack/internal/trace"
 	"fasttrack/internal/traffic"
 )
 
-// synthFace is everything a SynthView offers the engine except the StableHead
-// marker. Embedding the interface (not the view) promotes only these methods,
-// so a oneCycle workload is a SynthView the engine must drive with one-cycle
-// offers.
+// synthFace is everything a SynthView offers the engine except its change
+// report. Embedding the interface (not the view) promotes only these methods,
+// so a oneCycle workload is a SynthView the engine must re-present as every
+// live PE every cycle.
 type synthFace interface {
 	sim.Workload
 	sim.ActiveSet
@@ -71,15 +72,15 @@ func (r *engineRecorder) OnCycleEnd(now int64, inFlight int) {
 	r.add(event{Kind: "cycle", Now: now, Router: inFlight})
 }
 
-// TestGoldenStandingOffers holds the standing-offer path (Kernel.Hold, taken
-// when the workload declares sim.StableHead) to the one-cycle path (the same
-// workload with the marker hidden): identical Results per job and over a
-// batch of four seeds, with the auditor on, and — observed — identical
-// event streams, so OnInjectStall still fires once per refused PE per cycle in
-// live-list order.
+// TestGoldenStandingOffers holds the change-driven path (only the PEs the
+// workload reports as sim.ChangeReporter are presented) to the one-cycle
+// path (the same workload with the report hidden): identical Results per job
+// and over a batch of four seeds, with the auditor on, and — observed —
+// identical event streams, so OnInjectStall still fires once per refused PE
+// per cycle in live-list order.
 func TestGoldenStandingOffers(t *testing.T) {
-	if _, ok := sim.Workload(oneCycle{}).(sim.StableHead); ok {
-		t.Fatal("oneCycle exposes the StableHead marker; it would not force the one-cycle path")
+	if _, ok := sim.Workload(oneCycle{}).(sim.ChangeReporter); ok {
+		t.Fatal("oneCycle exposes the change report; it would not force the one-cycle path")
 	}
 	cfgs := []core.Config{
 		core.Hoplite(8),
@@ -154,30 +155,16 @@ func TestGoldenStandingOffers(t *testing.T) {
 	}
 }
 
-// TestStandingOfferOptOuts pins who must stay on one-cycle offers. The
-// workload decorator reorders, delays or withdraws what its inner workload has
-// pending, and a trace head can be displaced (trace's
-// TestStreamHeadDisplacedAfterRefusal), so none may carry the StableHead
-// marker; the network wrappers gate or rewrite offers per cycle, so neither
-// may expose the kernel's Hold. All four keep their inner value in a named
-// field — this fails the day an embed starts inheriting the method silently.
-func TestStandingOfferOptOuts(t *testing.T) {
-	for _, wl := range []any{(*reliability.Workload)(nil), (*trace.Stream)(nil)} {
-		if _, ok := wl.(sim.StableHead); ok {
-			t.Errorf("%T declares sim.StableHead", wl)
-		}
-	}
-	type holder interface{ Hold(int, noc.Packet) }
-	for _, net := range []any{(*faults.Network)(nil), (*multichannel.Network)(nil)} {
-		if _, ok := net.(holder); ok {
-			t.Errorf("%T exposes Hold", net)
-		}
-	}
-	// The positive side, so the negatives cannot pass by a renamed method.
-	if _, ok := any((*traffic.SynthView)(nil)).(sim.StableHead); !ok {
-		t.Error("*traffic.SynthView no longer declares sim.StableHead")
-	}
-	if _, ok := any((*hoplite.Network)(nil)).(holder); !ok {
-		t.Error("*hoplite.Network no longer exposes Hold")
-	}
-}
+// Every production network keeps standing offers, and both production
+// workloads report their changes: the engine's one offer path relies on
+// nothing else (noc.Latch adapts only test oracles).
+var (
+	_ noc.Standing = (*hoplite.Network)(nil)
+	_ noc.Standing = (*fasttrack.Network)(nil)
+	_ noc.Standing = (*multichannel.Network)(nil)
+	_ noc.Standing = (*faults.Network)(nil)
+	_ noc.Standing = (*buffered.Network)(nil)
+
+	_ sim.ChangeReporter = (*traffic.SynthView)(nil)
+	_ sim.ChangeReporter = (*trace.Stream)(nil)
+)

@@ -80,6 +80,16 @@ type Stream struct {
 	inLive []bool
 	now    int64 // current cycle, for conservative late-read scheduling
 
+	// chg lists the PEs whose head may have changed since the last Changed
+	// call (sim.ChangeReporter): a head that became ready, or was displaced
+	// by a new head, or exposed by Injected. wake holds (ready cycle, PE)
+	// for heads that become ready with time, turned into changes by Tick.
+	// chg is kept only once Changed has been called (report), so a stream no
+	// caller drains never grows it.
+	chg    []int
+	wake   eventHeap
+	report bool
+
 	// scratch is the decode target reused across fill calls; a local would
 	// escape through the Cursor interface and allocate once per event.
 	scratch Event
@@ -257,9 +267,22 @@ func (s *Stream) schedule(ev int32, readyAt int64) {
 		return
 	}
 	s.readyQ[slot.src].pushItem(item{ev: ev, readyAt: readyAt})
+	if s.readyQ[slot.src][0].ev == ev {
+		s.headChanged(int(slot.src))
+	}
 	if !s.inLive[slot.src] {
 		s.inLive[slot.src] = true
 		s.live = append(s.live, int(slot.src))
+	}
+}
+
+// headChanged notes that pe has a new head event: a change now if it is
+// ready, or once it becomes ready.
+func (s *Stream) headChanged(pe int) {
+	if h := s.readyQ[pe][0]; h.readyAt > s.now {
+		s.wake.pushItem(item{ev: int32(pe), readyAt: h.readyAt})
+	} else if s.report {
+		s.chg = append(s.chg, pe)
 	}
 }
 
@@ -302,12 +325,18 @@ func (s *Stream) fail(err error) {
 func (s *Stream) Err() error { return s.err }
 
 // Tick implements sim.Workload: retire self-addressed events whose compute
-// delay has elapsed.
+// delay has elapsed, and report the heads that became ready.
 func (s *Stream) Tick(now int64) {
 	s.now = now
 	for len(s.selfQ) > 0 && s.selfQ[0].readyAt <= now {
 		it := s.selfQ.popItem()
 		s.complete(it.ev, now)
+	}
+	for len(s.wake) > 0 && s.wake[0].readyAt <= now {
+		pe := int(s.wake.popItem().ev)
+		if s.report {
+			s.chg = append(s.chg, pe)
+		}
 	}
 }
 
@@ -331,6 +360,21 @@ func (s *Stream) Pending(pe int, now int64) (noc.Packet, bool) {
 // Injected implements sim.Workload.
 func (s *Stream) Injected(pe int, _ int64) {
 	s.readyQ[pe].popItem()
+	if len(s.readyQ[pe]) > 0 {
+		s.headChanged(pe)
+	}
+}
+
+// Changed implements sim.ChangeReporter; the first call reports every PE
+// with a queued event.
+func (s *Stream) Changed(buf []int) []int {
+	if !s.report {
+		s.report = true
+		return s.ActivePEs(buf)
+	}
+	buf = append(buf, s.chg...)
+	s.chg = s.chg[:0]
+	return buf
 }
 
 // Delivered implements sim.Workload: a delivered packet completes its event

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"fasttrack/internal/noc"
@@ -365,12 +366,12 @@ func BenchmarkReplayStreaming(b *testing.B) {
 	b.ReportMetric(float64(fi.Size())/float64(n), "bytes/event")
 }
 
-// TestStreamHeadDisplacedAfterRefusal builds the case that keeps a Stream on
-// one-cycle offers (it must not declare sim's StableHead marker): PE 0's head
-// is offered and refused at cycle T, and a delivery later in that same cycle
-// readies a lower-index event of PE 0 with the same ready time. The per-PE
-// heap orders by (readyAt, index), so the next cycle's head is the new event —
-// an offer latched in the network at T would have injected the wrong packet.
+// TestStreamHeadDisplacedAfterRefusal builds the case a Stream's change
+// report must catch: PE 0's head becomes ready at cycle T and is refused, and
+// a delivery later in that same cycle readies a lower-index event of PE 0
+// with the same ready time. The per-PE heap orders by (readyAt, index), so
+// the next cycle's head is the new event — unless Changed reports PE 0
+// again, the offer latched in the network at T injects the wrong packet.
 func TestStreamHeadDisplacedAfterRefusal(t *testing.T) {
 	const T = 3
 	b := NewBuilder("stream/displaced", 4)
@@ -385,11 +386,8 @@ func TestStreamHeadDisplacedAfterRefusal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := any(st).(interface{ StableHead() }); ok {
-		t.Fatal("*Stream declares StableHead; its head is not stable (see below)")
-	}
-
 	st.Tick(0)
+	st.Changed(nil) // the first call arms the report
 	rootPkt, ok := st.Pending(1, 0)
 	if !ok || rootPkt.Event != root {
 		t.Fatalf("cycle 0: PE 1 offers %+v, %v; want event %d", rootPkt, ok, root)
@@ -397,6 +395,9 @@ func TestStreamHeadDisplacedAfterRefusal(t *testing.T) {
 	st.Injected(1, 0)
 	for now := int64(1); now <= T; now++ {
 		st.Tick(now)
+		if got := st.Changed(nil); (now == T) != slices.Contains(got, 0) {
+			t.Fatalf("cycle %d: Changed = %v; PE 0's head becomes ready at %d", now, got, T)
+		}
 	}
 	if p, ok := st.Pending(0, T); !ok || p.Event != late {
 		t.Fatalf("cycle %d: PE 0 offers %+v, %v; want event %d", T, p, ok, late)
@@ -404,6 +405,9 @@ func TestStreamHeadDisplacedAfterRefusal(t *testing.T) {
 	// The network refuses PE 0 (no Injected), then delivers root.
 	st.Delivered(rootPkt, T)
 	st.Tick(T + 1)
+	if got := st.Changed(nil); !slices.Contains(got, 0) {
+		t.Fatalf("cycle %d: Changed = %v does not report PE 0's displaced head", T+1, got)
+	}
 	p, ok := st.Pending(0, T+1)
 	if !ok || p.Event != early || p.Gen != T {
 		t.Fatalf("cycle %d: PE 0 offers %+v, %v; want the displacing event %d generated at %d", T+1, p, ok, early, T)

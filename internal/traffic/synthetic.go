@@ -52,7 +52,7 @@ func (q *srcQueue) empty() bool { return q.head == len(q.buf) }
 // — ID, source, destination, generation cycle, order — are those of the
 // straight-line per-cycle generator kept as the oracle in oracle_test.go.
 //
-// SynthView implements sim.Workload, ActiveSet, StableHead and
+// SynthView implements sim.Workload, ActiveSet, ChangeReporter and
 // EventWorkload. Ticks must visit cycles in ascending order and may skip only
 // cycles before NextEventCycle.
 type SynthView struct {
@@ -75,6 +75,11 @@ type SynthView struct {
 	// their queue first becomes non-empty and dropped lazily when the active
 	// walk finds them drained.
 	live []int
+	// chg lists the PEs whose head changed since the last Changed call,
+	// kept only once Changed has been called (report): a view no caller
+	// drains never grows it.
+	chg    []int
+	report bool
 
 	// Per-PE state, indexed by PE.
 	rngs      []xrand.Rand
@@ -159,6 +164,9 @@ func (v *SynthView) Tick(now int64) {
 	for pe := 0; pe < v.n; pe++ {
 		nc := v.nextCycle[pe]
 		if nc == now {
+			if v.report && v.queues[pe].empty() {
+				v.chg = append(v.chg, pe)
+			}
 			v.queues[pe].push(qent{dst: v.nextDst[pe], gen: now})
 			v.pending++
 			if !v.inLive[pe] {
@@ -200,19 +208,31 @@ func (v *SynthView) Pending(pe int, _ int64) (noc.Packet, bool) {
 	}, true
 }
 
-// StableHead declares sim.StableHead: Tick appends behind the head and only
-// Injected dequeues (or moves the ID's sequence half), so Pending is fixed.
-func (v *SynthView) StableHead() {}
-
 // Injected implements sim.Workload: dequeue pe's head packet.
 func (v *SynthView) Injected(pe int, _ int64) {
 	q := &v.queues[pe]
 	q.head++
 	if q.head == len(q.buf) {
 		q.buf, q.head = q.buf[:0], 0
+	} else if v.report {
+		v.chg = append(v.chg, pe)
 	}
 	v.injected[pe]++
 	v.pending--
+}
+
+// Changed implements sim.ChangeReporter. Tick appends behind the head and
+// only Injected dequeues (or moves the ID's sequence half), so a head changes
+// only on an arrival into an empty queue or an Injected exposing a next one;
+// the first call reports every queued PE.
+func (v *SynthView) Changed(buf []int) []int {
+	if !v.report {
+		v.report = true
+		return v.ActivePEs(buf)
+	}
+	buf = append(buf, v.chg...)
+	v.chg = v.chg[:0]
+	return buf
 }
 
 // Delivered implements sim.Workload (synthetic traffic has no dependencies).
@@ -244,12 +264,3 @@ func (v *SynthView) NextEventCycle(int64) int64 { return v.minNext }
 
 // QueueEmpty implements sim.EventWorkload: no PE holds a queued packet.
 func (v *SynthView) QueueEmpty() bool { return v.pending == 0 }
-
-// Generated returns the total packets created so far.
-func (v *SynthView) Generated() int64 {
-	var total int64
-	for _, g := range v.generated {
-		total += int64(g)
-	}
-	return total
-}

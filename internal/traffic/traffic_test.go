@@ -178,7 +178,7 @@ func TestSyntheticQuotaAndRate(t *testing.T) {
 			t.Fatal("synthetic workload never finished")
 		}
 	}
-	if got := s.Generated(); got != 64*quota {
+	if got := generated(s); got != 64*quota {
 		t.Fatalf("generated %d packets, want %d", got, 64*quota)
 	}
 	// With Bernoulli(0.25), 200 packets should take ≈800 cycles.
@@ -242,7 +242,7 @@ func TestSyntheticStochasticNotOKIsNotSilence(t *testing.T) {
 	if !s.Done() {
 		t.Fatal("workload never finished: a transient !ok draw muted a PE")
 	}
-	if got := s.Generated(); got != 16*quota {
+	if got := generated(s); got != 16*quota {
 		t.Fatalf("generated %d packets, want %d — some PEs were wrongly silenced", got, 16*quota)
 	}
 }

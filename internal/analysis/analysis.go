@@ -124,20 +124,3 @@ func ZeroLoadProfile(cfg core.Config) (ZeroLoad, error) {
 	}
 	return zl, nil
 }
-
-// SpeedupBound returns the best-case (zero-load) latency speedup FastTrack
-// can deliver over Hoplite for a given pair: the ratio of DOR path length
-// to the express-accelerated path length. It is the analytical ceiling the
-// simulated speedups must respect.
-func SpeedupBound(n, d int, src, dst noc.Coord) float64 {
-	dx := noc.RingDelta(src.X, dst.X, n)
-	dy := noc.RingDelta(src.Y, dst.Y, n)
-	if dx+dy == 0 {
-		return 1
-	}
-	fast := dx%d + dx/d + dy%d + dy/d
-	if fast == 0 {
-		fast = 1
-	}
-	return float64(dx+dy) / float64(fast)
-}

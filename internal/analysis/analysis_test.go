@@ -151,10 +151,27 @@ func TestSpeedupBoundDominatesMeasured(t *testing.T) {
 			if f == 0 || h == 0 {
 				continue
 			}
-			bound := SpeedupBound(8, 2, src, dst)
+			bound := speedupBound(8, 2, src, dst)
 			if got := float64(h) / float64(f); got > bound+1e-9 {
 				t.Fatalf("%v->%v measured speedup %.3f exceeds bound %.3f", src, dst, got, bound)
 			}
 		}
 	}
+}
+
+// speedupBound returns the best-case (zero-load) latency speedup FastTrack
+// can deliver over Hoplite for a given pair: the ratio of DOR path length
+// to the express-accelerated path length. It is the analytical ceiling the
+// simulated speedups must respect.
+func speedupBound(n, d int, src, dst noc.Coord) float64 {
+	dx := noc.RingDelta(src.X, dst.X, n)
+	dy := noc.RingDelta(src.Y, dst.Y, n)
+	if dx+dy == 0 {
+		return 1
+	}
+	fast := dx%d + dx/d + dy%d + dy/d
+	if fast == 0 {
+		fast = 1
+	}
+	return float64(dx+dy) / float64(fast)
 }

@@ -25,8 +25,3 @@ func RegisterTelemetry(fs *flag.FlagSet) *Telemetry {
 	fs.Int64Var(&t.MetricsWindow, "metrics-window", 1024, "window length in cycles for -metrics-out")
 	return t
 }
-
-// Enabled reports whether any telemetry output was requested.
-func (t *Telemetry) Enabled() bool {
-	return t.TraceOut != "" || t.TraceJSONL != "" || t.LinkStats != "" || t.MetricsOut != ""
-}

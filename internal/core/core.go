@@ -53,8 +53,6 @@ type (
 	Device = fpga.Device
 	// FaultConfig is a deterministic fault-injection schedule.
 	FaultConfig = faults.Config
-	// FaultWindow is a per-PE stuck-at / freeze interval.
-	FaultWindow = faults.Window
 	// RetryConfig tunes the resilient-delivery (retransmission) layer.
 	RetryConfig = reliability.Config
 	// Observer receives cycle-level telemetry events (internal/telemetry).

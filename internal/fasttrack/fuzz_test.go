@@ -33,7 +33,7 @@ func FuzzTopology(f *testing.F) {
 		if top.D < 1 || top.D > top.N/2 || top.R < 1 || top.D%top.R != 0 || top.N%top.R != 0 {
 			t.Fatalf("accepted invalid topology %+v", top)
 		}
-		black, grey, white := top.RouterCounts()
+		black, grey, white := routerCounts(top)
 		if black+grey+white != top.N*top.N {
 			t.Fatalf("%s: router classes sum to %d, want %d", top, black+grey+white, top.N*top.N)
 		}

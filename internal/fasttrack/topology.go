@@ -143,30 +143,6 @@ func (t Topology) ExpressTracks() int { return t.D / t.R }
 // paper's §IV-A and Fig 13/14.
 func (t Topology) WireFactor() int { return 1 + t.ExpressTracks() }
 
-// RouterCounts returns how many routers of each class the topology
-// instantiates.
-func (t Topology) RouterCounts() (black, grey, white int) {
-	for y := 0; y < t.N; y++ {
-		for x := 0; x < t.N; x++ {
-			switch t.ClassAt(x, y) {
-			case ClassBlack:
-				black++
-			case ClassGreyX, ClassGreyY:
-				grey++
-			default:
-				white++
-			}
-		}
-	}
-	return black, grey, white
-}
-
-// ExpressAligned reports whether a packet with forward ring distance delta
-// can ride express links all the way to distance zero: it must sit on a
-// multiple of D. The paper's routing rule — a packet enters the express
-// network only if its destination is directly reachable entirely within it.
-func (t Topology) ExpressAligned(delta int) bool { return delta%t.D == 0 }
-
 // String renders the paper notation, e.g. "FT(64,2,1)".
 func (t Topology) String() string { return fmt.Sprintf("FT(%d,%d,%d)", t.N*t.N, t.D, t.R) }
 

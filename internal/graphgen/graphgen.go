@@ -90,23 +90,6 @@ func RoadGrid(name string, n int, shortcutFrac float64, seed uint64) *Graph {
 	return g
 }
 
-// SmallWorld generates a Watts–Strogatz-style ring lattice with degree k
-// and rewiring probability beta.
-func SmallWorld(name string, n, k int, beta float64, seed uint64) *Graph {
-	rng := xrand.New(seed)
-	g := &Graph{Name: name, N: n, Out: make([][]int32, n)}
-	for v := 0; v < n; v++ {
-		for e := 1; e <= k/2; e++ {
-			t := (v + e) % n
-			if rng.Bool(beta) {
-				t = rng.Intn(n)
-			}
-			g.Out[v] = append(g.Out[v], int32(t))
-		}
-	}
-	return g
-}
-
 // Partition maps vertices to PEs.
 type Partition []int32
 

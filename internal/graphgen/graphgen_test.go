@@ -23,7 +23,6 @@ func TestGeneratorsValid(t *testing.T) {
 	for _, g := range []*Graph{
 		PreferentialAttachment("pa", 800, 4, 1),
 		RoadGrid("road", 900, 0.01, 2),
-		SmallWorld("sw", 800, 6, 0.1, 3),
 	} {
 		checkGraph(t, g)
 		if g.Edges() == 0 {
@@ -120,8 +119,8 @@ func TestBlockPartitionContiguous(t *testing.T) {
 }
 
 func TestGeneratorsDeterministic(t *testing.T) {
-	a := SmallWorld("a", 500, 4, 0.2, 11)
-	b := SmallWorld("a", 500, 4, 0.2, 11)
+	a := PreferentialAttachment("a", 500, 4, 11)
+	b := PreferentialAttachment("a", 500, 4, 11)
 	if a.Edges() != b.Edges() {
 		t.Fatal("same seed, different graphs")
 	}

@@ -61,9 +61,6 @@ func NewStream(w, h, messageBits, widthBits int, rate float64, quota int, seed u
 	return s, nil
 }
 
-// FlitsPerMessage returns the serialization factor.
-func (s *Stream) FlitsPerMessage() int { return s.flitsPerMsg }
-
 // Tick implements sim.Workload.
 func (s *Stream) Tick(now int64) {
 	for pe := range s.rngs {

@@ -22,7 +22,7 @@ func TestFlitsPerMessage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := s.FlitsPerMessage(); got != c.want {
+		if got := s.flitsPerMsg; got != c.want {
 			t.Errorf("flits(%d,%d) = %d, want %d", c.msg, c.width, got, c.want)
 		}
 	}

@@ -32,9 +32,6 @@ type ServerOptions struct {
 	// SSEWriteTimeout bounds each SSE frame write so a stalled client can
 	// never wedge its stream goroutine; 0 means 10s.
 	SSEWriteTimeout time.Duration
-	// Extra, when non-nil, appends caller-owned metric families to /metrics
-	// (the hook an embedding daemon uses for its fleet-level sections).
-	Extra func(*PromWriter)
 	// Log receives the server lifecycle records and http.Server errors;
 	// nil keeps the server silent (tests, embedders with their own logs).
 	Log *slog.Logger
@@ -197,9 +194,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Counter("fasttrack_flight_evicted_total", "Finished lifecycles evicted from the bounded worst buffer.", rep.Evicted)
 	}
 	p.Counter("fasttrack_sse_dropped_frames_total", "SSE frames dropped for clients slower than their bounded buffer.", s.sseDropped.Load())
-	if s.opts.Extra != nil {
-		s.opts.Extra(p)
-	}
 }
 
 func writeSimMetrics(p *PromWriter, s Snapshot) {
@@ -305,10 +299,6 @@ func makeLiveEvent(prev, cur Snapshot) liveEvent {
 // snapshot, so dropping intermediates only lowers that client's refresh
 // rate).
 const sseBufFrames = 8
-
-// SSEDropped reports how many /live/stream frames were discarded because a
-// client fell behind (drop-oldest backpressure).
-func (s *Server) SSEDropped() int64 { return s.sseDropped.Load() }
 
 func (s *Server) handleLiveStream(w http.ResponseWriter, r *http.Request) {
 	if s.opts.Collector == nil {

@@ -37,7 +37,7 @@ func TestSlowSSEClientNeverWedgesServer(t *testing.T) {
 	// server-side write stalls against its deadline.
 
 	deadline := time.Now().Add(15 * time.Second)
-	for srv.SSEDropped() == 0 {
+	for srv.sseDropped.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("no frames dropped after 15s; producer appears blocked")
 		}

@@ -161,7 +161,7 @@ func (c *Counters) TotalExpressDenied() int64 {
 // rely on nothing else. The engine drives the Standing half instead, where
 // an offer is presented once and stays latched until it is accepted,
 // replaced or retracted, like a hardware valid register; every production
-// network implements it, and Latch adapts any other Network.
+// network implements it, and sim.Run drives no other Network.
 type Network interface {
 	// Width and Height return the torus dimensions in routers.
 	Width() int
@@ -200,52 +200,6 @@ type Standing interface {
 	// AcceptedPEs lists the PEs whose offers the latest Step accepted. The
 	// slice is reused between cycles; callers must not retain it.
 	AcceptedPEs() []int
-}
-
-// Latch returns net's standing-offer port: net itself when it implements
-// Standing, otherwise an adapter that re-offers every latched offer to net
-// before each Step (for one-cycle networks such as test oracles).
-func Latch(net Network) Standing {
-	if s, ok := net.(Standing); ok {
-		return s
-	}
-	n := net.NumPEs()
-	return &latched{Network: net, offers: make([]Packet, n), held: make([]bool, n)}
-}
-
-// latched emulates Standing over a one-cycle Network, scanning every PE
-// twice per Step.
-type latched struct {
-	Network
-	offers   []Packet
-	held     []bool
-	accepted []int
-}
-
-func (l *latched) Hold(pe int, p Packet) { l.offers[pe], l.held[pe] = p, true }
-func (l *latched) Retract(pe int)        { l.held[pe] = false }
-func (l *latched) AcceptedPEs() []int    { return l.accepted }
-
-// Offer presents a one-cycle offer, replacing a latched one.
-func (l *latched) Offer(pe int, p Packet) {
-	l.held[pe] = false
-	l.Network.Offer(pe, p)
-}
-
-func (l *latched) Step(now int64) {
-	for pe, ok := range l.held {
-		if ok {
-			l.Network.Offer(pe, l.offers[pe])
-		}
-	}
-	l.Network.Step(now)
-	l.accepted = l.accepted[:0]
-	for pe := range l.held {
-		if l.Network.Accepted(pe) {
-			l.held[pe] = false
-			l.accepted = append(l.accepted, pe)
-		}
-	}
 }
 
 // PEIndex converts a coordinate to the PE index used by Network.

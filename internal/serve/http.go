@@ -178,7 +178,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}})
 		return
 	}
-	ch := j.subscribe(s.opts.sseBuf())
+	ch := j.subscribe()
 	defer j.unsubscribe(ch)
 
 	// The stream span covers this subscriber's whole SSE session; each
@@ -198,7 +198,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				return // job finished: final status frame already sent
 			}
-			_ = rc.SetWriteDeadline(time.Now().Add(s.opts.sseWriteTimeout()))
+			_ = rc.SetWriteDeadline(time.Now().Add(sseWriteTimeout))
 			t0 := time.Now()
 			if _, err := w.Write(frame); err != nil {
 				return

@@ -204,13 +204,10 @@ func (j *Job) publish(event string, payload any) {
 // its current status; a finished job yields its span trace followed by the
 // terminal status frame (the same order finish emits: terminal status last)
 // and closes.
-func (j *Job) subscribe(buf int) chan []byte {
-	if buf < 2 {
-		buf = 2
-	}
+func (j *Job) subscribe() chan []byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	ch := make(chan []byte, buf)
+	ch := make(chan []byte, sseBuf)
 	if j.state.Terminal() {
 		ch <- sseFrame("trace", j.trace.Export())
 		ch <- sseFrame("status", j.statusLocked())

@@ -181,7 +181,7 @@ func (s *Server) finishJob(j *Job, result any, cached bool, err error) {
 // sampleMetrics streams windowed metrics frames from col to the job's SSE
 // subscribers until stop closes.
 func (s *Server) sampleMetrics(j *Job, col *monitor.Collector, stop <-chan struct{}) {
-	t := time.NewTicker(s.opts.metricsInterval())
+	t := time.NewTicker(metricsInterval)
 	defer t.Stop()
 	var prev monitor.Snapshot
 	for {

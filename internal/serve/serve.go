@@ -39,6 +39,18 @@ import (
 	"fasttrack/internal/runner"
 )
 
+// Per-job SSE stream settings. metricsInterval is the windowed-metrics frame
+// period. sseBuf is each subscriber's frame buffer, 8 s of metrics frames: a
+// subscriber further behind loses its oldest frames and never stalls the job.
+// It must hold the two frames a finished job's subscriber is handed at once.
+// sseWriteTimeout bounds each frame write so a stalled client cannot hold its
+// handler.
+const (
+	metricsInterval = 250 * time.Millisecond
+	sseBuf          = 32
+	sseWriteTimeout = 10 * time.Second
+)
+
 // Options configures a daemon. The zero value is usable: defaults below.
 type Options struct {
 	// QueueDepth bounds the admission queue (default 64). POSTs beyond it
@@ -68,13 +80,6 @@ type Options struct {
 	// prove panic isolation); production daemons leave it off and such
 	// specs are rejected at admission.
 	DebugHooks bool
-	// MetricsInterval is the per-job SSE windowed-metrics period
-	// (default 250ms).
-	MetricsInterval time.Duration
-	// SSEBuf is the per-subscriber frame buffer (default 32 frames);
-	// SSEWriteTimeout bounds each frame write (default 10s).
-	SSEBuf          int
-	SSEWriteTimeout time.Duration
 	// Logger receives the daemon's structured records, every one carrying
 	// trace_id/job_id/client attrs where a request is in scope. nil discards
 	// (embedding tests stay quiet); cmd/ftserve passes the cliflags.Logging
@@ -101,27 +106,6 @@ func (o Options) retainJobs() int {
 		return o.RetainJobs
 	}
 	return 4096
-}
-
-func (o Options) metricsInterval() time.Duration {
-	if o.MetricsInterval > 0 {
-		return o.MetricsInterval
-	}
-	return 250 * time.Millisecond
-}
-
-func (o Options) sseBuf() int {
-	if o.SSEBuf > 0 {
-		return o.SSEBuf
-	}
-	return 32
-}
-
-func (o Options) sseWriteTimeout() time.Duration {
-	if o.SSEWriteTimeout > 0 {
-		return o.SSEWriteTimeout
-	}
-	return 10 * time.Second
 }
 
 func (o Options) burst() float64 {

@@ -36,7 +36,7 @@ func TestWatchdogFailsFastOnBrokenRouter(t *testing.T) {
 	}
 	wl := traffic.NewSynthetic(4, 4, traffic.Random{}, 0.1, 1<<20, 5)
 	const limit = 1 << 20
-	_, err = sim.Run(&blackhole{Network: inner}, wl, sim.Options{
+	_, err = sim.Run(latch(&blackhole{Network: inner}), wl, sim.Options{
 		MaxCycles:    limit,
 		MaxPacketAge: 1000,
 		StallLimit:   limit, // defeat the stall tripwire; the watchdog must act
@@ -89,7 +89,7 @@ func TestPerCycleConservationCatchesLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	wl := traffic.NewSynthetic(4, 4, traffic.Random{}, 0.3, 500, 2)
-	_, err = sim.Run(&lossy{Network: inner}, wl, sim.Options{CheckConservation: true})
+	_, err = sim.Run(latch(&lossy{Network: inner}), wl, sim.Options{CheckConservation: true})
 	if !errors.Is(err, sim.ErrConservation) {
 		t.Fatalf("err = %v, want ErrConservation", err)
 	}
@@ -122,7 +122,7 @@ func TestDuplicateDeliveryDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	wl := traffic.NewSynthetic(4, 4, traffic.Random{}, 0.3, 100, 3)
-	_, err = sim.Run(&duper{Network: inner}, wl, sim.Options{CheckConservation: true})
+	_, err = sim.Run(latch(&duper{Network: inner}), wl, sim.Options{CheckConservation: true})
 	if !errors.Is(err, sim.ErrDuplicate) {
 		t.Fatalf("err = %v, want ErrDuplicate", err)
 	}
@@ -152,7 +152,7 @@ func TestMisdeliveryDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	wl := traffic.NewSynthetic(4, 4, traffic.Random{}, 0.3, 100, 4)
-	_, err = sim.Run(&misdeliverer{Network: inner}, wl, sim.Options{CheckConservation: true})
+	_, err = sim.Run(latch(&misdeliverer{Network: inner}), wl, sim.Options{CheckConservation: true})
 	if !errors.Is(err, sim.ErrMisdelivered) {
 		t.Fatalf("err = %v, want ErrMisdelivered", err)
 	}
@@ -165,7 +165,7 @@ func TestStallErrorIsStructured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sim.Run(&refuser{Network: nw}, insistentWorkload{},
+	_, err = sim.Run(latch(&refuser{Network: nw}), insistentWorkload{},
 		sim.Options{MaxCycles: 100000, StallLimit: 500})
 	if !errors.Is(err, sim.ErrStalled) {
 		t.Fatalf("err = %v, want ErrStalled", err)

@@ -49,7 +49,8 @@ type oraclePlane struct {
 	pipe [noc.NumPorts][][]oracleReg // EEx and SEx only; oldest stage first
 }
 
-// oracle is the reference network. Build with newOracle.
+// oracle is the reference network, a one-cycle noc.Network. Build with
+// newOracle.
 type oracle struct {
 	s      oracleSpec
 	planes []oraclePlane
@@ -65,7 +66,9 @@ type oracle struct {
 	counters  noc.Counters
 }
 
-func newOracle(s oracleSpec) *oracle {
+// newOracle builds the oracle for s behind latch, the standing-offer port
+// sim.Run drives.
+func newOracle(s oracleSpec) noc.Standing {
 	if s.Channels < 1 {
 		s.Channels = 1
 	}
@@ -91,7 +94,7 @@ func newOracle(s oracleSpec) *oracle {
 			}
 		}
 	}
-	return o
+	return latch(o)
 }
 
 func (o *oracle) Width() int                 { return o.s.W }

@@ -135,9 +135,6 @@ type Options struct {
 	// for this many consecutive cycles while work remains. It is a livelock
 	// tripwire; 0 means a generous default.
 	StallLimit int64
-	// HistogramMax is the largest latency the histogram resolves exactly;
-	// 0 means stats.DefaultHistogramMax (1<<20 cycles).
-	HistogramMax int64
 	// CheckConservation audits packet conservation every cycle and checks
 	// each delivery against its injected copy (no loss, duplication,
 	// corruption, or misdelivery). Costs O(1) map work per packet; tests
@@ -180,9 +177,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.StallLimit == 0 {
 		o.StallLimit = 1 << 16
-	}
-	if o.HistogramMax == 0 {
-		o.HistogramMax = stats.DefaultHistogramMax
 	}
 	if o.ConvergeWindow > 0 && o.ConvergeTol == 0 {
 		o.ConvergeTol = 0.01
@@ -237,9 +231,15 @@ func (c *convergence) observe(wp telemetry.WindowPoint) bool {
 }
 
 // Run drives net against wl on the calling goroutine until the workload
-// drains or a limit is hit.
+// drains or a limit is hit. net must implement noc.Standing, the engine's
+// only offer path; Run rejects any other network with an error naming its
+// type.
 func Run(net noc.Network, wl Workload, opts Options) (Result, error) {
-	return newEngine(net, wl, opts.withDefaults()).run()
+	s, ok := net.(noc.Standing)
+	if !ok {
+		return Result{}, fmt.Errorf("sim: network %T does not implement noc.Standing", net)
+	}
+	return newEngine(s, wl, opts.withDefaults()).run()
 }
 
 // run is the engine loop: engine.cycle once per cycle of the virtual clock until
@@ -328,10 +328,10 @@ type engine struct {
 	conv    convergence
 }
 
-func newEngine(net noc.Network, wl Workload, opts Options) *engine {
+func newEngine(net noc.Standing, wl Workload, opts Options) *engine {
 	e := &engine{
-		net: noc.Latch(net), wl: wl, opts: opts,
-		res:     Result{Latency: stats.NewLatencyHistogram(opts.HistogramMax)},
+		net: net, wl: wl, opts: opts,
+		res:     Result{Latency: stats.NewLatencyHistogram(stats.DefaultHistogramMax)},
 		numPE:   net.NumPEs(),
 		width:   net.Width(),
 		aud:     newAuditor(net, opts),

@@ -49,7 +49,7 @@ func TestStallTripwire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sim.Run(&refuser{Network: nw}, insistentWorkload{},
+	_, err = sim.Run(latch(&refuser{Network: nw}), insistentWorkload{},
 		sim.Options{MaxCycles: 100000, StallLimit: 500})
 	if !errors.Is(err, sim.ErrStalled) {
 		t.Fatalf("err = %v, want ErrStalled", err)

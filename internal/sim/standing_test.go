@@ -3,6 +3,7 @@ package sim_test
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fasttrack/internal/buffered"
@@ -157,7 +158,8 @@ func TestGoldenStandingOffers(t *testing.T) {
 
 // Every production network keeps standing offers, and both production
 // workloads report their changes: the engine's one offer path relies on
-// nothing else (noc.Latch adapts only test oracles).
+// nothing else (sim.Run rejects a network without noc.Standing; the test
+// oracles reach it through latch).
 var (
 	_ noc.Standing = (*hoplite.Network)(nil)
 	_ noc.Standing = (*fasttrack.Network)(nil)
@@ -168,3 +170,27 @@ var (
 	_ sim.ChangeReporter = (*traffic.SynthView)(nil)
 	_ sim.ChangeReporter = (*trace.Stream)(nil)
 )
+
+// oneCycleNet hides a network's standing-offer methods, leaving a plain
+// one-cycle noc.Network.
+type oneCycleNet struct{ noc.Network }
+
+// TestRunRejectsOneCycleNetwork: sim.Run refuses a network without
+// noc.Standing, naming its type, instead of adapting it silently; only the
+// tests' latch adapts one (and then it runs).
+func TestRunRejectsOneCycleNetwork(t *testing.T) {
+	inner, err := hoplite.New(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl := traffic.NewSynthetic(4, 4, traffic.Random{}, 0.3, 20, 1)
+	_, err = sim.Run(oneCycleNet{inner}, wl, sim.Options{})
+	if err == nil || !strings.Contains(err.Error(), "sim_test.oneCycleNet") ||
+		!strings.Contains(err.Error(), "noc.Standing") {
+		t.Fatalf("Run(oneCycleNet) err = %v, want an error naming sim_test.oneCycleNet and noc.Standing", err)
+	}
+	res, err := sim.Run(latch(oneCycleNet{inner}), wl, sim.Options{})
+	if err != nil || res.Delivered != 16*20 {
+		t.Fatalf("Run(latch(oneCycleNet)) = %d delivered, %v; want 320, nil", res.Delivered, err)
+	}
+}

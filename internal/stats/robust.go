@@ -56,14 +56,6 @@ type RecoveryCounts struct {
 	Abandoned int64
 }
 
-// DeliveryRate returns Completed/Sent in [0, 1], or 1 when nothing was sent.
-func (r RecoveryCounts) DeliveryRate() float64 {
-	if r.Sent == 0 {
-		return 1
-	}
-	return float64(r.Completed) / float64(r.Sent)
-}
-
 // Percent formats part/whole as "NN.N%", guarding against an empty whole.
 func Percent(part, whole int64) string {
 	if whole == 0 {

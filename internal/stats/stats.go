@@ -1,18 +1,20 @@
 // Package stats provides the measurement primitives shared by the simulator
 // and the experiment harness: streaming accumulators, latency histograms
 // with logarithmic bucketing (the paper's Figure 16 uses a log latency
-// axis), and small helpers for quantiles.
+// axis), the ceil-rank quantile rule, and fault and recovery counters.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
 )
 
-// Accumulator tracks count/mean/min/max/variance of a stream of samples
-// using Welford's online algorithm. The zero value is ready to use.
+// Accumulator tracks count/mean/min/max of a stream of samples using
+// Welford's online algorithm. It also keeps Welford's m2 (the sum of squared
+// deviations from the mean): no caller reads it, but it is part of the
+// MarshalBinary encoding that cached Results carry. The zero value is ready
+// to use.
 type Accumulator struct {
 	n        int64
 	mean, m2 float64
@@ -48,17 +50,6 @@ func (a *Accumulator) Min() float64 { return a.min }
 
 // Max returns the largest sample, or 0 with no samples.
 func (a *Accumulator) Max() float64 { return a.max }
-
-// Variance returns the unbiased sample variance.
-func (a *Accumulator) Variance() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return a.m2 / float64(a.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
 
 // Histogram is a fixed-bucket histogram over non-negative integer samples
 // (packet latencies in cycles). Buckets grow geometrically so that both a
@@ -128,9 +119,9 @@ func smallIndex(bounds []int64) []int32 {
 }
 
 // DefaultHistogramMax is the largest latency in cycles the engine's
-// delivery histogram resolves exactly unless sim.Options.HistogramMax says
-// otherwise. The live collector and the windowed metrics observer use the
-// same bound, so their quantiles agree with sim.Result.
+// delivery histogram resolves exactly. The live collector and the windowed
+// metrics observer use the same bound, so their quantiles agree with
+// sim.Result.
 const DefaultHistogramMax = 1 << 20
 
 // NewLatencyHistogram returns a histogram with geometric buckets from 1 up
@@ -243,7 +234,7 @@ func (h *Histogram) Buckets(fn func(upper int64, count int64)) {
 // CeilRank converts quantile q over n samples to a 1-based rank using
 // ceil-rank semantics: the q-quantile is the ceil(q*n)-th smallest sample,
 // clamped to [1, n]. This is the single quantile definition shared by
-// Histogram.Quantile, Quantiles and the stage-latency histograms'
+// Histogram.Quantile and the stage-latency histograms'
 // obs.HistSnapshot.Quantile, so a p99 computed from a histogram (/metrics)
 // and one computed from raw samples agree on the same data up to bucket
 // resolution.
@@ -256,26 +247,4 @@ func CeilRank(q float64, n int64) int64 {
 		rank = n
 	}
 	return rank
-}
-
-// Quantiles computes exact quantiles of an int64 sample slice using the same
-// ceil-rank semantics as Histogram.Quantile. The input is sorted in place.
-func Quantiles(xs []int64, qs ...float64) []int64 {
-	out := make([]int64, len(qs))
-	if len(xs) == 0 {
-		return out
-	}
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-	for i, q := range qs {
-		out[i] = xs[CeilRank(q, int64(len(xs)))-1]
-	}
-	return out
-}
-
-// Ratio formats a/b as "N.NNx", guarding against division by zero.
-func Ratio(a, b float64) string {
-	if b == 0 {
-		return "inf"
-	}
-	return fmt.Sprintf("%.2fx", a/b)
 }

@@ -8,6 +8,29 @@ import (
 	"testing/quick"
 )
 
+// variance returns a's unbiased sample variance from its Welford m2.
+func variance(a *Accumulator) float64 {
+	if a.n < 2 {
+		return 0
+	}
+	return a.m2 / float64(a.n-1)
+}
+
+// quantiles computes exact quantiles of an int64 sample slice under
+// CeilRank, the oracle TestQuantileDefinitionShared holds Histogram.Quantile
+// to. The input is sorted in place.
+func quantiles(xs []int64, qs ...float64) []int64 {
+	out := make([]int64, len(qs))
+	if len(xs) == 0 {
+		return out
+	}
+	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+	for i, q := range qs {
+		out[i] = xs[CeilRank(q, int64(len(xs)))-1]
+	}
+	return out
+}
+
 func TestAccumulatorBasics(t *testing.T) {
 	var a Accumulator
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -23,7 +46,7 @@ func TestAccumulatorBasics(t *testing.T) {
 		t.Errorf("min/max %v/%v", a.Min(), a.Max())
 	}
 	// Population variance is 4; sample variance is 32/7.
-	if got := a.Variance(); math.Abs(got-32.0/7) > 1e-12 {
+	if got := variance(&a); math.Abs(got-32.0/7) > 1e-12 {
 		t.Errorf("variance %v", got)
 	}
 }
@@ -54,7 +77,7 @@ func TestAccumulatorMatchesNaive(t *testing.T) {
 		}
 		naiveVar := m2 / float64(len(clean)-1)
 		return math.Abs(a.Mean()-mean) < 1e-6*(1+math.Abs(mean)) &&
-			math.Abs(a.Variance()-naiveVar) < 1e-6*(1+naiveVar)
+			math.Abs(variance(&a)-naiveVar) < 1e-6*(1+naiveVar)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -148,23 +171,23 @@ func TestHistogramOverflow(t *testing.T) {
 
 func TestQuantilesExact(t *testing.T) {
 	xs := []int64{9, 1, 8, 2, 7, 3, 6, 4, 5}
-	qs := Quantiles(xs, 0, 0.5, 1)
+	qs := quantiles(xs, 0, 0.5, 1)
 	if qs[0] != 1 || qs[1] != 5 || qs[2] != 9 {
 		t.Errorf("quantiles %v", qs)
 	}
-	if got := Quantiles(nil, 0.5); got[0] != 0 {
+	if got := quantiles(nil, 0.5); got[0] != 0 {
 		t.Errorf("empty quantiles %v", got)
 	}
 }
 
-// TestQuantileDefinitionShared pins Histogram.Quantile and Quantiles to one
+// TestQuantileDefinitionShared pins Histogram.Quantile and quantiles to one
 // quantile definition (ceil-rank: the q-quantile is the ceil(q*n)-th smallest
 // sample). The samples stay in the histogram's width-1 bucket range (1..8) so
 // the bucket upper bound IS the sample and the two implementations must agree
 // exactly — a p99 computed from /metrics' histogram and one computed
 // from raw latencies describe identical data identically.
 //
-// The regression row is q=0.99 over 10 samples: the old Quantiles truncated
+// The regression row is q=0.99 over 10 samples: an earlier raw-sample helper truncated
 // an index into the sorted slice (int(0.99*9) = 8 → the 9th sample) while the
 // histogram's ceil-rank picks rank ceil(9.9) = 10 → the maximum.
 func TestQuantileDefinitionShared(t *testing.T) {
@@ -189,23 +212,14 @@ func TestQuantileDefinitionShared(t *testing.T) {
 			h.Add(x)
 		}
 		hq := h.Quantile(tc.q)
-		sq := Quantiles(raw, tc.q)[0]
+		sq := quantiles(raw, tc.q)[0]
 		if hq != sq {
-			t.Errorf("%s: Histogram.Quantile(%v)=%d but Quantiles=%d — definitions diverged",
+			t.Errorf("%s: Histogram.Quantile(%v)=%d but quantiles=%d — definitions diverged",
 				tc.name, tc.q, hq, sq)
 		}
 		if hq != tc.want {
 			t.Errorf("%s: quantile %v = %d, want %d", tc.name, tc.q, hq, tc.want)
 		}
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(3, 2) != "1.50x" {
-		t.Errorf("Ratio = %q", Ratio(3, 2))
-	}
-	if Ratio(1, 0) != "inf" {
-		t.Errorf("Ratio by zero = %q", Ratio(1, 0))
 	}
 }
 
@@ -246,16 +260,6 @@ func TestFaultCountsAccounting(t *testing.T) {
 	}
 	if got := f.Total(); got != 10 {
 		t.Errorf("Total() = %d, want 10", got)
-	}
-}
-
-func TestRecoveryDeliveryRate(t *testing.T) {
-	if r := (RecoveryCounts{}).DeliveryRate(); r != 1 {
-		t.Errorf("empty DeliveryRate = %v, want 1", r)
-	}
-	r := RecoveryCounts{Sent: 200, Completed: 150}
-	if got := r.DeliveryRate(); got != 0.75 {
-		t.Errorf("DeliveryRate = %v, want 0.75", got)
 	}
 }
 

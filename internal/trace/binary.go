@@ -42,6 +42,44 @@ const (
 	fttDepPrealloc = 64 // decoder dep-buffer seed; grows to the real fan-in
 )
 
+// checkHeader rejects a trace identity the FTT1 header cannot carry.
+func checkHeader(name string, pes int) error {
+	if err := CheckName(name); err != nil {
+		return err
+	}
+	if len(name) > fttMaxName {
+		return fmt.Errorf("trace: name %d bytes long (max %d)", len(name), fttMaxName)
+	}
+	if pes <= 0 || pes > fttMaxPEs {
+		return fmt.Errorf("trace: PE count %d out of range [1,%d]", pes, fttMaxPEs)
+	}
+	return nil
+}
+
+// appendHeader appends the FTT1 header of a pes-PE trace named name with the
+// given event count and fingerprint (the Writer appends zeros and backpatches
+// both at fttCountOff on Close).
+func appendHeader(b []byte, name string, pes int, events int64, fp uint64) []byte {
+	b = append(b, fttMagic...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(events))
+	b = binary.LittleEndian.AppendUint64(b, fp)
+	b = binary.LittleEndian.AppendUint32(b, uint32(pes))
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(name)))
+	return append(b, name...)
+}
+
+// appendEvent appends the FTT1 record of event i.
+func appendEvent(b []byte, i int64, src, dst int, delay int32, deps []int32) []byte {
+	b = binary.AppendUvarint(b, uint64(src))
+	b = binary.AppendUvarint(b, uint64(dst))
+	b = binary.AppendUvarint(b, uint64(delay))
+	b = binary.AppendUvarint(b, uint64(len(deps)))
+	for _, d := range deps {
+		b = binary.AppendUvarint(b, uint64(i)-uint64(d))
+	}
+	return b
+}
+
 // Writer streams events into an FTT1 file. It implements Adder, so the
 // internal/workloads generators emit into it exactly as they emit into a
 // Builder — but with O(1) memory: events are varint-encoded into a buffered
@@ -67,14 +105,8 @@ type Writer struct {
 // NewWriter begins an FTT1 stream for a pes-PE trace named name. The header
 // is written immediately with zeroed count/fingerprint; Close patches them.
 func NewWriter(ws io.WriteSeeker, name string, pes int) (*Writer, error) {
-	if err := CheckName(name); err != nil {
+	if err := checkHeader(name, pes); err != nil {
 		return nil, err
-	}
-	if len(name) > fttMaxName {
-		return nil, fmt.Errorf("trace: name %d bytes long (max %d)", len(name), fttMaxName)
-	}
-	if pes <= 0 || pes > fttMaxPEs {
-		return nil, fmt.Errorf("trace: PE count %d out of range [1,%d]", pes, fttMaxPEs)
 	}
 	w := &Writer{
 		ws:  ws,
@@ -83,14 +115,7 @@ func NewWriter(ws io.WriteSeeker, name string, pes int) (*Writer, error) {
 		fp:  fpSeed(name, pes),
 		hdr: Header{Name: name, PEs: pes},
 	}
-	var hdr [fttHeaderLen]byte
-	copy(hdr[:4], fttMagic)
-	binary.LittleEndian.PutUint32(hdr[20:24], uint32(pes))
-	binary.LittleEndian.PutUint16(hdr[24:26], uint16(len(name)))
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		return nil, err
-	}
-	if _, err := w.bw.WriteString(name); err != nil {
+	if _, err := w.bw.Write(appendHeader(nil, name, pes, 0, 0)); err != nil {
 		return nil, err
 	}
 	return w, nil
@@ -110,18 +135,13 @@ func (w *Writer) Add(src, dst int, delay int32, deps ...int32) int32 {
 	if w.err != nil {
 		return id
 	}
-	b := w.buf[:0]
-	b = binary.AppendUvarint(b, uint64(src))
-	b = binary.AppendUvarint(b, uint64(dst))
-	b = binary.AppendUvarint(b, uint64(delay))
-	b = binary.AppendUvarint(b, uint64(len(deps)))
+	b := appendEvent(w.buf[:0], w.n, src, dst, delay, deps)
 	h := w.fp
 	h = fpWord(h, uint64(src))
 	h = fpWord(h, uint64(dst))
 	h = fpWord(h, uint64(delay))
 	h = fpWord(h, uint64(len(deps)))
 	for _, d := range deps {
-		b = binary.AppendUvarint(b, uint64(w.n)-uint64(d))
 		h = fpWord(h, uint64(d))
 	}
 	w.buf = b[:0]
@@ -400,39 +420,20 @@ func EncodeBinary(w io.Writer, t *Trace) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
-	if err := CheckName(t.Name); err != nil {
+	if err := checkHeader(t.Name, t.PEs); err != nil {
 		return err
-	}
-	if len(t.Name) > fttMaxName {
-		return fmt.Errorf("trace: name %d bytes long (max %d)", len(t.Name), fttMaxName)
-	}
-	if t.PEs > fttMaxPEs {
-		return fmt.Errorf("trace: PE count %d out of range [1,%d]", t.PEs, fttMaxPEs)
 	}
 	if len(t.Events) > fttMaxEvents {
 		return fmt.Errorf("trace: %d events exceeds format limit %d", len(t.Events), int64(fttMaxEvents))
 	}
 	bw := bufio.NewWriterSize(w, 1<<16)
-	var hdr [fttHeaderLen]byte
-	copy(hdr[:4], fttMagic)
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(len(t.Events)))
-	binary.LittleEndian.PutUint64(hdr[12:20], t.Fingerprint())
-	binary.LittleEndian.PutUint32(hdr[20:24], uint32(t.PEs))
-	binary.LittleEndian.PutUint16(hdr[24:26], uint16(len(t.Name)))
-	bw.Write(hdr[:])
-	bw.WriteString(t.Name)
-	var buf []byte
+	buf := appendHeader(nil, t.Name, t.PEs, int64(len(t.Events)), t.Fingerprint())
+	if _, err := bw.Write(buf); err != nil {
+		return err
+	}
 	for i, e := range t.Events {
-		b := buf[:0]
-		b = binary.AppendUvarint(b, uint64(e.Src))
-		b = binary.AppendUvarint(b, uint64(e.Dst))
-		b = binary.AppendUvarint(b, uint64(e.Delay))
-		b = binary.AppendUvarint(b, uint64(len(e.Deps)))
-		for _, d := range e.Deps {
-			b = binary.AppendUvarint(b, uint64(i)-uint64(d))
-		}
-		buf = b[:0]
-		if _, err := bw.Write(b); err != nil {
+		buf = appendEvent(buf[:0], int64(i), e.Src, e.Dst, e.Delay, e.Deps)
+		if _, err := bw.Write(buf); err != nil {
 			return err
 		}
 	}
@@ -440,7 +441,7 @@ func EncodeBinary(w io.Writer, t *Trace) error {
 }
 
 // ReadBinary materializes an FTT1 stream as an in-memory Trace (the inverse
-// of EncodeBinary; fttrace uses it for binary→text conversion). The decoded
+// of EncodeBinary; the round-trip tests use it). The decoded
 // trace is validated and its fingerprint checked against the header.
 func ReadBinary(r io.Reader) (*Trace, error) {
 	rd, err := NewReader(r)

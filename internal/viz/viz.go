@@ -74,35 +74,3 @@ func shade(v, lo, hi float64) rune {
 	}
 	return ramp[idx]
 }
-
-// Bar renders a labelled horizontal bar chart for a small series.
-func Bar(w io.Writer, title string, labels []string, values []float64, maxWidth int) error {
-	if len(labels) != len(values) {
-		return fmt.Errorf("viz: %d labels for %d values", len(labels), len(values))
-	}
-	if maxWidth <= 0 {
-		maxWidth = 50
-	}
-	hi := math.Inf(-1)
-	wlabel := 0
-	for i, v := range values {
-		if v > hi {
-			hi = v
-		}
-		if len(labels[i]) > wlabel {
-			wlabel = len(labels[i])
-		}
-	}
-	if hi <= 0 {
-		return fmt.Errorf("viz: no positive values")
-	}
-	fmt.Fprintln(w, title)
-	for i, v := range values {
-		n := int(float64(maxWidth) * v / hi)
-		if v > 0 && n == 0 {
-			n = 1
-		}
-		fmt.Fprintf(w, "  %-*s %s %.4g\n", wlabel, labels[i], strings.Repeat("█", n), v)
-	}
-	return nil
-}

@@ -48,21 +48,3 @@ func TestHeatmapUniformValues(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestBar(t *testing.T) {
-	var buf bytes.Buffer
-	err := Bar(&buf, "throughput", []string{"Hoplite", "FT"}, []float64{1, 3}, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "Hoplite") || !strings.Contains(out, "█") {
-		t.Errorf("bar chart malformed:\n%s", out)
-	}
-	if err := Bar(&buf, "bad", []string{"a"}, []float64{1, 2}, 10); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if err := Bar(&buf, "bad", []string{"a"}, []float64{0}, 10); err == nil {
-		t.Error("no positive values should error")
-	}
-}

@@ -95,41 +95,6 @@ func (r *Rand) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Exp returns an exponentially distributed float64 with mean 1.
-func (r *Rand) Exp() float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u)
-}
-
-// Norm returns a normally distributed float64 (mean 0, stddev 1) using the
-// Marsaglia polar method.
-func (r *Rand) Norm() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// Perm returns a random permutation of [0, n) (Fisher–Yates).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Zipf returns integers in [0, n) with probability proportional to
 // 1/(rank+1)^s, favouring small values. It precomputes the CDF; use one
 // Zipf per (n, s) pair.

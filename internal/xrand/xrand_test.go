@@ -100,59 +100,6 @@ func TestBoolEdgeCases(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := New(17)
-	var sum float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		sum += r.Exp()
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Errorf("Exp mean %v, want ~1", mean)
-	}
-}
-
-func TestNormMoments(t *testing.T) {
-	r := New(19)
-	var sum, sq float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := r.Norm()
-		sum += v
-		sq += v * v
-	}
-	mean := sum / n
-	variance := sq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("Norm mean %v", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("Norm variance %v", variance)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(23)
-	f := func(nn uint8) bool {
-		n := int(nn % 64)
-		p := r.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestZipfFavoursSmallRanks(t *testing.T) {
 	r := New(29)
 	z := NewZipf(r, 100, 1.2)

@@ -80,9 +80,9 @@ sweep-quick:
 	rm -rf $(SWEEP_CACHE) $(SWEEP_OUT)
 
 # Short fuzz pass over the property fuzzers (noc.RingDelta, FastTrack
-# topology construction, the daemon's JSON job-spec decoder, the FTT1
-# binary trace decoder, the trace replay against its test-only oracle at
-# binding and non-binding windows, a result-cache entry file of arbitrary
+# topology construction, the daemon's JSON job-spec decoder, the text and
+# FTT1 binary trace decoders, the trace replay against its test-only oracle
+# at binding and non-binding windows, a result-cache entry file of arbitrary
 # bytes, and the engine's change-driven offer path against the same workload
 # with its change report hidden); extend -fuzztime for deeper runs.
 # FuzzCacheGet pays file I/O per input, so its minimizer is capped or it would
@@ -91,6 +91,7 @@ fuzz:
 	$(GO) test -fuzz FuzzRingDelta -fuzztime 10s ./internal/noc/
 	$(GO) test -fuzz FuzzTopology -fuzztime 10s ./internal/fasttrack/
 	$(GO) test -fuzz FuzzDecodeJobSpec -fuzztime 10s ./internal/cliflags/
+	$(GO) test -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/trace/
 	$(GO) test -fuzz FuzzReadBinary -fuzztime 10s ./internal/trace/
 	$(GO) test -fuzz FuzzReplayVsOracle -fuzztime 10s ./internal/trace/
 	$(GO) test -fuzz FuzzCacheGet -fuzztime 10s -fuzzminimizetime 1s ./internal/runner/
@@ -135,14 +136,14 @@ metrics-lint:
 	$(GO) test -count=1 -run 'TestMetricsLint|TestPromLint' ./internal/monitor/
 
 # Observability smoke: a short run with the ops server, flight recorder,
-# packet tracer (both encodings), link stats and windowed metrics all armed
-# on one observer stack, and a sweep with span tracing, must still exit
-# cleanly and leave every output file non-empty (the e2e HTTP assertions
+# packet tracer, link stats and windowed metrics all armed on one observer
+# stack, and a sweep with span tracing, must still exit cleanly and leave
+# every output file non-empty (the e2e HTTP assertions
 # live in internal/monitor's tests; this catches CLI wiring rot).
-SMOKE_OUT = .smoke.trace.json .smoke.events.jsonl .smoke.links.csv .smoke.metrics.csv .smoke.spans.trace.json
+SMOKE_OUT = .smoke.trace.json .smoke.links.csv .smoke.metrics.csv .smoke.spans.trace.json
 monitor-smoke:
 	$(GO) run ./cmd/ftsim -n 4 -packets 100 -http 127.0.0.1:0 -flight-recorder 64 \
-		-trace-out .smoke.trace.json -trace-jsonl .smoke.events.jsonl \
+		-trace-out .smoke.trace.json \
 		-link-stats .smoke.links.csv -metrics-out .smoke.metrics.csv > /dev/null
 	$(GO) run ./cmd/ftexp -quick -run fig11 -no-cache -span-trace .smoke.spans.trace.json > /dev/null
 	for f in $(SMOKE_OUT); do test -s $$f || { echo "monitor-smoke: $$f is empty or missing"; exit 1; }; done

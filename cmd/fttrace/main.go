@@ -98,7 +98,11 @@ func main() {
 		defer closer.Close()
 		replayTrace(src, *nocKind, *n, *d, *r, rep, telem, mon, logger)
 	default:
-		tr, err := generate(*suite, *bench, *n, *seed)
+		g, err := lookup(*suite, *bench, *n, *seed)
+		if err != nil {
+			fatal(err)
+		}
+		tr, err := g.trace()
 		if err != nil {
 			fatal(err)
 		}
@@ -161,37 +165,14 @@ func recordInto(f io.WriteSeeker, from, suite, bench string, n int, seed uint64)
 		defer closer.Close()
 		return trace.EncodeBinaryFrom(f, src)
 	}
-	switch suite {
-	case "spmv":
-		for _, m := range spmv.Benchmarks() {
-			if m.Name == bench {
-				return spmv.WriteTo(m, n, n, spmv.Options{}, f)
-			}
-		}
-	case "graph":
-		for _, b := range graphwl.Benchmarks() {
-			if b.Graph.Name == bench {
-				return graphwl.WriteTo(b.Graph, b.PartitionFor(n*n), n, n, graphwl.Options{}, f)
-			}
-		}
-	case "lu":
-		for _, m := range dataflow.Benchmarks() {
-			if m.Name == bench {
-				return dataflow.WriteTo(m, n, n, dataflow.Options{}, f)
-			}
-		}
-	case "overlay":
-		for _, b := range overlay.Benchmarks() {
-			if b.Name == bench {
-				return overlay.WriteTo(b, n, n, overlayActive(n), seed, f)
-			}
-		}
-	case "":
+	if suite == "" {
 		return trace.Header{}, fmt.Errorf("fttrace: -record needs -from or -suite/-bench")
-	default:
-		return trace.Header{}, fmt.Errorf("fttrace: unknown suite %q (spmv|graph|lu|overlay)", suite)
 	}
-	return trace.Header{}, fmt.Errorf("fttrace: benchmark %q not found in suite %s (try -list)", bench, suite)
+	g, err := lookup(suite, bench, n, seed)
+	if err != nil {
+		return trace.Header{}, err
+	}
+	return g.write(f)
 }
 
 // replayTrace runs src on the selected NoC. A binary source replays
@@ -231,46 +212,60 @@ func replayTrace(src trace.Source, nocKind string, n, d, r int, rep *cliflags.Re
 		hdr.Name, cfg, res.Cycles, res.Delivered, res.AvgLatency, res.WorstLatency)
 }
 
-// overlayActive mirrors generate's active-thread sizing for the overlay
-// suite (32 threads on the lower half of the grid, capped on small grids).
-func overlayActive(n int) int {
-	active := 32
-	if n*n < 2*active {
-		active = n * n / 2
-	}
-	return active
+// generator is one benchmark's trace at a fixed size, built in memory or
+// streamed to an FTT1 file without materializing it.
+type generator struct {
+	trace func() (*trace.Trace, error)
+	write func(io.WriteSeeker) (trace.Header, error)
 }
 
-func generate(suite, bench string, n int, seed uint64) (*trace.Trace, error) {
+// lookup finds bench in suite for an n×n network.
+func lookup(suite, bench string, n int, seed uint64) (generator, error) {
 	switch suite {
 	case "spmv":
 		for _, m := range spmv.Benchmarks() {
 			if m.Name == bench {
-				return spmv.Trace(m, n, n, spmv.Options{})
+				return generator{
+					func() (*trace.Trace, error) { return spmv.Trace(m, n, n, spmv.Options{}) },
+					func(f io.WriteSeeker) (trace.Header, error) { return spmv.WriteTo(m, n, n, spmv.Options{}, f) },
+				}, nil
 			}
 		}
 	case "graph":
 		for _, b := range graphwl.Benchmarks() {
 			if b.Graph.Name == bench {
-				return graphwl.Trace(b.Graph, b.PartitionFor(n*n), n, n, graphwl.Options{})
+				part := b.PartitionFor(n * n)
+				return generator{
+					func() (*trace.Trace, error) { return graphwl.Trace(b.Graph, part, n, n, graphwl.Options{}) },
+					func(f io.WriteSeeker) (trace.Header, error) {
+						return graphwl.WriteTo(b.Graph, part, n, n, graphwl.Options{}, f)
+					},
+				}, nil
 			}
 		}
 	case "lu":
 		for _, m := range dataflow.Benchmarks() {
 			if m.Name == bench {
-				return dataflow.Trace(m, n, n, dataflow.Options{})
+				return generator{
+					func() (*trace.Trace, error) { return dataflow.Trace(m, n, n, dataflow.Options{}) },
+					func(f io.WriteSeeker) (trace.Header, error) { return dataflow.WriteTo(m, n, n, dataflow.Options{}, f) },
+				}, nil
 			}
 		}
 	case "overlay":
 		for _, b := range overlay.Benchmarks() {
 			if b.Name == bench {
-				return overlay.Trace(b, n, n, overlayActive(n), seed)
+				active := overlay.ActivePEs(n)
+				return generator{
+					func() (*trace.Trace, error) { return overlay.Trace(b, n, n, active, seed) },
+					func(f io.WriteSeeker) (trace.Header, error) { return overlay.WriteTo(b, n, n, active, seed, f) },
+				}, nil
 			}
 		}
 	default:
-		return nil, fmt.Errorf("fttrace: unknown suite %q (spmv|graph|lu|overlay)", suite)
+		return generator{}, fmt.Errorf("fttrace: unknown suite %q (spmv|graph|lu|overlay)", suite)
 	}
-	return nil, fmt.Errorf("fttrace: benchmark %q not found in suite %s (try -list)", bench, suite)
+	return generator{}, fmt.Errorf("fttrace: benchmark %q not found in suite %s (try -list)", bench, suite)
 }
 
 func fatal(err error) {

@@ -56,7 +56,9 @@ func TestDumpFlightRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := obs.WithJobID(obs.WithTraceID(context.Background(), "trace-x"), "j42")
+	tr := obs.NewJobTrace("trace-x")
+	tr.SetJobID("j42")
+	ctx := obs.WithTrace(context.Background(), tr)
 	ops.DumpFlight(ctx, 3)
 
 	var rec map[string]any

@@ -29,7 +29,7 @@ type Monitor struct {
 // RegisterMonitor registers the monitoring flags on fs (all off by default).
 func RegisterMonitor(fs *flag.FlagSet) *Monitor {
 	m := &Monitor{}
-	fs.StringVar(&m.HTTP, "http", "", "serve live metrics on this address (/metrics, /live, /debug/pprof); \":0\" picks a free port")
+	fs.StringVar(&m.HTTP, "http", "", "serve live metrics on this address (/metrics, /debug/flight, /debug/pprof); \":0\" picks a free port")
 	fs.IntVar(&m.FlightRecorder, "flight-recorder", 0, "record per-packet lifecycles, keeping the N worst for forensics (0 = off)")
 	fs.StringVar(&m.FlightOut, "flight-out", "", "write the flight-recorder forensic report to this file on an invariant trip (default: inline in the log record)")
 	fs.StringVar(&m.SpanTrace, "span-trace", "", "write per-job sweep spans as Chrome trace-event JSON to this file (Perfetto-loadable)")
@@ -38,7 +38,7 @@ func RegisterMonitor(fs *flag.FlagSet) *Monitor {
 
 // Ops is the observer stack built from the Telemetry and Monitor flag
 // groups: attach Observer to the run, then Close once the run finishes —
-// failed or not — to write the reports, terminate the trace streams and stop
+// failed or not — to write the reports, terminate the packet trace and stop
 // the server.
 type Ops struct {
 	// Observer fans out to every enabled observer: packet tracer, link
@@ -56,7 +56,7 @@ type Ops struct {
 	flight    *monitor.FlightRecorder
 	server    *monitor.Server
 	spans     *runner.SpanLog
-	files     []*os.File
+	traceFile *os.File
 
 	linkPath, metricsPath, spanPath, flightOut string
 }
@@ -65,7 +65,7 @@ type Ops struct {
 // Either group may be nil: the sweep tools register no Telemetry group and
 // pass w, h = 0, getting the runner/span side only. orch, when non-nil, is
 // exported on /metrics and receives the span log when -span-trace is set.
-// On error, every file already opened is closed.
+// On error, the trace file, if already opened, is closed.
 func BuildOps(t *Telemetry, m *Monitor, w, h int, orch *runner.Orchestrator) (*Ops, error) {
 	if t == nil {
 		t = &Telemetry{}
@@ -74,35 +74,13 @@ func BuildOps(t *Telemetry, m *Monitor, w, h int, orch *runner.Orchestrator) (*O
 		m = &Monitor{}
 	}
 	o := &Ops{}
-	fail := func(err error) (*Ops, error) {
-		for _, f := range o.files {
-			f.Close()
-		}
-		return nil, err
-	}
-	open := func(path string) (io.Writer, error) {
-		if path == "" {
-			return nil, nil
-		}
-		f, err := os.Create(path)
+	if t.TraceOut != "" {
+		f, err := os.Create(t.TraceOut)
 		if err != nil {
 			return nil, err
 		}
-		o.files = append(o.files, f)
-		return f, nil
-	}
-	chrome, err := open(t.TraceOut)
-	if err != nil {
-		return fail(err)
-	}
-	jsonl, err := open(t.TraceJSONL)
-	if err != nil {
-		return fail(err)
-	}
-	if chrome != nil || jsonl != nil {
-		o.tracer = telemetry.NewTracer(telemetry.TracerOptions{
-			Sample: t.TraceSample, JSONL: jsonl, Chrome: chrome, Width: w,
-		})
+		o.traceFile = f
+		o.tracer = telemetry.NewTracer(telemetry.TracerOptions{Sample: t.TraceSample, Chrome: f})
 	}
 	if t.LinkStats != "" {
 		o.link, o.linkPath = telemetry.NewLinkStats(w, h), t.LinkStats
@@ -128,10 +106,13 @@ func BuildOps(t *Telemetry, m *Monitor, w, h int, orch *runner.Orchestrator) (*O
 			Log: slog.Default(),
 		})
 		if err != nil {
-			return fail(err)
+			if o.traceFile != nil {
+				o.traceFile.Close()
+			}
+			return nil, err
 		}
 		o.server = srv
-		fmt.Fprintf(os.Stderr, "monitor: live on http://%s (/metrics, /live, /debug/pprof)\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "monitor: live on http://%s (/metrics, /debug/flight, /debug/pprof)\n", srv.Addr())
 	}
 	return o, nil
 }
@@ -176,9 +157,8 @@ func (o *Ops) DumpFlight(ctx context.Context, k int) {
 }
 
 // Close finalizes the stack, in order: the metrics tail window is flushed
-// and both CSV reports are written, the trace streams are terminated and
-// their files closed, the collector is marked done (the /live page shows
-// "run finished"), the span trace is written and the server stops. It
+// and both CSV reports are written, the packet trace is terminated and the
+// files are closed, the span trace is written and the server stops. It
 // returns the first error encountered.
 func (o *Ops) Close() error {
 	var first error
@@ -196,13 +176,7 @@ func (o *Ops) Close() error {
 	}
 	if o.tracer != nil {
 		keep(o.tracer.Close())
-	}
-	for _, f := range o.files {
-		keep(f.Close())
-	}
-	o.files = nil
-	if o.collector != nil {
-		o.collector.MarkDone()
+		keep(o.traceFile.Close())
 	}
 	if o.spans != nil {
 		keep(writeFile(o.spanPath, o.spans.WriteChrome))

@@ -267,7 +267,7 @@ func dataflowJobs(sc Scale) []traceJob {
 func overlayJobs(sc Scale) []traceJob {
 	benches := overlay.Benchmarks()
 	n := sc.capN(8)
-	active := min(32, n*n/2)
+	active := overlay.ActivePEs(n)
 	var jobs []traceJob
 	for _, b := range benches[:sc.capBenchmarks(len(benches))] {
 		jobs = append(jobs, traceJob{n: n, pes: active, spec: overlay.Spec(b, n, n, active, sc.Seed), gen: func() (trace.Source, error) {

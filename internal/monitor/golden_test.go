@@ -26,7 +26,6 @@ func goldenRun(t *testing.T) (*monitor.FlightRecorder, *monitor.Collector) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	col.MarkDone()
 	return fr, col
 }
 
@@ -54,8 +53,7 @@ func TestFlightReportGoldenBytes(t *testing.T) {
 }
 
 // TestCollectorSnapshotGolden pins the final Collector snapshot of the golden
-// run as JSON, wall clock zeroed: totals, the per-router heat map and the
-// latency quantiles.
+// run as JSON, wall clock zeroed: totals and the latency quantiles.
 func TestCollectorSnapshotGolden(t *testing.T) {
 	_, col := goldenRun(t)
 	s := col.Snapshot()

@@ -1,7 +1,7 @@
 // Package monitor is the live observability subsystem: where
-// internal/telemetry records what happened for post-hoc analysis (CSV,
-// JSONL, Chrome traces), monitor answers "what is happening right now" and
-// "why was that run pathological" while the simulator is still running.
+// internal/telemetry records what happened for post-hoc analysis (CSV and
+// Perfetto traces), monitor answers "what is happening right now" and "why
+// was that run pathological" while the simulator is still running.
 //
 // It has three parts:
 //
@@ -12,10 +12,7 @@
 //     goroutines at any instant.
 //   - Server: an embeddable HTTP ops server exposing the Collector as
 //     Prometheus text on /metrics, Go runtime internals on /debug/pprof and
-//     /debug/vars, a packet-forensics dump on /debug/flight, and /live — a
-//     self-contained HTML page fed by a Server-Sent-Events stream that
-//     renders a live NxN link-utilization heatmap with throughput and
-//     latency sparklines.
+//     /debug/vars, and a packet-forensics dump on /debug/flight.
 //   - FlightRecorder: a bounded per-packet lifecycle recorder whose report
 //     names the worst packets (full hop history) and the routers that
 //     deflected them — the forensic layer behind the starvation watchdog.
@@ -69,8 +66,6 @@ type Collector struct {
 
 	mu   sync.Mutex
 	hist *stats.Histogram
-
-	done atomic.Bool
 }
 
 // NewCollector returns a Collector for a w×h network.
@@ -126,10 +121,6 @@ func (c *Collector) OnCycleEnd(now int64, inFlight int) {
 	c.inFlight.Store(int64(inFlight))
 }
 
-// MarkDone records that the run has finished; the live page shows it and
-// stops expecting progress.
-func (c *Collector) MarkDone() { c.done.Store(true) }
-
 // TelemetryKey implements telemetry.Keyer: a Collector's side effects (live
 // metrics) must not be skipped by the result cache.
 func (c *Collector) TelemetryKey() string { return "monitor" }
@@ -161,14 +152,8 @@ type Snapshot struct {
 	P50    int64 `json:"p50"`
 	P99    int64 `json:"p99"`
 
-	// LinkLocal/LinkExpress are cumulative per-router hop counts
-	// (index y*W+x).
-	LinkLocal   []int64 `json:"link_local"`
-	LinkExpress []int64 `json:"link_express"`
-
-	W    int  `json:"w"`
-	H    int  `json:"h"`
-	Done bool `json:"done"`
+	W int `json:"w"`
+	H int `json:"h"`
 }
 
 // Snapshot captures the collector's current state.
@@ -185,15 +170,10 @@ func (c *Collector) Snapshot() Snapshot {
 
 		LatSum: c.latSum.Load(),
 
-		LinkLocal:   make([]int64, w*h),
-		LinkExpress: make([]int64, w*h),
-
 		W: w, H: h,
-		Done: c.done.Load(),
 	}
-	for i := range s.LinkLocal {
+	for i := range w * h {
 		r := c.hops.Router(i)
-		s.LinkLocal[i], s.LinkExpress[i] = r.Local(), r.Express()
 		s.HopsLocal += r.Local()
 		s.HopsExpress += r.Express()
 		s.DeflectLocal += r.DeflectLocal

@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"encoding/json"
 	"expvar"
 	"fmt"
 	"io"
@@ -10,8 +9,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync/atomic"
-	"time"
 
 	"fasttrack/internal/obs"
 	"fasttrack/internal/runner"
@@ -21,33 +18,24 @@ import (
 // corresponding endpoints degrade gracefully (a /metrics scrape with no
 // collector still exposes runner and process sections).
 type ServerOptions struct {
-	// Collector feeds the sim sections of /metrics and the /live stream.
+	// Collector feeds the sim sections of /metrics.
 	Collector *Collector
 	// Flight serves /debug/flight forensic dumps.
 	Flight *FlightRecorder
 	// Runner feeds the sweep-orchestration sections of /metrics.
 	Runner *runner.Orchestrator
-	// SSEInterval is the /live/stream snapshot period; 0 means 1s.
-	SSEInterval time.Duration
-	// SSEWriteTimeout bounds each SSE frame write so a stalled client can
-	// never wedge its stream goroutine; 0 means 10s.
-	SSEWriteTimeout time.Duration
 	// Log receives the server lifecycle records and http.Server errors;
 	// nil keeps the server silent (tests, embedders with their own logs).
 	Log *slog.Logger
 }
 
 // Server is the embeddable HTTP ops server: /metrics (Prometheus text
-// exposition), /live (SSE-fed heatmap page), /debug/pprof, /debug/vars
-// (expvar) and /debug/flight. Create with StartServer, stop with Close.
+// exposition), /debug/pprof, /debug/vars (expvar) and /debug/flight. Create
+// with StartServer, stop with Close.
 type Server struct {
 	opts ServerOptions
 	ln   net.Listener
 	srv  *http.Server
-
-	// sseDropped counts frames discarded because a /live/stream client fell
-	// behind its bounded buffer (drop-oldest backpressure).
-	sseDropped atomic.Int64
 }
 
 // StartServer listens on addr (host:port; ":0" picks a free port) and
@@ -75,7 +63,7 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // URL returns the server's base URL.
 func (s *Server) URL() string { return "http://" + s.Addr() }
 
-// Close shuts the server down immediately (in-flight SSE streams end).
+// Close shuts the server down immediately.
 func (s *Server) Close() error { return s.srv.Close() }
 
 // Handler builds the ops mux; exposed for embedding into an existing
@@ -83,8 +71,6 @@ func (s *Server) Close() error { return s.srv.Close() }
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/live", s.handleLivePage)
-	mux.HandleFunc("/live/stream", s.handleLiveStream)
 	mux.HandleFunc("/debug/flight", s.handleFlight)
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -97,7 +83,7 @@ func (s *Server) Handler() http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		http.Redirect(w, r, "/live", http.StatusFound)
+		http.Redirect(w, r, "/metrics", http.StatusFound)
 	})
 	return mux
 }
@@ -193,7 +179,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Gauge("fasttrack_flight_live", "Packet lifecycles currently tracked in flight.", float64(rep.Live))
 		p.Counter("fasttrack_flight_evicted_total", "Finished lifecycles evicted from the bounded worst buffer.", rep.Evicted)
 	}
-	p.Counter("fasttrack_sse_dropped_frames_total", "SSE frames dropped for clients slower than their bounded buffer.", s.sseDropped.Load())
 }
 
 func writeSimMetrics(p *PromWriter, s Snapshot) {
@@ -254,117 +239,4 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	s.opts.Flight.WriteReport(w, k)
-}
-
-// liveEvent is one SSE frame: cumulative totals plus rates computed over
-// the window since the previous frame.
-type liveEvent struct {
-	Snapshot
-	// CyclesPerSecW etc. are windowed (since the previous frame) rates;
-	// Heat/HeatExpress are per-router hops per cycle over the window.
-	CyclesPerSecW float64   `json:"cycles_per_sec"`
-	ThroughputW   float64   `json:"throughput_per_pe"`
-	MeanLatencyW  float64   `json:"mean_latency_w"`
-	MeanLatency   float64   `json:"mean_latency"`
-	Heat          []float64 `json:"heat"`
-	HeatExpress   []float64 `json:"heat_express"`
-}
-
-// makeLiveEvent computes the windowed view between two snapshots.
-func makeLiveEvent(prev, cur Snapshot) liveEvent {
-	win := cur.Since(prev)
-	ev := liveEvent{
-		Snapshot: cur, MeanLatency: cur.MeanLatency(),
-		CyclesPerSecW: win.CyclesPerSec, ThroughputW: win.RatePerPE, MeanLatencyW: win.MeanLatency,
-		Heat:        make([]float64, len(cur.LinkLocal)),
-		HeatExpress: make([]float64, len(cur.LinkExpress)),
-	}
-	if win.Cycles > 0 {
-		for i := range ev.Heat {
-			local, express := cur.LinkLocal[i], cur.LinkExpress[i]
-			if i < len(prev.LinkLocal) { // prev is the zero Snapshot on the first frame
-				local -= prev.LinkLocal[i]
-				express -= prev.LinkExpress[i]
-			}
-			ev.Heat[i] = float64(local+express) / float64(win.Cycles)
-			ev.HeatExpress[i] = float64(express) / float64(win.Cycles)
-		}
-	}
-	return ev
-}
-
-// sseBufFrames bounds each /live/stream client's frame buffer: a consumer
-// slower than the snapshot producer loses the oldest frames (obs.OfferFrame),
-// never the producer's liveness (each frame is a self-contained cumulative
-// snapshot, so dropping intermediates only lowers that client's refresh
-// rate).
-const sseBufFrames = 8
-
-func (s *Server) handleLiveStream(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Collector == nil {
-		http.Error(w, "no collector attached", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-
-	interval := s.opts.SSEInterval
-	if interval <= 0 {
-		interval = time.Second
-	}
-	writeTimeout := s.opts.SSEWriteTimeout
-	if writeTimeout <= 0 {
-		writeTimeout = 10 * time.Second
-	}
-
-	// Producer: snapshots the collector on its own clock and never blocks on
-	// the client — a stalled dashboard cannot wedge anything upstream of its
-	// bounded buffer. It exits when the request context ends (client gone or
-	// handler returned).
-	frames := make(chan []byte, sseBufFrames)
-	ctx := r.Context()
-	go func() {
-		defer close(frames)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		var prev Snapshot
-		emit := func() {
-			cur := s.opts.Collector.Snapshot()
-			b, err := json.Marshal(makeLiveEvent(prev, cur))
-			prev = cur
-			if err != nil {
-				return
-			}
-			obs.OfferFrame(frames, b, &s.sseDropped)
-		}
-		emit()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				emit()
-			}
-		}
-	}()
-
-	// Consumer: each write carries a deadline, so the slowest failure mode a
-	// dead client can cause is one writeTimeout of latency before its stream
-	// goroutine is reclaimed.
-	rc := http.NewResponseController(w)
-	for b := range frames {
-		_ = rc.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if _, err := fmt.Fprintf(w, "data: %s\n\n", b); err != nil {
-			return
-		}
-		if err := rc.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-func (s *Server) handleLivePage(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	io.WriteString(w, liveHTML)
 }

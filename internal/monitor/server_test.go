@@ -1,7 +1,6 @@
 package monitor_test
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"fasttrack/internal/core"
 	"fasttrack/internal/monitor"
@@ -79,8 +77,6 @@ func TestMetricsEndpointTotals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col.MarkDone()
-
 	srv, err := monitor.StartServer("127.0.0.1:0", monitor.ServerOptions{
 		Collector: col, Flight: fr, Runner: orch,
 	})
@@ -127,71 +123,9 @@ func TestMetricsEndpointTotals(t *testing.T) {
 	}
 }
 
-// TestLiveStreamSSE connects a raw SSE client to /live/stream and requires
-// at least two well-formed snapshot events with sane dimensions.
-func TestLiveStreamSSE(t *testing.T) {
-	col := monitor.NewCollector(4, 4)
-	opts := core.SyntheticOptions{Pattern: "RANDOM", Rate: 0.5, PacketsPerPE: 100, Seed: 17}
-	opts.Observer = col
-	if _, err := core.RunSynthetic(context.Background(), core.Hoplite(4), opts); err != nil {
-		t.Fatal(err)
-	}
-
-	srv, err := monitor.StartServer("127.0.0.1:0", monitor.ServerOptions{
-		Collector: col, SSEInterval: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", srv.URL()+"/live/stream", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q, want text/event-stream", ct)
-	}
-
-	sc := bufio.NewScanner(resp.Body)
-	events := 0
-	for sc.Scan() && events < 3 {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var ev struct {
-			Cycles    int64     `json:"cycles"`
-			Delivered int64     `json:"delivered"`
-			W         int       `json:"w"`
-			H         int       `json:"h"`
-			Heat      []float64 `json:"heat"`
-		}
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
-			t.Fatalf("event %d is not valid JSON: %v\n%s", events, err, line)
-		}
-		if ev.Cycles <= 0 || ev.Delivered <= 0 {
-			t.Errorf("event %d: cycles=%d delivered=%d, want > 0", events, ev.Cycles, ev.Delivered)
-		}
-		if len(ev.Heat) != 16 {
-			t.Errorf("event %d: heat has %d cells, want 16", events, len(ev.Heat))
-		}
-		events++
-	}
-	if events < 2 {
-		t.Fatalf("received %d SSE events, want >= 2 (scan err: %v)", events, sc.Err())
-	}
-}
-
-// TestServerEndpoints smoke-checks the remaining routes: the live page, the
-// pprof index, expvar, and the flight report (absent and present).
+// TestServerEndpoints smoke-checks the remaining routes: the / redirect to
+// /metrics, the pprof index, expvar, and the flight report (absent and
+// present).
 func TestServerEndpoints(t *testing.T) {
 	col := monitor.NewCollector(4, 4)
 	srv, err := monitor.StartServer("127.0.0.1:0", monitor.ServerOptions{Collector: col})
@@ -200,8 +134,8 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	defer srv.Close()
 
-	if page := scrape(t, srv, "/live"); !strings.Contains(page, "EventSource") {
-		t.Error("/live page has no EventSource client")
+	if body := scrape(t, srv, "/"); !strings.Contains(body, "fasttrack_sim_cycles_total") {
+		t.Error("/ does not redirect to /metrics")
 	}
 	if body := scrape(t, srv, "/debug/pprof/"); !strings.Contains(body, "goroutine") {
 		t.Error("/debug/pprof/ index missing profiles")

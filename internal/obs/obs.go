@@ -59,60 +59,36 @@ func ValidTraceID(s string) bool {
 	return true
 }
 
-type ctxKey int
+type ctxKey struct{}
 
-const (
-	ctxTraceID ctxKey = iota
-	ctxJobID
-	ctxTrace
-)
-
-// WithTraceID returns ctx carrying a trace ID.
-func WithTraceID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, ctxTraceID, id)
-}
-
-// TraceIDFrom extracts the trace ID, or "" when none is attached.
-func TraceIDFrom(ctx context.Context) string {
-	s, _ := ctx.Value(ctxTraceID).(string)
-	return s
-}
-
-// WithJobID returns ctx carrying a job ID.
-func WithJobID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, ctxJobID, id)
-}
-
-// JobIDFrom extracts the job ID, or "" when none is attached.
-func JobIDFrom(ctx context.Context) string {
-	s, _ := ctx.Value(ctxJobID).(string)
-	return s
-}
-
-// WithTrace returns ctx carrying a live span recorder; downstream layers
-// (runner.Do's cache peek, core.RunSynthetic's engine span) add stages to it
-// without their signatures naming the observability plane.
+// WithTrace returns ctx carrying a request's span recorder, and with it the
+// request's trace and job IDs; downstream layers (runner.Do's cache peek,
+// core.RunSynthetic's engine span, runner.ForEach's sweep spans, every
+// LoggerWith record) read them without their signatures naming the
+// observability plane.
 func WithTrace(ctx context.Context, t *JobTrace) context.Context {
-	return context.WithValue(ctx, ctxTrace, t)
+	return context.WithValue(ctx, ctxKey{}, t)
 }
 
 // TraceFrom extracts the span recorder, or nil.
 func TraceFrom(ctx context.Context) *JobTrace {
-	t, _ := ctx.Value(ctxTrace).(*JobTrace)
+	t, _ := ctx.Value(ctxKey{}).(*JobTrace)
 	return t
 }
 
-// LoggerWith returns l with the ctx's trace_id and job_id attrs attached
-// (when present), so every record a layer emits under one request carries
-// the same correlation handles.
+// LoggerWith returns l with the trace_id and job_id attrs of ctx's JobTrace
+// attached (when present), so every record a layer emits under one request
+// carries the same correlation handles.
 func LoggerWith(ctx context.Context, l *slog.Logger) *slog.Logger {
 	if l == nil {
 		l = slog.Default()
 	}
-	if id := TraceIDFrom(ctx); id != "" {
-		l = l.With("trace_id", id)
+	t := TraceFrom(ctx)
+	if t == nil {
+		return l
 	}
-	if id := JobIDFrom(ctx); id != "" {
+	l = l.With("trace_id", t.TraceID())
+	if id := t.JobID(); id != "" {
 		l = l.With("job_id", id)
 	}
 	return l
@@ -149,10 +125,9 @@ func NewLogger(w io.Writer, format, level string) (*slog.Logger, error) {
 // OfferFrame enqueues frame on a subscriber's bounded buffer without ever
 // blocking: when the buffer is full the oldest frame is discarded to make
 // room, and each lost frame is counted in dropped. It is the backpressure
-// rule of every SSE stream (the ops server's /live/stream and ftserve's job
-// streams): a slow client loses intermediate frames, never the producer's
-// liveness. ch must have one producer at a time, and a send must not race
-// its close.
+// rule of ftserve's job SSE streams: a slow client loses intermediate
+// frames, never the producer's liveness. ch must have one producer at a
+// time, and a send must not race its close.
 func OfferFrame(ch chan []byte, frame []byte, dropped *atomic.Int64) {
 	select {
 	case ch <- frame:

@@ -35,19 +35,18 @@ func TestTraceIDGenerationAndValidation(t *testing.T) {
 
 func TestContextPropagation(t *testing.T) {
 	tr := NewJobTrace("tid-1")
+	tr.SetJobID("j000001")
 	ctx := context.Background()
-	if TraceIDFrom(ctx) != "" || JobIDFrom(ctx) != "" || TraceFrom(ctx) != nil {
+	if TraceFrom(ctx) != nil {
 		t.Fatal("empty context should carry nothing")
 	}
-	ctx = WithTrace(WithJobID(WithTraceID(ctx, "tid-1"), "j000001"), tr)
-	if got := TraceIDFrom(ctx); got != "tid-1" {
-		t.Fatalf("TraceIDFrom = %q", got)
-	}
-	if got := JobIDFrom(ctx); got != "j000001" {
-		t.Fatalf("JobIDFrom = %q", got)
-	}
-	if TraceFrom(ctx) != tr {
+	ctx = WithTrace(ctx, tr)
+	got := TraceFrom(ctx)
+	if got != tr {
 		t.Fatal("TraceFrom did not round-trip")
+	}
+	if got.TraceID() != "tid-1" || got.JobID() != "j000001" {
+		t.Fatalf("trace carries IDs %q/%q, want tid-1/j000001", got.TraceID(), got.JobID())
 	}
 }
 
@@ -151,8 +150,9 @@ func TestWriteChromePerfettoShape(t *testing.T) {
 func TestLoggerWith(t *testing.T) {
 	var buf bytes.Buffer
 	l := slog.New(slog.NewJSONHandler(&buf, nil))
-	ctx := WithJobID(WithTraceID(context.Background(), "t-1"), "j-1")
-	LoggerWith(ctx, l).Info("hello")
+	tr := NewJobTrace("t-1")
+	tr.SetJobID("j-1")
+	LoggerWith(WithTrace(context.Background(), tr), l).Info("hello")
 	var rec map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
 		t.Fatal(err)

@@ -9,12 +9,15 @@ import (
 	"fasttrack/internal/obs"
 )
 
-// TestSpanTracePropagation: sweep spans inherit the batch context's
-// trace/job IDs and the Chrome export carries them in every slice's args.
+// TestSpanTracePropagation: sweep spans inherit the trace/job IDs of the
+// batch context's JobTrace and the Chrome export carries them in every
+// slice's args.
 func TestSpanTracePropagation(t *testing.T) {
 	log := NewSpanLog()
 	o := &Orchestrator{Workers: 2, Spans: log}
-	ctx := obs.WithJobID(obs.WithTraceID(context.Background(), "sweep-trace-7"), "j000007")
+	tr := obs.NewJobTrace("sweep-trace-7")
+	tr.SetJobID("j000007")
+	ctx := obs.WithTrace(context.Background(), tr)
 	err := o.ForEach(ctx, 4, func(ctx context.Context, i int) error {
 		_, err := Do(ctx, o, "", func() (int, error) { return i, nil })
 		return err

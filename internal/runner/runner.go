@@ -181,9 +181,9 @@ func (o *Orchestrator) ForEach(ctx context.Context, n int, f func(ctx context.Co
 		jctx := cctx
 		var span *Span
 		if o.Spans != nil {
-			span = &Span{
-				Index: i, Worker: worker, Queued: start,
-				TraceID: obs.TraceIDFrom(cctx), JobID: obs.JobIDFrom(cctx),
+			span = &Span{Index: i, Worker: worker, Queued: start}
+			if t := obs.TraceFrom(cctx); t != nil {
+				span.TraceID, span.JobID = t.TraceID(), t.JobID()
 			}
 			jctx = context.WithValue(cctx, spanKey, span)
 		}

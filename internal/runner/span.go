@@ -23,9 +23,9 @@ type Span struct {
 	// Index is the job's ForEach index; Worker is the pool slot it ran on.
 	Index  int
 	Worker int
-	// TraceID/JobID are the request-scoped correlation handles inherited
-	// from the batch context (obs.WithTraceID / obs.WithJobID) when the
-	// sweep runs under an ftserve job; empty for CLI sweeps.
+	// TraceID/JobID are the request-scoped correlation handles of the batch
+	// context's obs.JobTrace when the sweep runs under an ftserve job; empty
+	// for CLI sweeps.
 	TraceID string
 	JobID   string
 	// Queued is the batch's submission instant.

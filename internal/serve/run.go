@@ -71,9 +71,9 @@ func (s *Server) runJob(j *Job) {
 	}
 	j.setRunning()
 
-	// jctx carries the job's correlation handles and span recorder into
-	// runner.Do's cache peeks and core.Run*'s engine span.
-	jctx := obs.WithTrace(obs.WithJobID(obs.WithTraceID(s.baseCtx, j.TraceID()), j.ID), j.trace)
+	// jctx carries the job's span recorder, and with it the job's trace and
+	// job IDs, into runner.Do's cache peeks and core.Run*'s engine span.
+	jctx := obs.WithTrace(s.baseCtx, j.trace)
 	var cancel context.CancelFunc
 	ctx := jctx
 	if d := s.effectiveTimeout(j.Spec.Timeout()); d > 0 {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -376,6 +377,68 @@ func TestStreamDeliversTerminalStatus(t *testing.T) {
 	}
 	if !sawDone {
 		t.Fatal("stream closed without a terminal done frame")
+	}
+}
+
+// TestStalledStreamNeverWedgesJob: a /jobs/{id}/stream client that never
+// reads fills its socket and its bounded frame buffer; the job must still
+// publish without blocking (the overflow is dropped oldest-first), reach its
+// terminal state, and leave /healthz answering while that connection is
+// still open.
+func TestStalledStreamNeverWedgesJob(t *testing.T) {
+	// The job runs until its 300 ms deadline, long enough to subscribe to
+	// and flood while it is live; n=8 keeps the engine's cancellation poll
+	// prompt under the race detector (see TestJobTimeout).
+	s := newTestServer(t, Options{Workers: 1, JobTimeout: 300 * time.Millisecond})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	j, _, rej := s.Admit(decodeSpec(t, `{"kind":"sim","topology":{"noc":"hoplite","n":8},
+		"workload":{"pattern":"RANDOM","rate":1.0,"packets":200000,"seed":61}}`), "c1", "")
+	if rej != nil {
+		t.Fatal(rej)
+	}
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "GET /jobs/%s/stream HTTP/1.1\r\nHost: x\r\n\r\n", j.ID)
+	// Deliberately never read from conn.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		j.mu.Lock()
+		subscribed := len(j.subs) > 0
+		j.mu.Unlock()
+		if subscribed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stream never subscribed; job state %s", j.State())
+		}
+	}
+
+	// 256 frames of 64 KiB are far more than the socket buffers and the
+	// subscriber's sseBuf frames hold, so the handler's write stalls and
+	// the buffer overflows; publish itself must return every time.
+	big := map[string]string{"pad": strings.Repeat("x", 64<<10)}
+	for range 256 {
+		j.publish("metrics", big)
+	}
+	if s.c.sseDropped.Load() == 0 {
+		t.Fatal("no frame dropped: the stalled subscriber's buffer never filled")
+	}
+
+	st := waitTerminal(t, j, 10*time.Second)
+	if !st.State.Terminal() {
+		t.Fatalf("job state %s, want terminal", st.State)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("/healthz unreachable with a stalled stream open: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz = %s, want 200", resp.Status)
 	}
 }
 

@@ -13,14 +13,13 @@ import (
 	"fasttrack/internal/telemetry"
 )
 
-// TestTracerGoldenBytes pins the exact bytes the packet tracer writes, in
-// both encodings, for one seeded 4×4 FastTrack run: any change to the
-// trace-event framing, field order, omitted fields or the JSONL records
-// fails here. The outputs are tens of kilobytes, so each is pinned by its
-// length, its opening bytes and its SHA-256.
+// TestTracerGoldenBytes pins the exact bytes the packet tracer writes for one
+// seeded 4×4 FastTrack run: any change to the trace-event framing, field
+// order or omitted fields fails here. The output is tens of kilobytes, so it
+// is pinned by its length, its opening bytes and its SHA-256.
 func TestTracerGoldenBytes(t *testing.T) {
-	var chrome, jsonl bytes.Buffer
-	tr := telemetry.NewTracer(telemetry.TracerOptions{Chrome: &chrome, JSONL: &jsonl, Width: 4})
+	var chrome bytes.Buffer
+	tr := telemetry.NewTracer(telemetry.TracerOptions{Chrome: &chrome})
 	if _, err := core.RunSynthetic(context.Background(), core.FastTrack(4, 2, 1), core.SyntheticOptions{
 		Pattern: "RANDOM", Rate: 0.3, PacketsPerPE: 4, Seed: 7, Observer: tr,
 	}); err != nil {
@@ -40,10 +39,6 @@ func TestTracerGoldenBytes(t *testing.T) {
 			`{"traceEvents":[{"name":"packet","cat":"pkt","ph":"b","id":"8589934593","pid":1,"tid":0,"ts":0,"args":{"dst":"(3,1)","gen":0,"src":"(1,0)"}},` +
 				`{"name":"packet","cat":"pkt","ph":"n","id":"8589934593","pid":1,"tid":1,"ts":0,"args":{"express":true,"port":"E.ex"}},`,
 			"812d02678556a9609aeff11fcab3766d4d4cafdf8e21b84dddf25c0c680c730b"},
-		{"jsonl", jsonl.Bytes(), 25029,
-			`{"ev":"hop","cycle":0,"id":8589934593,"router":1,"x":1,"y":0,"port":"E.ex","express":true}` + "\n" +
-				`{"ev":"hop","cycle":0,"id":12884901889,"router":2,"x":2,"y":0,"port":"S.sh"}` + "\n",
-			"bc874537fc7e3c499f15862c2a17f6bcbf625f1fd6043d2956a75e9b4d546ee2"},
 	} {
 		sum := fmt.Sprintf("%x", sha256.Sum256(c.got))
 		if len(c.got) != c.size || !bytes.HasPrefix(c.got, []byte(c.prefix)) || sum != c.sum {

@@ -1,7 +1,7 @@
 // Package telemetry is the cycle-level observability layer for the NoC
 // simulator: a small Observer interface invoked from the engine and router
-// hot loops, plus concrete observers — a packet-lifecycle tracer (JSONL and
-// Chrome trace-event output), per-link utilization counters split by wire
+// hot loops, plus concrete observers — a packet-lifecycle tracer (Perfetto
+// trace-event output), per-link utilization counters split by wire
 // class (local vs express), and windowed time-series metrics whose window
 // bookkeeping also drives the engine's convergence detector.
 //

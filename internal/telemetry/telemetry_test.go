@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -240,68 +241,12 @@ func TestLinkStats(t *testing.T) {
 	}
 }
 
-// TestTracerJSONL checks that every JSONL line parses and the lifecycle
-// fields round-trip.
-func TestTracerJSONL(t *testing.T) {
-	var jsonl bytes.Buffer
-	tr := telemetry.NewTracer(telemetry.TracerOptions{JSONL: &jsonl, Width: 4})
-
-	p := pkt(7, 0, 0, 2, 1, 0)
-	tr.OnInject(0, &p)
-	tr.OnHop(1, 1, noc.PortESh, telemetry.HopLocal, &p)
-	tr.OnHop(2, 2, noc.PortEEx, telemetry.HopExpress, &p)
-	tr.OnHop(3, 6, noc.PortWSh, telemetry.HopDeflect, &p)
-	tr.OnHop(4, 6, noc.PortPE, telemetry.HopDenied, &p)
-	p.ShortHops, p.ExpressHops, p.Deflections = 2, 1, 1
-	tr.OnDeliver(5, &p)
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	lines := strings.Split(strings.TrimSpace(jsonl.String()), "\n")
-	if len(lines) != 6 {
-		t.Fatalf("got %d JSONL lines, want 6:\n%s", len(lines), jsonl.String())
-	}
-	wantEv := []string{"inject", "hop", "hop", "deflect", "xdenied", "deliver"}
-	for i, line := range lines {
-		var m map[string]any
-		if err := json.Unmarshal([]byte(line), &m); err != nil {
-			t.Fatalf("line %d is not JSON: %v\n%s", i, err, line)
-		}
-		if m["ev"] != wantEv[i] {
-			t.Fatalf("line %d ev = %v, want %s", i, m["ev"], wantEv[i])
-		}
-		if m["id"] != float64(7) {
-			t.Fatalf("line %d id = %v", i, m["id"])
-		}
-	}
-	// The express hop is distinguished by the express flag, not the ev name.
-	var xh map[string]any
-	if err := json.Unmarshal([]byte(lines[2]), &xh); err != nil {
-		t.Fatal(err)
-	}
-	if xh["express"] != true || xh["port"] != noc.PortEEx.String() {
-		t.Fatalf("express hop record: %v", xh)
-	}
-	var del map[string]any
-	if err := json.Unmarshal([]byte(lines[5]), &del); err != nil {
-		t.Fatal(err)
-	}
-	if del["latency"] != float64(5) || del["short_hops"] != float64(2) ||
-		del["express_hops"] != float64(1) || del["deflections"] != float64(1) {
-		t.Fatalf("deliver record: %v", del)
-	}
-	if tr.Events() != 6 {
-		t.Fatalf("Events() = %d, want 6", tr.Events())
-	}
-}
-
 // TestTracerChromeTrace checks the Chrome trace-event output is one valid
 // JSON document with balanced async begin/end pairs — the property Perfetto
 // needs to load it.
 func TestTracerChromeTrace(t *testing.T) {
 	var chrome bytes.Buffer
-	tr := telemetry.NewTracer(telemetry.TracerOptions{Chrome: &chrome, Width: 4})
+	tr := telemetry.NewTracer(telemetry.TracerOptions{Chrome: &chrome})
 
 	a, b := pkt(1, 0, 0, 2, 1, 0), pkt(2, 1, 1, 3, 0, 0)
 	tr.OnInject(0, &a)
@@ -357,10 +302,10 @@ func TestTracerChromeTrace(t *testing.T) {
 }
 
 // TestTracerSampling: with Sample=K only packets with ID %% K == 0 are
-// recorded.
+// recorded, each as its own Perfetto track.
 func TestTracerSampling(t *testing.T) {
-	var jsonl bytes.Buffer
-	tr := telemetry.NewTracer(telemetry.TracerOptions{JSONL: &jsonl, Sample: 4, Width: 4})
+	var chrome bytes.Buffer
+	tr := telemetry.NewTracer(telemetry.TracerOptions{Chrome: &chrome, Sample: 4})
 	for id := int64(0); id < 8; id++ {
 		p := pkt(id, 0, 0, 1, 1, 0)
 		tr.OnInject(0, &p)
@@ -368,9 +313,23 @@ func TestTracerSampling(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(jsonl.String()), "\n")
-	if len(lines) != 2 { // IDs 0 and 4
-		t.Fatalf("sampled %d packets, want 2:\n%s", len(lines), jsonl.String())
+	var doc struct {
+		TraceEvents []struct {
+			Ph string `json:"ph"`
+			ID string `json:"id"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(chrome.Bytes(), &doc); err != nil {
+		t.Fatalf("chrome trace is not a JSON document: %v\n%s", err, chrome.String())
+	}
+	var tracks []string
+	for _, e := range doc.TraceEvents {
+		if e.Ph == "b" {
+			tracks = append(tracks, e.ID)
+		}
+	}
+	if !reflect.DeepEqual(tracks, []string{"0", "4"}) {
+		t.Fatalf("sampled tracks %v, want [0 4]:\n%s", tracks, chrome.String())
 	}
 }
 

@@ -212,7 +212,12 @@ func Read(r io.Reader) (*Trace, error) {
 	if n, err = strconv.Atoi(header[3]); err != nil {
 		return nil, fmt.Errorf("trace: bad event count: %w", err)
 	}
-	t.Events = make([]Event, 0, n)
+	if n < 0 {
+		return nil, fmt.Errorf("trace: negative event count %d", n)
+	}
+	// The header is untrusted: a huge count must fail as truncated input,
+	// not as an allocation, so preallocation is capped as in ReadBinary.
+	t.Events = make([]Event, 0, min(n, 1<<20))
 	for i := 0; i < n; i++ {
 		if !sc.Scan() {
 			return nil, fmt.Errorf("trace: truncated at event %d of %d", i, n)

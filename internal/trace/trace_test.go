@@ -106,14 +106,38 @@ func TestReadRejectsGarbage(t *testing.T) {
 	for _, s := range []string{
 		"",
 		"nottrace a 1 1\n0 1 0\n",
-		"trace x 4 2\n0 1 0\n", // truncated
-		"trace x 4 1\n0 1\n",   // too few fields
-		"trace x 4 1\n0 9 0\n", // out of range (via Validate)
+		"trace x 4 2\n0 1 0\n",            // truncated
+		"trace x 4 1\n0 1\n",              // too few fields
+		"trace x 4 1\n0 9 0\n",            // out of range (via Validate)
+		"trace x 4 1152921504606846976\n", // count beyond any allocation
+		"trace x 4 -1\n",                  // negative count
 	} {
 		if _, err := Read(bytes.NewReader([]byte(s))); err == nil {
 			t.Errorf("Read(%q) should fail", s)
 		}
 	}
+}
+
+// FuzzRead: the text reader must never panic, whatever its header claims,
+// and any trace it accepts must pass Validate.
+func FuzzRead(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteText(&buf, tinyTrace()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("trace x 4 1152921504606846976\n"))
+	f.Add([]byte("trace x 4 -1\n"))
+	f.Add([]byte("trace x 4 1\n0 1 0 -3\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if verr := got.Validate(); verr != nil {
+			t.Fatalf("accepted trace fails Validate: %v", verr)
+		}
+	})
 }
 
 // TestWriteRejectsWhitespaceName: the text format is whitespace-delimited, so

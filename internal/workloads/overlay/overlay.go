@@ -61,6 +61,10 @@ func Trace(b Benchmark, w, h, activePEs int, seed uint64) (*trace.Trace, error) 
 	return bl.Build()
 }
 
+// ActivePEs is the Fig 15d thread count on an n×n overlay: the paper's 32
+// threads, on the lower half of the grid, capped at half of a smaller grid.
+func ActivePEs(n int) int { return min(32, n*n/2) }
+
 // GenVersion is bumped whenever Trace can emit different events for the same
 // arguments: sweeps memoize trace headers by Spec (see TestGenVersionPin).
 const GenVersion = 1

@@ -166,7 +166,7 @@ func recordInto(f io.WriteSeeker, from, suite, bench string, n int, seed uint64)
 		return trace.EncodeBinaryFrom(f, src)
 	}
 	if suite == "" {
-		return trace.Header{}, fmt.Errorf("fttrace: -record needs -from or -suite/-bench")
+		return trace.Header{}, fmt.Errorf("-record needs -from or -suite/-bench")
 	}
 	g, err := lookup(suite, bench, n, seed)
 	if err != nil {
@@ -263,9 +263,9 @@ func lookup(suite, bench string, n int, seed uint64) (generator, error) {
 			}
 		}
 	default:
-		return generator{}, fmt.Errorf("fttrace: unknown suite %q (spmv|graph|lu|overlay)", suite)
+		return generator{}, fmt.Errorf("unknown suite %q (spmv|graph|lu|overlay)", suite)
 	}
-	return generator{}, fmt.Errorf("fttrace: benchmark %q not found in suite %s (try -list)", bench, suite)
+	return generator{}, fmt.Errorf("benchmark %q not found in suite %s (try -list)", bench, suite)
 }
 
 func fatal(err error) {

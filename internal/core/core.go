@@ -236,6 +236,9 @@ type SyntheticOptions struct {
 	// internal/telemetry for the event vocabulary and ready-made observers
 	// (packet tracer, link-utilization counters, windowed metrics).
 	Observer Observer
+	// Progress, when non-nil, receives the run's live totals (sim.Progress).
+	// It changes no Result bit, so it stays out of the cache key.
+	Progress *sim.Progress
 }
 
 // TraceOptions parameterizes RunTrace.
@@ -291,6 +294,7 @@ func RunSynthetic(ctx context.Context, cfg Config, opts SyntheticOptions) (Resul
 		ConvergeWindow:    opts.ConvergeWindow,
 		ConvergeTol:       opts.ConvergeTol,
 		Observer:          opts.Observer,
+		Progress:          opts.Progress,
 	})
 }
 

@@ -20,8 +20,9 @@
 // The CLIs attach these observers only on request: an ftsim or ftexp run
 // without -http/-flight-recorder attaches none and pays only the single nil
 // check per emission site that BenchmarkSimSaturationNopObserver budgets.
-// The ftserve daemon attaches a Collector to every sim and sweep job it runs,
-// to feed the job's SSE metrics stream.
+// The ftserve daemon attaches none to its jobs: their SSE metrics stream
+// reads the engine-published sim.Progress, and the daemon uses this package
+// only for its /metrics text.
 package monitor
 
 import (
@@ -40,7 +41,7 @@ import (
 // histogram (for p50/p99) sits behind a mutex taken only on delivery. It
 // deliberately keeps no per-packet state, so it is safe to leave attached
 // for arbitrarily long runs, and several runs may share one Collector
-// concurrently (a sweep job's rates): its totals are then sums over the runs.
+// concurrently: its totals are then sums over the runs.
 type Collector struct {
 	// startNS is the wall-clock origin (UnixNano) stamped by the first
 	// event; atomic because HTTP goroutines read it mid-run.
@@ -191,32 +192,17 @@ func (c *Collector) Snapshot() Snapshot {
 }
 
 // CyclesPerSec is the mean simulation speed since the first event.
-func (s Snapshot) CyclesPerSec() float64 { return s.Since(Snapshot{}).CyclesPerSec }
-
-// MeanLatency is the cumulative mean delivery latency in cycles.
-func (s Snapshot) MeanLatency() float64 { return s.Since(Snapshot{}).MeanLatency }
-
-// Window is what changed between two snapshots of one collector.
-type Window struct {
-	// Cycles and Delivered are the cycles and deliveries in between.
-	Cycles, Delivered int64
-	// CyclesPerSec is the simulation speed over the window's wall clock;
-	// RatePerPE is deliveries per PE per cycle; MeanLatency is the mean
-	// latency of the window's deliveries, in cycles.
-	CyclesPerSec, RatePerPE, MeanLatency float64
+func (s Snapshot) CyclesPerSec() float64 {
+	if s.WallMS <= 0 {
+		return 0
+	}
+	return float64(s.Cycles) / (float64(s.WallMS) / 1000)
 }
 
-// Since returns the window from prev to s; prev may be the zero Snapshot.
-func (s Snapshot) Since(prev Snapshot) Window {
-	win := Window{Cycles: s.Cycles - prev.Cycles, Delivered: s.Delivered - prev.Delivered}
-	if dWall := s.WallMS - prev.WallMS; dWall > 0 {
-		win.CyclesPerSec = float64(win.Cycles) / (float64(dWall) / 1000)
+// MeanLatency is the cumulative mean delivery latency in cycles.
+func (s Snapshot) MeanLatency() float64 {
+	if s.Delivered == 0 {
+		return 0
 	}
-	if pes := s.W * s.H; pes > 0 && win.Cycles > 0 {
-		win.RatePerPE = float64(win.Delivered) / float64(win.Cycles) / float64(pes)
-	}
-	if win.Delivered > 0 {
-		win.MeanLatency = float64(s.LatSum-prev.LatSum) / float64(win.Delivered)
-	}
-	return win
+	return float64(s.LatSum) / float64(s.Delivered)
 }

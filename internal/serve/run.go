@@ -9,14 +9,16 @@ import (
 	"time"
 
 	"fasttrack/internal/core"
-	"fasttrack/internal/monitor"
 	"fasttrack/internal/obs"
 	"fasttrack/internal/runner"
+	"fasttrack/internal/sim"
 )
 
 // metricsFrame is the windowed-metrics SSE payload: cumulative totals plus
-// the delta over the last sampling window, derived from the job's telemetry
-// collector while the simulation is running.
+// the delta over the last sampling window, read from the sim.Progress the
+// job's engine publishes into every few thousand cycles. A sweep's rates
+// share one Progress, so its counters are sums over the rates while its
+// p50/p99 are those of whichever rate published last.
 type metricsFrame struct {
 	Cycles    int64 `json:"cycles"`
 	Injected  int64 `json:"injected"`
@@ -178,29 +180,35 @@ func (s *Server) finishJob(j *Job, result any, cached bool, err error) {
 	s.retain(j)
 }
 
-// sampleMetrics streams windowed metrics frames from col to the job's SSE
-// subscribers until stop closes.
-func (s *Server) sampleMetrics(j *Job, col *monitor.Collector, stop <-chan struct{}) {
+// sampleMetrics streams windowed metrics frames from p, the progress of
+// runs over pes PEs, to the job's SSE subscribers until stop closes.
+func (s *Server) sampleMetrics(j *Job, p *sim.Progress, pes int, stop <-chan struct{}) {
 	t := time.NewTicker(metricsInterval)
 	defer t.Stop()
-	var prev monitor.Snapshot
+	var prevCycles, prevDelivered int64
 	for {
 		select {
 		case <-stop:
 			return
 		case <-t.C:
 		}
-		snap := col.Snapshot()
-		win := snap.Since(prev)
-		prev = snap
-		j.publish("metrics", metricsFrame{
-			Cycles: snap.Cycles, Injected: snap.Injected,
-			Delivered: snap.Delivered, InFlight: snap.InFlight,
-			WindowCycles: win.Cycles, WindowDelivered: win.Delivered, WindowRate: win.RatePerPE,
-			CyclesPerSec: snap.CyclesPerSec(),
-			MeanLatency:  snap.MeanLatency(),
-			P50:          snap.P50, P99: snap.P99,
-		})
+		f := metricsFrame{
+			Cycles: p.Cycles.Load(), Injected: p.Injected.Load(),
+			Delivered: p.Delivered.Load(), InFlight: p.InFlight.Load(),
+			P50: p.P50.Load(), P99: p.P99.Load(),
+		}
+		f.WindowCycles, f.WindowDelivered = f.Cycles-prevCycles, f.Delivered-prevDelivered
+		prevCycles, prevDelivered = f.Cycles, f.Delivered
+		if f.WindowCycles > 0 {
+			f.WindowRate = float64(f.WindowDelivered) / float64(f.WindowCycles) / float64(pes)
+		}
+		if start := p.Start.Load(); start != 0 {
+			f.CyclesPerSec = float64(f.Cycles) / time.Since(time.Unix(0, start)).Seconds()
+		}
+		if f.Delivered > 0 {
+			f.MeanLatency = float64(p.LatSum.Load()) / float64(f.Delivered)
+		}
+		j.publish("metrics", f)
 	}
 }
 
@@ -229,10 +237,9 @@ func (s *Server) runSim(ctx context.Context, j *Job) (any, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	col := monitor.NewCollector(cfg.N, cfg.N)
-	opts.Observer = col
+	opts.Progress = new(sim.Progress)
 	stop := make(chan struct{})
-	go s.sampleMetrics(j, col, stop)
+	go s.sampleMetrics(j, opts.Progress, cfg.N*cfg.N, stop)
 	res, cached, err := s.runOne(ctx, cfg, opts)
 	close(stop)
 	if err != nil {
@@ -247,9 +254,9 @@ func (s *Server) runSweep(ctx context.Context, j *Job) (any, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	col := monitor.NewCollector(cfg0.N, cfg0.N)
+	prog := new(sim.Progress)
 	stop := make(chan struct{})
-	go s.sampleMetrics(j, col, stop)
+	go s.sampleMetrics(j, prog, cfg0.N*cfg0.N, stop)
 	defer close(stop)
 
 	results := make([]ResultSummary, len(spec.Rates))
@@ -261,7 +268,7 @@ func (s *Server) runSweep(ctx context.Context, j *Job) (any, bool, error) {
 		if err != nil {
 			return err
 		}
-		opts.Observer = col
+		opts.Progress = prog
 		res, cached, err := s.runOne(ctx, cfg, opts)
 		if err != nil {
 			return fmt.Errorf("rate %v: %w", spec.Rates[i], err)

@@ -154,6 +154,10 @@ type Options struct {
 	// scheduler (internal/runner) can cancel in-flight sibling simulations
 	// once one job fails; Run returns the context's error. nil never cancels.
 	Context context.Context
+	// Progress, when non-nil, receives the run's totals on the same
+	// every-few-thousand-cycles branch and once at the end (see Progress).
+	// It is not an Observer: it reads only the engine's own state.
+	Progress *Progress
 	// ConvergeWindow, when positive, arms the opt-in early-exit stationarity
 	// test: every ConvergeWindow cycles the windowed delivery rate and mean
 	// latency are compared against the previous window, and once both change
@@ -268,7 +272,7 @@ func (e *engine) run() (Result, error) {
 		if now >= budget {
 			return e.finish(now)
 		}
-		if err := e.pollCtx(); err != nil {
+		if err := e.poll(now); err != nil {
 			return e.res, err
 		}
 		cs, err := e.cycle(now)
@@ -322,6 +326,10 @@ type engine struct {
 	lastProgress int64
 	// executed counts cycles actually run, unlike the skippable virtual clock.
 	executed int64
+	// polling is set when a Context or a Progress needs the every-4096
+	// executed cycles branch; pub is what this run has published so far.
+	polling bool
+	pub     published
 
 	// Convergence-window state (inert when ConvergeWindow is 0).
 	convWin telemetry.WindowTracker
@@ -336,6 +344,7 @@ func newEngine(net noc.Standing, wl Workload, opts Options) *engine {
 		width:   net.Width(),
 		aud:     newAuditor(net, opts),
 		obs:     opts.Observer,
+		polling: opts.Context != nil || opts.Progress != nil,
 		convWin: telemetry.WindowTracker{W: opts.ConvergeWindow},
 		conv:    convergence{tol: opts.ConvergeTol},
 	}
@@ -361,13 +370,25 @@ func newEngine(net noc.Standing, wl Workload, opts Options) *engine {
 	return e
 }
 
-// pollCtx checks for sweep-scheduler cancellation every few thousand executed
+// poll takes the engine's periodic branch every few thousand executed
 // cycles, starting with the first so an already-cancelled context returns
-// before any work. It counts executed cycles rather than testing the virtual
-// clock because an idle fast-forward jumps the clock over any fixed multiple.
-func (e *engine) pollCtx() error {
+// before any work: it publishes to the Progress and checks for
+// sweep-scheduler cancellation. It counts executed cycles rather than testing
+// the virtual clock because an idle fast-forward jumps the clock over any
+// fixed multiple. A run with neither pays one test per cycle.
+func (e *engine) poll(now int64) error {
 	e.executed++
-	if e.opts.Context != nil && e.executed&4095 == 1 {
+	if e.polling && e.executed&4095 == 1 {
+		return e.pollSlow(now)
+	}
+	return nil
+}
+
+func (e *engine) pollSlow(now int64) error {
+	if e.opts.Progress != nil {
+		e.publish(now, int64(e.net.InFlight()))
+	}
+	if e.opts.Context != nil {
 		return e.opts.Context.Err()
 	}
 	return nil
@@ -580,6 +601,9 @@ func (e *engine) finish(now int64) (Result, error) {
 	e.res.P50 = e.res.Latency.Quantile(0.50)
 	e.res.P99 = e.res.Latency.Quantile(0.99)
 	e.res.Counters = *e.net.Counters()
+	if e.opts.Progress != nil {
+		e.publish(now, 0)
+	}
 	return e.res, nil
 }
 

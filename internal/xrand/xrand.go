@@ -9,7 +9,10 @@
 // dependencies beyond the standard library.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // golden is the 64-bit golden-ratio increment used by splitmix64.
 const golden = 0x9e3779b97f4a7c15
@@ -59,24 +62,11 @@ func (r *Rand) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	w0 := a0 * b0
-	t := a1*b0 + w0>>32
-	w1 := t&mask + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return hi, lo
 }
 
 // Float64 returns a uniform float64 in [0, 1).

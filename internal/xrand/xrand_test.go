@@ -116,18 +116,39 @@ func TestZipfFavoursSmallRanks(t *testing.T) {
 	}
 }
 
-func TestMul64MatchesBigMultiplication(t *testing.T) {
-	f := func(a, b uint64) bool {
-		hi, lo := mul64(a, b)
-		// Verify via math/bits-free schoolbook recomputation on 32-bit limbs.
+// TestIntnMatchesSchoolbookMultiply holds Intn, whose Lemire rejection uses
+// math/bits.Mul64, to the same rejection loop over a schoolbook 128-bit
+// product on 32-bit limbs, so every seeded stream stays bit-identical.
+func TestIntnMatchesSchoolbookMultiply(t *testing.T) {
+	mul := func(a, b uint64) (hi, lo uint64) {
 		const mask = 1<<32 - 1
 		a0, a1 := a&mask, a>>32
 		b0, b1 := b&mask, b>>32
 		w0 := a0 * b0
 		t1 := a1*b0 + w0>>32
 		w1 := t1&mask + a0*b1
-		wantHi := a1*b1 + t1>>32 + w1>>32
-		return lo == a*b && hi == wantHi
+		return a1*b1 + t1>>32 + w1>>32, a * b
+	}
+	f := func(seed uint64, n uint32, big bool) bool {
+		bound := uint64(n) + 1
+		if big {
+			bound = seed>>1 | 1 // large bounds reject often
+		}
+		r, ref := New(seed), New(seed)
+		for range 64 {
+			var want uint64
+			for {
+				hi, lo := mul(ref.Uint64(), bound)
+				if lo >= bound || lo >= (-bound)%bound {
+					want = hi
+					break
+				}
+			}
+			if uint64(r.Intn(int(bound))) != want {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -83,8 +83,9 @@ sweep-quick:
 # topology construction, the daemon's JSON job-spec decoder, the text and
 # FTT1 binary trace decoders, the trace replay against its test-only oracle
 # at binding and non-binding windows, a result-cache entry file of arbitrary
-# bytes, and the engine's change-driven offer path against the same workload
-# with its change report hidden); extend -fuzztime for deeper runs.
+# bytes, the engine's change-driven offer path against the same workload
+# with its change report hidden, and the synthetic generator against its
+# test-only per-cycle oracle); extend -fuzztime for deeper runs.
 # FuzzCacheGet pays file I/O per input, so its minimizer is capped or it would
 # spend the whole pass shrinking one.
 fuzz:
@@ -96,6 +97,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReplayVsOracle -fuzztime 10s ./internal/trace/
 	$(GO) test -fuzz FuzzCacheGet -fuzztime 10s -fuzzminimizetime 1s ./internal/runner/
 	$(GO) test -fuzz FuzzChangeReport -fuzztime 10s ./internal/sim/
+	$(GO) test -fuzz FuzzSyntheticVsOracle -fuzztime 10s ./internal/traffic/
 
 # Trace record/replay round trip through the fttrace CLI: generate a text
 # trace, record it to FTT1, decode the recording back to text (must be

@@ -16,8 +16,8 @@ import (
 // observer and the error path; taking that address from a by-value loop
 // variable makes every delivered packet escape (one malloc each), whether or
 // not an observer is attached. Everything a run legitimately allocates
-// (engine, histograms, queue growth) is per run, not per packet, so the bound
-// is far below one.
+// (engine, histograms, per-PE arrays) is per run, not per packet, so the
+// bound is far below one.
 func TestDeliveryDoesNotAllocate(t *testing.T) {
 	const maxPerPacket = 0.1
 	for _, cfg := range []core.Config{core.Hoplite(8), core.FastTrack(8, 2, 1)} {
@@ -68,50 +68,57 @@ func (p *mallocProbe) Tick(now int64) {
 }
 
 // TestSaturatedRunMallocBudget closes the hot loop's malloc account (DESIGN
-// §17): a warmed saturated run allocates its construction (engine, histogram,
-// per-PE arrays: a few hundred objects whatever the quota) plus the source
-// queues' slice doublings — at rate 1.0 every PE's FIFO grows to about its
-// quota, ⌈log₂ quota⌉+1 appends-that-grow each — and nothing else. Once
+// §17): a warmed saturated run allocates its construction (engine,
+// histogram, per-PE arrays: under a hundred objects) and nothing else. The
+// source queues are implicit — a PE stores only its head packet however far
+// it is backed up — so at rate 1.0, where every queue grows to about its
+// quota, ten times the quota costs no more than a few mallocs more. Once
 // generation has finished and the queues only drain, a cycle allocates
 // nothing at all.
 func TestSaturatedRunMallocBudget(t *testing.T) {
-	const quota, log2Quota = 500, 9
+	const small, large, construction, growth = 500, 5000, 100, 8
 	// The counts are process-wide: as testing.AllocsPerRun does, keep the
 	// collector and other Ps from allocating behind the run's back.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, cfg := range []core.Config{core.Hoplite(8), core.FastTrack(8, 2, 1)} {
 		t.Run(cfg.String(), func(t *testing.T) {
-			var res sim.Result
-			var probe *mallocProbe
-			var before, after runtime.MemStats
-			for pass := 0; pass < 2; pass++ { // the first pass warms the runtime
+			// run returns a run's mallocs and those of its probe window.
+			run := func(quota int) (total, window uint64) {
 				net, err := cfg.Build()
 				if err != nil {
 					t.Fatal(err)
 				}
 				// Generation ends at cycle quota; the run drains for at least a
 				// thousand cycles more, every queue still backed up at first.
-				probe = &mallocProbe{
+				probe := &mallocProbe{
 					SynthView: traffic.NewSynthetic(8, 8, traffic.Random{}, 1.0, quota, 17),
-					from:      quota + 50, to: quota + 250,
+					from:      int64(quota) + 50, to: int64(quota) + 250,
 				}
+				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				res, err = sim.Run(net, probe, sim.Options{})
+				res, err := sim.Run(net, probe, sim.Options{})
 				runtime.ReadMemStats(&after)
 				if err != nil {
 					t.Fatal(err)
 				}
+				if res.Cycles <= probe.to {
+					t.Fatalf("quota %d: run ended at cycle %d, before the probe window closed", quota, res.Cycles)
+				}
+				return after.Mallocs - before.Mallocs, probe.window
 			}
-			if res.Cycles <= probe.to {
-				t.Fatalf("run ended at cycle %d, before the probe window closed", res.Cycles)
+			run(small) // warm the runtime
+			mSmall, wSmall := run(small)
+			mSmall0, wSmall0 := run(large)
+			t.Logf("%d mallocs at quota %d, %d at quota %d", mSmall, small, mSmall0, large)
+			if mSmall > construction {
+				t.Errorf("saturated run: %d mallocs at quota %d, want <= %d", mSmall, small, construction)
 			}
-			pes := uint64(cfg.N * cfg.N)
-			if got, max := after.Mallocs-before.Mallocs, pes*(log2Quota+1)+600; got > max {
-				t.Errorf("saturated run: %d mallocs, want <= %d (PEs*(ceil(log2 quota)+1) + 600)", got, max)
+			if mSmall0 > mSmall+growth {
+				t.Errorf("saturated run: %d mallocs at quota %d but %d at quota %d, want within %d", mSmall, small, mSmall0, large, growth)
 			}
-			if probe.window != 0 {
-				t.Errorf("%d mallocs in %d drain-only cycles, want 0", probe.window, probe.to-probe.from)
+			if wSmall != 0 || wSmall0 != 0 {
+				t.Errorf("%d and %d mallocs in drain-only windows at quotas %d and %d, want 0", wSmall, wSmall0, small, large)
 			}
 		})
 	}

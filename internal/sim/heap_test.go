@@ -18,8 +18,7 @@ import (
 // chains independent send chains of quota/chains packets each to random
 // destinations, a packet released by the delivery of its chain's previous
 // one. Up to chains packets per PE are outstanding at once, which saturates
-// an 8×8 fabric while every source queue stays bounded — unlike a rate-1.0
-// synthetic run, whose queues grow with the quota.
+// an 8×8 fabric while every source queue stays bounded.
 func chainTrace(t testing.TB, w, chains, quota int) *trace.Trace {
 	t.Helper()
 	n := w * w
@@ -54,14 +53,14 @@ func chainTrace(t testing.TB, w, chains, quota int) *trace.Trace {
 // not see (appends that grow are logarithmic in the length); the bytes
 // sim.Run allocates do. So a run ten times longer must allocate about as
 // many bytes, for saturated Hoplite(8), FastTrack(8,2,1) and
-// MultiChannel(8,2) under two workloads. Closed-loop chain traces keep every
-// source queue bounded, so their rows gate the run's bytes outright; the
+// MultiChannel(8,2) under two workloads, every row gated on the run's bytes
+// outright. Closed-loop chain traces keep every source queue bounded; the
 // same trace also replays streamed through an FTT1 window. A rate-1.0
-// synthetic run's source queues grow with the quota by design, so its rows
-// gate the bytes the change-driven run allocates beyond the same run with
-// its change report hidden. A low-rate synthetic run, whose queues stay
-// short, is gated outright. Each row also holds the change-driven run to
-// the hidden-report one.
+// synthetic run backs every source queue up to about its quota, but the
+// queues are implicit (a PE stores only its head packet), so it stores
+// nothing per queued packet; a low-rate synthetic run's queues stay short.
+// Each row also holds the change-driven run to the same run with its change
+// report hidden.
 func TestRunHeapFlatInQuota(t *testing.T) {
 	// As testing.AllocsPerRun does, keep the collector and other Ps from
 	// allocating behind the run's back.
@@ -72,9 +71,8 @@ func TestRunHeapFlatInQuota(t *testing.T) {
 		name string
 		cfg  core.Config
 		// wl builds the workload for a quota; hide hides its change report.
-		wl func(t *testing.T, quota int, hide bool) sim.Workload
-		// excess gates the bytes beyond the hidden-report run's.
-		saturated, excess bool
+		wl        func(t *testing.T, quota int, hide bool) sim.Workload
+		saturated bool
 	}
 	traces := map[int]*trace.Trace{} // by quota, shared by every row
 	chains := func(stream bool) func(*testing.T, int, bool) sim.Workload {
@@ -113,14 +111,14 @@ func TestRunHeapFlatInQuota(t *testing.T) {
 		}
 	}
 	rows := []row{
-		{"hoplite/chains", core.Hoplite(8), chains(false), true, false},
-		{"ft/chains", core.FastTrack(8, 2, 1), chains(false), true, false},
-		{"hoplite-2x/chains", core.MultiChannel(8, 2), chains(false), true, false},
-		{"ft/chains-streamed", core.FastTrack(8, 2, 1), chains(true), true, false},
-		{"hoplite/synthetic-1.0", core.Hoplite(8), synth(1.0), true, true},
-		{"ft/synthetic-1.0", core.FastTrack(8, 2, 1), synth(1.0), true, true},
-		{"hoplite-2x/synthetic-1.0", core.MultiChannel(8, 2), synth(1.0), true, true},
-		{"hoplite/synthetic-0.05", core.Hoplite(8), synth(0.05), false, false},
+		{"hoplite/chains", core.Hoplite(8), chains(false), true},
+		{"ft/chains", core.FastTrack(8, 2, 1), chains(false), true},
+		{"hoplite-2x/chains", core.MultiChannel(8, 2), chains(false), true},
+		{"ft/chains-streamed", core.FastTrack(8, 2, 1), chains(true), true},
+		{"hoplite/synthetic-1.0", core.Hoplite(8), synth(1.0), true},
+		{"ft/synthetic-1.0", core.FastTrack(8, 2, 1), synth(1.0), true},
+		{"hoplite-2x/synthetic-1.0", core.MultiChannel(8, 2), synth(1.0), true},
+		{"hoplite/synthetic-0.05", core.Hoplite(8), synth(0.05), false},
 	}
 	run := func(t *testing.T, r row, quota int, hide bool) (sim.Result, int64) {
 		net, err := r.cfg.Build()
@@ -137,26 +135,17 @@ func TestRunHeapFlatInQuota(t *testing.T) {
 		}
 		return res, int64(after.TotalAlloc - before.TotalAlloc)
 	}
-	// gated returns a run's result and the bytes the row gates.
-	gated := func(t *testing.T, r row, quota int) (sim.Result, int64) {
-		res, b := run(t, r, quota, false)
-		if r.excess {
-			_, hidden := run(t, r, quota, true)
-			b -= hidden
-		}
-		return res, b
-	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
 			run(t, r, small, false) // warm the runtime
-			res, b200 := gated(t, r, small)
+			res, b200 := run(t, r, small, false)
 			if r.saturated && res.Counters.InjectionStalls < res.Counters.Delivered {
 				t.Fatal("the run never stalled an offer; it is not saturated")
 			}
 			if hidden, _ := run(t, r, small, true); !reflect.DeepEqual(hidden, res) {
 				t.Errorf("change-driven run diverges from the hidden-report run:\nhidden:  %+v\nchanges: %+v", hidden, res)
 			}
-			res2k, b2000 := gated(t, r, large)
+			res2k, b2000 := run(t, r, large, false)
 			t.Logf("%s at quota %d, %s at quota %d; %d stalls per packet", kib(b200), small, kib(b2000), large, res2k.Counters.InjectionStalls/max(res2k.Delivered, 1))
 			if slack := max(b200, 0)/4 + 16<<10; b2000 > b200+slack {
 				t.Errorf("sim.Run allocated %s at quota %d but %s at quota %d (%d vs %d packets); want within %s",

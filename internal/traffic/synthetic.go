@@ -10,64 +10,42 @@ import (
 // noNext marks a PE (or the generator) with no future generation event.
 const noNext = math.MaxInt64
 
-// qent is one queued source packet. Only the destination and generation
-// cycle vary per packet — the ID is a (source, sequence) pair reconstructed
-// at Pending time from the per-PE injected count, and Src is the PE — so the
-// queue stores 24 bytes instead of an 80-byte noc.Packet.
-type qent struct {
-	dst noc.Coord
-	gen int64
-}
-
-// srcQueue is a head-indexed FIFO: dequeue advances head (no memmove, which
-// dominated the saturated profile of a shift-down queue), enqueue appends,
-// and the buffer compacts only when append would otherwise grow it.
-type srcQueue struct {
-	buf  []qent
-	head int
-}
-
-func (q *srcQueue) push(e qent) {
-	if q.head > 0 && len(q.buf) == cap(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:n]
-		q.head = 0
-	}
-	q.buf = append(q.buf, e)
-}
-
-func (q *srcQueue) empty() bool { return q.head == len(q.buf) }
-
 // SynthView is the synthetic workload over one w×h fabric. Every PE generates
 // pattern traffic with Bernoulli arrivals — a packet with probability rate per
 // cycle until quota packets — into an unbounded source queue, so measured
 // latency includes source queueing and saturated networks show the
 // hockey-stick curves of Fig 12.
 //
-// Generation is event-driven rather than per-cycle: Bernoulli arrivals are
-// open-loop (the draw sequence never depends on network state), so each PE's
-// next generation event is precomputed by replaying its seed-split RNG stream
-// exactly as a per-cycle generator consumes it (see advance). A tick before
-// the earliest event then touches no PE, and the packets that materialize
-// — ID, source, destination, generation cycle, order — are those of the
-// straight-line per-cycle generator kept as the oracle in oracle_test.go.
+// The queue is implicit. Bernoulli arrivals are open-loop (the draw sequence
+// never depends on network state), so a packet's generation cycle and
+// destination are a pure function of its PE's seed-split RNG stream. Each PE
+// keeps only its head, the next uninjected generation event, with the RNG
+// cursor just past it; Injected replays the stream to the event after it
+// exactly as a per-cycle generator consumes it (see advance). Every draw is
+// still made once and in the same per-PE order, whenever it is made, so the
+// packets that materialize — ID, source, destination, generation cycle,
+// order — are those of the straight-line per-cycle generator kept as the
+// oracle in oracle_test.go, and a saturated run stores nothing per backlogged
+// packet. A tick touches per-PE state only when some empty queue's head
+// arrives, so the engine may fast-forward an otherwise-idle run to it.
 //
 // SynthView implements sim.Workload, ActiveSet, ChangeReporter and
 // EventWorkload. Ticks must visit cycles in ascending order and may skip only
-// cycles before NextEventCycle.
+// cycles before NextEventCycle; Injected must be called with the cycle of the
+// last tick.
 type SynthView struct {
 	w, h, n int
 	pattern Pattern
 	rate    float64
 	quota   int
 
-	pending int // packets queued across all PEs
-	doneGen int // PEs that are silent or at quota
+	queued int // PEs whose head has arrived: non-empty queues
+	done   int // PEs that are silent or have injected their quota
 
-	// minNext is the earliest pending generation event (noNext when
-	// generation is finished): cycles before it cannot enqueue anything, so
-	// a tick returns immediately and the engine may fast-forward an
-	// otherwise-idle run straight to it.
+	// minNext is the earliest wake (noNext when no empty queue has a head
+	// to come): cycles before it cannot fill a queue, so a tick returns
+	// immediately and the engine may fast-forward an otherwise-idle run
+	// straight to it.
 	minNext int64
 
 	// live lists PEs with a non-empty source queue (inLive guards against
@@ -81,15 +59,15 @@ type SynthView struct {
 	chg    []int
 	report bool
 
-	// Per-PE state, indexed by PE.
+	// Per-PE state, indexed by PE. The head is the (injected+1)-th
+	// generation event, at nextCycle (noNext past the quota) to nextDst.
 	rngs      []xrand.Rand
-	nextCycle []int64     // cycle of the next committed generation event
-	nextDst   []noc.Coord // its destination
-	generated []int32
+	nextCycle []int64
+	nextDst   []noc.Coord
 	injected  []int32
-	silent    []bool // PEs the pattern never sources from
+	has       []bool  // the head has arrived: the queue is non-empty
+	wake      []int64 // nextCycle while the queue is empty, noNext otherwise
 	inLive    []bool
-	queues    []srcQueue
 }
 
 // NewSynthetic builds a synthetic workload for a w×h network. rate is the
@@ -108,22 +86,23 @@ func NewSynthetic(w, h int, pattern Pattern, rate float64, quota int, seed uint6
 		rngs:      make([]xrand.Rand, n),
 		nextCycle: make([]int64, n),
 		nextDst:   make([]noc.Coord, n),
-		generated: make([]int32, n),
 		injected:  make([]int32, n),
-		silent:    make([]bool, n),
+		has:       make([]bool, n),
+		wake:      make([]int64, n),
 		inLive:    make([]bool, n),
-		queues:    make([]srcQueue, n),
 		minNext:   noNext,
 	}
 	root := xrand.New(seed)
 	for pe := 0; pe < n; pe++ {
 		v.rngs[pe] = *root.SplitBy(uint64(pe))
-		v.silent[pe] = Silent(pattern, noc.PECoord(pe, w), w, h)
-		if v.silent[pe] || quota <= 0 {
-			v.doneGen++
+		if quota <= 0 || Silent(pattern, noc.PECoord(pe, w), w, h) {
+			v.done++
+			v.nextCycle[pe] = noNext
+		} else {
+			v.advance(pe, -1)
 		}
-		v.advance(pe, -1)
-		v.minNext = min(v.minNext, v.nextCycle[pe])
+		v.wake[pe] = v.nextCycle[pe]
+		v.minNext = min(v.minNext, v.wake[pe])
 	}
 	return v
 }
@@ -133,7 +112,7 @@ func NewSynthetic(w, h int, pattern Pattern, rate float64, quota int, seed uint6
 // (which consumes nothing at rate ≥ 1 or ≤ 0), then a Dest probe on success,
 // with a !ok probe consuming its draws and skipping the cycle.
 func (v *SynthView) advance(pe int, after int64) {
-	if v.silent[pe] || int(v.generated[pe]) >= v.quota || v.rate <= 0 {
+	if v.rate <= 0 {
 		v.nextCycle[pe] = noNext
 		return
 	}
@@ -153,35 +132,30 @@ func (v *SynthView) advance(pe int, after int64) {
 	}
 }
 
-// Tick implements sim.Workload: enqueue every PE whose precomputed event
-// fires this cycle. It returns without touching per-PE state on cycles
-// before the earliest event.
+// Tick implements sim.Workload: every empty queue whose head arrives this
+// cycle becomes non-empty. Arrivals behind a head need no work. It returns
+// without touching per-PE state on cycles before the earliest wake.
 func (v *SynthView) Tick(now int64) {
 	if now < v.minNext {
 		return
 	}
 	min := int64(noNext)
-	for pe := 0; pe < v.n; pe++ {
-		nc := v.nextCycle[pe]
-		if nc == now {
-			if v.report && v.queues[pe].empty() {
+	for pe, wk := range v.wake {
+		if wk == now {
+			v.has[pe] = true
+			v.wake[pe] = noNext
+			v.queued++
+			if v.report {
 				v.chg = append(v.chg, pe)
 			}
-			v.queues[pe].push(qent{dst: v.nextDst[pe], gen: now})
-			v.pending++
 			if !v.inLive[pe] {
 				v.inLive[pe] = true
 				v.live = append(v.live, pe)
 			}
-			v.generated[pe]++
-			if int(v.generated[pe]) == v.quota {
-				v.doneGen++
-			}
-			v.advance(pe, now)
-			nc = v.nextCycle[pe]
+			continue
 		}
-		if nc < min {
-			min = nc
+		if wk < min {
+			min = wk
 		}
 	}
 	v.minNext = min
@@ -194,37 +168,44 @@ func (v *SynthView) Tick(now int64) {
 // number). Packet IDs reach every pinned digest, so the scheme stays fixed.
 // Quotas are bounded well below 2^32.
 func (v *SynthView) Pending(pe int, _ int64) (noc.Packet, bool) {
-	q := &v.queues[pe]
-	if q.empty() {
+	if !v.has[pe] {
 		return noc.Packet{}, false
 	}
-	e := q.buf[q.head]
 	return noc.Packet{
 		ID:    (int64(pe)+1)<<32 | int64(v.injected[pe]+1),
 		Src:   noc.PECoord(pe, v.w),
-		Dst:   e.dst,
-		Gen:   e.gen,
+		Dst:   v.nextDst[pe],
+		Gen:   v.nextCycle[pe],
 		Event: -1,
 	}, true
 }
 
-// Injected implements sim.Workload: dequeue pe's head packet.
-func (v *SynthView) Injected(pe int, _ int64) {
-	q := &v.queues[pe]
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf, q.head = q.buf[:0], 0
-	} else if v.report {
-		v.chg = append(v.chg, pe)
-	}
+// Injected implements sim.Workload: dequeue pe's head packet. The next
+// event becomes the head; if it arrives after now, the queue is empty
+// until then.
+func (v *SynthView) Injected(pe int, now int64) {
 	v.injected[pe]++
-	v.pending--
+	if int(v.injected[pe]) == v.quota {
+		v.done++
+		v.nextCycle[pe] = noNext
+	} else {
+		v.advance(pe, v.nextCycle[pe])
+		if v.nextCycle[pe] <= now {
+			if v.report {
+				v.chg = append(v.chg, pe)
+			}
+			return
+		}
+	}
+	v.has[pe] = false
+	v.queued--
+	v.wake[pe] = v.nextCycle[pe]
+	v.minNext = min(v.minNext, v.wake[pe])
 }
 
-// Changed implements sim.ChangeReporter. Tick appends behind the head and
-// only Injected dequeues (or moves the ID's sequence half), so a head changes
-// only on an arrival into an empty queue or an Injected exposing a next one;
-// the first call reports every queued PE.
+// Changed implements sim.ChangeReporter. Only a tick filling an empty queue
+// or an Injected exposing a next head moves a head (or the ID's sequence
+// half); the first call reports every queued PE.
 func (v *SynthView) Changed(buf []int) []int {
 	if !v.report {
 		v.report = true
@@ -238,16 +219,16 @@ func (v *SynthView) Changed(buf []int) []int {
 // Delivered implements sim.Workload (synthetic traffic has no dependencies).
 func (v *SynthView) Delivered(noc.Packet, int64) {}
 
-// Done implements sim.Workload.
-func (v *SynthView) Done() bool { return v.doneGen == v.n && v.pending == 0 }
+// Done implements sim.Workload: every PE is silent or has injected its quota.
+func (v *SynthView) Done() bool { return v.done == v.n }
 
 // ActivePEs implements sim.ActiveSet: the PEs with a queued packet. Drained
 // PEs are dropped here rather than in Injected, so the list walk doubles as
-// the compaction pass and Injected stays O(1).
+// the compaction pass.
 func (v *SynthView) ActivePEs(buf []int) []int {
 	kept := v.live[:0]
 	for _, pe := range v.live {
-		if v.queues[pe].empty() {
+		if !v.has[pe] {
 			v.inLive[pe] = false
 			continue
 		}
@@ -259,8 +240,10 @@ func (v *SynthView) ActivePEs(buf []int) []int {
 }
 
 // NextEventCycle implements sim.EventWorkload: the earliest cycle at which
-// Tick can enqueue new work, or math.MaxInt64 when generation is finished.
+// Tick can fill an empty queue, or math.MaxInt64 when none will. While
+// QueueEmpty, the only time the engine asks, that is the next generation
+// event.
 func (v *SynthView) NextEventCycle(int64) int64 { return v.minNext }
 
 // QueueEmpty implements sim.EventWorkload: no PE holds a queued packet.
-func (v *SynthView) QueueEmpty() bool { return v.pending == 0 }
+func (v *SynthView) QueueEmpty() bool { return v.queued == 0 }

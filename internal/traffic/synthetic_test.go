@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"fasttrack/internal/noc"
 	"fasttrack/internal/xrand"
 )
 
@@ -138,10 +139,80 @@ func TestSyntheticBatchNextEvent(t *testing.T) {
 	}
 }
 
-// generated returns the total packets v has created so far.
+// FuzzSyntheticVsOracle holds the generator to the per-cycle oracle
+// (oracle_test.go) over the shapes TestSyntheticBatchStreamEquivalence does
+// not reach: w, h ∈ 2..6, every pattern (Hotspot included), rates from 0
+// through tiny to 1.0, quotas 0..20 and any drain probability. Every cycle
+// it compares each PE's head packet, Done, the active set and QueueEmpty.
+// The generator's queues are implicit — Injected draws the next packet from
+// the RNG stream only when the head leaves — so the comparison pins that a
+// packet's Gen and Dst do not depend on when it is drawn. Like the engine's
+// idle skip, the generator is not ticked while its queues are empty and its
+// next event lies ahead. Encoding: w = 2 + w%5 (h alike), pattern indexes
+// pats, rate = (rate%10001)/10000, quota = quota%21, drain probability =
+// drain/255; the run stops once both are done or at cycle 2000.
+func FuzzSyntheticVsOracle(f *testing.F) {
+	// TestSyntheticBatchStreamEquivalence's cells: 4×4, rate 0.35, quota 12,
+	// seeds 9..11, drain probability 0.6 (seed 9 replays its B=1 cells).
+	for pat := uint8(0); pat < 4; pat++ {
+		for seed := uint64(9); seed < 12; seed++ {
+			f.Add(uint8(2), uint8(2), pat, uint16(3500), uint8(12), seed, uint8(153))
+		}
+	}
+	f.Add(uint8(0), uint8(4), uint8(4), uint16(10000), uint8(20), uint64(1), uint8(40)) // 2×6 TORNADO, rate 1.0
+	f.Add(uint8(3), uint8(1), uint8(5), uint16(10000), uint8(7), uint64(2), uint8(0))   // 5×3 HOTSPOT, never drained
+	f.Add(uint8(4), uint8(4), uint8(3), uint16(0), uint8(5), uint64(3), uint8(255))     // rate 0: never done
+	f.Add(uint8(1), uint8(2), uint8(0), uint16(1), uint8(3), uint64(4), uint8(200))     // rate 0.0001
+	f.Add(uint8(2), uint8(2), uint8(1), uint16(100), uint8(2), uint64(5), uint8(128))   // rate 0.01
+	f.Add(uint8(2), uint8(0), uint8(3), uint16(4000), uint8(0), uint64(6), uint8(128))  // quota 0
+	f.Add(uint8(4), uint8(4), uint8(5), uint16(5000), uint8(20), uint64(7), uint8(255)) // 6×6, always drained
+	f.Fuzz(func(t *testing.T, wb, hb, patb uint8, rateb uint16, quotab uint8, seed uint64, drainb uint8) {
+		w, h := 2+int(wb)%5, 2+int(hb)%5
+		n := w * h
+		pats := []Pattern{Random{}, Local{}, BitComplement{}, Transpose{}, Tornado{},
+			Hotspot{Hot: noc.PECoord(int(seed%uint64(n)), w)}}
+		pat := pats[int(patb)%len(pats)]
+		if ValidateDims(pat, w, h) != nil {
+			t.Skip()
+		}
+		rate, quota, p := float64(rateb%10001)/10000, int(quotab)%21, float64(drainb)/255
+		g := NewSynthetic(w, h, pat, rate, quota, seed)
+		ref := newOracle(w, h, pat, rate, quota, seed)
+		drain := xrand.New(4242)
+		for now := int64(0); now < 2000 && !(ref.Done() && g.Done()); now++ {
+			ref.Tick(now)
+			if !g.QueueEmpty() || g.NextEventCycle(now) <= now {
+				g.Tick(now)
+			}
+			for pe := 0; pe < n; pe++ {
+				want, wantOK := ref.Pending(pe)
+				got, gotOK := g.Pending(pe, now)
+				if wantOK != gotOK || want != got {
+					t.Fatalf("cycle %d pe %d: pending mismatch\noracle: %v %+v\ngot:    %v %+v", now, pe, wantOK, want, gotOK, got)
+				}
+				if wantOK && drain.Bool(p) {
+					ref.Injected(pe)
+					g.Injected(pe, now)
+				}
+			}
+			if ref.Done() != g.Done() {
+				t.Fatalf("cycle %d: Done mismatch oracle=%v got=%v", now, ref.Done(), g.Done())
+			}
+			active := g.ActivePEs(nil)
+			sort.Ints(active)
+			if want := ref.Active(); !reflect.DeepEqual(active, want) || g.QueueEmpty() != (len(want) == 0) {
+				t.Fatalf("cycle %d: active set %v (QueueEmpty %v), oracle has queued packets at %v", now, active, g.QueueEmpty(), want)
+			}
+		}
+	})
+}
+
+// generated returns the total packets v has generated, read at the end of a
+// run: the queues are implicit, but Done (the oracle's too) requires every
+// generated packet injected, so the injected counts sum to it.
 func generated(v *SynthView) int64 {
 	var total int64
-	for _, g := range v.generated {
+	for _, g := range v.injected {
 		total += int64(g)
 	}
 	return total

@@ -61,7 +61,7 @@ func main() {
 		os.Exit(1)
 	}
 	ops.Log = logger
-	opts.Observer = ops.Observer
+	opts.Observer, opts.Progress = ops.Observer, ops.Progress
 
 	ctx := context.Background()
 	res, err := core.RunSynthetic(ctx, cfg, opts)

@@ -188,7 +188,7 @@ func replayTrace(src trace.Source, nocKind string, n, d, r int, rep *cliflags.Re
 		fatal(err)
 	}
 	ops.Log = logger
-	topts := core.TraceOptions{Observer: ops.Observer}
+	topts := core.TraceOptions{Observer: ops.Observer, Progress: ops.Progress}
 	rep.Apply(&topts)
 	ctx := context.Background()
 	res, err := core.RunTrace(ctx, cfg, src, topts)

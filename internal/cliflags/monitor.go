@@ -12,13 +12,15 @@ import (
 	"fasttrack/internal/monitor"
 	"fasttrack/internal/obs"
 	"fasttrack/internal/runner"
+	"fasttrack/internal/sim"
 	"fasttrack/internal/telemetry"
 )
 
 // Monitor is the live-observability flag group (-http, -flight-recorder,
 // -flight-out, -span-trace). All off by default: a run without these flags
 // attaches no observer and starts no server, preserving the engine's
-// nil-check-only disabled path.
+// nil-check-only disabled path. -http attaches no observer either: /metrics
+// reads the run's sim.Progress.
 type Monitor struct {
 	HTTP           string
 	FlightRecorder int
@@ -29,7 +31,7 @@ type Monitor struct {
 // RegisterMonitor registers the monitoring flags on fs (all off by default).
 func RegisterMonitor(fs *flag.FlagSet) *Monitor {
 	m := &Monitor{}
-	fs.StringVar(&m.HTTP, "http", "", "serve live metrics on this address (/metrics, /debug/flight, /debug/pprof); \":0\" picks a free port")
+	fs.StringVar(&m.HTTP, "http", "", "serve live metrics on this address (/metrics, /debug/flight, /debug/pprof); \":0\" picks a free port; /metrics reads totals the engine publishes every 4096 cycles, so the run and its cache key are unchanged")
 	fs.IntVar(&m.FlightRecorder, "flight-recorder", 0, "record per-packet lifecycles, keeping the N worst for forensics (0 = off)")
 	fs.StringVar(&m.FlightOut, "flight-out", "", "write the flight-recorder forensic report to this file on an invariant trip (default: inline in the log record)")
 	fs.StringVar(&m.SpanTrace, "span-trace", "", "write per-job sweep spans as Chrome trace-event JSON to this file (Perfetto-loadable)")
@@ -37,14 +39,17 @@ func RegisterMonitor(fs *flag.FlagSet) *Monitor {
 }
 
 // Ops is the observer stack built from the Telemetry and Monitor flag
-// groups: attach Observer to the run, then Close once the run finishes —
-// failed or not — to write the reports, terminate the packet trace and stop
-// the server.
+// groups: attach Observer and Progress to the run, then Close once the run
+// finishes — failed or not — to write the reports, terminate the packet
+// trace and stop the server.
 type Ops struct {
 	// Observer fans out to every enabled observer: packet tracer, link
-	// stats, windowed metrics, live collector, flight recorder. nil when no
-	// flag asked for one, costing the run nothing.
+	// stats, windowed metrics, flight recorder. nil when no flag asked for
+	// one, costing the run nothing.
 	Observer telemetry.Observer
+	// Progress is the live record /metrics serves: non-nil under -http for
+	// a w×h run, and no observer, so it changes no Result bit or cache key.
+	Progress *sim.Progress
 	// Log receives the flight-recorder forensics record (DumpFlight);
 	// nil falls back to slog.Default().
 	Log *slog.Logger
@@ -52,7 +57,6 @@ type Ops struct {
 	tracer    *telemetry.Tracer
 	link      *telemetry.LinkStats
 	metrics   *telemetry.Metrics
-	collector *monitor.Collector
 	flight    *monitor.FlightRecorder
 	server    *monitor.Server
 	spans     *runner.SpanLog
@@ -89,7 +93,7 @@ func BuildOps(t *Telemetry, m *Monitor, w, h int, orch *runner.Orchestrator) (*O
 		o.metrics, o.metricsPath = telemetry.NewMetrics(t.MetricsWindow, w*h), t.MetricsOut
 	}
 	if m.HTTP != "" && w > 0 && h > 0 {
-		o.collector = monitor.NewCollector(w, h)
+		o.Progress = new(sim.Progress)
 	}
 	if m.FlightRecorder > 0 {
 		o.flight, o.flightOut = monitor.NewFlightRecorder(m.FlightRecorder, w), m.FlightOut
@@ -99,10 +103,10 @@ func BuildOps(t *Telemetry, m *Monitor, w, h int, orch *runner.Orchestrator) (*O
 		orch.Spans = o.spans
 	}
 	o.Observer = telemetry.Multi(asObserver(o.tracer), asObserver(o.link), asObserver(o.metrics),
-		asObserver(o.collector), asObserver(o.flight))
+		asObserver(o.flight))
 	if m.HTTP != "" {
 		srv, err := monitor.StartServer(m.HTTP, monitor.ServerOptions{
-			Collector: o.collector, Flight: o.flight, Runner: orch,
+			Progress: o.Progress, Flight: o.flight, Runner: orch,
 			Log: slog.Default(),
 		})
 		if err != nil {

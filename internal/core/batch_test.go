@@ -4,10 +4,11 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fasttrack/internal/core"
-	"fasttrack/internal/monitor"
+	"fasttrack/internal/telemetry"
 )
 
 // TestBatchGoldenMatrix is the SyntheticBatch contract the benchmark probes
@@ -163,18 +164,17 @@ func TestBatchChunksOverCapacity(t *testing.T) {
 
 // TestBatchObserverGolden: each job's Observer must reach its own run, so
 // Results are bit-identical to RunSynthetic with the same observer
-// arrangement and each job's monitor Collector accumulates identical
-// deterministic totals.
+// arrangement and each job's link-stats observer writes identical bytes.
 func TestBatchObserverGolden(t *testing.T) {
 	cfg := core.Hoplite(8)
 	const width = 4
 	optsList := make([]core.SyntheticOptions, width)
-	cols := make([]*monitor.Collector, width)
+	links := make([]*telemetry.LinkStats, width)
 	for i := range optsList {
-		cols[i] = monitor.NewCollector(8, 8)
+		links[i] = telemetry.NewLinkStats(8, 8)
 		optsList[i] = core.SyntheticOptions{
 			Pattern: "RANDOM", Rate: 0.4, PacketsPerPE: 30,
-			Seed: 11 + uint64(i), Observer: cols[i],
+			Seed: 11 + uint64(i), Observer: links[i],
 		}
 	}
 	sb, err := core.NewSyntheticBatch(cfg, width)
@@ -186,14 +186,15 @@ func TestBatchObserverGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// deterministic strips wall-clock fields; everything left must match the
-	// per-job run bit for bit.
-	deterministic := func(s monitor.Snapshot) monitor.Snapshot {
-		s.WallMS = 0
-		return s
+	csv := func(l *telemetry.LinkStats) string {
+		var b strings.Builder
+		if err := l.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
 	}
 	for i := range optsList {
-		ref := monitor.NewCollector(8, 8)
+		ref := telemetry.NewLinkStats(8, 8)
 		refOpts := optsList[i]
 		refOpts.Observer = ref
 		want, err := core.RunSynthetic(context.Background(), cfg, refOpts)
@@ -203,9 +204,8 @@ func TestBatchObserverGolden(t *testing.T) {
 		if !reflect.DeepEqual(got[i], want) {
 			t.Fatalf("job %d result diverges with observers attached", i)
 		}
-		bs, rs := deterministic(cols[i].Snapshot()), deterministic(ref.Snapshot())
-		if !reflect.DeepEqual(bs, rs) {
-			t.Fatalf("job %d observer totals diverge:\nbatch: %+v\nref:   %+v", i, bs, rs)
+		if bs, rs := csv(links[i]), csv(ref); bs != rs {
+			t.Fatalf("job %d observer totals diverge:\nbatch: %s\nref:   %s", i, bs, rs)
 		}
 	}
 }

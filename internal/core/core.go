@@ -247,6 +247,10 @@ type TraceOptions struct {
 	MaxCycles int64
 	// Observer, when non-nil, receives cycle-level telemetry events.
 	Observer Observer
+	// Progress, when non-nil, receives the replay's live totals
+	// (sim.Progress). It changes no Result bit, so it stays out of the cache
+	// key.
+	Progress *sim.Progress
 	// StreamWindow caps resident events when the source is not an
 	// in-memory *Trace (whose events are resident anyway, so it replays
 	// with the window off); 0 means trace.DefaultStreamWindow. See
@@ -327,6 +331,7 @@ func RunTrace(ctx context.Context, cfg Config, src TraceSource, opts TraceOption
 		MaxCycles: opts.MaxCycles,
 		Context:   ctx,
 		Observer:  opts.Observer,
+		Progress:  opts.Progress,
 	})
 	// A failed replay reports Done to stop the engine; surface its error
 	// over the (misleadingly clean) partial result.

@@ -205,7 +205,7 @@ func doEach(ctx context.Context, o *runner.Orchestrator, jobs []runner.Synthetic
 	err := o.ForEach(ctx, len(jobs), func(ctx context.Context, i int) error {
 		j := jobs[i]
 		var err error
-		res[i], err = runner.Do(ctx, o, runner.SyntheticKey(j.Cfg, j.Opts), func() (sim.Result, error) {
+		res[i], _, err = runner.Do(ctx, o, runner.SyntheticKey(j.Cfg, j.Opts), func() (sim.Result, error) {
 			return core.RunSynthetic(ctx, j.Cfg, j.Opts)
 		})
 		return err

@@ -117,7 +117,7 @@ var ExtZeroLoad = &Figure[analysis.ZeroLoad]{
 			core.FastTrack(n, 2, 1),
 			core.FastTrack(n, 2, 1).WithVariant(core.VariantInject),
 		} {
-			zl, err := runner.Do(context.Background(), sc.orch(), runner.RawKey("zeroload", runner.ConfigKey(cfg)),
+			zl, _, err := runner.Do(context.Background(), sc.orch(), runner.RawKey("zeroload", runner.ConfigKey(cfg)),
 				func() (analysis.ZeroLoad, error) { return analysis.ZeroLoadProfile(cfg) })
 			if err != nil {
 				return nil, err
@@ -255,7 +255,7 @@ type cachelineRun struct {
 
 func runCachelines(cfg core.Config, lineBits, width int, sc Scale) (cachelineRun, error) {
 	key := runner.RawKey("cacheline", runner.ConfigKey(cfg), lineBits, width, sc.Quota, sc.Seed)
-	return runner.Do(context.Background(), sc.orch(), key, func() (cachelineRun, error) {
+	run, _, err := runner.Do(context.Background(), sc.orch(), key, func() (cachelineRun, error) {
 		net, err := cfg.Build()
 		if err != nil {
 			return cachelineRun{}, err
@@ -272,6 +272,7 @@ func runCachelines(cfg core.Config, lineBits, width int, sc Scale) (cachelineRun
 			Res: res, Lines: ms.MessagesDelivered(), LatMean: ms.MessageLatency().Mean(),
 		}, nil
 	})
+	return run, err
 }
 
 // BufferedPoint compares router families on the Fig 1 axes, with the
@@ -330,7 +331,7 @@ func bufferedPoints(sc Scale) ([]BufferedPoint, error) {
 	var pts []BufferedPoint
 	for _, d := range designs {
 		key := runner.RawKey("extbuffered", d.name, n, sc.Quota, sc.Seed)
-		res, err := runner.Do(context.Background(), sc.orch(), key, func() (sim.Result, error) {
+		res, _, err := runner.Do(context.Background(), sc.orch(), key, func() (sim.Result, error) {
 			net, err := d.build()
 			if err != nil {
 				return sim.Result{}, err

@@ -161,7 +161,7 @@ func (s Scale) runTraceJob(ctx context.Context, job traceJob) (SpeedupPoint, err
 		}
 		var err error
 		for i, cfg := range cfgs {
-			res[i], err = runner.Do(ctx, s.orch(), runner.TraceHeaderKey(cfg, hdr, core.TraceOptions{}), func() (sim.Result, error) {
+			res[i], _, err = runner.Do(ctx, s.orch(), runner.TraceHeaderKey(cfg, hdr, core.TraceOptions{}), func() (sim.Result, error) {
 				src, err := generate()
 				if err == nil && genHdr != hdr {
 					err = errStaleMemo

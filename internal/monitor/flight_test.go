@@ -10,6 +10,12 @@ import (
 	"fasttrack/internal/telemetry"
 )
 
+// runOpts is the deterministic saturated workload the recorder and the
+// scrape tests observe.
+func runOpts() core.SyntheticOptions {
+	return core.SyntheticOptions{Pattern: "RANDOM", Rate: 1.0, PacketsPerPE: 200, Seed: 17}
+}
+
 // TestFlightRecorderForensics runs a saturated FastTrack sim with a small
 // recorder and checks the forensic report: bounded retention, worst-first
 // ordering, hop histories, and a deflection-blame table.

@@ -3,30 +3,30 @@ package monitor_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"fasttrack/internal/core"
 	"fasttrack/internal/monitor"
-	"fasttrack/internal/telemetry"
+	"fasttrack/internal/sim"
 )
 
 // goldenRun observes one seeded 4×4 FastTrack run at saturation, whose
 // routers deflect both local and express inputs and deny express links to
-// in-flight and injected packets, with a flight recorder and a collector
-// attached side by side.
-func goldenRun(t *testing.T) (*monitor.FlightRecorder, *monitor.Collector) {
+// in-flight and injected packets, with a flight recorder attached and its
+// totals published into a Progress, wall clock cleared.
+func goldenRun(t *testing.T) (*monitor.FlightRecorder, *sim.Progress) {
 	t.Helper()
 	fr := monitor.NewFlightRecorder(16, 4)
-	col := monitor.NewCollector(4, 4)
+	p := new(sim.Progress)
 	if _, err := core.RunSynthetic(context.Background(), core.FastTrack(4, 2, 1), core.SyntheticOptions{
-		Pattern: "RANDOM", Rate: 1.0, PacketsPerPE: 8, Seed: 7, Observer: telemetry.Multi(fr, col),
+		Pattern: "RANDOM", Rate: 1.0, PacketsPerPE: 8, Seed: 7, Observer: fr, Progress: p,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return fr, col
+	p.Start.Store(0)
+	return fr, p
 }
 
 func checkGolden(t *testing.T, name string, got []byte) {
@@ -52,15 +52,15 @@ func TestFlightReportGoldenBytes(t *testing.T) {
 	checkGolden(t, "flight.golden.txt", got.Bytes())
 }
 
-// TestCollectorSnapshotGolden pins the final Collector snapshot of the golden
-// run as JSON, wall clock zeroed: totals and the latency quantiles.
-func TestCollectorSnapshotGolden(t *testing.T) {
-	_, col := goldenRun(t)
-	s := col.Snapshot()
-	s.WallMS = 0
-	got, err := json.MarshalIndent(s, "", "  ")
+// TestMetricsSimGolden pins the sim section of /metrics written from the
+// golden run's Progress: every family, label and value, and the zero speed
+// gauge of a Progress without a start time.
+func TestMetricsSimGolden(t *testing.T) {
+	_, p := goldenRun(t)
+	srv, err := monitor.StartServer("127.0.0.1:0", monitor.ServerOptions{Progress: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "snapshot.golden.json", append(got, '\n'))
+	defer srv.Close()
+	checkGolden(t, "metrics_sim.golden.txt", []byte(scrape(t, srv, "/metrics")))
 }

@@ -15,9 +15,9 @@ import (
 	"time"
 
 	"fasttrack/internal/monitor"
-	"fasttrack/internal/noc"
 	"fasttrack/internal/runner"
 	"fasttrack/internal/serve"
+	"fasttrack/internal/sim"
 )
 
 // This file is the `make metrics-lint` gate: a self-contained Prometheus
@@ -345,15 +345,16 @@ func scrapeURL(t *testing.T, url string) string {
 // TestMetricsLintMonitor scrapes the live per-run ops server with every
 // source attached and lints the exposition.
 func TestMetricsLintMonitor(t *testing.T) {
-	col := monitor.NewCollector(4, 4)
-	p := &noc.Packet{}
-	col.OnInject(1, p)
-	col.OnDeliver(3, p)
-	col.OnCycleEnd(3, 0)
+	prog := new(sim.Progress)
+	prog.Cycles.Store(3)
+	prog.Injected.Store(1)
+	prog.Delivered.Store(1)
+	prog.LatSum.Store(2)
+	prog.Start.Store(time.Now().UnixNano())
 	fr := monitor.NewFlightRecorder(8, 4)
 	orch := &runner.Orchestrator{}
 	srv, err := monitor.StartServer("127.0.0.1:0", monitor.ServerOptions{
-		Collector: col, Flight: fr, Runner: orch,
+		Progress: prog, Flight: fr, Runner: orch,
 	})
 	if err != nil {
 		t.Fatal(err)

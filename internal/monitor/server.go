@@ -9,17 +9,20 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"time"
 
 	"fasttrack/internal/obs"
 	"fasttrack/internal/runner"
+	"fasttrack/internal/sim"
 )
 
 // ServerOptions configures an ops server. Every source is optional; the
 // corresponding endpoints degrade gracefully (a /metrics scrape with no
-// collector still exposes runner and process sections).
+// Progress still exposes the runner and flight sections).
 type ServerOptions struct {
-	// Collector feeds the sim sections of /metrics.
-	Collector *Collector
+	// Progress feeds the sim section of /metrics: the run's own totals,
+	// which the engine publishes every few thousand cycles and at its end.
+	Progress *sim.Progress
 	// Flight serves /debug/flight forensic dumps.
 	Flight *FlightRecorder
 	// Runner feeds the sweep-orchestration sections of /metrics.
@@ -167,8 +170,8 @@ func (p *PromWriter) StageHist(base, help string, s obs.HistSnapshot) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	p := NewPromWriter(w)
-	if c := s.opts.Collector; c != nil {
-		writeSimMetrics(p, c.Snapshot())
+	if sp := s.opts.Progress; sp != nil {
+		writeSimMetrics(p, sp)
 	}
 	if o := s.opts.Runner; o != nil {
 		WriteRunnerMetrics(p, o.Snapshot())
@@ -181,29 +184,40 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func writeSimMetrics(p *PromWriter, s Snapshot) {
-	p.Counter("fasttrack_sim_cycles_total", "Simulated cycles.", s.Cycles)
-	p.Gauge("fasttrack_sim_cycles_per_second", "Mean simulation speed since the first event.", s.CyclesPerSec())
-	p.Counter("fasttrack_sim_packets_offered_total", "Injection offers presented (accepted + refused).", s.Injected+s.Stalls)
-	p.Counter("fasttrack_sim_packets_injected_total", "Offers accepted into the network.", s.Injected)
-	p.Counter("fasttrack_sim_injection_stalls_total", "Offers refused (per PE per cycle).", s.Stalls)
-	p.Counter("fasttrack_sim_packets_delivered_total", "Packets delivered to clients.", s.Delivered)
-	p.Counter("fasttrack_sim_packets_dropped_total", "Packets destroyed by faults or abandoned by retry budget.", s.Drops)
-	p.Counter("fasttrack_sim_retransmits_total", "Retransmit copies queued by the resilience layer.", s.Retrans)
-	p.Gauge("fasttrack_sim_packets_in_flight", "Packets inside the network now.", float64(s.InFlight))
+// writeSimMetrics writes the sim section from a Progress. Each counter is
+// loaded on its own, so a mid-run scrape may be skewed by the publish in
+// progress; totals are exact once the run ends.
+func writeSimMetrics(p *PromWriter, s *sim.Progress) {
+	cycles, injected, stalls, delivered := s.Cycles.Load(), s.Injected.Load(), s.Stalls.Load(), s.Delivered.Load()
+	speed, mean := 0.0, 0.0
+	if start := s.Start.Load(); start != 0 {
+		speed = float64(cycles) / time.Since(time.Unix(0, start)).Seconds()
+	}
+	if delivered > 0 {
+		mean = float64(s.LatSum.Load()) / float64(delivered)
+	}
+	p.Counter("fasttrack_sim_cycles_total", "Simulated cycles.", cycles)
+	p.Gauge("fasttrack_sim_cycles_per_second", "Mean simulation speed since the first publish.", speed)
+	p.Counter("fasttrack_sim_packets_offered_total", "Injection offers presented (accepted + refused).", injected+stalls)
+	p.Counter("fasttrack_sim_packets_injected_total", "Offers accepted into the network.", injected)
+	p.Counter("fasttrack_sim_injection_stalls_total", "Offers refused (per PE per cycle).", stalls)
+	p.Counter("fasttrack_sim_packets_delivered_total", "Packets delivered to clients.", delivered)
+	p.Counter("fasttrack_sim_packets_dropped_total", "Packets destroyed by faults or abandoned by retry budget.", s.Drops.Load())
+	p.Counter("fasttrack_sim_retransmits_total", "Retransmit copies queued by the resilience layer.", s.Retransmits.Load())
+	p.Gauge("fasttrack_sim_packets_in_flight", "Packets inside the network now.", float64(s.InFlight.Load()))
 
 	p.Family("fasttrack_sim_hops_total", "Wire traversals by link class.", "counter")
-	p.Sample("fasttrack_sim_hops_total", `{wire="local"}`, float64(s.HopsLocal))
-	p.Sample("fasttrack_sim_hops_total", `{wire="express"}`, float64(s.HopsExpress))
+	p.Sample("fasttrack_sim_hops_total", `{wire="local"}`, float64(s.HopsLocal.Load()))
+	p.Sample("fasttrack_sim_hops_total", `{wire="express"}`, float64(s.HopsExpress.Load()))
 	p.Family("fasttrack_sim_deflections_total", "True deflections by the wire class of the deflected input.", "counter")
-	p.Sample("fasttrack_sim_deflections_total", `{wire="local"}`, float64(s.DeflectLocal))
-	p.Sample("fasttrack_sim_deflections_total", `{wire="express"}`, float64(s.DeflectExpress))
-	p.Counter("fasttrack_sim_express_denied_total", "Packets denied an express resource (fell back to a short wire).", s.Denied)
+	p.Sample("fasttrack_sim_deflections_total", `{wire="local"}`, float64(s.DeflectLocal.Load()))
+	p.Sample("fasttrack_sim_deflections_total", `{wire="express"}`, float64(s.DeflectExpress.Load()))
+	p.Counter("fasttrack_sim_express_denied_total", "Packets denied an express resource (fell back to a short wire).", s.Denied.Load())
 
 	p.Family("fasttrack_sim_latency_cycles", "Cumulative delivery-latency quantiles in cycles.", "gauge")
-	p.Sample("fasttrack_sim_latency_cycles", `{quantile="0.5"}`, float64(s.P50))
-	p.Sample("fasttrack_sim_latency_cycles", `{quantile="0.99"}`, float64(s.P99))
-	p.Gauge("fasttrack_sim_latency_mean_cycles", "Cumulative mean delivery latency in cycles.", s.MeanLatency())
+	p.Sample("fasttrack_sim_latency_cycles", `{quantile="0.5"}`, float64(s.P50.Load()))
+	p.Sample("fasttrack_sim_latency_cycles", `{quantile="0.99"}`, float64(s.P99.Load()))
+	p.Gauge("fasttrack_sim_latency_mean_cycles", "Cumulative mean delivery latency in cycles.", mean)
 }
 
 // WriteRunnerMetrics emits the sweep-orchestration metric families for an

@@ -13,7 +13,7 @@ import (
 	"fasttrack/internal/core"
 	"fasttrack/internal/monitor"
 	"fasttrack/internal/runner"
-	"fasttrack/internal/telemetry"
+	"fasttrack/internal/sim"
 )
 
 // scrape fetches path from srv and returns the body.
@@ -57,14 +57,14 @@ func parseProm(t *testing.T, body string) map[string]float64 {
 }
 
 // TestMetricsEndpointTotals is the end-to-end scrape check: a real run's
-// /metrics totals must equal the network's own counters, and the runner
-// section must reflect the orchestrator.
+// /metrics totals, read from its Progress, must equal the network's own
+// counters, and the runner section must reflect the orchestrator.
 func TestMetricsEndpointTotals(t *testing.T) {
-	col := monitor.NewCollector(8, 8)
+	prog := new(sim.Progress)
 	fr := monitor.NewFlightRecorder(4, 8)
 	orch := &runner.Orchestrator{Workers: 2}
 	for i := 0; i < 3; i++ {
-		if _, err := runner.Do(context.Background(), orch, fmt.Sprint(i), func() (int, error) {
+		if _, _, err := runner.Do(context.Background(), orch, fmt.Sprint(i), func() (int, error) {
 			return i, nil
 		}); err != nil {
 			t.Fatal(err)
@@ -72,13 +72,13 @@ func TestMetricsEndpointTotals(t *testing.T) {
 	}
 
 	opts := runOpts()
-	opts.Observer = telemetry.Multi(col, fr)
+	opts.Observer, opts.Progress = fr, prog
 	res, err := core.RunSynthetic(context.Background(), core.FastTrack(8, 2, 1), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv, err := monitor.StartServer("127.0.0.1:0", monitor.ServerOptions{
-		Collector: col, Flight: fr, Runner: orch,
+		Progress: prog, Flight: fr, Runner: orch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,8 +127,7 @@ func TestMetricsEndpointTotals(t *testing.T) {
 // /metrics, the pprof index, expvar, and the flight report (absent and
 // present).
 func TestServerEndpoints(t *testing.T) {
-	col := monitor.NewCollector(4, 4)
-	srv, err := monitor.StartServer("127.0.0.1:0", monitor.ServerOptions{Collector: col})
+	srv, err := monitor.StartServer("127.0.0.1:0", monitor.ServerOptions{Progress: new(sim.Progress)})
 	if err != nil {
 		t.Fatal(err)
 	}

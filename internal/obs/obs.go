@@ -62,10 +62,9 @@ func ValidTraceID(s string) bool {
 type ctxKey struct{}
 
 // WithTrace returns ctx carrying a request's span recorder, and with it the
-// request's trace and job IDs; downstream layers (runner.Do's cache peek,
-// core.RunSynthetic's engine span, runner.ForEach's sweep spans, every
-// LoggerWith record) read them without their signatures naming the
-// observability plane.
+// request's trace and job IDs; downstream layers (core.RunSynthetic's
+// engine span, runner.ForEach's sweep spans, every LoggerWith record) read
+// them without their signatures naming the observability plane.
 func WithTrace(ctx context.Context, t *JobTrace) context.Context {
 	return context.WithValue(ctx, ctxKey{}, t)
 }

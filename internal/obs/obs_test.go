@@ -203,7 +203,7 @@ func TestConcurrentTraceUse(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				tr.Begin("cache_peek").Attr("g", g).End()
+				tr.Begin("sim_run").Attr("g", g).End()
 			}
 		}(g)
 	}

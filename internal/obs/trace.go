@@ -21,9 +21,9 @@ type Span struct {
 func (s Span) Dur() time.Duration { return s.End.Sub(s.Start) }
 
 // JobTrace records the stage spans of one request as it crosses layers:
-// admission, queue wait, cache peeks, the simulation itself, SSE streaming.
-// It is safe for concurrent use (sweep jobs add cache-peek spans from
-// worker goroutines while an SSE handler times its stream).
+// admission, queue wait, the simulation itself, SSE streaming. It is safe
+// for concurrent use (sweep jobs add engine spans from worker goroutines
+// while an SSE handler times its stream).
 type JobTrace struct {
 	mu      sync.Mutex
 	traceID string

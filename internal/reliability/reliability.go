@@ -123,7 +123,7 @@ type Workload struct {
 	nextSeq  int64
 
 	// obs, when non-nil, receives OnDrop when a packet exhausts its retry
-	// budget and OnRetransmit when a retransmit copy is queued.
+	// budget.
 	obs telemetry.Observer
 }
 
@@ -194,9 +194,6 @@ func (w *Workload) Tick(now int64) {
 		w.wires[e.resend.ID] = e
 		pe := noc.PEIndex(e.orig.Src, w.width)
 		w.retryQ[pe] = append(w.retryQ[pe], e)
-		if w.obs != nil {
-			w.obs.OnRetransmit(now, &e.resend)
-		}
 	}
 }
 

@@ -156,9 +156,9 @@ func TestDoCountsHitsAndExecutions(t *testing.T) {
 		return sim.Result{Cycles: 11}, nil
 	}
 	for i := 0; i < 3; i++ {
-		res, err := Do(context.Background(), o, "the-key", run)
-		if err != nil || res.Cycles != 11 {
-			t.Fatalf("iteration %d: %v %+v", i, err, res)
+		res, hit, err := Do(context.Background(), o, "the-key", run)
+		if err != nil || res.Cycles != 11 || hit != (i > 0) {
+			t.Fatalf("iteration %d: %v hit=%v %+v", i, err, hit, res)
 		}
 	}
 	if runs != 1 {
@@ -176,7 +176,7 @@ func TestDoWithoutCache(t *testing.T) {
 	o := &Orchestrator{}
 	runs := 0
 	for i := 0; i < 2; i++ {
-		if _, err := Do(context.Background(), o, "k", func() (int, error) { runs++; return runs, nil }); err != nil {
+		if _, _, err := Do(context.Background(), o, "k", func() (int, error) { runs++; return runs, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -197,7 +197,7 @@ func TestCachedSweepThroughForEach(t *testing.T) {
 		out := make([]sim.Result, len(cfgs))
 		err := o.ForEach(context.Background(), len(cfgs), func(ctx context.Context, i int) error {
 			opts := quickOpts()
-			res, err := Do(ctx, o, SyntheticKey(cfgs[i], opts), func() (sim.Result, error) {
+			res, _, err := Do(ctx, o, SyntheticKey(cfgs[i], opts), func() (sim.Result, error) {
 				return core.RunSynthetic(ctx, cfgs[i], opts)
 			})
 			out[i] = res
@@ -325,7 +325,7 @@ func TestCacheOldFormatEntryHeals(t *testing.T) {
 			}
 			writeOldEntry(t, o.Cache, key, old.format, old.value)
 			runs := 0
-			res, err := Do(context.Background(), o, key, func() (sim.Result, error) {
+			res, _, err := Do(context.Background(), o, key, func() (sim.Result, error) {
 				runs++
 				return core.RunSynthetic(context.Background(), cfg, opts)
 			})

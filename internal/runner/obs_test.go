@@ -19,7 +19,7 @@ func TestSpanTracePropagation(t *testing.T) {
 	tr.SetJobID("j000007")
 	ctx := obs.WithTrace(context.Background(), tr)
 	err := o.ForEach(ctx, 4, func(ctx context.Context, i int) error {
-		_, err := Do(ctx, o, "", func() (int, error) { return i, nil })
+		_, _, err := Do(ctx, o, "", func() (int, error) { return i, nil })
 		return err
 	})
 	if err != nil {
@@ -55,7 +55,7 @@ func TestDoHistograms(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 3; i++ {
 			key := "hist-job-" + string(rune('a'+i))
-			if _, err := Do(context.Background(), o, key, func() (int, error) {
+			if _, _, err := Do(context.Background(), o, key, func() (int, error) {
 				return i, nil
 			}); err != nil {
 				t.Fatal(err)

@@ -270,25 +270,26 @@ func (o *Orchestrator) ForEach(ctx context.Context, n int, f func(ctx context.Co
 }
 
 // Do funnels one job through the orchestrator's cache: a hit returns the
-// persisted value (counted in Stats), a miss computes it with run and stores
-// the result. With no cache configured it just runs and counts. The key must
-// be a complete canonical description of the computation (see SyntheticKey);
-// run must be a deterministic function of that key. ctx should be the
-// context ForEach handed the job so span tracing can mark cache hits;
-// context.Background() is fine outside ForEach.
-func Do[T any](ctx context.Context, o *Orchestrator, key string, run func() (T, error)) (T, error) {
+// persisted value (counted in Stats) and hit set, a miss computes it with run
+// and stores the result. With no cache configured it just runs and counts.
+// Either way the cache is read once. The key must be a complete canonical
+// description of the computation (see SyntheticKey); run must be a
+// deterministic function of that key. ctx should be the context ForEach
+// handed the job so span tracing can mark cache hits; context.Background()
+// is fine outside ForEach.
+func Do[T any](ctx context.Context, o *Orchestrator, key string, run func() (T, error)) (v T, hit bool, err error) {
 	span := spanFrom(ctx)
 	if span != nil {
 		span.Key = key
 	}
-	var v T
 	if o.Lookup([]string{key}, []any{&v}) {
 		if span != nil {
 			span.CacheHit = true
 		}
-		return v, nil
+		return v, true, nil
 	}
-	return compute(o, key, run)
+	v, err = compute(o, key, run)
+	return v, false, err
 }
 
 // Lookup answers keys[i] from the cache into outs[i] (a pointer, as for

@@ -35,7 +35,7 @@ func TestSpanLogRecordsJobs(t *testing.T) {
 		} else {
 			defer close(first[i])
 		}
-		_, err := Do(ctx, o, fmt.Sprintf("span-test-%d", i%4), func() (int, error) {
+		_, _, err := Do(ctx, o, fmt.Sprintf("span-test-%d", i%4), func() (int, error) {
 			return i, nil
 		})
 		return err

@@ -73,7 +73,7 @@ func TestDaemonSharesCLICache(t *testing.T) {
 	ctx := context.Background()
 
 	// CLI first, daemon second.
-	want, err := runner.Do(ctx, cli, runner.SyntheticKey(cfg, opts(71)), func() (core.Result, error) {
+	want, _, err := runner.Do(ctx, cli, runner.SyntheticKey(cfg, opts(71)), func() (core.Result, error) {
 		return core.RunSynthetic(ctx, cfg, opts(71))
 	})
 	if err != nil {
@@ -91,7 +91,7 @@ func TestDaemonSharesCLICache(t *testing.T) {
 	if body := postAndWait(t, s, ts, spec(72)); strings.Contains(body, `"cached":true`) {
 		t.Fatalf("fresh spec answered from the cache: %s", body)
 	}
-	_, err = runner.Do(ctx, cli, runner.SyntheticKey(cfg, opts(72)), func() (core.Result, error) {
+	_, _, err = runner.Do(ctx, cli, runner.SyntheticKey(cfg, opts(72)), func() (core.Result, error) {
 		t.Fatal("CLI run missed the daemon's cache entry")
 		return core.Result{}, nil
 	})

@@ -74,7 +74,7 @@ func (s *Server) runJob(j *Job) {
 	j.setRunning()
 
 	// jctx carries the job's span recorder, and with it the job's trace and
-	// job IDs, into runner.Do's cache peeks and core.Run*'s engine span.
+	// job IDs, into core.Run*'s engine span.
 	jctx := obs.WithTrace(s.baseCtx, j.trace)
 	var cancel context.CancelFunc
 	ctx := jctx
@@ -212,24 +212,12 @@ func (s *Server) sampleMetrics(j *Job, p *sim.Progress, pes int, stop <-chan str
 	}
 }
 
-// runOne satisfies a single (cfg, opts) simulation: peek the shared cache
-// first (counting a serve-level hit), otherwise run through the
-// orchestrator's cache-through path.
+// runOne satisfies a single (cfg, opts) simulation through the
+// orchestrator's cache-through path, reporting whether the cache answered.
 func (s *Server) runOne(ctx context.Context, cfg core.Config, opts core.SyntheticOptions) (core.Result, bool, error) {
-	key := runner.SyntheticKey(cfg, opts)
-	if s.cache != nil {
-		peek := obs.TraceFrom(ctx).Begin("cache_peek").Attr("config", cfg.String())
-		var res core.Result
-		hit := s.cache.Get(key, &res)
-		peek.Attr("hit", hit).End()
-		if hit {
-			return res, true, nil
-		}
-	}
-	res, err := runner.Do(ctx, s.orch, key, func() (core.Result, error) {
+	return runner.Do(ctx, s.orch, runner.SyntheticKey(cfg, opts), func() (core.Result, error) {
 		return core.RunSynthetic(ctx, cfg, opts)
 	})
-	return res, false, err
 }
 
 func (s *Server) runSim(ctx context.Context, j *Job) (any, bool, error) {

@@ -132,7 +132,7 @@ type counters struct {
 	timeouts         atomic.Int64
 	panics           atomic.Int64
 
-	cacheHits  atomic.Int64 // serve-level cache peeks (before runner.Do)
+	cacheHits  atomic.Int64 // jobs runner.Do answered entirely from the cache
 	running    atomic.Int64
 	sseDropped atomic.Int64
 }
@@ -140,9 +140,8 @@ type counters struct {
 // Server is the daemon. Create with New, expose Handler over HTTP, stop
 // with Drain (graceful) or Close (immediate cancel, still no job loss).
 type Server struct {
-	opts  Options
-	orch  *runner.Orchestrator
-	cache *runner.Cache
+	opts Options
+	orch *runner.Orchestrator
 
 	// baseCtx parents every job context; cancelAll is the drain deadline's
 	// hammer (and Close's).
@@ -188,7 +187,6 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:      opts,
 		orch:      &runner.Orchestrator{Cache: cache, Workers: opts.SweepWorkers},
-		cache:     cache,
 		baseCtx:   ctx,
 		cancelAll: cancel,
 		jobs:      make(map[string]*Job),

@@ -14,7 +14,7 @@ import (
 // countingObserver tallies every event kind.
 type countingObserver struct {
 	telemetry.Base
-	injects, stalls, delivers        int64
+	injects, delivers                int64
 	hops, expressHops                int64
 	deflects, denied                 int64
 	cycles                           int64
@@ -23,7 +23,6 @@ type countingObserver struct {
 }
 
 func (c *countingObserver) OnInject(now int64, p *noc.Packet) { c.injects++ }
-func (c *countingObserver) OnInjectStall(now int64, pe int)   { c.stalls++ }
 func (c *countingObserver) OnDeliver(now int64, p *noc.Packet) {
 	c.delivers++
 	c.deliveredShort += int64(p.ShortHops)
@@ -66,9 +65,6 @@ func TestObserverEventTotals(t *testing.T) {
 			c := net.Counters()
 			if obs.injects != res.Injected {
 				t.Errorf("OnInject = %d, injected = %d", obs.injects, res.Injected)
-			}
-			if obs.stalls != c.InjectionStalls {
-				t.Errorf("OnInjectStall = %d, injection stalls = %d", obs.stalls, c.InjectionStalls)
 			}
 			if obs.delivers != res.Delivered {
 				t.Errorf("OnDeliver = %d, delivered = %d", obs.delivers, res.Delivered)

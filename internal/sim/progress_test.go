@@ -6,6 +6,9 @@ import (
 	"time"
 
 	"fasttrack/internal/core"
+	"fasttrack/internal/faults"
+	"fasttrack/internal/noc"
+	"fasttrack/internal/reliability"
 	"fasttrack/internal/sim"
 	"fasttrack/internal/trace"
 	"fasttrack/internal/traffic"
@@ -13,10 +16,13 @@ import (
 
 // progressRun is one run of the Progress suite: a fresh network and
 // workload per call, so the run can be repeated with and without Progress.
+// With faults set, the network is wrapped in the fault injector and the
+// workload in the retry layer.
 type progressRun struct {
-	name string
-	cfg  core.Config
-	wl   func(t *testing.T) sim.Workload
+	name   string
+	cfg    core.Config
+	wl     func(t *testing.T) sim.Workload
+	faults *faults.Config
 }
 
 func progressRuns(t *testing.T) []progressRun {
@@ -38,12 +44,14 @@ func progressRuns(t *testing.T) []progressRun {
 		runs = append(runs,
 			// 0.05 arms the idle skip and lasts past several 4096-cycle
 			// publishes; 1.0 saturates for about as long.
-			progressRun{cfg.String() + "/RANDOM-0.05", cfg, synth(0.05, 300)},
-			progressRun{cfg.String() + "/RANDOM-1.0", cfg, synth(1.0, 1000)},
-			progressRun{cfg.String() + "/trace", cfg, replay},
+			progressRun{cfg.String() + "/RANDOM-0.05", cfg, synth(0.05, 300), nil},
+			progressRun{cfg.String() + "/RANDOM-1.0", cfg, synth(1.0, 1000), nil},
+			progressRun{cfg.String() + "/trace", cfg, replay, nil},
 		)
 	}
-	return runs
+	// Drops, misdeliveries, retransmits and abandoned packets all happen.
+	return append(runs, progressRun{"FT(64,2,1)/RANDOM-0.3/faults+retry", core.FastTrack(8, 2, 1), synth(0.3, 200),
+		&faults.Config{Seed: 3, DropRate: 0.05, MisrouteRate: 0.02}})
 }
 
 func (r progressRun) run(t *testing.T, p *sim.Progress) sim.Result {
@@ -52,22 +60,44 @@ func (r progressRun) run(t *testing.T, p *sim.Progress) sim.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(net, r.wl(t), sim.Options{Progress: p})
+	wl := r.wl(t)
+	if r.faults != nil {
+		if net, err = faults.Wrap(net, *r.faults); err != nil {
+			t.Fatal(err)
+		}
+		wl = reliability.Wrap(wl, net.Width(), reliability.Config{Timeout: 64, MaxRetries: 1})
+	}
+	res, err := sim.Run(net, wl, sim.Options{Progress: p})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if r.faults != nil && (res.Faults.Dropped == 0 || res.Faults.Misdelivered == 0 ||
+		res.Recovery.Retries == 0 || res.Recovery.Abandoned == 0) {
+		t.Fatalf("faulty run lost nothing it could publish: faults %+v, recovery %+v", res.Faults, res.Recovery)
 	}
 	return res
 }
 
-// progressTotals reads p's totals in Result's terms.
-func progressTotals(p *sim.Progress) [7]int64 {
-	return [7]int64{p.Cycles.Load(), p.Injected.Load(), p.Delivered.Load(),
-		p.InFlight.Load(), p.LatSum.Load(), p.P50.Load(), p.P99.Load()}
+// progressTotals reads p's totals in Result's terms: the summable counters
+// first, then P50 and P99.
+func progressTotals(p *sim.Progress) [15]int64 {
+	return [15]int64{p.Cycles.Load(), p.Injected.Load(), p.Delivered.Load(),
+		p.InFlight.Load(), p.LatSum.Load(),
+		p.HopsLocal.Load(), p.HopsExpress.Load(), p.DeflectLocal.Load(), p.DeflectExpress.Load(),
+		p.Denied.Load(), p.Stalls.Load(), p.Drops.Load(), p.Retransmits.Load(),
+		p.P50.Load(), p.P99.Load()}
 }
 
-func resultTotals(res sim.Result) [7]int64 {
-	return [7]int64{res.Cycles, res.Injected, res.Delivered, 0,
-		int64(res.AvgLatency*float64(res.Delivered) + 0.5), res.P50, res.P99}
+func resultTotals(res sim.Result) [15]int64 {
+	c := res.Counters
+	// On the unidirectional torus the express inputs are WEx and NEx.
+	deflectExpress := c.MisroutesByInput[noc.PortWEx] + c.MisroutesByInput[noc.PortNEx]
+	return [15]int64{res.Cycles, res.Injected, res.Delivered, 0,
+		int64(res.AvgLatency*float64(res.Delivered) + 0.5),
+		c.ShortTraversals, c.ExpressTraversals, c.TotalDeflections() - deflectExpress, deflectExpress,
+		c.TotalExpressDenied(), c.InjectionStalls,
+		res.Faults.Lost() + res.Recovery.Abandoned, res.Recovery.Retries,
+		res.P50, res.P99}
 }
 
 // TestProgressExactAndNeutral: attaching a Progress moves no Result bit, the
@@ -85,7 +115,8 @@ func TestProgressExactAndNeutral(t *testing.T) {
 				t.Fatalf("Result with Progress differs:\n got %+v\nwant %+v", got, bare)
 			}
 			if pt, rt := progressTotals(&p), resultTotals(got); pt != rt {
-				t.Fatalf("Progress [cycles injected delivered in-flight latsum p50 p99] = %v, Result %v", pt, rt)
+				t.Fatalf("Progress [cycles injected delivered in-flight latsum hops(local express) "+
+					"deflections(local express) denied stalls drops retransmits p50 p99] = %v, Result %v", pt, rt)
 			}
 			if s := p.Start.Load(); s < before || s > time.Now().UnixNano() {
 				t.Fatalf("Start %d outside the run's wall clock", s)
@@ -93,10 +124,10 @@ func TestProgressExactAndNeutral(t *testing.T) {
 
 			second := r.run(t, &p)
 			want, add := resultTotals(got), resultTotals(second)
-			for i := range 5 {
+			for i := range len(want) - 2 {
 				want[i] += add[i]
 			}
-			want[5], want[6] = second.P50, second.P99
+			want[13], want[14] = second.P50, second.P99
 			if pt := progressTotals(&p); pt != want {
 				t.Fatalf("shared Progress after two runs = %v, want %v", pt, want)
 			}

@@ -69,7 +69,10 @@ type ActiveSet interface {
 // stepping them one by one.
 type EventWorkload interface {
 	// NextEventCycle returns the earliest cycle > now at which Tick can
-	// enqueue new work, or math.MaxInt64 when generation is finished.
+	// fill an empty queue, or math.MaxInt64 when none will. Run asks only
+	// while QueueEmpty holds, and only that reading is contracted: there it
+	// is the next generation event, and MaxInt64 means generation is
+	// finished.
 	NextEventCycle(now int64) int64
 	// QueueEmpty reports that no PE currently holds a queued packet.
 	QueueEmpty() bool
@@ -309,7 +312,8 @@ type engine struct {
 	aud      *auditor
 	obs      telemetry.Observer
 	// track is set when the auditor or the observer needs every injected
-	// packet (pkt, re-read from Pending) and inject feedback in live order.
+	// packet (pkt, re-read from Pending) and inject feedback in live order,
+	// which TestGoldenStandingOffers pins for observed runs.
 	track bool
 	pkt   noc.Packet
 	// changes is the workload's change report (nil: present live instead).
@@ -329,7 +333,7 @@ type engine struct {
 	// polling is set when a Context or a Progress needs the every-4096
 	// executed cycles branch; pub is what this run has published so far.
 	polling bool
-	pub     published
+	pub     totals
 
 	// Convergence-window state (inert when ConvergeWindow is 0).
 	convWin telemetry.WindowTracker
@@ -431,13 +435,7 @@ func (e *engine) phaseOffer(now int64) {
 // injectPE consumes pe's offer if the network accepted it, counting it into
 // Result.Injected and reporting whether an injection happened.
 func (e *engine) injectPE(pe int, now int64) bool {
-	if !e.offered[pe] {
-		return false
-	}
-	if !e.net.Accepted(pe) {
-		if e.obs != nil {
-			e.obs.OnInjectStall(now, pe)
-		}
+	if !e.offered[pe] || !e.net.Accepted(pe) {
 		return false
 	}
 	e.offered[pe] = false

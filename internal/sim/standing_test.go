@@ -41,8 +41,8 @@ type event struct {
 }
 
 // engineRecorder records the router events (hops, deflections, express
-// denials) and the engine-side packet events (who was injected, who stalled,
-// who was delivered, and each cycle's closing population), in emission order.
+// denials) and the engine-side packet events (who was injected, who was
+// delivered, and each cycle's closing population), in emission order.
 type engineRecorder struct {
 	telemetry.Base
 	Events []event
@@ -65,10 +65,6 @@ func (r *engineRecorder) OnInject(now int64, p *noc.Packet) {
 	r.add(event{Kind: "inject", Now: now, P: *p})
 }
 
-func (r *engineRecorder) OnInjectStall(now int64, pe int) {
-	r.add(event{Kind: "stall", Now: now, Router: pe})
-}
-
 func (r *engineRecorder) OnCycleEnd(now int64, inFlight int) {
 	r.add(event{Kind: "cycle", Now: now, Router: inFlight})
 }
@@ -77,8 +73,7 @@ func (r *engineRecorder) OnCycleEnd(now int64, inFlight int) {
 // workload reports as sim.ChangeReporter are presented) to the one-cycle
 // path (the same workload with the report hidden): identical Results per job
 // and over a batch of four seeds, with the auditor on, and — observed —
-// identical event streams, so OnInjectStall still fires once per refused PE
-// per cycle in live-list order.
+// identical event streams.
 func TestGoldenStandingOffers(t *testing.T) {
 	if _, ok := sim.Workload(oneCycle{}).(sim.ChangeReporter); ok {
 		t.Fatal("oneCycle exposes the change report; it would not force the one-cycle path")

@@ -119,9 +119,8 @@ func smallIndex(bounds []int64) []int32 {
 }
 
 // DefaultHistogramMax is the largest latency in cycles the engine's
-// delivery histogram resolves exactly. The live collector and the windowed
-// metrics observer use the same bound, so their quantiles agree with
-// sim.Result.
+// delivery histogram resolves exactly. The windowed metrics observer uses
+// the same bound, so its quantiles agree with sim.Result.
 const DefaultHistogramMax = 1 << 20
 
 // NewLatencyHistogram returns a histogram with geometric buckets from 1 up

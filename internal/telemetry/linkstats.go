@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"fasttrack/internal/noc"
 )
@@ -23,106 +22,52 @@ const (
 var linkClassDir = [numLinkClasses]string{"E", "E", "S", "S"}
 var linkClassName = [numLinkClasses]string{"local", "express", "local", "express"}
 
-// HopCounts reduces the hop stream to one block of counters per router:
-// traversals of each of the four wires leaving it, deflections split by the
-// wire class of the deflected input, and express denials. LinkStats and the
-// monitor's Collector are both this block. Every counter is an atomic, so
-// another goroutine may read a block while the simulation writes it, and
-// concurrent runs may share one HopCounts.
-type HopCounts struct {
-	w, h int
-	rows []hopBlock
-}
-
-type hopBlock struct {
-	hops                         [numLinkClasses]atomic.Int64
-	deflectLocal, deflectExpress atomic.Int64
-	denied                       atomic.Int64
-}
-
-// HopRow is one router's counters, each loaded atomically.
-type HopRow struct {
-	// Hops counts traversals of the wires leaving the router: east local,
-	// east express, south local, south express.
-	Hops [numLinkClasses]int64
-	// DeflectLocal and DeflectExpress count deflections by the wire class of
-	// the deflected input; Denied counts express denials.
-	DeflectLocal, DeflectExpress, Denied int64
-}
-
-// Local returns the router's local-wire traversals.
-func (r HopRow) Local() int64 { return r.Hops[linkESh] + r.Hops[linkSSh] }
-
-// Express returns the router's express-wire traversals.
-func (r HopRow) Express() int64 { return r.Hops[linkEEx] + r.Hops[linkSEx] }
-
-// NewHopCounts returns zeroed counters for a w×h network (dimensions below 1
-// are raised to 1).
-func NewHopCounts(w, h int) *HopCounts {
-	w, h = max(w, 1), max(h, 1)
-	return &HopCounts{w: w, h: h, rows: make([]hopBlock, w*h)}
-}
-
-// Dims returns the network dimensions the counters were built for.
-func (c *HopCounts) Dims() (w, h int) { return c.w, c.h }
-
-// Count records one hop event (Observer.OnHop's arguments). Events at a
-// router outside the network, and traversals of a port that is no output
-// wire, are ignored.
-func (c *HopCounts) Count(router int, port noc.Port, kind HopKind) {
-	if router < 0 || router >= len(c.rows) {
-		return
-	}
-	b := &c.rows[router]
-	switch kind {
-	case HopLocal, HopExpress:
-		if port >= noc.PortESh && port <= noc.PortSEx {
-			b.hops[port-noc.PortESh].Add(1)
-		}
-	case HopDeflect:
-		if port.IsExpress() {
-			b.deflectExpress.Add(1)
-		} else {
-			b.deflectLocal.Add(1)
-		}
-	case HopDenied:
-		b.denied.Add(1)
-	}
-}
-
-// Router returns router i's counters.
-func (c *HopCounts) Router(i int) HopRow {
-	b := &c.rows[i]
-	r := HopRow{
-		DeflectLocal:   b.deflectLocal.Load(),
-		DeflectExpress: b.deflectExpress.Load(),
-		Denied:         b.denied.Load(),
-	}
-	for k := range r.Hops {
-		r.Hops[k] = b.hops[k].Load()
-	}
-	return r
-}
-
-// LinkStats is an Observer that keeps HopCounts and writes them as CSV: the
-// heatmap-ready utilization table behind the paper's express-wire-usage
-// argument, one row per (router, direction, class) with hops and
-// hops/cycle.
+// LinkStats is an Observer that reduces the hop stream to one row of
+// counters per router and writes them as CSV: the heatmap-ready utilization
+// table behind the paper's express-wire-usage argument, one row per
+// (router, direction, class) with hops and hops/cycle.
 //
 // On multi-channel Hoplite all K channels share one geometry, so counts
 // aggregate per geometric link across channels.
 type LinkStats struct {
 	Base
-	counts *HopCounts
+	w      int
+	rows   []linkRow
 	cycles int64
 }
 
-// NewLinkStats returns a LinkStats observer for a w×h network.
-func NewLinkStats(w, h int) *LinkStats { return &LinkStats{counts: NewHopCounts(w, h)} }
+// linkRow is one router's counters: traversals of the four wires leaving it
+// (east local, east express, south local, south express), deflections and
+// express denials.
+type linkRow struct {
+	hops                [numLinkClasses]int64
+	deflections, denied int64
+}
 
-// OnHop implements Observer.
+// NewLinkStats returns a LinkStats observer for a w×h network (dimensions
+// below 1 are raised to 1).
+func NewLinkStats(w, h int) *LinkStats {
+	w, h = max(w, 1), max(h, 1)
+	return &LinkStats{w: w, rows: make([]linkRow, w*h)}
+}
+
+// OnHop implements Observer. Events at a router outside the network, and
+// traversals of a port that is no output wire, are ignored.
 func (l *LinkStats) OnHop(now int64, router int, port noc.Port, kind HopKind, p *noc.Packet) {
-	l.counts.Count(router, port, kind)
+	if router < 0 || router >= len(l.rows) {
+		return
+	}
+	r := &l.rows[router]
+	switch kind {
+	case HopLocal, HopExpress:
+		if port >= noc.PortESh && port <= noc.PortSEx {
+			r.hops[port-noc.PortESh]++
+		}
+	case HopDeflect:
+		r.deflections++
+	case HopDenied:
+		r.denied++
+	}
 }
 
 // OnCycleEnd implements Observer.
@@ -133,10 +78,9 @@ func (l *LinkStats) Cycles() int64 { return l.cycles }
 
 // Totals returns network-wide hop counts by wire class.
 func (l *LinkStats) Totals() (local, express int64) {
-	for i := range l.counts.rows {
-		r := l.counts.Router(i)
-		local += r.Local()
-		express += r.Express()
+	for _, r := range l.rows {
+		local += r.hops[linkESh] + r.hops[linkSSh]
+		express += r.hops[linkEEx] + r.hops[linkSEx]
 	}
 	return local, express
 }
@@ -152,10 +96,9 @@ func (l *LinkStats) WriteCSV(w io.Writer) error {
 	}); err != nil {
 		return err
 	}
-	for i := range l.counts.rows {
-		r := l.counts.Router(i)
-		x, y := i%l.counts.w, i/l.counts.w
-		for c, hops := range r.Hops {
+	for i, r := range l.rows {
+		x, y := i%l.w, i/l.w
+		for c, hops := range r.hops {
 			util := 0.0
 			if l.cycles > 0 {
 				util = float64(hops) / float64(l.cycles)
@@ -164,7 +107,7 @@ func (l *LinkStats) WriteCSV(w io.Writer) error {
 				fmt.Sprint(x), fmt.Sprint(y),
 				linkClassDir[c], linkClassName[c],
 				fmt.Sprint(hops), fmt.Sprintf("%.6f", util),
-				fmt.Sprint(r.DeflectLocal + r.DeflectExpress), fmt.Sprint(r.Denied),
+				fmt.Sprint(r.deflections), fmt.Sprint(r.denied),
 			}); err != nil {
 				return err
 			}

@@ -8,8 +8,9 @@
 // A router reports each of its decisions as one hop event, OnHop with a
 // HopKind: a traversal of a local or an express wire, a deflection, or an
 // express denial. The router families on the shared fabric kernel emit
-// through fabric.Kernel.Hop; HopCounts is the per-router reduction of that
-// stream that LinkStats and the live monitor's Collector both keep.
+// through fabric.Kernel.Hop; LinkStats reduces that stream per router.
+// Network-wide totals need no observer: the engine publishes them into a
+// sim.Progress, which is what the live /metrics page reads.
 //
 // The disabled path is a single nil check at every emission site, so a run
 // without an observer pays nothing measurable (BenchmarkSimSaturation vs
@@ -68,21 +69,18 @@ func (k HopKind) String() string { return hopKindNames[k] }
 //     deflection"); noc.PortPE marks a denied express injection.
 //
 // Packet-level events come from the engine and the workload/network
-// wrappers: OnInject after an offer is accepted, OnInjectStall when a
-// presented offer was refused this cycle (the live offered-vs-accepted
-// backpressure signal; one event per refused offer per cycle, summing to
-// noc.Counters.InjectionStalls), OnDeliver per delivery, OnDrop when a
-// packet is destroyed (fault injection) or abandoned (retransmission budget
-// exhausted, internal/reliability), OnRetransmit when a retransmit copy is
-// queued. OnCycleEnd fires once per completed engine cycle with the current
-// in-flight population.
+// wrappers: OnInject after an offer is accepted, OnDeliver per delivery,
+// OnDrop when a packet is destroyed (fault injection) or abandoned
+// (retransmission budget exhausted, internal/reliability). OnCycleEnd fires
+// once per completed engine cycle with the current in-flight population.
+// Refused offers and retransmits are no events: their totals are
+// noc.Counters.InjectionStalls and stats.RecoveryCounts.Retries, and a
+// sim.Progress carries both live.
 type Observer interface {
 	OnInject(now int64, p *noc.Packet)
-	OnInjectStall(now int64, pe int)
 	OnDeliver(now int64, p *noc.Packet)
 	OnHop(now int64, router int, port noc.Port, kind HopKind, p *noc.Packet)
 	OnDrop(now int64, p *noc.Packet)
-	OnRetransmit(now int64, p *noc.Packet)
 	OnCycleEnd(now int64, inFlight int)
 }
 
@@ -121,11 +119,9 @@ func Key(o Observer) string {
 type Base struct{}
 
 func (Base) OnInject(int64, *noc.Packet)                      {}
-func (Base) OnInjectStall(int64, int)                         {}
 func (Base) OnDeliver(int64, *noc.Packet)                     {}
 func (Base) OnHop(int64, int, noc.Port, HopKind, *noc.Packet) {}
 func (Base) OnDrop(int64, *noc.Packet)                        {}
-func (Base) OnRetransmit(int64, *noc.Packet)                  {}
 func (Base) OnCycleEnd(int64, int)                            {}
 
 // multi fans events out to several observers in order.
@@ -158,12 +154,6 @@ func (m *multi) OnInject(now int64, p *noc.Packet) {
 	}
 }
 
-func (m *multi) OnInjectStall(now int64, pe int) {
-	for _, o := range m.obs {
-		o.OnInjectStall(now, pe)
-	}
-}
-
 func (m *multi) OnDeliver(now int64, p *noc.Packet) {
 	for _, o := range m.obs {
 		o.OnDeliver(now, p)
@@ -179,12 +169,6 @@ func (m *multi) OnHop(now int64, router int, port noc.Port, kind HopKind, p *noc
 func (m *multi) OnDrop(now int64, p *noc.Packet) {
 	for _, o := range m.obs {
 		o.OnDrop(now, p)
-	}
-}
-
-func (m *multi) OnRetransmit(now int64, p *noc.Packet) {
-	for _, o := range m.obs {
-		o.OnRetransmit(now, p)
 	}
 }
 

@@ -77,31 +77,17 @@ func (Random) Dest(src noc.Coord, w, h int, rng *xrand.Rand) (noc.Coord, bool) {
 // Local is uniform traffic within a Manhattan-distance neighbourhood. The
 // torus distance used is directional (east/south ring distance), matching
 // what "local" means on a unidirectional torus: destinations a short
-// forward hop away.
-type Local struct {
-	// Radius is the neighbourhood size in hops. 0 derives a per-axis
-	// default: max(1, w/4) east and max(1, h/4) south, so a rectangular
-	// torus keeps its Y destinations local instead of inheriting the wider
-	// dimension's reach. An explicit Radius applies to both axes.
-	Radius int
-}
+// forward hop away. The neighbourhood reaches max(1, w/4) hops east and
+// max(1, h/4) south, so a rectangular torus keeps its Y destinations local
+// instead of inheriting the wider dimension's reach.
+type Local struct{}
 
 // Name implements Pattern.
 func (Local) Name() string { return "LOCAL" }
 
 // Dest implements Pattern.
-func (l Local) Dest(src noc.Coord, w, h int, rng *xrand.Rand) (noc.Coord, bool) {
-	rx, ry := l.Radius, l.Radius
-	if l.Radius <= 0 {
-		rx = w / 4
-		if rx < 1 {
-			rx = 1
-		}
-		ry = h / 4
-		if ry < 1 {
-			ry = 1
-		}
-	}
+func (Local) Dest(src noc.Coord, w, h int, rng *xrand.Rand) (noc.Coord, bool) {
+	rx, ry := max(1, w/4), max(1, h/4)
 	for {
 		dx := rng.Intn(rx + 1)
 		dy := rng.Intn(ry + 1)

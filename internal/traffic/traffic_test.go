@@ -85,9 +85,11 @@ func TestTransposeMirrors(t *testing.T) {
 	}
 }
 
+// TestLocalStaysWithinRadius: on an 8×8 torus the derived radius is
+// 8/4 = 2 on both axes.
 func TestLocalStaysWithinRadius(t *testing.T) {
 	rng := xrand.New(5)
-	p := Local{Radius: 2}
+	p := Local{}
 	for i := 0; i < 5000; i++ {
 		src := noc.Coord{X: i % 8, Y: (i / 8) % 8}
 		dst, ok := p.Dest(src, 8, 8, rng)
@@ -147,13 +149,12 @@ func TestLocalDefaultRadiusRectangular(t *testing.T) {
 			t.Fatalf("LOCAL produced self at %v", src)
 		}
 	}
-	// An explicit radius still applies to both axes.
-	pr := Local{Radius: 3}
+	// Transposed, the radii swap: 4×16 reaches 1 east and 4 south.
 	for i := 0; i < 2000; i++ {
-		src := noc.Coord{X: i % w, Y: (i / w) % h}
-		dst, _ := pr.Dest(src, w, h, rng)
-		if dy := noc.RingDelta(src.Y, dst.Y, h); dy > 3 {
-			t.Fatalf("explicit radius: dy=%d from %v exceeds 3", dy, src)
+		src := noc.Coord{X: i % h, Y: (i / h) % w}
+		dst, _ := p.Dest(src, h, w, rng)
+		if dx, dy := noc.RingDelta(src.X, dst.X, h), noc.RingDelta(src.Y, dst.Y, w); dx > 1 || dy > 4 {
+			t.Fatalf("4x16: offset (%d, %d) from %v exceeds (1, 4)", dx, dy, src)
 		}
 	}
 }

@@ -9,7 +9,7 @@ GO ?= go
 # pass so the assertion is meaningful).
 SWEEP_CACHE ?= .ftcache-quick
 
-.PHONY: build fmt test vet race fuzz verify loc bench profile sweep-quick monitor-smoke serve-load serve-load-smoke trace-roundtrip metrics-lint
+.PHONY: build fmt test vet race fuzz verify loc bench profile sweep-quick monitor-smoke trace-roundtrip metrics-lint
 
 build:
 	$(GO) build ./...
@@ -118,17 +118,6 @@ trace-roundtrip:
 	$(GO) run ./cmd/fttrace -replay $(TRACE_RT_DIR)/t.ftt -noc ft -n 4 -d 2 -r 1 | cmp - $(TRACE_RT_DIR)/replay.txt
 	rm -rf $(TRACE_RT_DIR)
 
-# Daemon load test: ftload self-hosts an ftserve daemon and hammers it with
-# concurrent clients posting mixed valid/duplicate/malformed specs, then
-# asserts bounded p99 admission latency, zero dropped accepted jobs, exact
-# 429/400 accounting against /metrics, panic isolation, and a lossless
-# drain. serve-load-smoke is the short configuration `make verify` runs.
-serve-load:
-	$(GO) run ./cmd/ftload -clients 8 -requests 25
-
-serve-load-smoke:
-	$(GO) run ./cmd/ftload -clients 4 -requests 10 -max-p99 2s > /dev/null
-
 # Prometheus exposition lint: a test-embedded 0.0.4 text parser scrapes the
 # LIVE ops server and ftserve /metrics endpoints and rejects anything a real
 # scraper would choke on — samples without TYPE lines, bad label escaping,
@@ -151,4 +140,4 @@ monitor-smoke:
 	for f in $(SMOKE_OUT); do test -s $$f || { echo "monitor-smoke: $$f is empty or missing"; exit 1; }; done
 	rm -f $(SMOKE_OUT)
 
-verify: build fmt vet test race sweep-quick trace-roundtrip monitor-smoke serve-load-smoke metrics-lint
+verify: build fmt vet test race sweep-quick trace-roundtrip monitor-smoke metrics-lint

@@ -46,7 +46,6 @@ func main() {
 	noCache := flag.Bool("no-cache", false, "disable the result cache")
 	retain := flag.Int("retain", 4096, "finished jobs kept fetchable before eviction")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight jobs on SIGTERM before cancellation")
-	debugHooks := flag.Bool("debug-hooks", false, "allow debug_panic specs (load testing only)")
 	logf := cliflags.RegisterLogging(flag.CommandLine, "info")
 	flag.Parse()
 
@@ -67,7 +66,6 @@ func main() {
 		CacheDir:     *cacheDir,
 		NoCache:      *noCache,
 		RetainJobs:   *retain,
-		DebugHooks:   *debugHooks,
 		Logger:       logger,
 	})
 	if err != nil {

@@ -1,5 +1,5 @@
 // Package cliflags holds the flag groups shared by the command-line tools
-// (ftsim, fttrace, ftexp, ftserve, ftload), so every tool spells the same
+// (ftsim, fttrace, ftexp, ftserve), so every tool spells the same
 // option the same way and new options appear everywhere at once. Each group
 // is registered on a flag.FlagSet with Register* and converted to the
 // corresponding config after flag.Parse with the group's method.

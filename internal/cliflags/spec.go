@@ -46,11 +46,6 @@ type JobSpec struct {
 	// TimeoutMS is the job's wall-clock deadline in milliseconds; the
 	// daemon's -job-timeout caps it. 0 inherits the daemon default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-
-	// DebugPanic makes the job panic mid-execution. It exists to prove the
-	// daemon's panic isolation under load tests and is rejected unless the
-	// daemon runs with debug hooks enabled.
-	DebugPanic bool `json:"debug_panic,omitempty"`
 }
 
 // SpecError is a structured job-spec rejection: Field names the offending

@@ -48,7 +48,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	// Stage-latency histograms: every sample is the exact duration of one
 	// recorded span, so each family's _sum reconciles bit-for-bit with the
-	// per-job span logs (/debug/trace) — asserted by cmd/ftload.
+	// per-job span logs (/debug/trace) — asserted by TestMixedLoad.
 	p.StageHist("ftserve_queue_wait",
 		"Time jobs spent accepted but not started.", s.histQueueWait.Snapshot())
 	p.StageHist("ftserve_run",

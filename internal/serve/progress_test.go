@@ -63,10 +63,6 @@ func TestDaemonSharesCLICache(t *testing.T) {
 	}
 	cli := &runner.Orchestrator{Cache: cache, Workers: 1}
 	cfg := core.Hoplite(4)
-	spec := func(seed uint64) string {
-		return fmt.Sprintf(`{"kind":"sim","topology":{"noc":"hoplite","n":4},
-			"workload":{"pattern":"RANDOM","rate":0.1,"packets":20,"seed":%d}}`, seed)
-	}
 	opts := func(seed uint64) core.SyntheticOptions {
 		return core.SyntheticOptions{Pattern: "RANDOM", Rate: 0.1, PacketsPerPE: 20, Seed: seed}
 	}
@@ -79,7 +75,7 @@ func TestDaemonSharesCLICache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := postAndWait(t, s, ts, spec(71))
+	body := postAndWait(t, s, ts, fastJSON(71))
 	if !strings.Contains(body, `"cached":true`) {
 		t.Fatalf("daemon job missed the CLI's cache entry: %s", body)
 	}
@@ -88,7 +84,7 @@ func TestDaemonSharesCLICache(t *testing.T) {
 	}
 
 	// Daemon first, CLI second.
-	if body := postAndWait(t, s, ts, spec(72)); strings.Contains(body, `"cached":true`) {
+	if body := postAndWait(t, s, ts, fastJSON(72)); strings.Contains(body, `"cached":true`) {
 		t.Fatalf("fresh spec answered from the cache: %s", body)
 	}
 	_, _, err = runner.Do(ctx, cli, runner.SyntheticKey(cfg, opts(72)), func() (core.Result, error) {

@@ -91,8 +91,8 @@ func (s *Server) runJob(j *Job) {
 				err = &panicFailure{value: r, stack: debug.Stack()}
 			}
 		}()
-		if j.Spec.DebugPanic {
-			panic("debug_panic requested by spec")
+		if s.opts.beforeRun != nil {
+			s.opts.beforeRun(j)
 		}
 		switch j.Spec.Kind {
 		case "sim":

@@ -76,15 +76,16 @@ type Options struct {
 	// 4096); older ones are evicted so the registry cannot grow without
 	// bound.
 	RetainJobs int
-	// DebugHooks enables the debug_panic spec field (load tests use it to
-	// prove panic isolation); production daemons leave it off and such
-	// specs are rejected at admission.
-	DebugHooks bool
 	// Logger receives the daemon's structured records, every one carrying
 	// trace_id/job_id/client attrs where a request is in scope. nil discards
 	// (embedding tests stay quiet); cmd/ftserve passes the cliflags.Logging
 	// logger.
 	Logger *slog.Logger
+
+	// beforeRun, when set, runs at the start of every job's execution,
+	// inside its panic recovery: tests hold a worker or crash a job through
+	// it. No production caller sets it.
+	beforeRun func(*Job)
 }
 
 func (o Options) queueDepth() int {
@@ -266,7 +267,7 @@ func (s *Server) Close() error {
 // RejectError is a structured admission refusal; the HTTP layer serializes
 // it with the matching status and Retry-After header.
 type RejectError struct {
-	Code       string // "queue_full" | "rate_limited" | "draining" | "debug_disabled"
+	Code       string // "queue_full" | "rate_limited" | "draining" | "bad_spec"
 	Status     int
 	Message    string
 	RetryAfter time.Duration
@@ -295,13 +296,6 @@ func (s *Server) Admit(spec *cliflags.JobSpec, clientKey, traceID string) (j *Jo
 		return reject(&RejectError{
 			Code: "draining", Status: http.StatusServiceUnavailable,
 			Message: "daemon is draining; not admitting new jobs",
-		})
-	}
-	if spec.DebugPanic && !s.opts.DebugHooks {
-		s.c.badSpec.Add(1)
-		return reject(&RejectError{
-			Code: "debug_disabled", Status: http.StatusBadRequest,
-			Message: "debug_panic requires a daemon started with debug hooks",
 		})
 	}
 	rl := tr.Begin("rate_limit")

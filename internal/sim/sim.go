@@ -37,6 +37,8 @@ type Workload interface {
 	// for it (offers that stall are retried).
 	Pending(pe int, now int64) (noc.Packet, bool)
 	// Injected reports that the pending packet at pe entered the network.
+	// Its effect must not depend on the order of its calls within a cycle,
+	// which follow the network's accepted list (noc.Standing.AcceptedPEs).
 	Injected(pe int, now int64)
 	// Delivered reports that p reached its destination PE.
 	Delivered(p noc.Packet, now int64)
@@ -86,8 +88,7 @@ type EventWorkload interface {
 // The contract: Changed is called once per cycle after Tick and appends to
 // buf every PE whose Pending may differ from what it returned when that PE
 // was last presented (the first call: every PE that may be pending). A
-// superset is fine and neither order nor duplicates matter; Injected must not
-// depend on the order of its calls either, which follow the accepted list.
+// superset is fine and neither order nor duplicates matter.
 type ChangeReporter interface {
 	Changed(buf []int) []int
 }
@@ -312,8 +313,7 @@ type engine struct {
 	aud      *auditor
 	obs      telemetry.Observer
 	// track is set when the auditor or the observer needs every injected
-	// packet (pkt, re-read from Pending) and inject feedback in live order,
-	// which TestGoldenStandingOffers pins for observed runs.
+	// packet (pkt, re-read from Pending).
 	track bool
 	pkt   noc.Packet
 	// changes is the workload's change report (nil: present live instead).
@@ -419,7 +419,7 @@ func (e *engine) present(pe int, now int64) {
 // offer operations are independent, so both are bit-exact with the full
 // 0..N-1 scan (golden_test.go and standing_test.go).
 func (e *engine) phaseOffer(now int64) {
-	if e.activeWL != nil && (e.track || e.changes == nil) {
+	if e.activeWL != nil && e.changes == nil {
 		e.live = e.activeWL.ActivePEs(e.live[:0])
 	}
 	pes := e.live
@@ -456,15 +456,10 @@ func (e *engine) injectPE(pe int, now int64) bool {
 }
 
 // phaseInjectFeedback relays the network's accept decisions back to the
-// workload: for a change-reporting workload nobody tracks, only the
-// accepted list; otherwise every live PE, in live-list order.
+// workload, in the network's accepted order.
 func (e *engine) phaseInjectFeedback(now int64) bool {
-	pes := e.live
-	if e.changes != nil && !e.track {
-		pes = e.net.AcceptedPEs()
-	}
 	progress := false
-	for _, pe := range pes {
+	for _, pe := range e.net.AcceptedPEs() {
 		if e.injectPE(pe, now) {
 			progress = true
 		}

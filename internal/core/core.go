@@ -327,6 +327,7 @@ func RunTrace(ctx context.Context, cfg Config, src TraceSource, opts TraceOption
 	if err != nil {
 		return Result{}, err
 	}
+	defer wl.Release() // after Err is read: the next replay reuses its buffers
 	res, err := sim.Run(net, wl, sim.Options{
 		MaxCycles: opts.MaxCycles,
 		Context:   ctx,

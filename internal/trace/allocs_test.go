@@ -1,7 +1,9 @@
 package trace_test
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"fasttrack/internal/trace"
 	"fasttrack/internal/workloads/dataflow"
@@ -27,5 +29,35 @@ func TestReplayBuildAllocs(t *testing.T) {
 	})
 	if allocs > 1000 {
 		t.Fatalf("NewWorkload on %d events: %.0f mallocs, want ≤ 1,000", len(tr.Events), allocs)
+	}
+}
+
+// TestBuilderAllocBytes pins the Builder's growth: adding a 50k-event LU
+// trace allocates at most 2.2× the bytes the built trace holds (Events plus
+// dependency lists): the chunks and arena it fills once, the exactly sized
+// Events that Build copies them into, and at most one partly used chunk and
+// block. A slice regrown by append costs about 5×.
+func TestBuilderAllocBytes(t *testing.T) {
+	tr, err := dataflow.Trace(dataflow.Benchmarks()[0], 16, 16, dataflow.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := uint64(len(tr.Events)) * uint64(unsafe.Sizeof(trace.Event{}))
+	for _, e := range tr.Events {
+		kept += uint64(len(e.Deps)) * uint64(unsafe.Sizeof(e.Deps[0]))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b := trace.NewBuilder(tr.Name, tr.PEs)
+	for _, e := range tr.Events {
+		b.Add(e.Src, e.Dst, e.Delay, e.Deps...)
+	}
+	if _, err := b.Build(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got*10 > kept*22 {
+		t.Fatalf("building %d events allocated %d B for a %d B trace (%.2f×), want ≤ 2.2×",
+			len(tr.Events), got, kept, float64(got)/float64(kept))
 	}
 }

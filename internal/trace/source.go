@@ -53,7 +53,8 @@ type Cursor interface {
 // Adder emits traces far larger than RAM for free.
 type Adder interface {
 	// Add appends an event and returns its index. deps must reference
-	// earlier events.
+	// earlier events. Add does not retain deps (Builder copies them, Writer
+	// encodes them at once), so a caller may reuse one slice for every call.
 	Add(src, dst int, delay int32, deps ...int32) int32
 	// Len returns the number of events added so far.
 	Len() int

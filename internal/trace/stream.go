@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"fasttrack/internal/noc"
 )
@@ -16,7 +17,9 @@ type StreamOptions struct {
 	// Window caps the number of resident events: read from the source but
 	// not yet retired. Replay heap usage is O(Window) — independent of the
 	// trace's event count — which is what lets a 100M-event trace replay in
-	// a few tens of megabytes. 0 means DefaultStreamWindow.
+	// a few tens of megabytes. 0 means DefaultStreamWindow. The bound holds
+	// per live replay: a released Stream's buffers are reused by the next
+	// replay, not added to it (see Release).
 	//
 	// When the window never binds (Window ≥ the trace's live-event high
 	// water mark, always true when Window ≥ total events), the replay is
@@ -150,21 +153,57 @@ func newStream(src Source, hdr Header, width, height, window int) (*Stream, erro
 	if err != nil {
 		return nil, err
 	}
-	s := &Stream{
+	// A pooled Stream keeps its buffers' arrays. Every scalar restarts from
+	// zero; ring slots and edges are written by admit and newEdge before
+	// they are read, so only lengths, the edge pool's counters and the
+	// per-PE flags need clearing.
+	s := streamPool.Get().(*Stream)
+	*s = Stream{
 		cur:      cur,
 		hdr:      hdr,
 		width:    width,
 		window:   window,
-		ring:     make([]evSlot, window),
+		ring:     resized(s.ring, window),
+		edges:    s.edges,
 		freeEdge: noEdge,
-		readyQ:   make([]eventHeap, hdr.PEs),
-		inLive:   make([]bool, hdr.PEs),
+		readyQ:   resized(s.readyQ, hdr.PEs),
+		selfQ:    s.selfQ[:0],
+		live:     s.live[:0],
+		inLive:   resized(s.inLive, hdr.PEs),
+		chg:      s.chg[:0],
+		wake:     s.wake[:0],
 	}
+	for pe := range s.readyQ {
+		s.readyQ[pe] = s.readyQ[pe][:0]
+	}
+	clear(s.inLive)
 	s.fill()
 	if s.err != nil {
 		return nil, s.err
 	}
 	return s, nil
+}
+
+// streamPool holds released Streams for newStream to reuse. A sync.Pool
+// keeps an idle Stream through one garbage collection and frees it at the
+// next, so the buffers cost nothing once replays stop.
+var streamPool = sync.Pool{New: func() any { return new(Stream) }}
+
+// resized returns buf with length n, reusing its array when it is big enough.
+func resized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// Release hands the Stream's buffers to the next replay. It drops the
+// cursor, the header and the decode scratch, so a released Stream keeps no
+// trace reachable. The Stream must not be used afterwards; one that is never
+// released is garbage-collected as usual.
+func (s *Stream) Release() {
+	s.cur, s.hdr, s.scratch = nil, Header{}, Event{}
+	streamPool.Put(s)
 }
 
 // fill reads events until the window is full or the source is exhausted.

@@ -80,10 +80,11 @@ func emit(b trace.Adder, m *matrixgen.Matrix, w, h int, opts Options) error {
 	owner := func(col int) int { return col % pes }
 
 	compute := make([]int32, m.N) // event index of each column's task
+	var taskDeps []int32          // reused: Add does not retain deps
 	crossMsgs := 0
 	for k := 0; k < m.N; k++ {
 		dst := owner(k)
-		var taskDeps []int32
+		taskDeps = taskDeps[:0]
 		for _, j := range deps[k] {
 			src := owner(int(j))
 			if src == dst {

@@ -115,6 +115,7 @@ func emit(b trace.Adder, g *graphgen.Graph, part graphgen.Partition, w, h int, o
 	}
 
 	incoming := make([][]int32, pes)
+	var deps []int32 // reused: Add does not retain deps
 	for step := 0; step < opts.Supersteps; step++ {
 		barrier := make(map[int]int32)
 		if step > 0 {
@@ -126,7 +127,7 @@ func emit(b trace.Adder, g *graphgen.Graph, part graphgen.Partition, w, h int, o
 		}
 		next := make([][]int32, pes)
 		for k, m := range msgs {
-			var deps []int32
+			deps = deps[:0]
 			if bar, ok := barrier[m.src]; ok {
 				deps = append(deps, bar)
 			}

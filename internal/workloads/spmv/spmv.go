@@ -115,6 +115,7 @@ func emit(b trace.Adder, m *matrixgen.Matrix, w, h int, opts Options) error {
 
 	// incoming[p] collects the previous round's deliveries to PE p.
 	incoming := make([][]int32, pes)
+	var deps []int32 // reused: Add does not retain deps
 	for it := 0; it < opts.Iterations; it++ {
 		// Barrier: each sending PE waits for everything it consumed last
 		// round before publishing new x values.
@@ -128,7 +129,7 @@ func emit(b trace.Adder, m *matrixgen.Matrix, w, h int, opts Options) error {
 		}
 		next := make([][]int32, pes)
 		for k, msg := range msgs {
-			var deps []int32
+			deps = deps[:0]
 			if bar, ok := barrier[msg.src]; ok {
 				deps = append(deps, bar)
 			}

@@ -363,11 +363,12 @@ func BenchmarkSimSaturation(b *testing.B) { simBench(b, sim.Options{}, 1.0) }
 
 // BenchmarkSimSaturationNopObserver is BenchmarkSimSaturation with a no-op
 // telemetry observer attached; the pair bounds what wiring telemetry costs
-// when it records nothing. The two paths differ on purpose: an observed run
-// still walks every live PE each cycle to report stalls in live-list order,
-// which the bare change-driven run skips. On the 2-core reference box at
-// -cpu 1 the observed run takes ≈ 1.4× the bare one (medians of 10 runs of
-// 20 iterations: 41.6 ms against 30.3 ms); budget: ≤ 1.5×.
+// when it records nothing. Both runs walk the same accepted and changed PEs;
+// the observed one adds an interface call per injection, hop, delivery and
+// cycle, and re-reads each accepted packet with Pending to report it. On the
+// 2-core reference box at -cpu 1 the observed run takes ≈ 1.18× the bare one
+// (medians of 10 runs of 20 iterations: 30.9 ms against 26.2 ms); budget:
+// ≤ 1.5×.
 func BenchmarkSimSaturationNopObserver(b *testing.B) {
 	simBench(b, sim.Options{Observer: telemetry.Base{}}, 1.0)
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"fasttrack/internal/core"
+	"fasttrack/internal/matrixgen"
 	"fasttrack/internal/runner"
 	"fasttrack/internal/sim"
 	"fasttrack/internal/trace"
@@ -253,9 +254,12 @@ func dataflowJobs(sc Scale) []traceJob {
 	mats := dataflowInputs()
 	var jobs []traceJob
 	for _, m := range mats[:sc.capBenchmarks(len(mats))] {
+		// The fill pattern depends on the matrix alone: the first job to
+		// generate computes it for every grid size.
+		fill := sync.OnceValue(func() [][]int32 { return matrixgen.SymbolicLU(m) })
 		for _, n := range sc.sizes(8, 16) {
 			jobs = append(jobs, traceJob{n: n, spec: dataflow.Spec(m, n, n, dataflow.Options{}), gen: func() (trace.Source, error) {
-				return dataflow.Trace(m, n, n, dataflow.Options{})
+				return dataflow.TraceFill(m, fill(), n, n, dataflow.Options{})
 			}})
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 )
 
 // FTT1 is the compact binary trace format ("FastTrack Trace, version 1").
@@ -153,6 +154,9 @@ func (w *Writer) Add(src, dst int, delay int32, deps ...int32) int32 {
 	w.n++
 	return id
 }
+
+// Grow implements Adder; a Writer holds no events, so it reserves nothing.
+func (w *Writer) Grow(events, deps int) {}
 
 // Len implements Adder.
 func (w *Writer) Len() int { return int(w.n) }
@@ -316,9 +320,14 @@ type binCursor struct {
 	done bool
 }
 
+// readers holds closed cursors' read buffers, reset to pin no reader.
+var readers = make(freeList[*bufio.Reader], runtime.GOMAXPROCS(0))
+
 func newBinCursor(r io.Reader, hdr Header) *binCursor {
+	br := readers.get(func() *bufio.Reader { return bufio.NewReaderSize(nil, 1<<16) })
+	br.Reset(r)
 	return &binCursor{
-		br:   bufio.NewReaderSize(r, 1<<16),
+		br:   br,
 		hdr:  hdr,
 		fp:   fpSeed(hdr.Name, hdr.PEs),
 		deps: make([]int32, 0, fttDepPrealloc),
@@ -411,7 +420,15 @@ func (c *binCursor) finish() error {
 	return nil
 }
 
-func (c *binCursor) Close() error { return nil }
+// Close hands the read buffer to the next cursor; a second Close does nothing.
+func (c *binCursor) Close() error {
+	if c.br != nil {
+		c.br.Reset(nil)
+		readers.put(c.br)
+		c.br = nil
+	}
+	return nil
+}
 
 // EncodeBinary writes t as a complete FTT1 stream. Unlike the incremental
 // Writer it knows the count and fingerprint up front, so any io.Writer works
@@ -453,11 +470,7 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	defer cur.Close()
-	hdr := rd.Header()
-	t := &Trace{Name: hdr.Name, PEs: hdr.PEs}
-	if hdr.Events < 1<<20 {
-		t.Events = make([]Event, 0, hdr.Events)
-	}
+	b := NewBuilder(rd.hdr.Name, rd.hdr.PEs)
 	var e Event
 	for {
 		ok, err := cur.Next(&e)
@@ -465,14 +478,8 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 			return nil, err
 		}
 		if !ok {
-			break
+			return b.Build()
 		}
-		if len(e.Deps) > 0 {
-			e.Deps = append([]int32(nil), e.Deps...)
-		} else {
-			e.Deps = nil
-		}
-		t.Events = append(t.Events, e)
+		b.Add(e.Src, e.Dst, e.Delay, e.Deps...)
 	}
-	return t, t.Validate()
 }

@@ -8,13 +8,13 @@ package trace
 // emit code.
 //
 // Events go into chunks and dependency lists into arena blocks, so nothing
-// is copied as a trace grows; Build copies the chunks once into an exactly
-// sized Events, and every Deps stays a capacity-clipped arena sub-slice.
+// is copied as a trace grows; Build hands over a single chunk (Grow's) or
+// copies several once, and every Deps stays a capacity-clipped sub-slice.
 type Builder struct {
 	name   string
 	pes    int
 	n      int       // events added
-	chunks [][]Event // every chunk but the last is full
+	chunks [][]Event // filled in order; Add appends to the last
 	arena  []int32   // unused tail of the current dependency block
 }
 
@@ -63,17 +63,25 @@ func (b *Builder) Add(src, dst int, delay int32, deps ...int32) int32 {
 	return id
 }
 
+// Grow implements Adder. A wrong count costs memory, never an event.
+func (b *Builder) Grow(events, deps int) {
+	b.chunks = append(b.chunks, make([]Event, 0, events))
+	b.arena = make([]int32, deps)
+}
+
 // Len returns the number of events added so far.
 func (b *Builder) Len() int { return b.n }
 
 // Build finalizes and validates the trace.
 func (b *Builder) Build() (*Trace, error) {
 	t := &Trace{Name: b.name, PEs: b.pes}
-	if b.n > 0 {
+	if len(b.chunks) == 1 {
+		t.Events = b.chunks[0][:b.n:b.n]
+	} else if b.n > 0 {
 		t.Events = make([]Event, 0, b.n)
-	}
-	for _, c := range b.chunks {
-		t.Events = append(t.Events, c...)
+		for _, c := range b.chunks {
+			t.Events = append(t.Events, c...)
+		}
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err

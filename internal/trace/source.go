@@ -43,7 +43,7 @@ type Cursor interface {
 	// only valid until the following Next call; copy it to retain it.
 	Next(e *Event) (bool, error)
 	// Close releases the cursor. It is safe to call after Next returned
-	// false.
+	// false, and again after Close.
 	Close() error
 }
 
@@ -56,6 +56,8 @@ type Adder interface {
 	// earlier events. Add does not retain deps (Builder copies them, Writer
 	// encodes them at once), so a caller may reuse one slice for every call.
 	Add(src, dst int, delay int32, deps ...int32) int32
+	// Grow announces the next Adds' event and dependency-entry counts.
+	Grow(events, deps int)
 	// Len returns the number of events added so far.
 	Len() int
 }

@@ -3,7 +3,7 @@ package trace
 import (
 	"fmt"
 	"math"
-	"sync"
+	"runtime"
 
 	"fasttrack/internal/noc"
 )
@@ -153,11 +153,11 @@ func newStream(src Source, hdr Header, width, height, window int) (*Stream, erro
 	if err != nil {
 		return nil, err
 	}
-	// A pooled Stream keeps its buffers' arrays. Every scalar restarts from
-	// zero; ring slots and edges are written by admit and newEdge before
-	// they are read, so only lengths, the edge pool's counters and the
-	// per-PE flags need clearing.
-	s := streamPool.Get().(*Stream)
+	// A released Stream keeps its buffers' arrays. Every scalar restarts
+	// from zero; ring slots and edges are written by admit and newEdge
+	// before they are read, so only lengths, the edge pool's counters and
+	// the per-PE flags need clearing.
+	s := streams.get(func() *Stream { return new(Stream) })
 	*s = Stream{
 		cur:      cur,
 		hdr:      hdr,
@@ -178,16 +178,36 @@ func newStream(src Source, hdr Header, width, height, window int) (*Stream, erro
 	}
 	clear(s.inLive)
 	s.fill()
-	if s.err != nil {
-		return nil, s.err
+	if err := s.err; err != nil {
+		s.Release()
+		return nil, err
 	}
 	return s, nil
 }
 
-// streamPool holds released Streams for newStream to reuse. A sync.Pool
-// keeps an idle Stream through one garbage collection and frees it at the
-// next, so the buffers cost nothing once replays stop.
-var streamPool = sync.Pool{New: func() any { return new(Stream) }}
+// freeList is a leaky buffer of at most GOMAXPROCS released buffers, one per
+// replay that can run at once; unlike a sync.Pool's, no collection empties it.
+type freeList[T any] chan T
+
+func (l freeList[T]) get(fresh func() T) T {
+	select {
+	case it := <-l:
+		return it
+	default:
+		return fresh()
+	}
+}
+
+func (l freeList[T]) put(it T) {
+	select {
+	case l <- it:
+	default:
+	}
+}
+
+// streams holds released Streams, none with a ring past DefaultStreamWindow:
+// at most GOMAXPROCS 8 MiB rings and the heaps and edges grown beside them.
+var streams = make(freeList[*Stream], runtime.GOMAXPROCS(0))
 
 // resized returns buf with length n, reusing its array when it is big enough.
 func resized[T any](buf []T, n int) []T {
@@ -197,13 +217,16 @@ func resized[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// Release hands the Stream's buffers to the next replay. It drops the
-// cursor, the header and the decode scratch, so a released Stream keeps no
-// trace reachable. The Stream must not be used afterwards; one that is never
-// released is garbage-collected as usual.
+// Release hands the Stream's buffers to the next replay. It closes the
+// cursor and drops it, the header and the decode scratch, so a released
+// Stream keeps no trace reachable. The Stream must not be used afterwards;
+// one that is never released is garbage-collected as usual.
 func (s *Stream) Release() {
+	s.cur.Close()
 	s.cur, s.hdr, s.scratch = nil, Header{}, Event{}
-	streamPool.Put(s)
+	if cap(s.ring) <= DefaultStreamWindow {
+		streams.put(s)
+	}
 }
 
 // fill reads events until the window is full or the source is exhausted.

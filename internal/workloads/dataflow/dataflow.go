@@ -35,8 +35,18 @@ func (o Options) withDefaults() Options {
 // Columns are scattered across PEs (owner = column mod PEs), the standard
 // token-dataflow mapping that exposes whatever parallelism the DAG has.
 func Trace(m *matrixgen.Matrix, w, h int, opts Options) (*trace.Trace, error) {
+	return TraceFill(m, matrixgen.SymbolicLU(m), w, h, opts)
+}
+
+// TraceFill is Trace with m's fill pattern, matrixgen.SymbolicLU(m), already
+// computed, so a caller that builds m's trace for several grids computes it
+// once. fill is only read.
+func TraceFill(m *matrixgen.Matrix, fill [][]int32, w, h int, opts Options) (*trace.Trace, error) {
+	if len(fill) != m.N {
+		return nil, fmt.Errorf("dataflow: fill pattern has %d columns, %s has %d", len(fill), m.Name, m.N)
+	}
 	b := trace.NewBuilder(name(m), w*h)
-	if err := emit(b, m, w, h, opts); err != nil {
+	if err := emit(b, m, fill, w, h, opts); err != nil {
 		return nil, err
 	}
 	return b.Build()
@@ -60,7 +70,7 @@ func WriteTo(m *matrixgen.Matrix, w, h int, opts Options, dst io.WriteSeeker) (t
 	if err != nil {
 		return trace.Header{}, err
 	}
-	if err := emit(bw, m, w, h, opts); err != nil {
+	if err := emit(bw, m, matrixgen.SymbolicLU(m), w, h, opts); err != nil {
 		return trace.Header{}, err
 	}
 	if err := bw.Close(); err != nil {
@@ -71,17 +81,32 @@ func WriteTo(m *matrixgen.Matrix, w, h int, opts Options, dst io.WriteSeeker) (t
 
 func name(m *matrixgen.Matrix) string { return fmt.Sprintf("lu/%s", m.Name) }
 
-// emit generates the event stream into any trace.Adder (shared by the
-// in-memory and streaming paths; see spmv.emit).
-func emit(b trace.Adder, m *matrixgen.Matrix, w, h int, opts Options) error {
+// emit generates the event stream of m, whose fill pattern is deps, into
+// any trace.Adder (shared by the in-memory and streaming paths; see
+// spmv.emit).
+func emit(b trace.Adder, m *matrixgen.Matrix, deps [][]int32, w, h int, opts Options) error {
 	opts = opts.withDefaults()
 	pes := w * h
-	deps := matrixgen.SymbolicLU(m)
 	owner := func(col int) int { return col % pes }
+
+	// A task per column, waiting on one entry per dependency, and a token
+	// with one dependency per dependency that crosses PEs.
+	depN, crossMsgs := 0, 0
+	for k, dk := range deps {
+		depN += len(dk)
+		for _, j := range dk {
+			if owner(int(j)) != owner(k) {
+				crossMsgs++
+			}
+		}
+	}
+	if crossMsgs == 0 {
+		return fmt.Errorf("dataflow: %s generates no cross-PE tokens on %d PEs", m.Name, pes)
+	}
+	b.Grow(m.N+crossMsgs, depN+crossMsgs)
 
 	compute := make([]int32, m.N) // event index of each column's task
 	var taskDeps []int32          // reused: Add does not retain deps
-	crossMsgs := 0
 	for k := 0; k < m.N; k++ {
 		dst := owner(k)
 		taskDeps = taskDeps[:0]
@@ -95,12 +120,8 @@ func emit(b trace.Adder, m *matrixgen.Matrix, w, h int, opts Options) error {
 			// Remote dependency: the producer's PE sends a token.
 			msg := b.Add(src, dst, 1, compute[j])
 			taskDeps = append(taskDeps, msg)
-			crossMsgs++
 		}
 		compute[k] = b.Add(dst, dst, opts.ComputeDelay, taskDeps...)
-	}
-	if crossMsgs == 0 {
-		return fmt.Errorf("dataflow: %s generates no cross-PE tokens on %d PEs", m.Name, pes)
 	}
 	return nil
 }

@@ -83,3 +83,31 @@ func TestBenchmarksGenerate(t *testing.T) {
 		}
 	}
 }
+
+// growCheck is a trace.Adder that records the counts emit announces with
+// Grow and the events it then adds.
+type growCheck struct{ grownEvents, grownDeps, events, deps int }
+
+func (c *growCheck) Add(src, dst int, delay int32, deps ...int32) int32 {
+	c.events++
+	c.deps += len(deps)
+	return int32(c.events - 1)
+}
+func (c *growCheck) Grow(events, deps int) { c.grownEvents += events; c.grownDeps += deps }
+func (c *growCheck) Len() int              { return c.events }
+
+// TestGrowCountsExact: emit announces exactly the events and dependency
+// entries it adds, so Build hands its one chunk over uncopied.
+func TestGrowCountsExact(t *testing.T) {
+	for _, m := range Benchmarks()[:2] {
+		for _, n := range []int{4, 16} {
+			var c growCheck
+			if err := emit(&c, m, matrixgen.SymbolicLU(m), n, n, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			if c.grownEvents != c.events || c.grownDeps != c.deps {
+				t.Errorf("%s on %d×%d: Grow(%d, %d), then %d events with %d deps", m.Name, n, n, c.grownEvents, c.grownDeps, c.events, c.deps)
+			}
+		}
+	}
+}

@@ -114,6 +114,24 @@ func emit(b trace.Adder, g *graphgen.Graph, part graphgen.Partition, w, h int, o
 		return fmt.Errorf("graphwl: graph %s has no cross-PE edges on %d PEs", g.Name, pes)
 	}
 
+	// Every round sends msgs. Each later one adds a barrier per receiving
+	// PE, waiting on the messages it received, and gates that PE's sends.
+	recv := make([]bool, pes)
+	barriers, gated := 0, 0
+	for _, m := range msgs {
+		if !recv[m.dst] {
+			recv[m.dst] = true
+			barriers++
+		}
+	}
+	for _, m := range msgs {
+		if recv[m.src] {
+			gated++
+		}
+	}
+	later := opts.Supersteps - 1
+	b.Grow(opts.Supersteps*len(msgs)+later*barriers, later*(len(msgs)+gated))
+
 	incoming := make([][]int32, pes)
 	var deps []int32 // reused: Add does not retain deps
 	for step := 0; step < opts.Supersteps; step++ {

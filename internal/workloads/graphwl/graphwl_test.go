@@ -60,3 +60,31 @@ func TestBenchmarksGenerate(t *testing.T) {
 		}
 	}
 }
+
+// growCheck is a trace.Adder that records the counts emit announces with
+// Grow and the events it then adds.
+type growCheck struct{ grownEvents, grownDeps, events, deps int }
+
+func (c *growCheck) Add(src, dst int, delay int32, deps ...int32) int32 {
+	c.events++
+	c.deps += len(deps)
+	return int32(c.events - 1)
+}
+func (c *growCheck) Grow(events, deps int) { c.grownEvents += events; c.grownDeps += deps }
+func (c *growCheck) Len() int              { return c.events }
+
+// TestGrowCountsExact: emit announces exactly the events and dependency
+// entries it adds, so Build hands its one chunk over uncopied.
+func TestGrowCountsExact(t *testing.T) {
+	for _, b := range []Benchmark{Benchmarks()[0], Benchmarks()[4]} {
+		for _, steps := range []int{1, 3} {
+			var c growCheck
+			if err := emit(&c, b.Graph, b.PartitionFor(64), 8, 8, Options{Supersteps: steps}); err != nil {
+				t.Fatal(err)
+			}
+			if c.grownEvents != c.events || c.grownDeps != c.deps {
+				t.Errorf("%s, %d supersteps: Grow(%d, %d), then %d events with %d deps", b.Graph.Name, steps, c.grownEvents, c.grownDeps, c.events, c.deps)
+			}
+		}
+	}
+}

@@ -114,6 +114,24 @@ func emit(b trace.Adder, m *matrixgen.Matrix, w, h int, opts Options) error {
 	}
 
 	// incoming[p] collects the previous round's deliveries to PE p.
+	// Every round sends msgs. Each later one adds a barrier per receiving
+	// PE, waiting on the messages it received, and gates that PE's sends.
+	recv := make([]bool, pes)
+	barriers, gated := 0, 0
+	for _, msg := range msgs {
+		if !recv[msg.dst] {
+			recv[msg.dst] = true
+			barriers++
+		}
+	}
+	for _, msg := range msgs {
+		if recv[msg.src] {
+			gated++
+		}
+	}
+	later := opts.Iterations - 1
+	b.Grow(opts.Iterations*len(msgs)+later*barriers, later*(len(msgs)+gated))
+
 	incoming := make([][]int32, pes)
 	var deps []int32 // reused: Add does not retain deps
 	for it := 0; it < opts.Iterations; it++ {
